@@ -11,9 +11,14 @@
 //! `linear_sum_assignment`, which the paper's reference implementation calls
 //! through `scipy.optimize`.
 //!
-//! Complexity: `O(r^2 * c)` for an `r x c` matrix with `r <= c` (the matrix is
-//! transposed internally when `r > c`), which is far below a millisecond for
-//! the 20-query x 20-instance matchings the paper measures.
+//! Complexity: `O(r^2 * c)` for an `r x c` matrix with `r <= c` (a matrix
+//! with `r > c` is solved as its transpose, read in place), which is far below
+//! a millisecond for the 20-query x 20-instance matchings the paper measures.
+//! Under overload the serving shapes are hundreds of queued queries by tens of
+//! instances, and the matching runs at every scheduling instant.  For that
+//! caller, [`solve_jv_into`] solves from a flat cost buffer in a reusable
+//! [`JvWorkspace`], so a round neither copies the costs nor allocates;
+//! [`solve_jv`] is the one-shot form of the same routine.
 
 use crate::matrix::CostMatrix;
 use crate::solution::{Assignment, AssignmentError, AssignmentSolver};
@@ -41,128 +46,206 @@ impl AssignmentSolver for JonkerVolgenantSolver {
 
 /// Solves the rectangular min-cost assignment problem and returns an optimal
 /// matching of size `min(rows, cols)`.
+///
+/// A one-shot wrapper over [`solve_jv_into`] with a fresh workspace.
 pub fn solve_jv(matrix: &CostMatrix) -> Result<Assignment, AssignmentError> {
-    // The core routine requires rows <= cols; transpose otherwise.
-    if matrix.rows() <= matrix.cols() {
-        let col4row = solve_inner(matrix)?;
-        let mapping = col4row.into_iter().map(Some).collect();
-        Ok(Assignment::from_row_mapping(matrix, mapping))
-    } else {
-        let transposed = matrix.transposed();
-        let col4row = solve_inner(&transposed)?;
-        // `col4row[j]` is, in original terms, the row matched to column j.
-        let mut row_to_col = vec![None; matrix.rows()];
-        for (col, row) in col4row.into_iter().enumerate() {
-            row_to_col[row] = Some(col);
-        }
-        Ok(Assignment::from_row_mapping(matrix, row_to_col))
+    let mut ws = JvWorkspace::new();
+    let row_to_col = solve_jv_into(&mut ws, matrix.rows(), matrix.cols(), matrix.as_slice())?;
+    Ok(Assignment::from_row_mapping(matrix, row_to_col.to_vec()))
+}
+
+/// Buffers of the shortest-augmenting-path solver (duals, matching state,
+/// path and scan marks), kept between calls to [`solve_jv_into`] so a caller
+/// that solves one matching per scheduling round allocates only when a round
+/// is larger than every round before it.
+#[derive(Debug, Default, Clone)]
+pub struct JvWorkspace {
+    u: Vec<f64>,
+    v: Vec<f64>,
+    col4row: Vec<usize>,
+    row4col: Vec<usize>,
+    shortest_path_costs: Vec<f64>,
+    path: Vec<usize>,
+    sr: Vec<bool>,
+    sc: Vec<bool>,
+    remaining: Vec<usize>,
+    row_to_col: Vec<Option<usize>>,
+}
+
+impl JvWorkspace {
+    /// Creates an empty workspace; buffers grow on first use.
+    pub fn new() -> Self {
+        Self::default()
     }
 }
 
-/// Core shortest-augmenting-path loop.  Requires `rows <= cols`; returns
-/// `col4row` where `col4row[i]` is the column assigned to row `i`.
-fn solve_inner(cost: &CostMatrix) -> Result<Vec<usize>, AssignmentError> {
-    let nr = cost.rows();
-    let nc = cost.cols();
-    debug_assert!(nr <= nc);
-
-    // Dual variables.
-    let mut u = vec![0.0f64; nr];
-    let mut v = vec![0.0f64; nc];
-
-    // Matching state.  usize::MAX denotes "unassigned".
-    const UNASSIGNED: usize = usize::MAX;
-    let mut col4row = vec![UNASSIGNED; nr];
-    let mut row4col = vec![UNASSIGNED; nc];
-
-    // Scratch buffers reused across augmentations.
-    let mut shortest_path_costs = vec![f64::INFINITY; nc];
-    let mut path = vec![UNASSIGNED; nc];
-    let mut sr = vec![false; nr];
-    let mut sc = vec![false; nc];
-    let mut remaining: Vec<usize> = Vec::with_capacity(nc);
-
-    for cur_row in 0..nr {
-        // Reset per-augmentation state.
-        for x in shortest_path_costs.iter_mut() {
-            *x = f64::INFINITY;
-        }
-        for x in sr.iter_mut() {
-            *x = false;
-        }
-        for x in sc.iter_mut() {
-            *x = false;
-        }
-        remaining.clear();
-        remaining.extend(0..nc);
-
-        let mut min_val = 0.0f64;
-        let mut i = cur_row;
-        let mut sink = UNASSIGNED;
-
-        while sink == UNASSIGNED {
-            sr[i] = true;
-            let mut index = UNASSIGNED;
-            let mut lowest = f64::INFINITY;
-            let row_slice = cost.row(i);
-
-            for (it, &j) in remaining.iter().enumerate() {
-                let r = min_val + row_slice[j] - u[i] - v[j];
-                if r < shortest_path_costs[j] {
-                    path[j] = i;
-                    shortest_path_costs[j] = r;
-                }
-                // Prefer unassigned columns on ties so the augmenting path
-                // terminates as early as possible.
-                if shortest_path_costs[j] < lowest
-                    || (shortest_path_costs[j] == lowest && row4col[j] == UNASSIGNED)
-                {
-                    lowest = shortest_path_costs[j];
-                    index = it;
-                }
-            }
-
-            min_val = lowest;
-            if !min_val.is_finite() || index == UNASSIGNED {
-                // Cannot happen with finite cost matrices, but guard anyway.
-                return Err(AssignmentError::Infeasible);
-            }
-            let j = remaining[index];
-            if row4col[j] == UNASSIGNED {
-                sink = j;
-            } else {
-                i = row4col[j];
-            }
-            sc[j] = true;
-            remaining.swap_remove(index);
-        }
-
-        // Update dual variables.
-        u[cur_row] += min_val;
-        for irow in 0..nr {
-            if irow != cur_row && sr[irow] {
-                u[irow] += min_val - shortest_path_costs[col4row[irow]];
-            }
-        }
-        for jcol in 0..nc {
-            if sc[jcol] {
-                v[jcol] -= min_val - shortest_path_costs[jcol];
-            }
-        }
-
-        // Augment along the alternating path ending at `sink`.
-        let mut j = sink;
-        loop {
-            let i = path[j];
-            row4col[j] = i;
-            std::mem::swap(&mut col4row[i], &mut j);
-            if i == cur_row {
-                break;
-            }
+/// Solves the `rows x cols` assignment problem whose costs are `cost`, in
+/// row-major order, reusing the buffers of `ws`.  Returns `row_to_col`: the
+/// column matched to each row, `None` for the rows left unmatched when
+/// `rows > cols`.
+///
+/// Either orientation is solved without copying the costs: when `rows >
+/// cols` the solver walks the buffer column-wise as the transposed problem.
+/// Callers that choose the layout themselves should pass the orientation
+/// with `rows <= cols`, whose scans are contiguous.  Entries must be finite
+/// (see [`CostMatrix`]).
+///
+/// # Panics
+/// Panics if `cost.len() != rows * cols`.
+pub fn solve_jv_into<'ws>(
+    ws: &'ws mut JvWorkspace,
+    rows: usize,
+    cols: usize,
+    cost: &[f64],
+) -> Result<&'ws [Option<usize>], AssignmentError> {
+    assert_eq!(
+        cost.len(),
+        rows * cols,
+        "cost buffer must hold rows x cols entries"
+    );
+    ws.row_to_col.clear();
+    if rows <= cols {
+        ws.augment_all::<false>(rows, cols, cost)?;
+        ws.row_to_col.extend(ws.col4row.iter().map(|&c| Some(c)));
+    } else {
+        // `col4row[j]` of the transposed problem is the row matched to
+        // column j.
+        ws.augment_all::<true>(cols, rows, cost)?;
+        ws.row_to_col.resize(rows, None);
+        for (col, &row) in ws.col4row.iter().enumerate() {
+            ws.row_to_col[row] = Some(col);
         }
     }
+    Ok(&ws.row_to_col)
+}
 
-    Ok(col4row)
+/// "Unassigned" marker of the matching state.
+const UNASSIGNED: usize = usize::MAX;
+
+impl JvWorkspace {
+    /// Core shortest-augmenting-path loop over an `nr x nc` problem with
+    /// `nr <= nc`; leaves `col4row[i]`, the column assigned to row `i`, in
+    /// the workspace.  Entry `(i, j)` is `cost[i * nc + j]`, or
+    /// `cost[j * nr + i]` when `TRANSPOSED` (the buffer holds the `nc x nr`
+    /// original).
+    fn augment_all<const TRANSPOSED: bool>(
+        &mut self,
+        nr: usize,
+        nc: usize,
+        cost: &[f64],
+    ) -> Result<(), AssignmentError> {
+        debug_assert!(nr <= nc);
+        let entry = |i: usize, j: usize| {
+            if TRANSPOSED {
+                cost[j * nr + i]
+            } else {
+                cost[i * nc + j]
+            }
+        };
+
+        // Dual variables.
+        let u = &mut self.u;
+        let v = &mut self.v;
+        u.clear();
+        u.resize(nr, 0.0);
+        v.clear();
+        v.resize(nc, 0.0);
+
+        // Matching state.
+        let col4row = &mut self.col4row;
+        let row4col = &mut self.row4col;
+        col4row.clear();
+        col4row.resize(nr, UNASSIGNED);
+        row4col.clear();
+        row4col.resize(nc, UNASSIGNED);
+
+        // Scratch buffers reused across augmentations.
+        let shortest_path_costs = &mut self.shortest_path_costs;
+        let path = &mut self.path;
+        let sr = &mut self.sr;
+        let sc = &mut self.sc;
+        let remaining = &mut self.remaining;
+        path.clear();
+        path.resize(nc, UNASSIGNED);
+
+        for cur_row in 0..nr {
+            // Reset per-augmentation state.
+            shortest_path_costs.clear();
+            shortest_path_costs.resize(nc, f64::INFINITY);
+            sr.clear();
+            sr.resize(nr, false);
+            sc.clear();
+            sc.resize(nc, false);
+            remaining.clear();
+            remaining.extend(0..nc);
+
+            let mut min_val = 0.0f64;
+            let mut i = cur_row;
+            let mut sink = UNASSIGNED;
+
+            while sink == UNASSIGNED {
+                sr[i] = true;
+                let mut index = UNASSIGNED;
+                let mut lowest = f64::INFINITY;
+
+                for (it, &j) in remaining.iter().enumerate() {
+                    let r = min_val + entry(i, j) - u[i] - v[j];
+                    if r < shortest_path_costs[j] {
+                        path[j] = i;
+                        shortest_path_costs[j] = r;
+                    }
+                    // Prefer unassigned columns on ties so the augmenting path
+                    // terminates as early as possible.
+                    if shortest_path_costs[j] < lowest
+                        || (shortest_path_costs[j] == lowest && row4col[j] == UNASSIGNED)
+                    {
+                        lowest = shortest_path_costs[j];
+                        index = it;
+                    }
+                }
+
+                min_val = lowest;
+                if !min_val.is_finite() || index == UNASSIGNED {
+                    // Cannot happen with finite costs, but guard anyway.
+                    return Err(AssignmentError::Infeasible);
+                }
+                let j = remaining[index];
+                if row4col[j] == UNASSIGNED {
+                    sink = j;
+                } else {
+                    i = row4col[j];
+                }
+                sc[j] = true;
+                remaining.swap_remove(index);
+            }
+
+            // Update dual variables.
+            u[cur_row] += min_val;
+            for irow in 0..nr {
+                if irow != cur_row && sr[irow] {
+                    u[irow] += min_val - shortest_path_costs[col4row[irow]];
+                }
+            }
+            for jcol in 0..nc {
+                if sc[jcol] {
+                    v[jcol] -= min_val - shortest_path_costs[jcol];
+                }
+            }
+
+            // Augment along the alternating path ending at `sink`.
+            let mut j = sink;
+            loop {
+                let i = path[j];
+                row4col[j] = i;
+                std::mem::swap(&mut col4row[i], &mut j);
+                if i == cur_row {
+                    break;
+                }
+            }
+        }
+
+        Ok(())
+    }
 }
 
 #[cfg(test)]

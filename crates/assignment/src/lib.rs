@@ -56,7 +56,8 @@ pub use matrix::{CostMatrix, MatrixError};
 pub use solution::{Assignment, AssignmentError, AssignmentSolver};
 
 /// Solves a rectangular min-cost assignment with the default (Jonker–Volgenant)
-/// solver.  This is the entry point used by the Kairos query distributor.
+/// solver.  The Kairos query distributor calls the buffer-reusing form,
+/// [`jv::solve_jv_into`], once per scheduling round.
 pub fn solve(matrix: &CostMatrix) -> Result<Assignment, AssignmentError> {
     jv::solve_jv(matrix)
 }

@@ -461,6 +461,103 @@ fn bench_allowable_throughput_probe(c: &mut Criterion) {
     group.finish();
 }
 
+/// One Kairos matching round on a frozen deep-queue WND context: 512 queued
+/// queries of the production batch mix against 14 instances over three
+/// types, one of which has a single observed batch size (no latency fit, so
+/// its pairs take the cold-start override).  This is the round that
+/// dominates an overload burst, where queries outnumber instances and the
+/// cost buffer is laid out instance-major.
+fn bench_kairos_round(c: &mut Criterion) {
+    use kairos_core::KairosScheduler;
+    use kairos_sim::{idle_order, Dispatch, InstanceView, SchedulingContext};
+    use kairos_workload::{ModelId, Query};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use std::sync::Arc;
+
+    let model = ModelKind::Wnd;
+    let latency = paper_calibration();
+    let names: Vec<Arc<str>> = ec2::paper_pool()
+        .iter()
+        .map(|t| Arc::from(t.name.as_str()))
+        .collect();
+    let mut kairos = KairosScheduler::new();
+    kairos.bind_types(&names);
+    // Types 0 and 2 are fitted from their profiles; type 1 has seen only
+    // one batch size.
+    for (type_index, batches) in [
+        (0usize, &[1u32, 64, 256, 1000][..]),
+        (2, &[1, 64, 256, 1000]),
+        (1, &[128]),
+    ] {
+        let profile = latency
+            .get(model, &names[type_index])
+            .expect("the paper calibration covers every paper type");
+        for &batch in batches {
+            kairos.on_completion(
+                type_index,
+                ModelId::DEFAULT,
+                batch,
+                profile.latency_ms(batch),
+            );
+        }
+    }
+
+    let now_us = 1_000_000;
+    let mix = BatchSizeDistribution::production_default();
+    let mut rng = StdRng::seed_from_u64(29);
+    let queued: Vec<Query> = (0..512u64)
+        .map(|id| {
+            Query::new(
+                id,
+                mix.sample(&mut rng),
+                now_us - rng.gen_range(0..40_000u64),
+            )
+        })
+        .collect();
+    let views: Vec<InstanceView> = (0..14usize)
+        .map(|instance_index| {
+            let type_index = [0, 2, 1][instance_index % 3];
+            let busy = instance_index % 2 == 0;
+            InstanceView {
+                instance_index,
+                type_index,
+                type_name: names[type_index].clone(),
+                model: ModelId::DEFAULT,
+                is_base: type_index == 0,
+                accepting: true,
+                free_at_us: if busy {
+                    now_us + 2_000 * instance_index as u64
+                } else {
+                    now_us
+                },
+                backlog: usize::from(busy),
+            }
+        })
+        .collect();
+    let idle = idle_order(&views);
+    let ctx = SchedulingContext {
+        now_us,
+        queued: &queued,
+        instances: &views,
+        idle: &idle,
+        qos_us: model.qos_us(),
+        qos_by_model: &[],
+    };
+
+    let mut group = c.benchmark_group("kairos_round");
+    group.sample_size(10);
+    let mut out: Vec<Dispatch> = Vec::new();
+    group.bench_function("deep_queue_512x14", |b| {
+        b.iter(|| {
+            out.clear();
+            kairos.schedule_into(black_box(&ctx), &mut out);
+            black_box(out.len())
+        })
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_trace_replay,
@@ -469,6 +566,7 @@ criterion_group!(
     bench_rank_configs_sweep,
     bench_rank_configs_variants,
     bench_sparse_mix,
-    bench_allowable_throughput_probe
+    bench_allowable_throughput_probe,
+    bench_kairos_round
 );
 criterion_main!(benches);

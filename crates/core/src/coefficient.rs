@@ -22,6 +22,21 @@
 /// Panics if the slice is empty, the base index is out of range, or any
 /// latency is not strictly positive.
 pub fn heterogeneity_coefficients(largest_query_latency_ms: &[f64], base_index: usize) -> Vec<f64> {
+    let mut coefficients = Vec::with_capacity(largest_query_latency_ms.len());
+    heterogeneity_coefficients_into(largest_query_latency_ms, base_index, &mut coefficients);
+    coefficients
+}
+
+/// [`heterogeneity_coefficients`] written into a caller-owned buffer
+/// (cleared first), for the per-round matching path.
+///
+/// # Panics
+/// As [`heterogeneity_coefficients`].
+pub(crate) fn heterogeneity_coefficients_into(
+    largest_query_latency_ms: &[f64],
+    base_index: usize,
+    out: &mut Vec<f64>,
+) {
     assert!(
         !largest_query_latency_ms.is_empty(),
         "need at least one instance type"
@@ -37,17 +52,14 @@ pub fn heterogeneity_coefficients(largest_query_latency_ms: &[f64], base_index: 
         );
     }
     let base = largest_query_latency_ms[base_index];
-    largest_query_latency_ms
-        .iter()
-        .enumerate()
-        .map(|(i, &l)| {
-            if i == base_index {
-                1.0
-            } else {
-                (base / l).clamp(f64::MIN_POSITIVE, 1.0)
-            }
-        })
-        .collect()
+    out.clear();
+    out.extend(largest_query_latency_ms.iter().enumerate().map(|(i, &l)| {
+        if i == base_index {
+            1.0
+        } else {
+            (base / l).clamp(f64::MIN_POSITIVE, 1.0)
+        }
+    }));
 }
 
 #[cfg(test)]

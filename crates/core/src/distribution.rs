@@ -10,16 +10,33 @@
 //! This module implements that policy against the [`kairos_sim::Scheduler`]
 //! interface so it can be dropped into the discrete-event engine alongside the
 //! baselines.
+//!
+//! # The round's hot path
+//!
+//! Under overload a round matches hundreds of queued queries against tens of
+//! instances of only a few types, so the round works per *type*: each
+//! distinct accepting type resolves its predictor once and fills one row of
+//! a `[type][query]` prediction table.  A single pass then writes the
+//! solver's cost buffer and the feasibility bitmap (Eq. 3 and 8 with the
+//! cold-start override), laid out so the Jonker–Volgenant solver scans it
+//! contiguously: query-major when queries do not outnumber instances,
+//! instance-major otherwise.  All buffers live in the scheduler and are
+//! reused, so a steady-state round allocates nothing.  The round is
+//! bit-identical to assembling [`crate::lmatrix::build_matrices`] and solving
+//! it with [`kairos_assignment::jv::solve_jv`]; the `proptest_kairos_round`
+//! test keeps that reference.
 
-use crate::coefficient::heterogeneity_coefficients;
-use crate::lmatrix::{build_matrices, InstanceColumn, QueryRow, DEFAULT_XI};
-use kairos_assignment::{jv::solve_jv, Assignment};
+use crate::coefficient::heterogeneity_coefficients_into;
+use crate::lmatrix::{DEFAULT_XI, QOS_PENALTY_FACTOR};
+use kairos_assignment::jv::{solve_jv_into, JvWorkspace};
 use kairos_models::{
-    latency::LatencyTable, mlmodel::ModelKind, predictor::PredictorBank, MAX_BATCH_SIZE,
+    latency::LatencyTable,
+    mlmodel::ModelKind,
+    predictor::{default_latency_ms, PredictorBank},
+    MAX_BATCH_SIZE,
 };
-use kairos_sim::{Dispatch, InstanceView, Scheduler, SchedulingContext};
+use kairos_sim::{Dispatch, Scheduler, SchedulingContext};
 use kairos_workload::ModelId;
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// The Kairos matching-based query distributor.
@@ -37,6 +54,45 @@ pub struct KairosScheduler {
     reference_batch: u32,
     /// Number of matching rounds performed (exposed for tests/diagnostics).
     rounds: u64,
+    /// Buffers reused by every matching round.
+    round: RoundScratch,
+}
+
+/// One matrix column: an accepting instance.
+#[derive(Debug, Clone, Copy)]
+struct Column {
+    /// Position of the instance's view in [`SchedulingContext::instances`].
+    view: usize,
+    /// The round's slot of the instance's type.
+    slot: usize,
+    /// Remaining busy time from the scheduling instant, in ms.
+    remaining_ms: f64,
+}
+
+/// Buffers of one matching round.  A *slot* is one distinct type among the
+/// accepting instances, numbered in order of first appearance in the views.
+#[derive(Debug, Clone, Default)]
+struct RoundScratch {
+    /// Per slot: position of the view that introduced the type.
+    slot_view: Vec<usize>,
+    /// Per slot: predicted latency of the reference batch, in ms.
+    reference_ms: Vec<f64>,
+    /// Per slot: heterogeneity coefficient `C_j`.
+    coefficient: Vec<f64>,
+    /// Per slot: whether the type's predictor has a linear fit.
+    fitted: Vec<bool>,
+    /// Predicted service latency (ms), `[slot][query]`.
+    predicted_ms: Vec<f64>,
+    /// The accepting instances, in view order.
+    columns: Vec<Column>,
+    /// Per queued query: accumulated wait `W_i`, in ms.
+    waited_ms: Vec<f64>,
+    /// Solver costs and pair feasibility, in the same layout: query-major
+    /// (`[query][column]`) when queries do not outnumber columns,
+    /// column-major (`[column][query]`) otherwise.
+    cost: Vec<f64>,
+    feasible: Vec<bool>,
+    jv: JvWorkspace,
 }
 
 impl Default for KairosScheduler {
@@ -55,6 +111,7 @@ impl KairosScheduler {
             xi: DEFAULT_XI,
             reference_batch: MAX_BATCH_SIZE,
             rounds: 0,
+            round: RoundScratch::default(),
         }
     }
 
@@ -95,28 +152,6 @@ impl KairosScheduler {
     pub fn predictors(&self) -> &PredictorBank {
         &self.predictors
     }
-
-    /// Computes the per-*type* heterogeneity coefficients from the current
-    /// latency estimates, keyed by (interned) type name.
-    fn coefficients(&self, instances: &[&InstanceView]) -> HashMap<Arc<str>, f64> {
-        // Collect the distinct types present, keeping the base type's position.
-        let mut names: Vec<Arc<str>> = Vec::new();
-        let mut base_pos = 0usize;
-        for inst in instances {
-            if !names.contains(&inst.type_name) {
-                if inst.is_base {
-                    base_pos = names.len();
-                }
-                names.push(inst.type_name.clone());
-            }
-        }
-        let latencies: Vec<f64> = names
-            .iter()
-            .map(|n| self.predictors.predict(n, self.reference_batch).max(1e-6))
-            .collect();
-        let coeffs = heterogeneity_coefficients(&latencies, base_pos);
-        names.into_iter().zip(coeffs).collect()
-    }
 }
 
 impl Scheduler for KairosScheduler {
@@ -125,97 +160,138 @@ impl Scheduler for KairosScheduler {
     }
 
     fn schedule(&mut self, ctx: &SchedulingContext<'_>) -> Vec<Dispatch> {
-        // Draining and retired instances take no new work: exclude them from
-        // the matching entirely (the engine would reject such dispatches).
-        let instances: Vec<&InstanceView> = ctx.instances.iter().filter(|i| i.accepting).collect();
-        if ctx.queued.is_empty() || instances.is_empty() {
-            return Vec::new();
+        let mut out = Vec::new();
+        self.schedule_into(ctx, &mut out);
+        out
+    }
+
+    fn schedule_into(&mut self, ctx: &SchedulingContext<'_>, out: &mut Vec<Dispatch>) {
+        if ctx.queued.is_empty() {
+            return;
+        }
+        let r = &mut self.round;
+        // Buffers grown for a burst are dropped once a round needs under a
+        // quarter of them, so the scheduler does not keep memory sized for
+        // its deepest queue; between such drops rounds allocate nothing.
+        if r.cost.capacity() > 4 * ctx.queued.len() * ctx.instances.len() {
+            *r = RoundScratch::default();
+        }
+
+        // Columns: the accepting instances.  Draining and retired instances
+        // take no new work and stay out of the matching entirely (the engine
+        // would reject such dispatches).  The base type's slot anchors the
+        // coefficients; without it the first type present does.
+        r.columns.clear();
+        r.slot_view.clear();
+        let mut base_slot = 0;
+        for (view, inst) in ctx.instances.iter().enumerate() {
+            if !inst.accepting {
+                continue;
+            }
+            let known = r
+                .slot_view
+                .iter()
+                .position(|&v| ctx.instances[v].type_index == inst.type_index);
+            let slot = known.unwrap_or_else(|| {
+                if inst.is_base {
+                    base_slot = r.slot_view.len();
+                }
+                r.slot_view.push(view);
+                r.slot_view.len() - 1
+            });
+            r.columns.push(Column {
+                view,
+                slot,
+                remaining_ms: inst.remaining_us(ctx.now_us) as f64 / 1000.0,
+            });
+        }
+        if r.columns.is_empty() {
+            return;
         }
         self.rounds += 1;
         let qos_ms = ctx.qos_us as f64 / 1000.0;
-        let coeffs = self.coefficients(&instances);
+        let (m, n) = (ctx.queued.len(), r.columns.len());
 
-        // Query rows: batch size and accumulated wait (W_i).
-        let rows: Vec<QueryRow> = ctx
-            .queued
-            .iter()
-            .map(|q| QueryRow {
-                batch_size: q.batch_size,
-                waited_ms: q.waiting_time_us(ctx.now_us) as f64 / 1000.0,
-            })
-            .collect();
+        r.waited_ms.clear();
+        r.waited_ms.extend(
+            ctx.queued
+                .iter()
+                .map(|q| q.waiting_time_us(ctx.now_us) as f64 / 1000.0),
+        );
 
-        // Instance columns: remaining busy time, coefficient and predicted
-        // service latency for every queued query.
-        let columns: Vec<InstanceColumn> = instances
-            .iter()
-            .map(|inst| InstanceColumn {
-                remaining_ms: inst.remaining_us(ctx.now_us) as f64 / 1000.0,
-                coefficient: *coeffs.get(&inst.type_name).unwrap_or(&1.0),
-                predicted_service_ms: rows
-                    .iter()
-                    .map(|r| {
-                        self.predictors
-                            .predict(&inst.type_name, r.batch_size)
-                            .max(1e-3)
-                    })
-                    .collect(),
-            })
-            .collect();
+        // Kairos starts with a linear model but does not rely on its accuracy
+        // (Sec. 5.1): predictions are resolved per type, once per round — the
+        // predictor lookup, its fit state, the reference-batch latency behind
+        // `C_j`, and one prediction per queued query.
+        r.reference_ms.clear();
+        r.fitted.clear();
+        r.predicted_ms.clear();
+        for &view in &r.slot_view {
+            let predictor = self.predictors.get(&ctx.instances[view].type_name);
+            let predict = |batch: u32| {
+                predictor.map_or_else(|| default_latency_ms(batch), |p| p.predict(batch))
+            };
+            r.reference_ms.push(predict(self.reference_batch).max(1e-6));
+            r.fitted.push(predictor.is_some_and(|p| p.has_fit()));
+            r.predicted_ms
+                .extend(ctx.queued.iter().map(|q| predict(q.batch_size).max(1e-3)));
+        }
+        heterogeneity_coefficients_into(&r.reference_ms, base_slot, &mut r.coefficient);
 
-        let mut matrices = build_matrices(&rows, &columns, qos_ms, self.xi);
-
-        // Cold-start optimism: while an instance type has not produced enough
-        // completions for a latency fit, its predictions are placeholder
-        // values, so a "predicted violation" there carries no information.
-        // Treating such pairs as feasible lets queries flow immediately, which
-        // is what makes the online learning converge within the first few
-        // queries instead of stalling the queue (Sec. 5.1 "Kairos starts with
-        // a linear model but does not rely on the model accuracy").
-        let type_fitted: Vec<bool> = instances
-            .iter()
-            .map(|inst| {
-                self.predictors
-                    .get(&inst.type_name)
-                    .map(|p| p.has_fit())
-                    .unwrap_or(false)
-            })
-            .collect();
-        for i in 0..rows.len() {
-            for j in 0..columns.len() {
-                if !matrices.feasible[i][j] && !type_fitted[j] {
-                    matrices.feasible[i][j] = true;
-                    matrices.cost.set(
-                        i,
-                        j,
-                        columns[j].coefficient * matrices.completion_ms.get(i, j),
-                    );
-                }
+        // One pass writes the costs `C_j · L~_ij` and the feasibility of
+        // every pair.  `L_ij` is the instance's remaining busy time plus the
+        // query's predicted service time; a pair violating Eq. 3 (with the ξ
+        // safeguard) costs `C_j · 10 T_qos` (Eq. 8).  Cold-start optimism:
+        // while a type has not produced enough completions for a latency fit,
+        // its predictions are placeholders and a "predicted violation" there
+        // carries no information, so such pairs are treated as feasible.
+        // That lets queries flow immediately, which is what makes the online
+        // learning converge within the first few queries instead of stalling
+        // the queue.
+        let bound_ms = self.xi * qos_ms;
+        let penalty_ms = QOS_PENALTY_FACTOR * qos_ms;
+        let query_major = m <= n;
+        r.cost.clear();
+        r.cost.resize(m * n, 0.0);
+        r.feasible.clear();
+        r.feasible.resize(m * n, false);
+        for (j, col) in r.columns.iter().enumerate() {
+            let coefficient = r.coefficient[col.slot];
+            let fitted = r.fitted[col.slot];
+            let predicted = &r.predicted_ms[col.slot * m..(col.slot + 1) * m];
+            for (i, (&service_ms, &waited_ms)) in predicted.iter().zip(&r.waited_ms).enumerate() {
+                let l_ij = col.remaining_ms + service_ms;
+                let ok = !fitted || l_ij + waited_ms <= bound_ms;
+                let k = if query_major { i * n + j } else { j * m + i };
+                r.cost[k] = coefficient * if ok { l_ij } else { penalty_ms };
+                r.feasible[k] = ok;
             }
         }
 
-        let assignment: Assignment = match solve_jv(&matrices.cost) {
-            Ok(a) => a,
-            Err(_) => return Vec::new(),
+        // Dispatch feasible pairs immediately.  A pair predicted to violate
+        // QoS is held back for the next round while the query still has a
+        // chance of meeting its target elsewhere; once the query is doomed
+        // anyway (its wait alone exceeds the target) it is dispatched
+        // regardless so the queue cannot grow without bound.
+        let (rows, cols) = if query_major { (m, n) } else { (n, m) };
+        let Ok(matched) = solve_jv_into(&mut r.jv, rows, cols, &r.cost) else {
+            return;
         };
-
-        let mut plan = Vec::new();
-        for (query_index, instance_index) in assignment.pairs() {
-            let feasible = matrices.feasible[query_index][instance_index];
-            let waited_ms = rows[query_index].waited_ms;
-            // Dispatch feasible pairs immediately.  A pair predicted to
-            // violate QoS is held back for the next round while the query
-            // still has a chance of meeting its target elsewhere; once the
-            // query is doomed anyway (its wait alone exceeds the target) it is
-            // dispatched regardless so the queue cannot grow without bound.
-            if feasible || waited_ms >= qos_ms {
-                plan.push(Dispatch {
-                    query_index,
-                    instance_index: instances[instance_index].instance_index,
+        let start = out.len();
+        for (row, col) in matched.iter().enumerate() {
+            let Some(col) = *col else { continue };
+            let (i, j) = if query_major { (row, col) } else { (col, row) };
+            if r.feasible[row * cols + col] || r.waited_ms[i] >= qos_ms {
+                out.push(Dispatch {
+                    query_index: i,
+                    instance_index: ctx.instances[r.columns[j].view].instance_index,
                 });
             }
         }
-        plan
+        // Dispatches go out in query order whatever the layout.
+        if !query_major {
+            out[start..].sort_unstable_by_key(|d| d.query_index);
+        }
     }
 
     fn bind_types(&mut self, type_names: &[Arc<str>]) {

@@ -109,6 +109,12 @@ impl Scheduler for MultiScheduler {
     }
 
     fn schedule(&mut self, ctx: &SchedulingContext<'_>) -> Vec<Dispatch> {
+        let mut out = Vec::new();
+        self.schedule_into(ctx, &mut out);
+        out
+    }
+
+    fn schedule_into(&mut self, ctx: &SchedulingContext<'_>, out: &mut Vec<Dispatch>) {
         // Partition the round by model.  The per-model sub-context carries
         // filtered views (instance_index stays global, so inner dispatches
         // come back in cluster coordinates) and the model's own QoS target.
@@ -130,7 +136,6 @@ impl Scheduler for MultiScheduler {
                 }
             }
         }
-        let mut out = Vec::new();
         for (m, inner) in self.inner.iter_mut().enumerate() {
             if self.queued[m].is_empty() || self.views[m].is_empty() {
                 continue;
@@ -146,14 +151,14 @@ impl Scheduler for MultiScheduler {
                 qos_us: qos,
                 qos_by_model: ctx.qos_by_model,
             };
-            for d in inner.schedule(&sub_ctx) {
-                out.push(Dispatch {
-                    query_index: self.qmap[m][d.query_index],
-                    instance_index: d.instance_index,
-                });
+            // The inner round appends in sub-queue coordinates; remap its
+            // dispatches to the caller's queue in place.
+            let start = out.len();
+            inner.schedule_into(&sub_ctx, out);
+            for d in &mut out[start..] {
+                d.query_index = self.qmap[m][d.query_index];
             }
         }
-        out
     }
 }
 

@@ -18,6 +18,12 @@ use crate::latency::LatencyProfile;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
+/// Conservative latency (ms) assumed for a batch when nothing is known about
+/// the instance type: 1 ms plus 1 ms per request.
+pub fn default_latency_ms(batch: u32) -> f64 {
+    1.0 + batch as f64
+}
+
 /// Online latency predictor for a single (model, instance type) pair.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct OnlinePredictor {
@@ -121,7 +127,7 @@ impl OnlinePredictor {
         if let Some(prior) = self.prior {
             return prior.latency_ms(batch);
         }
-        1.0 + batch as f64
+        default_latency_ms(batch)
     }
 
     /// Mean absolute relative error of the predictor against a ground-truth
@@ -176,8 +182,7 @@ impl PredictorBank {
     pub fn predict(&self, instance_name: &str, batch: u32) -> f64 {
         self.predictors
             .get(instance_name)
-            .map(|p| p.predict(batch))
-            .unwrap_or(1.0 + batch as f64)
+            .map_or_else(|| default_latency_ms(batch), |p| p.predict(batch))
     }
 
     /// Access the predictor of one instance type, if it exists.
