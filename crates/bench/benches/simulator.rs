@@ -363,9 +363,9 @@ fn bench_rank_configs_sweep(c: &mut Criterion) {
     group.finish();
 }
 
-/// Variant-aware configuration ranking: the merged enumerate-once,
-/// rank-per-lane sweep the variant planner runs at every replan (three RM2
-/// lanes — fp32, int8, distilled — over the same budget's candidate set).
+/// Variant-aware configuration ranking: the merged per-lane ranking sweep
+/// the variant planner runs at every replan (three RM2 lanes — fp32, int8,
+/// distilled — each ranking the same budget's candidate set).
 /// Budgeted at roughly twice the single-lane `rank_configs_sweep` path: the
 /// per-lane closed-form rankings dominate and the merge is linear.
 fn bench_rank_configs_variants(c: &mut Criterion) {
@@ -382,6 +382,44 @@ fn bench_rank_configs_variants(c: &mut Criterion) {
     group.sample_size(10);
     group.bench_function("three_lane_merge", |b| {
         b.iter(|| black_box(planner.rank_configs_variants(2.5, black_box(&sample), None)))
+    });
+    group.finish();
+}
+
+/// A cold Kairos plan at serving scale: a frozen RM2 controller (paper
+/// priors, a full 10k-query production-mix monitor window) planned at
+/// 10.3 $/hr — about 86k affordable configurations, the RM2 lane's share of
+/// the `fleet_mix` benchmark's 12 $/hr budget on a plan-cache miss.  Times
+/// the whole cold path: learned table, window snapshot, the one-pass cutoff
+/// statistics, the fused enumerate → bound walk, the ranked-list sort and
+/// materialization, and selection.
+fn bench_planner_cold(c: &mut Criterion) {
+    use kairos_core::KairosController;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    let pool = PoolSpec::new(ec2::paper_pool());
+    let mut controller = KairosController::with_priors(pool, ModelKind::Rm2, paper_calibration());
+    for batch in BatchSizeDistribution::production_default().sample_many(
+        &mut StdRng::seed_from_u64(3),
+        kairos_workload::DEFAULT_WINDOW,
+    ) {
+        controller.observe_query(batch);
+    }
+    let ranked = controller
+        .plan(10.3)
+        .expect("priors allow a plan")
+        .ranked
+        .len();
+    assert!(
+        ranked > 80_000,
+        "want the ~86k-configuration space, got {ranked}"
+    );
+
+    let mut group = c.benchmark_group("planner_cold");
+    group.sample_size(10);
+    group.bench_function("rm2_budget_10", |b| {
+        b.iter(|| black_box(controller.plan(black_box(10.3))))
     });
     group.finish();
 }
@@ -565,6 +603,7 @@ criterion_group!(
     bench_sharded_replay,
     bench_rank_configs_sweep,
     bench_rank_configs_variants,
+    bench_planner_cold,
     bench_sparse_mix,
     bench_allowable_throughput_probe,
     bench_kairos_round

@@ -5,15 +5,20 @@
 //! formula, and applies the similarity-based selection rule — producing a
 //! deployable configuration **without a single online evaluation**.  The
 //! paper reports that ranking ~1000 configurations takes well under two
-//! seconds; the Criterion bench `upper_bound` verifies the same property for
-//! this implementation.
+//! seconds.  Serving budgets are larger: the RM2 lane of the `fleet_mix`
+//! benchmark replans at about 10.3 $/hr, where the affordable space holds
+//! about 86k configurations, on every plan-cache miss.  The cold path is
+//! therefore one fused pass
+//! ([`ThroughputEstimator::rank_affordable`]): the enumeration walk scores
+//! each configuration as it reaches it, and each [`Config`] is built once,
+//! in ranked order.  The Criterion groups `planner` (bench `upper_bound`) and
+//! `planner_cold/rm2_budget_10` (bench `simulator`) time it.
 
 use crate::controller::KairosController;
 use crate::selection::select_configuration;
 use crate::upper_bound::ThroughputEstimator;
 use kairos_models::{
-    enumerate_configs, latency::LatencyTable, mlmodel::ModelKind, Config, EnumerationOptions,
-    PoolSpec,
+    latency::LatencyTable, mlmodel::ModelKind, Config, EnumerationOptions, PoolSpec,
 };
 use std::sync::Arc;
 
@@ -78,15 +83,26 @@ impl KairosPlanner {
     /// Plans a configuration under the given hourly budget, using the observed
     /// batch-size sample (e.g. the query monitor window) to parameterize the
     /// upper bound.
+    ///
+    /// The ranked list is exactly `rank_configs(enumerate_configs(..))`:
+    /// same configurations, same order, same bound bits.
+    ///
+    /// # Panics
+    /// Panics if the budget is not positive or cannot afford a configuration
+    /// with a base instance, or on an empty sample.
     pub fn plan(&self, budget_per_hour: f64, batch_sample: &[u32]) -> Plan {
         let options = EnumerationOptions::with_budget(budget_per_hour);
-        let configs = enumerate_configs(&self.pool, &options);
+        let estimator = ThroughputEstimator::from_sample(
+            self.pool.clone(),
+            self.model,
+            &self.latency,
+            batch_sample,
+        );
+        let ranked = estimator.rank_affordable(&options);
         assert!(
-            !configs.is_empty(),
+            !ranked.is_empty(),
             "budget {budget_per_hour} cannot afford any configuration with a base instance"
         );
-        let estimator = self.estimator(batch_sample.to_vec());
-        let ranked = estimator.rank_configs(&configs);
         let chosen = select_configuration(&ranked, &self.pool);
         Plan {
             chosen,

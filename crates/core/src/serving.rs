@@ -788,11 +788,16 @@ impl ServingSystem {
             if !spread_ok.is_empty() {
                 return Some(
                     cheapest_covering(&self.pool, &spread_ok, required)
-                        .unwrap_or_else(|| spread_ok[0].0.clone()),
+                        .unwrap_or(&spread_ok[0])
+                        .0
+                        .clone(),
                 );
             }
         }
-        Some(cheapest_covering(&self.pool, &plan.ranked, required).unwrap_or(plan.chosen))
+        Some(
+            cheapest_covering(&self.pool, &plan.ranked, required)
+                .map_or(plan.chosen, |(c, _)| c.clone()),
+        )
     }
 
     /// The next deployment target for this system's model given current
@@ -1149,19 +1154,25 @@ impl ServingSystem {
     }
 }
 
-/// Cheapest ranked configuration whose upper bound covers `required` QPS
-/// (ties broken towards the higher bound).
-fn cheapest_covering(pool: &PoolSpec, ranked: &[(Config, f64)], required: f64) -> Option<Config> {
+/// Cheapest ranked entry whose upper bound covers `required` QPS (ties
+/// broken towards the higher bound, then the earlier entry).  Each covering
+/// candidate is priced once, not once per comparison.
+pub(crate) fn cheapest_covering<'a>(
+    pool: &PoolSpec,
+    ranked: &'a [(Config, f64)],
+    required: f64,
+) -> Option<&'a (Config, f64)> {
     ranked
         .iter()
         .filter(|(_, ub)| *ub >= required)
-        .min_by(|(ca, ua), (cb, ub)| {
-            ca.cost(pool)
-                .partial_cmp(&cb.cost(pool))
-                .unwrap()
-                .then(ub.partial_cmp(ua).unwrap())
+        .map(|entry| (entry.0.cost(pool), entry))
+        .min_by(|(cost_a, (_, ua)), (cost_b, (_, ub))| {
+            cost_a
+                .partial_cmp(cost_b)
+                .expect("finite costs")
+                .then(ub.partial_cmp(ua).expect("finite bounds"))
         })
-        .map(|(c, _)| c.clone())
+        .map(|(_, entry)| entry)
 }
 
 /// Picks the next deployment target given current knowledge, observed
@@ -1209,31 +1220,36 @@ pub(crate) fn select_target(
     // moment calls for (the constraint would otherwise veto the failover),
     // and the next fault replan after restore re-balances the fleet.
     let spread = options.max_fraction_per_domain.zip(domains);
-    let candidate =
-        match (&realizable, spread) {
-            (Some(realizable), _) => cheapest_covering(pool, realizable, required)
-                .unwrap_or_else(|| realizable[0].0.clone()),
-            (None, Some((fraction, table))) => {
-                let spread_ok: Vec<(Config, f64)> = plan
-                    .ranked
-                    .iter()
-                    .filter(|(c, _)| within_spread(c, table, fraction))
-                    .cloned()
-                    .collect();
-                if spread_ok.is_empty() {
-                    // No ranked configuration satisfies the spread (e.g. a
-                    // single-offering catalog): plan unconstrained rather than
-                    // not at all.
-                    cheapest_covering(pool, &plan.ranked, required)
-                        .unwrap_or_else(|| plan.chosen.clone())
-                } else {
-                    cheapest_covering(pool, &spread_ok, required)
-                        .unwrap_or_else(|| spread_ok[0].0.clone())
-                }
+    let candidate = match (&realizable, spread) {
+        (Some(realizable), _) => cheapest_covering(pool, realizable, required)
+            .unwrap_or(&realizable[0])
+            .0
+            .clone(),
+        (None, Some((fraction, table))) => {
+            let spread_ok: Vec<(Config, f64)> = plan
+                .ranked
+                .iter()
+                .filter(|(c, _)| within_spread(c, table, fraction))
+                .cloned()
+                .collect();
+            if spread_ok.is_empty() {
+                // No ranked configuration satisfies the spread (e.g. a
+                // single-offering catalog): plan unconstrained rather than
+                // not at all.
+                cheapest_covering(pool, &plan.ranked, required)
+                    .map_or(&plan.chosen, |(c, _)| c)
+                    .clone()
+            } else {
+                cheapest_covering(pool, &spread_ok, required)
+                    .unwrap_or(&spread_ok[0])
+                    .0
+                    .clone()
             }
-            (None, None) => cheapest_covering(pool, &plan.ranked, required)
-                .unwrap_or_else(|| plan.chosen.clone()),
-        };
+        }
+        (None, None) => cheapest_covering(pool, &plan.ranked, required)
+            .map_or(&plan.chosen, |(c, _)| c)
+            .clone(),
+    };
     let current_ub = plan
         .ranked
         .iter()

@@ -14,11 +14,11 @@
 //! estimate an upper bound (Sec. 5.2).
 
 use kairos_models::{
-    latency::LatencyTable,
+    for_each_affordable,
+    latency::{LatencyProfile, LatencyTable},
     mlmodel::{spec, ModelKind, ModelSpec},
-    Config, PoolSpec,
+    Config, EnumerationOptions, PoolSpec,
 };
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 /// Inputs of the one-base-type / one-auxiliary-type bound (Eq. 12–13).
@@ -81,6 +81,17 @@ pub fn upper_bound_general(
     aux: &[AuxClass],
     fraction_small: f64,
 ) -> f64 {
+    check_bound_inputs(q_base, q_base_splus, fraction_small);
+    for a in aux {
+        check_aux_qps(a.qps);
+    }
+    let aux_total: f64 = aux.iter().map(|a| a.nodes as f64 * a.qps).sum();
+    upper_bound_from_aux_total(base_nodes, q_base, q_base_splus, aux_total, fraction_small)
+}
+
+/// The input checks of [`upper_bound_general`] on the base side and the
+/// fraction.
+fn check_bound_inputs(q_base: f64, q_base_splus: f64, fraction_small: f64) {
     assert!(
         q_base >= 0.0 && q_base_splus >= 0.0,
         "throughputs must be non-negative"
@@ -89,12 +100,26 @@ pub fn upper_bound_general(
         (0.0..=1.0 + F_EPS).contains(&fraction_small),
         "fraction must lie in [0, 1], got {fraction_small}"
     );
-    for a in aux {
-        assert!(a.qps >= 0.0, "auxiliary throughput must be non-negative");
-    }
+}
 
+/// The input check of [`upper_bound_general`] on one auxiliary class.
+fn check_aux_qps(qps: f64) {
+    assert!(qps >= 0.0, "auxiliary throughput must be non-negative");
+}
+
+/// The shared core of the general bound, once the auxiliary side is reduced
+/// to its total rate `Σ v_i·Q_a^i`: [`upper_bound_general`] sums the classes
+/// it is handed, [`ThroughputEstimator::estimate_counts`] sums straight off
+/// a count vector in the same coordinate order, so both reach this with the
+/// same bits.
+fn upper_bound_from_aux_total(
+    base_nodes: usize,
+    q_base: f64,
+    q_base_splus: f64,
+    aux_total: f64,
+    fraction_small: f64,
+) -> f64 {
     let u = base_nodes as f64;
-    let aux_total: f64 = aux.iter().map(|a| a.nodes as f64 * a.qps).sum();
     let f = fraction_small;
 
     // Degenerate mixes.
@@ -132,15 +157,12 @@ pub fn upper_bound_general(
 /// the bound that depends on the batch sample depends on it *only through*
 /// `s`, and `s` ranges over at most one value per pool type.  Precomputing
 /// these once per estimator makes [`ThroughputEstimator::estimate`]
-/// O(types) per configuration instead of O(sample) — the cost that used to
-/// dominate ranking a thousand-configuration candidate space, and triply so
-/// with one ranking pass per variant lane.  The arithmetic (filter in
-/// sample order, sum, divide by count) is exactly the per-call computation
-/// it replaces, so every bound is bit-identical.
+/// O(types) per configuration instead of O(sample).  Each field is a mean
+/// over the sample entries on one side of `s`, summed in sample order and
+/// divided by the entry count — see [`CutoffStats::collect`] for how one
+/// walk over the sample fills every cutoff's sums at once.
 #[derive(Debug, Clone)]
 struct CutoffStats {
-    /// The shared cutoff `s` these statistics describe.
-    cutoff: u32,
     /// Fraction of the sample with batch size at most `s` (`f'`).
     fraction_small: f64,
     /// Base throughput over larger-than-`s` queries (`Q_b^{s+}`), QPS.
@@ -148,6 +170,80 @@ struct CutoffStats {
     /// Per-type throughput over at-most-`s` queries (`Q_a^i`), QPS; indexed
     /// by pool type (0.0 where no sample entry qualifies).
     aux_qps: Vec<f64>,
+}
+
+impl CutoffStats {
+    /// The statistics of every cutoff in `cutoffs` (ascending, distinct),
+    /// plus the base throughput over the whole sample (`Q_b`), from **one**
+    /// walk over the sample.
+    ///
+    /// Each entry's latency is evaluated once per type and added, in sample
+    /// order, to the running sum of every cutoff bucket the entry falls in:
+    /// the at-most-`s` sums of every type for each `s >= b`, the base's
+    /// larger-than-`s` sum for each `s < b`.  Those are exactly the additions,
+    /// in exactly the order, that a separate filtered pass per (cutoff, side,
+    /// type) makes; the sums start from `-0.0`, the exact additive identity,
+    /// so every mean — and hence every field — is bit-identical to the
+    /// per-filter computation.
+    fn collect(
+        profiles: &[LatencyProfile],
+        base_index: usize,
+        cutoffs: &[u32],
+        sample: &[u32],
+    ) -> (f64, Vec<CutoffStats>) {
+        let n = profiles.len();
+        let k = cutoffs.len();
+        let mut latency = vec![0.0f64; n];
+        let mut base_sum = -0.0f64;
+        let mut small_count = vec![0usize; k];
+        let mut small_sum = vec![-0.0f64; k * n];
+        let mut large_count = vec![0usize; k];
+        let mut large_sum = vec![-0.0f64; k];
+        for &b in sample {
+            for (ms, profile) in latency.iter_mut().zip(profiles) {
+                *ms = profile.latency_ms(b);
+            }
+            let base_ms = latency[base_index];
+            base_sum += base_ms;
+            // Cutoffs ascend: the first `split` are below `b`.
+            let split = cutoffs.partition_point(|&s| s < b);
+            for j in 0..split {
+                large_sum[j] += base_ms;
+                large_count[j] += 1;
+            }
+            for j in split..k {
+                small_count[j] += 1;
+                for (sum, &ms) in small_sum[j * n..(j + 1) * n].iter_mut().zip(&latency) {
+                    *sum += ms;
+                }
+            }
+        }
+        let qps = |sum: f64, count: usize| 1000.0 / (sum / count as f64);
+        let q_base = qps(base_sum, sample.len());
+        let stats = cutoffs
+            .iter()
+            .enumerate()
+            .map(|(j, _)| CutoffStats {
+                fraction_small: small_count[j] as f64 / sample.len() as f64,
+                q_base_splus: if large_count[j] == 0 {
+                    q_base
+                } else {
+                    qps(large_sum[j], large_count[j])
+                },
+                aux_qps: small_sum[j * n..(j + 1) * n]
+                    .iter()
+                    .map(|&sum| {
+                        if small_count[j] == 0 {
+                            0.0
+                        } else {
+                            qps(sum, small_count[j])
+                        }
+                    })
+                    .collect(),
+            })
+            .collect();
+        (q_base, stats)
+    }
 }
 
 /// Estimates upper bounds for whole configurations, deriving the `Q` and `f`
@@ -158,14 +254,19 @@ struct CutoffStats {
 pub struct ThroughputEstimator {
     pool: PoolSpec,
     model: ModelSpec,
-    latency: LatencyTable,
-    batch_sample: Vec<u32>,
+    /// Index of the pool's base type.
+    base_index: usize,
     /// QoS cutoff per pool type, precomputed (see [`Self::cutoff`]).
     cutoffs: Vec<Option<u32>>,
     /// Base throughput over the full mix (`Q_b`), QPS, precomputed.
     q_base: f64,
-    /// Sample statistics for every distinct auxiliary cutoff value.
+    /// Sample statistics for every distinct auxiliary cutoff value, in
+    /// ascending cutoff order.
     cutoff_stats: Vec<CutoffStats>,
+    /// Per pool type, the index into `cutoff_stats` of its cutoff; `None`
+    /// for the base type and for types that cannot serve within QoS (the
+    /// types that never join the auxiliary side).
+    stats_index: Vec<Option<usize>>,
 }
 
 impl ThroughputEstimator {
@@ -180,32 +281,36 @@ impl ThroughputEstimator {
         latency: LatencyTable,
         batch_sample: Vec<u32>,
     ) -> Self {
+        Self::from_sample(pool, model_kind, &latency, &batch_sample)
+    }
+
+    /// [`Self::new`] over a borrowed sample and table.
+    pub(crate) fn from_sample(
+        pool: PoolSpec,
+        model_kind: ModelKind,
+        latency: &LatencyTable,
+        batch_sample: &[u32],
+    ) -> Self {
         assert!(!batch_sample.is_empty(), "batch sample must not be empty");
         let model = spec(model_kind);
-        for t in pool.types() {
-            latency.expect(model_kind, &t.name);
-        }
-        let mut est = Self {
-            pool,
-            model,
-            latency,
-            batch_sample,
-            cutoffs: Vec::new(),
-            q_base: 0.0,
-            cutoff_stats: Vec::new(),
-        };
-        est.cutoffs = (0..est.pool.num_types())
-            .map(|i| est.compute_cutoff(i))
+        let profiles: Vec<LatencyProfile> = pool
+            .types()
+            .iter()
+            .map(|t| latency.expect(model_kind, &t.name))
             .collect();
-        let base_index = est.pool.base_index();
-        est.q_base = est
-            .mean_latency_over(base_index, |_| true)
-            .map(|ms| 1000.0 / ms)
-            .unwrap_or(0.0);
+        // QoS cutoff `s_i` of each type: the largest batch it serves within
+        // QoS.
+        let cutoffs: Vec<Option<u32>> = profiles
+            .iter()
+            .map(|p| {
+                p.max_batch_within(model.qos_ms)
+                    .map(|b| b.min(model.max_batch_size))
+            })
+            .collect();
+        let base_index = pool.base_index();
         // A configuration's shared cutoff is the max over its auxiliary
         // types' cutoffs, so it can only take one of these values.
-        let mut distinct: Vec<u32> = est
-            .cutoffs
+        let mut distinct: Vec<u32> = cutoffs
             .iter()
             .enumerate()
             .filter(|&(i, _)| i != base_index)
@@ -213,26 +318,25 @@ impl ThroughputEstimator {
             .collect();
         distinct.sort_unstable();
         distinct.dedup();
-        est.cutoff_stats = distinct
-            .into_iter()
-            .map(|s| CutoffStats {
-                cutoff: s,
-                fraction_small: est.batch_sample.iter().filter(|&&b| b <= s).count() as f64
-                    / est.batch_sample.len() as f64,
-                q_base_splus: est
-                    .mean_latency_over(base_index, |b| b > s)
-                    .map(|ms| 1000.0 / ms)
-                    .unwrap_or(est.q_base),
-                aux_qps: (0..est.pool.num_types())
-                    .map(|idx| {
-                        est.mean_latency_over(idx, |b| b <= s)
-                            .map(|ms| 1000.0 / ms)
-                            .unwrap_or(0.0)
-                    })
-                    .collect(),
+        let stats_index = cutoffs
+            .iter()
+            .enumerate()
+            .map(|(i, c)| {
+                c.filter(|_| i != base_index)
+                    .map(|s| distinct.binary_search(&s).expect("a distinct cutoff"))
             })
             .collect();
-        est
+        let (q_base, cutoff_stats) =
+            CutoffStats::collect(&profiles, base_index, &distinct, batch_sample);
+        Self {
+            pool,
+            model,
+            base_index,
+            cutoffs,
+            q_base,
+            cutoff_stats,
+            stats_index,
+        }
     }
 
     /// The pool this estimator describes.
@@ -251,110 +355,126 @@ impl ThroughputEstimator {
         self.cutoffs[type_index]
     }
 
-    /// Derives a type's QoS cutoff from its latency profile (the
-    /// construction-time computation behind [`Self::cutoff`]).
-    fn compute_cutoff(&self, type_index: usize) -> Option<u32> {
-        let name = &self.pool.types()[type_index].name;
-        self.latency
-            .expect(self.model.kind, name)
-            .max_batch_within(self.model.qos_ms)
-            .map(|b| b.min(self.model.max_batch_size))
-    }
-
-    /// Mean service latency (ms) of a type over the sample entries selected by
-    /// `filter`; `None` when no entry matches.
-    fn mean_latency_over<F: Fn(u32) -> bool>(&self, type_index: usize, filter: F) -> Option<f64> {
-        let name = &self.pool.types()[type_index].name;
-        let profile = self.latency.expect(self.model.kind, name);
-        let selected: Vec<f64> = self
-            .batch_sample
-            .iter()
-            .copied()
-            .filter(|&b| filter(b))
-            .map(|b| profile.latency_ms(b))
-            .collect();
-        if selected.is_empty() {
-            None
-        } else {
-            Some(selected.iter().sum::<f64>() / selected.len() as f64)
-        }
-    }
-
     /// Estimates the throughput upper bound (QPS) of a configuration.
-    ///
-    /// O(types) per call: every sample-dependent quantity in the bound
-    /// depends on the sample only through the shared cutoff, and the
-    /// statistics of every possible cutoff are precomputed at construction
-    /// (`CutoffStats`) with arithmetic identical to the inline
-    /// computation they replaced.
     pub fn estimate(&self, config: &Config) -> f64 {
-        assert_eq!(
-            config.counts().len(),
-            self.pool.num_types(),
-            "config/pool mismatch"
-        );
-        let base_index = self.pool.base_index();
-        let u = config.count(base_index);
+        self.estimate_counts(config.counts())
+    }
+
+    /// [`Self::estimate`] straight off a per-type count vector, without
+    /// building a [`Config`] — the form the ranking walk scores its leaves
+    /// with.
+    ///
+    /// O(types) and allocation-free: every sample-dependent quantity in the
+    /// bound depends on the sample only through the shared cutoff, whose
+    /// statistics are precomputed (`CutoffStats`), and the auxiliary side
+    /// enters the bound only through `Σ v_i·Q_a^i`, summed here in pool
+    /// order exactly as [`upper_bound_general`] sums its classes.
+    pub fn estimate_counts(&self, counts: &[usize]) -> f64 {
+        assert_eq!(counts.len(), self.pool.num_types(), "config/pool mismatch");
+        let u = counts[self.base_index];
 
         // Shared cutoff: the largest s over the auxiliary types present in
         // the configuration (paper's optimistic simplification for
-        // multiple auxiliary types).
-        let mut s_max: Option<u32> = None;
-        for (idx, &count) in config.counts().iter().enumerate() {
-            if idx == base_index || count == 0 {
-                continue;
-            }
-            if let Some(s) = self.cutoffs[idx] {
-                s_max = Some(s_max.map_or(s, |m| m.max(s)));
-            }
-        }
-
-        let Some(s_max) = s_max else {
+        // multiple auxiliary types).  Statistics ascend by cutoff, so the
+        // largest cutoff is the largest statistics index.
+        let shared = counts
+            .iter()
+            .zip(&self.stats_index)
+            .filter(|&(&count, _)| count > 0)
+            .filter_map(|(_, &slot)| slot)
+            .max();
+        let Some(shared) = shared else {
             // No usable auxiliary instances: the bound is the homogeneous rate.
             return u as f64 * self.q_base;
         };
-
-        let stats = self
-            .cutoff_stats
-            .iter()
-            .find(|cs| cs.cutoff == s_max)
-            .expect("every auxiliary cutoff has precomputed statistics");
+        let stats = &self.cutoff_stats[shared];
+        check_bound_inputs(self.q_base, stats.q_base_splus, stats.fraction_small);
 
         // Auxiliary classes: throughput over the small-query mass.
-        let aux: Vec<AuxClass> = config
-            .counts()
+        let aux_total: f64 = counts
             .iter()
-            .enumerate()
-            .filter(|&(idx, &count)| idx != base_index && count > 0 && self.cutoffs[idx].is_some())
-            .map(|(idx, &count)| AuxClass {
-                nodes: count,
-                qps: stats.aux_qps[idx],
+            .zip(&self.stats_index)
+            .zip(&stats.aux_qps)
+            .filter(|&((&count, slot), _)| count > 0 && slot.is_some())
+            .map(|((&count, _), &qps)| {
+                check_aux_qps(qps);
+                count as f64 * qps
             })
-            .collect();
-
-        upper_bound_general(
+            .sum();
+        upper_bound_from_aux_total(
             u,
             self.q_base,
             stats.q_base_splus,
-            &aux,
+            aux_total,
             stats.fraction_small,
         )
     }
 
-    /// Ranks configurations by their upper bound, highest first.
-    ///
-    /// Each configuration's bound is independent of the others, so the
-    /// estimates are computed as a rayon fan-out over the candidates (the
-    /// planner ranks on the order of a thousand configurations per pass,
-    /// paper Sec. 5.2).
+    /// Ranks configurations by their upper bound, highest first; equal
+    /// bounds keep their input order.
     pub fn rank_configs(&self, configs: &[Config]) -> Vec<(Config, f64)> {
-        let mut ranked: Vec<(Config, f64)> = configs
-            .par_iter()
-            .map(|c| (c.clone(), self.estimate(c)))
-            .collect();
-        ranked.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("finite bounds"));
-        ranked
+        let bounds: Vec<f64> = configs.iter().map(|c| self.estimate(c)).collect();
+        ranked_order(&bounds)
+            .map(|i| (configs[i].clone(), bounds[i]))
+            .collect()
     }
+
+    /// Every configuration `options` admits on this estimator's pool, ranked
+    /// as [`Self::rank_configs`] ranks [`enumerate_configs`]' output — the
+    /// planner's cold path in one pass.
+    ///
+    /// One [`for_each_affordable`] walk scores each leaf in place with
+    /// [`Self::estimate_counts`], keeping only its bound and its counts in a
+    /// flat buffer; the `(bound, enumeration index)` keys are then sorted and
+    /// each [`Config`] is built exactly once, in ranked order.  Returns an
+    /// empty list when the budget affords nothing.
+    ///
+    /// [`enumerate_configs`]: kairos_models::enumerate_configs
+    pub fn rank_affordable(&self, options: &EnumerationOptions) -> Vec<(Config, f64)> {
+        let n = self.pool.num_types();
+        let mut counts: Vec<usize> = Vec::new();
+        let mut bounds: Vec<f64> = Vec::new();
+        for_each_affordable(&self.pool, options, |leaf| {
+            bounds.push(self.estimate_counts(leaf));
+            counts.extend_from_slice(leaf);
+        });
+        ranked_order(&bounds)
+            .map(|i| (Config::new(counts[i * n..(i + 1) * n].to_vec()), bounds[i]))
+            .collect()
+    }
+}
+
+/// The indices of `bounds` by bound descending, then index ascending: the
+/// order a stable descending `partial_cmp` sort of the list produces, which
+/// is a total order, so an unstable sort of compact `(key, index)` integers
+/// reproduces it exactly.  `0.0` and `-0.0` compare equal under
+/// `partial_cmp` and share a key; a NaN bound panics with "finite bounds"
+/// whenever the stable sort would have compared it (any list of two or
+/// more).
+fn ranked_order(bounds: &[f64]) -> impl Iterator<Item = usize> {
+    assert!(
+        bounds.len() < 2 || !bounds.iter().any(|b| b.is_nan()),
+        "finite bounds"
+    );
+    let mut keys: Vec<u128> = bounds
+        .iter()
+        .enumerate()
+        .map(|(i, &bound)| (u128::from(descending_key(bound)) << 64) | i as u128)
+        .collect();
+    keys.sort_unstable();
+    keys.into_iter().map(|key| key as u64 as usize)
+}
+
+/// An unsigned key whose ascending order is `bound`'s descending numeric
+/// order (IEEE-754 bits mapped onto the unsigned line, then reversed).
+fn descending_key(bound: f64) -> u64 {
+    let bits = if bound == 0.0 { 0 } else { bound.to_bits() };
+    let ascending = if bits >> 63 == 1 {
+        !bits
+    } else {
+        bits | (1 << 63)
+    };
+    !ascending
 }
 
 #[cfg(test)]
@@ -510,6 +630,113 @@ mod tests {
         let ranked = est.rank_configs(&configs);
         assert_eq!(ranked.len(), 3);
         assert!(ranked.windows(2).all(|w| w[0].1 >= w[1].1));
+    }
+
+    /// Mean latency over the selected sample entries, one filtered pass —
+    /// how every statistic was computed before the one-pass walk.
+    fn filtered_mean(
+        profile: &LatencyProfile,
+        sample: &[u32],
+        keep: impl Fn(u32) -> bool,
+    ) -> Option<f64> {
+        let selected: Vec<f64> = sample
+            .iter()
+            .copied()
+            .filter(|&b| keep(b))
+            .map(|b| profile.latency_ms(b))
+            .collect();
+        (!selected.is_empty()).then(|| selected.iter().sum::<f64>() / selected.len() as f64)
+    }
+
+    #[test]
+    fn one_pass_cutoff_stats_equal_per_filter_means_bit_for_bit() {
+        use kairos_workload::BatchSizeDistribution;
+        use rand::{rngs::StdRng, SeedableRng};
+
+        let pool = PoolSpec::new(ec2::paper_pool());
+        let table = paper_calibration();
+        let base = pool.base_index();
+        let production = BatchSizeDistribution::production_default()
+            .sample_many(&mut StdRng::seed_from_u64(5), 5_000);
+        let samples: [Vec<u32>; 5] = [
+            production,
+            vec![77; 300],
+            (0..400).map(|i| 990 + i % 11).collect(), // above every cutoff
+            (0..400).map(|i| 1 + i % 2).collect(),    // below every cutoff
+            (1..=1000).rev().collect(),
+        ];
+        for model in [
+            ModelKind::Rm2,
+            ModelKind::Wnd,
+            ModelKind::Dien,
+            ModelKind::Ncf,
+        ] {
+            let profiles: Vec<LatencyProfile> = pool
+                .types()
+                .iter()
+                .map(|t| table.expect(model, &t.name))
+                .collect();
+            for sample in &samples {
+                let est =
+                    ThroughputEstimator::new(pool.clone(), model, table.clone(), sample.clone());
+                let q_base = filtered_mean(&profiles[base], sample, |_| true).map(|ms| 1000.0 / ms);
+                assert_eq!(est.q_base.to_bits(), q_base.unwrap().to_bits());
+
+                let mut distinct: Vec<u32> = (0..pool.num_types())
+                    .filter(|&i| i != base)
+                    .filter_map(|i| est.cutoff(i))
+                    .collect();
+                distinct.sort_unstable();
+                distinct.dedup();
+                assert_eq!(distinct.len(), est.cutoff_stats.len());
+                for (&s, stats) in distinct.iter().zip(&est.cutoff_stats) {
+                    let fraction =
+                        sample.iter().filter(|&&b| b <= s).count() as f64 / sample.len() as f64;
+                    assert_eq!(stats.fraction_small.to_bits(), fraction.to_bits());
+                    let splus = filtered_mean(&profiles[base], sample, |b| b > s)
+                        .map(|ms| 1000.0 / ms)
+                        .unwrap_or(est.q_base);
+                    assert_eq!(stats.q_base_splus.to_bits(), splus.to_bits());
+                    for (i, profile) in profiles.iter().enumerate() {
+                        let qps = filtered_mean(profile, sample, |b| b <= s)
+                            .map(|ms| 1000.0 / ms)
+                            .unwrap_or(0.0);
+                        assert_eq!(
+                            stats.aux_qps[i].to_bits(),
+                            qps.to_bits(),
+                            "{model} s={s} type {i}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn ranked_order_is_the_stable_descending_sort_on_special_values() {
+        let bounds = [
+            0.0,
+            -0.0,
+            f64::INFINITY,
+            3.5,
+            -2.0,
+            f64::NEG_INFINITY,
+            0.0,
+            3.5,
+            -0.0,
+            f64::MIN_POSITIVE,
+            -f64::MIN_POSITIVE,
+            f64::INFINITY,
+        ];
+        let mut stable: Vec<usize> = (0..bounds.len()).collect();
+        stable.sort_by(|&a, &b| bounds[b].partial_cmp(&bounds[a]).expect("no NaN here"));
+        assert_eq!(ranked_order(&bounds).collect::<Vec<_>>(), stable);
+    }
+
+    #[test]
+    #[should_panic(expected = "finite bounds")]
+    fn ranked_order_rejects_nan() {
+        let _ = ranked_order(&[1.0, f64::NAN]);
     }
 
     #[test]

@@ -31,7 +31,8 @@
 
 use crate::controller::KairosController;
 use crate::planner::PlanCache;
-use kairos_models::enumerate_configs;
+use crate::serving::cheapest_covering;
+use crate::ThroughputEstimator;
 use kairos_models::{
     latency::{LatencyProfile, LatencyTable},
     mlmodel::ModelKind,
@@ -209,8 +210,9 @@ impl VariantPlanner {
     /// Ranks the affordable configuration space under every admissible lane
     /// and merges the per-lane lists into one frontier, ordered by upper
     /// bound (descending), then accuracy (descending), then lane index.
-    /// The enumeration runs **once** — the affordable set depends only on
-    /// the budget, not on the variant — and each lane reuses it.
+    /// Each lane ranks through the planner's fused pass
+    /// ([`ThroughputEstimator::rank_affordable`]), so a lane's list is
+    /// exactly what a single-variant plan under its latency table ranks.
     ///
     /// # Panics
     /// Panics if the budget cannot afford any configuration, or if no lane
@@ -227,24 +229,20 @@ impl VariantPlanner {
             "no variant of {} meets the accuracy floor {min_accuracy:?}",
             self.model
         );
-        let configs = enumerate_configs(
-            &self.pool,
-            &EnumerationOptions::with_budget(budget_per_hour),
-        );
-        assert!(
-            !configs.is_empty(),
-            "budget {budget_per_hour} cannot afford any configuration with a base instance"
-        );
-        let mut merged: Vec<VariantChoice> = Vec::with_capacity(admissible.len() * configs.len());
+        let options = EnumerationOptions::with_budget(budget_per_hour);
+        let mut merged: Vec<VariantChoice> = Vec::new();
         for &i in &admissible {
             let lane = &self.lanes[i];
-            let estimator = crate::ThroughputEstimator::new(
-                self.pool.clone(),
-                self.model,
-                lane.priors.clone(),
-                batch_sample.to_vec(),
+            let ranked = self.rank_lane(lane, batch_sample, &options);
+            assert!(
+                !ranked.is_empty(),
+                "budget {budget_per_hour} cannot afford any configuration with a base instance"
             );
-            for (config, upper_bound) in estimator.rank_configs(&configs) {
+            if merged.is_empty() {
+                // Every lane ranks the same affordable set.
+                merged.reserve_exact(admissible.len() * ranked.len());
+            }
+            for (config, upper_bound) in ranked {
                 merged.push(VariantChoice {
                     lane: i,
                     variant: lane.variant.name.clone(),
@@ -261,6 +259,18 @@ impl VariantPlanner {
                 .then(a.lane.cmp(&b.lane))
         });
         merged
+    }
+
+    /// One lane's ranking of the affordable space under its own latency
+    /// table.
+    fn rank_lane(
+        &self,
+        lane: &VariantLane,
+        batch_sample: &[u32],
+        options: &EnumerationOptions,
+    ) -> Vec<(Config, f64)> {
+        ThroughputEstimator::from_sample(self.pool.clone(), self.model, &lane.priors, batch_sample)
+            .rank_affordable(options)
     }
 
     /// The accuracy-aware analogue of the serving loop's demand planner:
@@ -280,31 +290,12 @@ impl VariantPlanner {
     ) -> Option<VariantChoice> {
         let admissible = self.admissible(min_accuracy);
         let required = demand_qps * headroom;
-        let configs = enumerate_configs(
-            &self.pool,
-            &EnumerationOptions::with_budget(budget_per_hour),
-        );
+        let options = EnumerationOptions::with_budget(budget_per_hour);
         let mut fallback: Option<VariantChoice> = None;
         let mut best: Option<VariantChoice> = None;
         for &i in &admissible {
             let lane = &self.lanes[i];
-            let estimator = crate::ThroughputEstimator::new(
-                self.pool.clone(),
-                self.model,
-                lane.priors.clone(),
-                batch_sample.to_vec(),
-            );
-            let ranked = estimator.rank_configs(&configs);
-            let covering =
-                ranked
-                    .iter()
-                    .filter(|(_, ub)| *ub >= required)
-                    .min_by(|(ca, ua), (cb, ub)| {
-                        ca.cost(&self.pool)
-                            .partial_cmp(&cb.cost(&self.pool))
-                            .expect("finite costs")
-                            .then(ub.partial_cmp(ua).expect("finite bounds"))
-                    });
+            let ranked = self.rank_lane(lane, batch_sample, &options);
             let choice = |(config, ub): &(Config, f64)| VariantChoice {
                 lane: i,
                 variant: lane.variant.name.clone(),
@@ -312,7 +303,7 @@ impl VariantPlanner {
                 config: config.clone(),
                 upper_bound: *ub,
             };
-            if let Some(found) = covering {
+            if let Some(found) = cheapest_covering(&self.pool, &ranked, required) {
                 let found = choice(found);
                 // Lanes iterate accuracy-descending: the first covering
                 // lane is the most accurate one.

@@ -4,9 +4,10 @@
 //! A *configuration* is a count vector over the instance types of a pool,
 //! e.g. `(3, 1, 3)` in Fig. 1 means 3x g4dn.xlarge, 1x c5n.2xlarge and
 //! 3x r5n.large.  Kairos enumerates every configuration whose hourly cost is
-//! within the budget (Sec. 5.2 says this search space is on the order of
-//! 1000 configurations for the paper's setup) and ranks them by the
-//! throughput upper bound.
+//! within the budget and ranks them by the throughput upper bound.  Sec. 5.2
+//! puts the paper's search space on the order of 1000 configurations; the
+//! space grows steeply with the budget (on the paper pool, 331
+//! configurations at 2.5 $/hr and about 86k at 10.3 $/hr).
 
 use crate::instance::InstanceType;
 use crate::market::Market;
@@ -241,49 +242,73 @@ impl EnumerationOptions {
 ///
 /// The enumeration is exhaustive over the axis-aligned box bounded by
 /// `floor(budget / price_i)` per type, filtered by total cost; this is the
-/// same search space the paper's exhaustive offline search covers.
+/// same search space the paper's exhaustive offline search covers.  A
+/// collect over [`for_each_affordable`], so the order is its lexicographic
+/// walk order.
 pub fn enumerate_configs(pool: &PoolSpec, options: &EnumerationOptions) -> Vec<Config> {
-    let budget = options.budget_per_hour;
-    let n = pool.num_types();
-    let max_counts: Vec<usize> = (0..n)
-        .map(|i| (budget / pool.price(i)).floor() as usize)
-        .collect();
-
     let mut out = Vec::new();
-    let mut current = vec![0usize; n];
-
-    fn recurse(
-        pool: &PoolSpec,
-        max_counts: &[usize],
-        budget: f64,
-        dim: usize,
-        spent: f64,
-        current: &mut Vec<usize>,
-        out: &mut Vec<Config>,
-    ) {
-        if dim == max_counts.len() {
-            out.push(Config::new(current.clone()));
-            return;
-        }
-        let price = pool.price(dim);
-        for count in 0..=max_counts[dim] {
-            let cost = spent + price * count as f64;
-            if cost > budget + 1e-9 {
-                break;
-            }
-            current[dim] = count;
-            recurse(pool, max_counts, budget, dim + 1, cost, current, out);
-        }
-        current[dim] = 0;
-    }
-
-    recurse(pool, &max_counts, budget, 0, 0.0, &mut current, &mut out);
-
-    out.retain(|c| {
-        (!options.require_nonempty || c.total_instances() > 0)
-            && (!options.require_base_instance || c.count(pool.base_index()) > 0)
+    for_each_affordable(pool, options, |counts| {
+        out.push(Config::new(counts.to_vec()))
     });
     out
+}
+
+/// Visits every configuration [`enumerate_configs`] returns, in the same
+/// (lexicographic) order, as a borrowed count vector — the allocation-free
+/// form a caller that only needs to *score* each configuration walks.  The
+/// `counts` slice is reused between calls.
+///
+/// The walk recurses over the types in pool order, trying counts upwards
+/// from zero and breaking as soon as the running cost exceeds the budget
+/// (`+1e-9` slack); the base and non-empty filters of `options` apply at the
+/// leaf.
+pub fn for_each_affordable<F: FnMut(&[usize])>(
+    pool: &PoolSpec,
+    options: &EnumerationOptions,
+    visit: F,
+) {
+    struct Walk<'a, F> {
+        pool: &'a PoolSpec,
+        options: &'a EnumerationOptions,
+        max_counts: Vec<usize>,
+        base: usize,
+        visit: F,
+    }
+
+    impl<F: FnMut(&[usize])> Walk<'_, F> {
+        fn recurse(&mut self, dim: usize, spent: f64, current: &mut [usize]) {
+            if dim == self.max_counts.len() {
+                let keep = (!self.options.require_nonempty || current.iter().any(|&c| c > 0))
+                    && (!self.options.require_base_instance || current[self.base] > 0);
+                if keep {
+                    (self.visit)(current);
+                }
+                return;
+            }
+            let price = self.pool.price(dim);
+            for count in 0..=self.max_counts[dim] {
+                let cost = spent + price * count as f64;
+                if cost > self.options.budget_per_hour + 1e-9 {
+                    break;
+                }
+                current[dim] = count;
+                self.recurse(dim + 1, cost, current);
+            }
+            current[dim] = 0;
+        }
+    }
+
+    let n = pool.num_types();
+    let mut walk = Walk {
+        pool,
+        options,
+        max_counts: (0..n)
+            .map(|i| (options.budget_per_hour / pool.price(i)).floor() as usize)
+            .collect(),
+        base: pool.base_index(),
+        visit,
+    };
+    walk.recurse(0, 0.0, &mut vec![0usize; n]);
 }
 
 /// Returns the optimal *homogeneous* configuration: the maximum number of

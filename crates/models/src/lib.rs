@@ -45,7 +45,8 @@ pub mod sharing;
 pub mod variant;
 
 pub use config::{
-    best_homogeneous, budget_slack_ratio, enumerate_configs, Config, EnumerationOptions, PoolSpec,
+    best_homogeneous, budget_slack_ratio, enumerate_configs, for_each_affordable, Config,
+    EnumerationOptions, PoolSpec,
 };
 pub use fault::{
     FailureDomain, FaultError, FaultEvent, FaultProcess, PurchaseRejected, RejectionCause,
