@@ -389,10 +389,14 @@ fn bench_rank_configs_variants(c: &mut Criterion) {
 /// A cold Kairos plan at serving scale: a frozen RM2 controller (paper
 /// priors, a full 10k-query production-mix monitor window) planned at
 /// 10.3 $/hr — about 86k affordable configurations, the RM2 lane's share of
-/// the `fleet_mix` benchmark's 12 $/hr budget on a plan-cache miss.  Times
-/// the whole cold path: learned table, window snapshot, the one-pass cutoff
-/// statistics, the fused enumerate → bound walk, the ranked-list sort and
-/// materialization, and selection.
+/// the `fleet_mix` benchmark's 12 $/hr budget on a plan-cache miss.
+/// `rm2_budget_10` times the offline plan: learned table, window snapshot,
+/// the one-pass cutoff statistics, the fused enumerate → bound walk, the
+/// ranked-list sort and materialization, and selection.
+/// `rm2_budget_10_replan` times the serving loop's miss: the same walk into
+/// the unsorted scored space, selection from its bounded top-k, then the
+/// cheapest-covering scan at a mid-space demand and the bound lookup of the
+/// deployed configuration.
 fn bench_planner_cold(c: &mut Criterion) {
     use kairos_core::KairosController;
     use rand::rngs::StdRng;
@@ -416,10 +420,28 @@ fn bench_planner_cold(c: &mut Criterion) {
         "want the ~86k-configuration space, got {ranked}"
     );
 
+    // The serving loop's miss: the scored space (no ranking), the cheapest
+    // configuration covering a mid-space demand, and the bound of the
+    // deployment it would replace.
+    let (required, current) = {
+        let scored = controller.scored_plan(10.3).expect("priors allow a plan");
+        (scored.space.best_bound() / 2.0, scored.chosen)
+    };
+
     let mut group = c.benchmark_group("planner_cold");
     group.sample_size(10);
     group.bench_function("rm2_budget_10", |b| {
         b.iter(|| black_box(controller.plan(black_box(10.3))))
+    });
+    group.bench_function("rm2_budget_10_replan", |b| {
+        b.iter(|| {
+            let plan = controller
+                .scored_plan(black_box(10.3))
+                .expect("priors allow a plan");
+            let space = &plan.space;
+            let target = space.cheapest_covering(black_box(required), |_| true);
+            black_box((target.map(|i| space.config(i)), space.bound_of(&current)))
+        })
     });
     group.finish();
 }

@@ -14,7 +14,7 @@
 //! each planned independently, and the shard configurations are summed.
 
 use crate::distribution::KairosScheduler;
-use crate::planner::{KairosPlanner, Plan};
+use crate::planner::{KairosPlanner, Plan, ScoredPlan};
 use kairos_models::{
     latency::{LatencyProfile, LatencyTable},
     mlmodel::ModelKind,
@@ -185,7 +185,7 @@ impl KairosController {
     /// The batch-size sample the planner should use: the monitor window, or a
     /// conservative single-bucket sample when nothing has been observed yet
     /// (assuming worst-case largest queries until evidence says otherwise).
-    fn batch_sample(&self) -> Vec<u32> {
+    pub(crate) fn batch_sample(&self) -> Vec<u32> {
         if self.monitor.is_empty() {
             vec![MAX_BATCH_SIZE]
         } else {
@@ -196,16 +196,30 @@ impl KairosController {
     /// Plans a configuration for the given hourly budget from current
     /// knowledge.  Returns `None` until enough latency knowledge exists.
     pub fn plan(&self, budget_per_hour: f64) -> Option<Plan> {
+        Some(self.scored_plan(budget_per_hour)?.into_plan())
+    }
+
+    /// [`Self::plan`] without the ranking: the scored affordable space and
+    /// the same chosen configuration — what the serving loop replans from.
+    pub fn scored_plan(&self, budget_per_hour: f64) -> Option<ScoredPlan> {
+        Some(
+            self.planner()?
+                .scored_plan(budget_per_hour, &self.batch_sample()),
+        )
+    }
+
+    /// The planner over the controller's current latency knowledge, or
+    /// `None` while it cannot plan (see [`Self::learned_table`]).
+    pub(crate) fn planner(&self) -> Option<KairosPlanner> {
         let table = self.learned_table()?;
-        let planner = KairosPlanner::new(self.pool.clone(), self.model, table);
-        Some(planner.plan(budget_per_hour, &self.batch_sample()))
+        Some(KairosPlanner::new(self.pool.clone(), self.model, table))
     }
 
     /// A quantized fingerprint of everything a [`Plan`] depends on besides
     /// the budget: the monitor's batch-size mix and the learned latency
     /// coefficients.  Two controllers (or the same controller at two points
     /// in time) with equal signatures would produce materially identical
-    /// ranked lists, so replanning loops can reuse a prior plan — this is
+    /// plans, so replanning loops can reuse a prior plan — this is
     /// what [`crate::PlanCache`] keys on.
     ///
     /// Quantization is deliberately coarse: the mix histogram is bucketed
@@ -289,12 +303,8 @@ impl KairosController {
     /// configuration is multiplied by the shard count.
     pub fn plan_sharded(&self, budget_per_hour: f64, shards: usize) -> Option<Config> {
         assert!(shards >= 1, "need at least one shard");
-        let table = self.learned_table()?;
-        let planner = KairosPlanner::new(self.pool.clone(), self.model, table);
-        let shard_budget = budget_per_hour / shards as f64;
-        let plan = planner.plan(shard_budget, &self.batch_sample());
-        let merged = plan
-            .chosen
+        let chosen = self.scored_plan(budget_per_hour / shards as f64)?.chosen;
+        let merged = chosen
             .counts()
             .iter()
             .map(|&c| c * shards)

@@ -72,7 +72,7 @@ pub use controller::KairosController;
 pub use distribution::KairosScheduler;
 pub use kairos_plus::{kairos_plus_search, SearchResult};
 pub use lmatrix::{build_matrices, InstanceColumn, LMatrices, QueryRow, DEFAULT_XI};
-pub use planner::{KairosPlanner, Plan, PlanCache};
+pub use planner::{KairosPlanner, Plan, PlanCache, ScoredPlan};
 pub use selection::select_configuration;
 pub use serverless::ServerlessRuntime;
 pub use service::{InferenceService, MultiScheduler, MultiServingOutcome};
@@ -81,7 +81,8 @@ pub use serving::{
     ServingSystem, VariantSwitch,
 };
 pub use upper_bound::{
-    upper_bound_general, upper_bound_single, AuxClass, SingleAuxInputs, ThroughputEstimator,
+    upper_bound_general, upper_bound_single, AuxClass, ScoredSpace, SingleAuxInputs,
+    ThroughputEstimator,
 };
 pub use variants::{
     build_lanes, paper_variant_planner, prune_dominated, VariantChoice, VariantLane,

@@ -7,16 +7,26 @@
 //! paper reports that ranking ~1000 configurations takes well under two
 //! seconds.  Serving budgets are larger: the RM2 lane of the `fleet_mix`
 //! benchmark replans at about 10.3 $/hr, where the affordable space holds
-//! about 86k configurations, on every plan-cache miss.  The cold path is
-//! therefore one fused pass
-//! ([`ThroughputEstimator::rank_affordable`]): the enumeration walk scores
-//! each configuration as it reaches it, and each [`Config`] is built once,
-//! in ranked order.  The Criterion groups `planner` (bench `upper_bound`) and
-//! `planner_cold/rm2_budget_10` (bench `simulator`) time it.
+//! about 86k configurations, on every plan-cache miss.
+//!
+//! The paper ranks the space once, offline; the serving loop replans, and
+//! never needs the order.  So a plan comes in two forms over one walk
+//! ([`ThroughputEstimator::score_affordable`], which bounds and prices each
+//! configuration as it reaches it):
+//!
+//! * [`ScoredPlan`] — the scored space in enumeration order plus the chosen
+//!   configuration, picked from a bounded top-k of the ranking.  Its scan
+//!   queries answer each of the loop's questions in one pass, with no sort
+//!   and no per-configuration allocation.  [`PlanCache`] holds these.
+//! * [`Plan`] — the same space ranked and materialized, one [`Config`] per
+//!   entry, for Kairos+ and the offline analyses.
+//!
+//! The Criterion groups `planner` (bench `upper_bound`) and `planner_cold`
+//! (bench `simulator`) time both forms.
 
 use crate::controller::KairosController;
 use crate::selection::select_configuration;
-use crate::upper_bound::ThroughputEstimator;
+use crate::upper_bound::{ScoredSpace, ThroughputEstimator};
 use kairos_models::{
     latency::LatencyTable, mlmodel::ModelKind, Config, EnumerationOptions, PoolSpec,
 };
@@ -47,6 +57,32 @@ impl Plan {
     /// The top-`n` configurations by upper bound.
     pub fn top(&self, n: usize) -> &[(Config, f64)] {
         &self.ranked[..self.ranked.len().min(n)]
+    }
+}
+
+/// A planning pass without the ranking: the scored affordable space and the
+/// configuration Kairos deploys.  [`Self::into_plan`] ranks it into the
+/// [`Plan`] the same budget and sample give.
+#[derive(Debug, Clone)]
+pub struct ScoredPlan {
+    /// The configuration Kairos deploys (selected from the top of the
+    /// ranking, exactly as [`Plan::chosen`]).
+    pub chosen: Config,
+    /// Every affordable configuration with its upper bound and cost, in
+    /// enumeration order.
+    pub space: ScoredSpace,
+    /// The hourly budget the plan was computed for.
+    pub budget_per_hour: f64,
+}
+
+impl ScoredPlan {
+    /// The ranked [`Plan`].
+    pub fn into_plan(self) -> Plan {
+        Plan {
+            chosen: self.chosen,
+            ranked: self.space.ranked(),
+            budget_per_hour: self.budget_per_hour,
+        }
     }
 }
 
@@ -91,6 +127,27 @@ impl KairosPlanner {
     /// Panics if the budget is not positive or cannot afford a configuration
     /// with a base instance, or on an empty sample.
     pub fn plan(&self, budget_per_hour: f64, batch_sample: &[u32]) -> Plan {
+        self.scored_plan(budget_per_hour, batch_sample).into_plan()
+    }
+
+    /// [`Self::plan`] without the ranking: the scored space and the same
+    /// chosen configuration, selected from the bounded top-k of the ranking
+    /// (everything [`select_configuration`] reads).
+    ///
+    /// # Panics
+    /// As [`Self::plan`].
+    pub fn scored_plan(&self, budget_per_hour: f64, batch_sample: &[u32]) -> ScoredPlan {
+        self.scored_plan_into(budget_per_hour, batch_sample, ScoredSpace::default())
+    }
+
+    /// [`Self::scored_plan`], scoring into the buffers of `spare` (see
+    /// [`ThroughputEstimator::score_affordable_into`]).
+    pub(crate) fn scored_plan_into(
+        &self,
+        budget_per_hour: f64,
+        batch_sample: &[u32],
+        spare: ScoredSpace,
+    ) -> ScoredPlan {
         let options = EnumerationOptions::with_budget(budget_per_hour);
         let estimator = ThroughputEstimator::from_sample(
             self.pool.clone(),
@@ -98,34 +155,37 @@ impl KairosPlanner {
             &self.latency,
             batch_sample,
         );
-        let ranked = estimator.rank_affordable(&options);
+        let space = estimator.score_affordable_into(&options, spare);
         assert!(
-            !ranked.is_empty(),
+            !space.is_empty(),
             "budget {budget_per_hour} cannot afford any configuration with a base instance"
         );
-        let chosen = select_configuration(&ranked, &self.pool);
-        Plan {
+        let chosen = select_configuration(&space.top_ranked(), &self.pool);
+        ScoredPlan {
             chosen,
-            ranked,
+            space,
             budget_per_hour,
         }
     }
 }
 
-/// Memoizes the most recent [`Plan`] against the knowledge it was computed
-/// from, so a replanning loop (the serving system replans on a cadence *and*
-/// on demand drift) only pays for enumeration + ranking when the planner's
-/// inputs actually changed.
+/// Memoizes the most recent [`ScoredPlan`] against the knowledge it was
+/// computed from, so a replanning loop (the serving system replans on a
+/// cadence *and* on demand drift) only pays for the enumeration walk when
+/// the planner's inputs actually changed.
 ///
-/// The key is `(quantized knowledge signature, budget)` — see
-/// [`KairosController::knowledge_signature`].  The ranked list a plan carries
-/// depends only on those inputs, **not** on the observed arrival rate: the
-/// demand-aware selection happens downstream over the cached ranking, which
-/// is why cadence replans under drifting load still hit.  Plans are shared
-/// out as [`Arc`]s, so a hit costs a pointer clone, not a ranked-list copy.
+/// The key is `(quantized knowledge signature, budget bits)` — see
+/// [`KairosController::knowledge_signature`].  The scored space a plan
+/// carries depends only on those inputs, **not** on the observed arrival
+/// rate: the demand-aware selection happens downstream, as scans over the
+/// cached space, which is why cadence replans under drifting load still hit.
+/// A miss scores the space without ranking it, so it costs one walk, not a
+/// sort and one [`Config`] allocation per entry; the walk fills the buffers
+/// of the plan it replaces.  Plans are shared out as [`Arc`]s, so a hit
+/// costs a pointer clone.
 #[derive(Debug, Clone, Default)]
 pub struct PlanCache {
-    entry: Option<(u64, u64, Arc<Plan>)>,
+    entry: Option<(u64, u64, Arc<ScoredPlan>)>,
     hits: u64,
     misses: u64,
 }
@@ -136,14 +196,15 @@ impl PlanCache {
         Self::default()
     }
 
-    /// The controller's current plan for `budget_per_hour`, reusing the
-    /// cached one when the controller's quantized knowledge is unchanged.
-    /// Returns `None` (and caches nothing) while the controller cannot plan.
+    /// The controller's current scored plan for `budget_per_hour`, reusing
+    /// the cached one when the controller's quantized knowledge and the
+    /// budget are unchanged.  Returns `None` (and caches nothing) while the
+    /// controller cannot plan.
     pub fn plan(
         &mut self,
         controller: &KairosController,
         budget_per_hour: f64,
-    ) -> Option<Arc<Plan>> {
+    ) -> Option<Arc<ScoredPlan>> {
         let signature = controller.knowledge_signature();
         let budget_bits = budget_per_hour.to_bits();
         if let Some((cached_sig, cached_budget, plan)) = &self.entry {
@@ -152,7 +213,17 @@ impl PlanCache {
                 return Some(plan.clone());
             }
         }
-        let plan = Arc::new(controller.plan(budget_per_hour)?);
+        let planner = controller.planner()?;
+        // The plan this miss replaces lends its buffers to the walk when no
+        // one else still holds it.
+        let spare = self
+            .entry
+            .take()
+            .and_then(|(_, _, plan)| Arc::into_inner(plan))
+            .map(|plan| plan.space)
+            .unwrap_or_default();
+        let plan =
+            Arc::new(planner.scored_plan_into(budget_per_hour, &controller.batch_sample(), spare));
         self.misses += 1;
         self.entry = Some((signature, budget_bits, plan.clone()));
         Some(plan)
@@ -231,6 +302,53 @@ mod tests {
     #[should_panic(expected = "cannot afford")]
     fn budget_below_one_base_instance_panics() {
         planner(ModelKind::Ncf).plan(0.3, &sample());
+    }
+
+    #[test]
+    fn scored_plan_chooses_as_the_ranked_plan_and_ranks_into_it() {
+        let p = planner(ModelKind::Rm2);
+        let s = sample();
+        let plan = p.plan(5.0, &s);
+        let scored = p.scored_plan(5.0, &s);
+        assert_eq!(scored.chosen, plan.chosen);
+        assert_eq!(scored.space.len(), plan.ranked.len());
+        assert_eq!(
+            scored.space.best_bound().to_bits(),
+            plan.ranked[0].1.to_bits()
+        );
+        assert_eq!(scored.into_plan().ranked, plan.ranked);
+    }
+
+    #[test]
+    fn a_miss_refills_the_replaced_space_exactly() {
+        let pool = PoolSpec::new(ec2::paper_pool());
+        let mut controller =
+            KairosController::with_priors(pool, ModelKind::Wnd, paper_calibration());
+        for i in 0..2000u32 {
+            controller.observe_query(10 + i % 300);
+        }
+        let mut cache = PlanCache::new();
+        // Large, then small, then large again: each miss walks into the
+        // buffers of the plan it replaces.
+        for budget in [6.0, 2.5, 6.0] {
+            let cached = cache.plan(&controller, budget).unwrap();
+            let fresh = controller.scored_plan(budget).unwrap();
+            assert_eq!(cached.chosen, fresh.chosen);
+            assert_eq!(cached.space.len(), fresh.space.len());
+            for i in 0..fresh.space.len() {
+                assert_eq!(cached.space.counts(i), fresh.space.counts(i));
+                assert_eq!(
+                    cached.space.bound(i).to_bits(),
+                    fresh.space.bound(i).to_bits()
+                );
+                assert_eq!(
+                    cached.space.cost(i).to_bits(),
+                    fresh.space.cost(i).to_bits()
+                );
+            }
+            assert_eq!(cached.space.top(), fresh.space.top());
+        }
+        assert_eq!(cache.misses(), 3);
     }
 
     #[test]

@@ -26,14 +26,14 @@
 //!
 //! Replanning is **demand-aware**: rather than always deploying the
 //! maximum-throughput configuration under the budget cap, the driver picks
-//! the *cheapest* ranked configuration whose throughput upper bound covers
+//! the *cheapest* affordable configuration whose throughput upper bound covers
 //! the observed arrival rate (times a headroom factor), falling back to the
 //! full-budget pick when demand exceeds every cheaper option.  This is what
 //! makes the loop elastic in both directions: it scales out on a rate spike
 //! and scales in — gracefully draining surplus instances — when load drops.
 
 use crate::controller::KairosController;
-use crate::planner::PlanCache;
+use crate::planner::{PlanCache, ScoredPlan};
 use crate::variants::{build_lanes, prune_dominated, VariantRuntime};
 use kairos_models::{
     latency::{LatencyProfile, LatencyTable},
@@ -103,7 +103,7 @@ pub struct ServingOptions {
     /// firing anyway (only meaningful when `batch_max_size > 0`).
     pub batch_timeout_us: TimeUs,
     /// Domain-spread constraint: no failure domain may hold more than this
-    /// fraction of the deployed instances (checked over the planner's ranked
+    /// fraction of the deployed instances (checked over the planner's scored
     /// configurations through the catalog's per-offering domain table, so
     /// solvers stay domain-free).  `None` plans domain-blind.
     pub max_fraction_per_domain: Option<f64>,
@@ -512,9 +512,10 @@ pub struct ServingSystem {
     pool: PoolSpec,
     controller: KairosController,
     options: ServingOptions,
-    /// Memoizes the ranked plan across replans: a replan whose quantized
-    /// knowledge signature matches the previous one reuses the prior ranking
-    /// instead of re-enumerating and re-scoring the configuration space.
+    /// Memoizes the scored plan across replans, keyed on the controller's
+    /// quantized knowledge signature *and* the budget: a replan whose key
+    /// matches the previous one reuses the prior scored space instead of
+    /// re-enumerating and re-scoring the configuration space.
     plan_cache: PlanCache,
     /// The attached cloud market, if any (see [`ServingSystem::with_market`]).
     market: Option<MarketState>,
@@ -712,8 +713,8 @@ impl ServingSystem {
         self.pool = pool;
     }
 
-    /// The plan cache: how many replans reused the previous ranking versus
-    /// recomputed it (diagnostics for the replanning hot path).
+    /// The plan cache: how many replans reused the previous scored space
+    /// versus recomputed it (diagnostics for the replanning hot path).
     pub fn plan_cache(&self) -> &PlanCache {
         &self.plan_cache
     }
@@ -769,35 +770,16 @@ impl ServingSystem {
         budget_per_hour: f64,
         demand_qps: f64,
     ) -> Option<Config> {
-        let plan = self.controller.plan(budget_per_hour)?;
-        let required = demand_qps * self.options.demand_headroom;
+        let plan = self.controller.scored_plan(budget_per_hour)?;
         // The spread constraint binds from the very first deployment: a
         // fleet that only spreads after its first cadence replan spends the
         // opening interval fully concentrated.
-        if let Some((fraction, table)) = self
+        let spread = self
             .options
             .max_fraction_per_domain
-            .zip((!self.placements.is_empty()).then_some(self.placements.as_slice()))
-        {
-            let spread_ok: Vec<(Config, f64)> = plan
-                .ranked
-                .iter()
-                .filter(|(c, _)| within_spread(c, table, fraction))
-                .cloned()
-                .collect();
-            if !spread_ok.is_empty() {
-                return Some(
-                    cheapest_covering(&self.pool, &spread_ok, required)
-                        .unwrap_or(&spread_ok[0])
-                        .0
-                        .clone(),
-                );
-            }
-        }
-        Some(
-            cheapest_covering(&self.pool, &plan.ranked, required)
-                .map_or(plan.chosen, |(c, _)| c.clone()),
-        )
+            .zip((!self.placements.is_empty()).then_some(self.placements.as_slice()));
+        let required = demand_qps * self.options.demand_headroom;
+        Some(demand_candidate(&plan, required, None, spread).0)
     }
 
     /// The next deployment target for this system's model given current
@@ -1154,34 +1136,52 @@ impl ServingSystem {
     }
 }
 
-/// Cheapest ranked entry whose upper bound covers `required` QPS (ties
-/// broken towards the higher bound, then the earlier entry).  Each covering
-/// candidate is priced once, not once per comparison.
-pub(crate) fn cheapest_covering<'a>(
-    pool: &PoolSpec,
-    ranked: &'a [(Config, f64)],
+/// A predicate over a configuration's per-type counts.
+type CountsFilter<'a> = &'a dyn Fn(&[usize]) -> bool;
+
+/// The demand-aware candidate over a scored plan, shared by initial plans
+/// and replans.  The filters apply in order, `realizable` then the domain
+/// `spread`, and the first one some entry passes binds: the pick is its
+/// cheapest entry covering `required` QPS, or its top-ranked entry when
+/// none covers.  When no filter binds, the pick is the cheapest covering
+/// entry of the whole space, else the planner's choice.  The flag tells
+/// whether the realizability filter bound the pick.
+fn demand_candidate(
+    plan: &ScoredPlan,
     required: f64,
-) -> Option<&'a (Config, f64)> {
-    ranked
-        .iter()
-        .filter(|(_, ub)| *ub >= required)
-        .map(|entry| (entry.0.cost(pool), entry))
-        .min_by(|(cost_a, (_, ua)), (cost_b, (_, ub))| {
-            cost_a
-                .partial_cmp(cost_b)
-                .expect("finite costs")
-                .then(ub.partial_cmp(ua).expect("finite bounds"))
-        })
-        .map(|(_, entry)| entry)
+    realizable: Option<CountsFilter<'_>>,
+    spread: Option<(f64, &[FailureDomain])>,
+) -> (Config, bool) {
+    let space = &plan.space;
+    let pick = |filter: CountsFilter<'_>| {
+        space
+            .cheapest_covering(required, filter)
+            .or_else(|| space.best(filter))
+    };
+    if let Some(i) = realizable.and_then(pick) {
+        return (space.config(i), true);
+    }
+    if let Some((fraction, table)) = spread {
+        if let Some(i) = pick(&|counts| within_spread(counts, table, fraction)) {
+            return (space.config(i), false);
+        }
+        // No configuration satisfies the spread (e.g. a single-offering
+        // catalog): plan unconstrained rather than not at all.
+    }
+    let unconstrained = space
+        .cheapest_covering(required, |_| true)
+        .map_or_else(|| plan.chosen.clone(), |i| space.config(i));
+    (unconstrained, false)
 }
 
 /// Picks the next deployment target given current knowledge, observed
 /// demand, a budget cap and the configuration deployed right now, applying
 /// the scale-in hysteresis described on [`ServingOptions::shrink_factor`].
-/// The ranked plan comes through the [`PlanCache`], so back-to-back replans
-/// under materially unchanged knowledge are near-free.  (Free function over
-/// split borrows: the serving loop calls it while the engine borrows the
-/// pool.)
+/// The scored plan comes through the [`PlanCache`], so back-to-back replans
+/// under materially unchanged knowledge and budget skip the enumeration
+/// walk, and every question asked of the plan is one scan.  (Free function
+/// over split borrows: the serving loop calls it while the engine borrows
+/// the pool.)
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn select_target(
     plan_cache: &mut PlanCache,
@@ -1202,17 +1202,12 @@ pub(crate) fn select_target(
     // replacements that can never land.  (The price penalty alone cannot
     // express this for the base type, which stays unpenalized so the
     // planner always has an affordable anchor.)
-    let realizable: Option<Vec<(Config, f64)>> = blocked
+    let realizable = blocked
         .filter(|(backoff, now)| backoff.any_blocked(*now))
         .map(|(backoff, now)| {
-            plan.ranked
-                .iter()
-                .filter(|(c, _)| purchasable(c, current, pool, backoff, now))
-                .cloned()
-                .collect::<Vec<_>>()
-        })
-        .filter(|v| !v.is_empty());
-    // The spread constraint filters the ranked list *after* the solver ran
+            move |counts: &[usize]| purchasable(counts, current, pool, backoff, now)
+        });
+    // The spread constraint filters the scored space *after* the solver ran
     // — the PR 5 lowering keeps planners domain-free and the per-offering
     // domain table resolves each coordinate back to its zone here.  While a
     // fault window actively blocks offerings, the spread *preference* is
@@ -1220,50 +1215,21 @@ pub(crate) fn select_target(
     // moment calls for (the constraint would otherwise veto the failover),
     // and the next fault replan after restore re-balances the fleet.
     let spread = options.max_fraction_per_domain.zip(domains);
-    let candidate = match (&realizable, spread) {
-        (Some(realizable), _) => cheapest_covering(pool, realizable, required)
-            .unwrap_or(&realizable[0])
-            .0
-            .clone(),
-        (None, Some((fraction, table))) => {
-            let spread_ok: Vec<(Config, f64)> = plan
-                .ranked
-                .iter()
-                .filter(|(c, _)| within_spread(c, table, fraction))
-                .cloned()
-                .collect();
-            if spread_ok.is_empty() {
-                // No ranked configuration satisfies the spread (e.g. a
-                // single-offering catalog): plan unconstrained rather than
-                // not at all.
-                cheapest_covering(pool, &plan.ranked, required)
-                    .map_or(&plan.chosen, |(c, _)| c)
-                    .clone()
-            } else {
-                cheapest_covering(pool, &spread_ok, required)
-                    .unwrap_or(&spread_ok[0])
-                    .0
-                    .clone()
-            }
-        }
-        (None, None) => cheapest_covering(pool, &plan.ranked, required)
-            .map_or(&plan.chosen, |(c, _)| c)
-            .clone(),
-    };
-    let current_ub = plan
-        .ranked
-        .iter()
-        .find(|(c, _)| c == current)
-        .map(|(_, ub)| *ub)
-        .unwrap_or(0.0);
+    let (candidate, realized) = demand_candidate(
+        &plan,
+        required,
+        realizable.as_ref().map(|f| f as CountsFilter<'_>),
+        spread,
+    );
     // Keep the deployment when it still (approximately) covers demand —
     // the 0.8 slack absorbs upper-bound wobble as knowledge evolves — and
     // is not substantially more expensive than the candidate.  A deployment
     // that violates the spread constraint is never kept.
-    let keep = current_ub >= required * 0.8
+    let keep = plan.space.bound_of(current) >= required * 0.8
         && current.cost(pool) <= candidate.cost(pool) * options.shrink_factor
-        && (realizable.is_some()
-            || spread.is_none_or(|(fraction, table)| within_spread(current, table, fraction)));
+        && (realized
+            || spread
+                .is_none_or(|(fraction, table)| within_spread(current.counts(), table, fraction)));
     Some(if keep { current.clone() } else { candidate })
 }
 
@@ -1276,13 +1242,13 @@ pub(crate) fn select_target(
 /// capacity *beyond* that floor in a parked domain is still vetoed, so the
 /// planner cannot paper over an outage with phantom base instances.
 fn purchasable(
-    target: &Config,
+    target: &[usize],
     current: &Config,
     pool: &PoolSpec,
     backoff: &PurchaseBackoff,
     now: TimeUs,
 ) -> bool {
-    target.counts().iter().enumerate().all(|(i, &n)| {
+    target.iter().enumerate().all(|(i, &n)| {
         let held = current.counts().get(i).copied().unwrap_or(0);
         let cap = if pool.types()[i].is_base {
             held.max(1)
@@ -1324,25 +1290,28 @@ pub(crate) fn fault_window_end(
 }
 
 /// Whether no failure domain holds more than `fraction` of the
-/// configuration's instances (per the per-type domain `table`).
+/// configuration's instances (per-type `counts`, per-type domain `table`).
 /// Single-instance deployments trivially pass: there is nothing to spread.
-pub(crate) fn within_spread(config: &Config, table: &[FailureDomain], fraction: f64) -> bool {
-    let total: usize = config.counts().iter().sum();
+/// Allocation-free: each occupied domain is totalled once, at its first
+/// occupied type.
+pub(crate) fn within_spread(counts: &[usize], table: &[FailureDomain], fraction: f64) -> bool {
+    let total: usize = counts.iter().sum();
     if total <= 1 {
         return true;
     }
     let limit = fraction * total as f64 + 1e-9;
-    let mut seen: Vec<(&FailureDomain, usize)> = Vec::new();
-    for (type_index, &count) in config.counts().iter().enumerate() {
-        if count == 0 {
-            continue;
-        }
-        match seen.iter_mut().find(|(d, _)| *d == &table[type_index]) {
-            Some((_, n)) => *n += count,
-            None => seen.push((&table[type_index], count)),
-        }
-    }
-    seen.iter().all(|(_, n)| *n as f64 <= limit)
+    let occupied = || (0..counts.len()).filter(|&j| counts[j] > 0);
+    occupied().all(|i| {
+        let domain = &table[i];
+        let totalled = occupied()
+            .take_while(|&j| j < i)
+            .any(|j| table[j] == *domain);
+        let held: usize = occupied()
+            .filter(|&j| table[j] == *domain)
+            .map(|j| counts[j])
+            .sum();
+        totalled || held as f64 <= limit
+    })
 }
 
 /// Offered-rate estimate (QPS) over the arrivals within `horizon_us` of
@@ -1598,7 +1567,7 @@ mod tests {
             "steady load should not thrash: {in_trace:?}"
         );
         assert!(outcome.report.meets_qos(0.05));
-        // Steady load means stationary knowledge: the ranked plan must be
+        // Steady load means stationary knowledge: the scored plan must be
         // reused across cadence replans, not recomputed each tick.
         assert!(
             s.plan_cache().hits() > 0,
@@ -1818,11 +1787,11 @@ mod tests {
     fn within_spread_checks_per_domain_shares() {
         let table = two_zone_catalog().domains();
         // Everything in zone a: 4/4 in one domain.
-        assert!(!within_spread(&Config::new(vec![2, 2, 0, 0]), &table, 0.6));
+        assert!(!within_spread(&[2, 2, 0, 0], &table, 0.6));
         // 2/4 per zone respects a 0.6 cap.
-        assert!(within_spread(&Config::new(vec![1, 1, 1, 1]), &table, 0.6));
+        assert!(within_spread(&[1, 1, 1, 1], &table, 0.6));
         // A single instance has nothing to spread.
-        assert!(within_spread(&Config::new(vec![1, 0, 0, 0]), &table, 0.5));
+        assert!(within_spread(&[1, 0, 0, 0], &table, 0.5));
     }
 
     #[test]

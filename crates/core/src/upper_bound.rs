@@ -13,6 +13,7 @@
 //! auxiliary type shares the largest cutoff (`f' = max f_i`), which keeps the
 //! estimate an upper bound (Sec. 5.2).
 
+use crate::selection::TOP_CANDIDATES;
 use kairos_models::{
     for_each_affordable,
     latency::{LatencyProfile, LatencyTable},
@@ -419,29 +420,257 @@ impl ThroughputEstimator {
             .collect()
     }
 
-    /// Every configuration `options` admits on this estimator's pool, ranked
-    /// as [`Self::rank_configs`] ranks [`enumerate_configs`]' output — the
-    /// planner's cold path in one pass.
+    /// Every configuration `options` admits on this estimator's pool, scored
+    /// but not ranked: one [`for_each_affordable`] walk bounds each leaf in
+    /// place with [`Self::estimate_counts`] and prices it, keeping counts,
+    /// bound and cost in flat buffers in enumeration order.  Empty when the
+    /// budget affords nothing.
     ///
-    /// One [`for_each_affordable`] walk scores each leaf in place with
-    /// [`Self::estimate_counts`], keeping only its bound and its counts in a
-    /// flat buffer; the `(bound, enumeration index)` keys are then sorted and
-    /// each [`Config`] is built exactly once, in ranked order.  Returns an
-    /// empty list when the budget affords nothing.
+    /// # Panics
+    /// Panics with "finite bounds" when two or more configurations are
+    /// affordable and one of them bounds to NaN — exactly when ranking the
+    /// space would.
+    pub fn score_affordable(&self, options: &EnumerationOptions) -> ScoredSpace {
+        self.score_affordable_into(options, ScoredSpace::default())
+    }
+
+    /// [`Self::score_affordable`] into the buffers of a `spare` space (its
+    /// contents are discarded): a replanning loop that hands back the space
+    /// it replaces neither regrows the buffers nor faults in fresh memory.
+    pub(crate) fn score_affordable_into(
+        &self,
+        options: &EnumerationOptions,
+        spare: ScoredSpace,
+    ) -> ScoredSpace {
+        let types = self.pool.num_types();
+        let ScoredSpace {
+            mut counts,
+            mut bounds,
+            mut costs,
+            ..
+        } = spare;
+        counts.clear();
+        bounds.clear();
+        costs.clear();
+        for_each_affordable(&self.pool, options, |leaf| {
+            bounds.push(self.estimate_counts(leaf));
+            // `Config::cost`'s sum: pool order, one multiply per type.
+            costs.push(
+                leaf.iter()
+                    .zip(self.pool.types())
+                    .map(|(&c, t)| t.cost_of(c))
+                    .sum(),
+            );
+            counts.extend_from_slice(leaf);
+        });
+        ScoredSpace::new(types, counts, bounds, costs)
+    }
+
+    /// Every configuration `options` admits on this estimator's pool, ranked
+    /// as [`Self::rank_configs`] ranks [`enumerate_configs`]' output: the
+    /// [`Self::score_affordable`] space with each [`Config`] built exactly
+    /// once, in ranked order.  Returns an empty list when the budget affords
+    /// nothing.
     ///
     /// [`enumerate_configs`]: kairos_models::enumerate_configs
     pub fn rank_affordable(&self, options: &EnumerationOptions) -> Vec<(Config, f64)> {
-        let n = self.pool.num_types();
-        let mut counts: Vec<usize> = Vec::new();
-        let mut bounds: Vec<f64> = Vec::new();
-        for_each_affordable(&self.pool, options, |leaf| {
-            bounds.push(self.estimate_counts(leaf));
-            counts.extend_from_slice(leaf);
-        });
-        ranked_order(&bounds)
-            .map(|i| (Config::new(counts[i * n..(i + 1) * n].to_vec()), bounds[i]))
+        self.score_affordable(options).ranked()
+    }
+}
+
+/// The affordable configuration space of one pool, budget and estimator,
+/// scored in enumeration order: per entry its counts, its upper bound and
+/// its hourly cost (bit-identical to [`Config::cost`]).  It is never sorted.
+/// The serving loop's questions (the cheapest covering entry, the top entry
+/// passing a filter, the bound of a given deployment) are each one scan,
+/// and each resolves ties exactly as the same question over the ranked list
+/// does: the ranked order is `(bound descending, enumeration index)`, so
+/// among equal bounds the ranked order *is* the enumeration order.  The
+/// ranked prefix selection reads ([`TOP_CANDIDATES`] entries) is kept from
+/// a bounded top-k at build time.  The default space is empty.
+#[derive(Debug, Clone, Default)]
+pub struct ScoredSpace {
+    /// Pool types per entry.
+    types: usize,
+    /// Entry `i`'s counts are `counts[i * types..(i + 1) * types]`.
+    counts: Vec<usize>,
+    bounds: Vec<f64>,
+    costs: Vec<f64>,
+    /// The first [`TOP_CANDIDATES`] entries in ranked order.
+    top: Vec<usize>,
+}
+
+impl ScoredSpace {
+    fn new(types: usize, counts: Vec<usize>, bounds: Vec<f64>, costs: Vec<f64>) -> Self {
+        assert!(
+            bounds.len() < 2 || !bounds.iter().any(|b| b.is_nan()),
+            "finite bounds"
+        );
+        let top = top_ranked(&bounds, TOP_CANDIDATES);
+        Self {
+            types,
+            counts,
+            bounds,
+            costs,
+            top,
+        }
+    }
+
+    /// Number of affordable configurations.
+    pub fn len(&self) -> usize {
+        self.bounds.len()
+    }
+
+    /// Whether the budget affords nothing.
+    pub fn is_empty(&self) -> bool {
+        self.bounds.is_empty()
+    }
+
+    /// Entry `i`'s per-type counts.
+    pub fn counts(&self, i: usize) -> &[usize] {
+        &self.counts[i * self.types..(i + 1) * self.types]
+    }
+
+    /// Entry `i`'s throughput upper bound.
+    pub fn bound(&self, i: usize) -> f64 {
+        self.bounds[i]
+    }
+
+    /// Entry `i`'s hourly cost.
+    pub fn cost(&self, i: usize) -> f64 {
+        self.costs[i]
+    }
+
+    /// Entry `i` as a [`Config`].
+    pub fn config(&self, i: usize) -> Config {
+        Config::new(self.counts(i).to_vec())
+    }
+
+    /// The first (up to) [`TOP_CANDIDATES`] entries in ranked order.
+    pub fn top(&self) -> &[usize] {
+        &self.top
+    }
+
+    /// The ranked list's prefix [`Self::top`] as `(config, bound)` pairs —
+    /// everything [`select_configuration`] reads.
+    ///
+    /// [`select_configuration`]: crate::select_configuration
+    pub fn top_ranked(&self) -> Vec<(Config, f64)> {
+        self.top
+            .iter()
+            .map(|&i| (self.config(i), self.bounds[i]))
             .collect()
     }
+
+    /// The highest upper bound in the space (the first ranked entry's), or
+    /// `0.0` when it is empty.
+    pub fn best_bound(&self) -> f64 {
+        self.top.first().map_or(0.0, |&i| self.bounds[i])
+    }
+
+    /// The upper bound of `config` if it is in the space, else `0.0`.
+    pub fn bound_of(&self, config: &Config) -> f64 {
+        let target = config.counts();
+        if target.len() != self.types {
+            return 0.0;
+        }
+        self.counts
+            .chunks_exact(self.types)
+            .position(|counts| counts == target)
+            .map_or(0.0, |i| self.bounds[i])
+    }
+
+    /// The first entry in ranked order whose counts pass `filter`.
+    pub fn best(&self, filter: impl Fn(&[usize]) -> bool) -> Option<usize> {
+        let mut best: Option<(u64, usize)> = None;
+        for i in 0..self.len() {
+            let key = descending_key(self.bounds[i]);
+            if best.is_none_or(|(best_key, _)| key < best_key) && filter(self.counts(i)) {
+                best = Some((key, i));
+            }
+        }
+        best.map(|(_, i)| i)
+    }
+
+    /// The cheapest entry passing `filter` whose upper bound covers
+    /// `required` QPS; ties go to the higher bound, then to the earlier
+    /// entry in ranked order.
+    ///
+    /// Scanning in enumeration order and replacing the incumbent only on a
+    /// strict improvement keeps the first minimum, which is also the first
+    /// in ranked order: entries equal on both cost and bound share one
+    /// ranking key, and ranked order among them is enumeration order.
+    ///
+    /// # Panics
+    /// Panics with "finite costs" when two covering entries pass and a cost
+    /// is NaN, as the same minimum over the ranked list does.
+    pub fn cheapest_covering(
+        &self,
+        required: f64,
+        filter: impl Fn(&[usize]) -> bool,
+    ) -> Option<usize> {
+        let mut best: Option<usize> = None;
+        for i in 0..self.len() {
+            if !(self.bounds[i] >= required && filter(self.counts(i))) {
+                continue;
+            }
+            let Some(b) = best else {
+                best = Some(i);
+                continue;
+            };
+            let order = self.costs[b]
+                .partial_cmp(&self.costs[i])
+                .expect("finite costs")
+                .then(
+                    self.bounds[i]
+                        .partial_cmp(&self.bounds[b])
+                        .expect("finite bounds"),
+                );
+            if order == std::cmp::Ordering::Greater {
+                best = Some(i);
+            }
+        }
+        best
+    }
+
+    /// The whole space ranked by bound (descending, ties in enumeration
+    /// order), each [`Config`] built once in ranked order.
+    pub fn ranked(self) -> Vec<(Config, f64)> {
+        let Self {
+            types,
+            counts,
+            bounds,
+            costs,
+            top,
+        } = self;
+        // Free what the ranking does not read before it allocates.
+        drop((costs, top));
+        ranked_order(&bounds)
+            .map(|i| {
+                (
+                    Config::new(counts[i * types..(i + 1) * types].to_vec()),
+                    bounds[i],
+                )
+            })
+            .collect()
+    }
+}
+
+/// The first `k` indices of [`ranked_order`]`(bounds)`, without sorting
+/// the whole list: a bounded insertion over the same compact
+/// `(key, index)` integers.
+fn top_ranked(bounds: &[f64], k: usize) -> Vec<usize> {
+    let mut top: Vec<u128> = Vec::with_capacity(k + 1);
+    for (i, &bound) in bounds.iter().enumerate() {
+        let key = (u128::from(descending_key(bound)) << 64) | i as u128;
+        if top.len() == k && top.last().is_some_and(|&last| key > last) {
+            continue;
+        }
+        let at = top.partition_point(|&kept| kept < key);
+        top.insert(at, key);
+        top.truncate(k);
+    }
+    top.into_iter().map(|key| key as u64 as usize).collect()
 }
 
 /// The indices of `bounds` by bound descending, then index ascending: the
@@ -731,6 +960,38 @@ mod tests {
         let mut stable: Vec<usize> = (0..bounds.len()).collect();
         stable.sort_by(|&a, &b| bounds[b].partial_cmp(&bounds[a]).expect("no NaN here"));
         assert_eq!(ranked_order(&bounds).collect::<Vec<_>>(), stable);
+    }
+
+    #[test]
+    fn top_ranked_is_the_prefix_of_ranked_order() {
+        let bounds = [
+            0.0,
+            -0.0,
+            f64::INFINITY,
+            3.5,
+            -2.0,
+            f64::NEG_INFINITY,
+            0.0,
+            3.5,
+            -0.0,
+            f64::MIN_POSITIVE,
+            -f64::MIN_POSITIVE,
+            f64::INFINITY,
+        ];
+        let ranked: Vec<usize> = ranked_order(&bounds).collect();
+        for k in 0..=bounds.len() + 1 {
+            assert_eq!(
+                top_ranked(&bounds, k),
+                ranked[..k.min(bounds.len())],
+                "k = {k}"
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "finite bounds")]
+    fn scored_space_rejects_nan() {
+        let _ = ScoredSpace::new(1, vec![1, 2], vec![1.0, f64::NAN], vec![1.0, 2.0]);
     }
 
     #[test]

@@ -31,7 +31,6 @@
 
 use crate::controller::KairosController;
 use crate::planner::PlanCache;
-use crate::serving::cheapest_covering;
 use crate::ThroughputEstimator;
 use kairos_models::{
     latency::{LatencyProfile, LatencyTable},
@@ -233,7 +232,7 @@ impl VariantPlanner {
         let mut merged: Vec<VariantChoice> = Vec::new();
         for &i in &admissible {
             let lane = &self.lanes[i];
-            let ranked = self.rank_lane(lane, batch_sample, &options);
+            let ranked = self.estimator(lane, batch_sample).rank_affordable(&options);
             assert!(
                 !ranked.is_empty(),
                 "budget {budget_per_hour} cannot afford any configuration with a base instance"
@@ -261,16 +260,9 @@ impl VariantPlanner {
         merged
     }
 
-    /// One lane's ranking of the affordable space under its own latency
-    /// table.
-    fn rank_lane(
-        &self,
-        lane: &VariantLane,
-        batch_sample: &[u32],
-        options: &EnumerationOptions,
-    ) -> Vec<(Config, f64)> {
+    /// One lane's estimator: the bound under the lane's own latency table.
+    fn estimator(&self, lane: &VariantLane, batch_sample: &[u32]) -> ThroughputEstimator {
         ThroughputEstimator::from_sample(self.pool.clone(), self.model, &lane.priors, batch_sample)
-            .rank_affordable(options)
     }
 
     /// The accuracy-aware analogue of the serving loop's demand planner:
@@ -295,15 +287,17 @@ impl VariantPlanner {
         let mut best: Option<VariantChoice> = None;
         for &i in &admissible {
             let lane = &self.lanes[i];
-            let ranked = self.rank_lane(lane, batch_sample, &options);
-            let choice = |(config, ub): &(Config, f64)| VariantChoice {
+            let space = self
+                .estimator(lane, batch_sample)
+                .score_affordable(&options);
+            let choice = |entry: usize| VariantChoice {
                 lane: i,
                 variant: lane.variant.name.clone(),
                 accuracy: lane.variant.accuracy,
-                config: config.clone(),
-                upper_bound: *ub,
+                config: space.config(entry),
+                upper_bound: space.bound(entry),
             };
-            if let Some(found) = cheapest_covering(&self.pool, &ranked, required) {
+            if let Some(found) = space.cheapest_covering(required, |_| true) {
                 let found = choice(found);
                 // Lanes iterate accuracy-descending: the first covering
                 // lane is the most accurate one.
@@ -313,7 +307,7 @@ impl VariantPlanner {
                 {
                     best = Some(found);
                 }
-            } else if let Some(top) = ranked.first() {
+            } else if let Some(&top) = space.top().first() {
                 let top = choice(top);
                 if fallback
                     .as_ref()
@@ -416,7 +410,7 @@ impl VariantRuntime {
     }
 
     /// Picks the lane the loop should serve on for the coming interval:
-    /// the highest-accuracy admissible lane whose ranked plan covers
+    /// the highest-accuracy admissible lane whose scored plan covers
     /// `demand_qps × headroom` within the budget, else the admissible lane
     /// with the largest achievable bound (downgrade-under-pressure; the
     /// same rule re-promotes automatically once demand recedes).  The live
@@ -454,7 +448,7 @@ impl VariantRuntime {
             let Some(plan) = self.caches[i].plan(view, budget_per_hour) else {
                 continue;
             };
-            let best_ub = plan.ranked.first().map(|(_, ub)| *ub).unwrap_or(0.0);
+            let best_ub = plan.space.best_bound();
             if best_ub >= required {
                 // Lanes are accuracy-descending: first cover wins.
                 return i;
