@@ -12,10 +12,6 @@
 //!
 //! * [`JonkerVolgenantSolver`] — the production solver (shortest augmenting
 //!   paths, the algorithm named in the paper), exact and `O(r^2 c)`.
-//! * [`HungarianSolver`] — classic Kuhn–Munkres `O(n^3)` solver, used as a
-//!   cross-check and ablation baseline.
-//! * [`AuctionSolver`] — Bertsekas auction algorithm with ε-scaling, a second
-//!   ablation point.
 //! * [`GreedySolver`] — non-optimal cheapest-edge heuristic, the "naive"
 //!   strawman of Fig. 5.
 //! * [`BruteForceSolver`] — exhaustive reference for tests.
@@ -39,18 +35,14 @@
 
 #![warn(missing_docs)]
 
-pub mod auction;
 pub mod brute;
 pub mod greedy;
-pub mod hungarian;
 pub mod jv;
 pub mod matrix;
 pub mod solution;
 
-pub use auction::AuctionSolver;
 pub use brute::BruteForceSolver;
 pub use greedy::GreedySolver;
-pub use hungarian::HungarianSolver;
 pub use jv::JonkerVolgenantSolver;
 pub use matrix::{CostMatrix, MatrixError};
 pub use solution::{Assignment, AssignmentError, AssignmentSolver};
@@ -77,21 +69,10 @@ mod tests {
     fn all_solvers_report_names() {
         let solvers: Vec<Box<dyn AssignmentSolver>> = vec![
             Box::new(JonkerVolgenantSolver::new()),
-            Box::new(HungarianSolver::new()),
-            Box::new(AuctionSolver::new()),
             Box::new(GreedySolver::new()),
             Box::new(BruteForceSolver::new()),
         ];
         let names: Vec<_> = solvers.iter().map(|s| s.name()).collect();
-        assert_eq!(
-            names,
-            vec![
-                "jonker-volgenant",
-                "hungarian",
-                "auction",
-                "greedy",
-                "brute-force"
-            ]
-        );
+        assert_eq!(names, vec!["jonker-volgenant", "greedy", "brute-force"]);
     }
 }

@@ -178,24 +178,6 @@ impl CostMatrix {
     pub fn max_entry(&self) -> f64 {
         self.data.iter().copied().fold(f64::NEG_INFINITY, f64::max)
     }
-
-    /// Pads the matrix into a `size x size` square by appending rows/columns
-    /// filled with `fill`.  Used by solvers that only operate on square
-    /// matrices (e.g. the Hungarian implementation).
-    pub fn padded_square(&self, fill: f64) -> CostMatrix {
-        let size = self.rows.max(self.cols);
-        let mut data = vec![fill; size * size];
-        for r in 0..self.rows {
-            for c in 0..self.cols {
-                data[r * size + c] = self.data[r * self.cols + c];
-            }
-        }
-        CostMatrix {
-            rows: size,
-            cols: size,
-            data,
-        }
-    }
 }
 
 impl fmt::Debug for CostMatrix {
@@ -284,17 +266,6 @@ mod tests {
         let m = CostMatrix::from_vec(2, 2, vec![4.0, -1.0, 7.5, 0.0]).unwrap();
         assert_eq!(m.min_entry(), -1.0);
         assert_eq!(m.max_entry(), 7.5);
-    }
-
-    #[test]
-    fn padded_square_keeps_original_entries() {
-        let m = CostMatrix::from_vec(2, 3, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]).unwrap();
-        let p = m.padded_square(0.0);
-        assert_eq!(p.rows(), 3);
-        assert_eq!(p.cols(), 3);
-        assert_eq!(p.get(0, 2), 3.0);
-        assert_eq!(p.get(2, 0), 0.0);
-        assert_eq!(p.get(2, 2), 0.0);
     }
 
     #[test]

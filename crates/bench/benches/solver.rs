@@ -3,14 +3,11 @@
 //! Reproduces the implementation claim of paper Sec. 6: solving a
 //! 20-query x 20-instance matching (algorithm runtime alone) takes well under
 //! 0.05 ms, so the central controller never becomes the bottleneck.  Also
-//! compares the Jonker–Volgenant solver against the Hungarian, auction and
-//! greedy ablations across matrix sizes.
+//! compares the Jonker–Volgenant solver against the greedy strawman across
+//! matrix sizes.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use kairos_assignment::{
-    auction::solve_auction, greedy::solve_greedy, hungarian::solve_hungarian, jv::solve_jv,
-    CostMatrix,
-};
+use kairos_assignment::{greedy::solve_greedy, jv::solve_jv, CostMatrix};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::hint::black_box;
@@ -36,17 +33,9 @@ fn bench_solver_scaling(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("jonker_volgenant", size), &m, |b, m| {
             b.iter(|| solve_jv(black_box(m)).unwrap())
         });
-        group.bench_with_input(BenchmarkId::new("hungarian", size), &m, |b, m| {
-            b.iter(|| solve_hungarian(black_box(m)).unwrap())
-        });
         group.bench_with_input(BenchmarkId::new("greedy", size), &m, |b, m| {
             b.iter(|| solve_greedy(black_box(m)).unwrap())
         });
-        if size <= 50 {
-            group.bench_with_input(BenchmarkId::new("auction", size), &m, |b, m| {
-                b.iter(|| solve_auction(black_box(m), 1e-6, 5.0).unwrap())
-            });
-        }
     }
     group.finish();
 }

@@ -25,9 +25,10 @@
 //!    and steers the cluster to the new plan through graceful add/retire
 //!    actions (the Fig. 12 adaptation story, end to end).
 //! 6. **Multi-model serving** ([`service::InferenceService`]) — the
-//!    model-less facade: N per-model serving loops behind one model-tagged
-//!    query API, sharing a single hourly budget by demand-weighted
-//!    water-filling, each replanning on its own knowledge signature.
+//!    model-less facade: N per-model lanes behind one model-tagged query
+//!    API, sharing a single hourly budget by demand-weighted water-filling,
+//!    each replanning on its own knowledge signature.  Both entry points
+//!    drive the same control loop; only their replan cadence rule differs.
 //! 7. **Serverless lane** ([`serverless::ServerlessRuntime`]) — scale-to-zero
 //!    for the sparse model tail: lanes planned below a QPS threshold drop
 //!    their always-on budget floor, receive one parkable base-instance
@@ -55,6 +56,7 @@
 #![warn(missing_docs)]
 
 pub mod coefficient;
+mod control_loop;
 pub mod controller;
 pub mod distribution;
 pub mod kairos_plus;

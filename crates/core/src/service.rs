@@ -36,27 +36,29 @@
 //! * **Scheduling** ([`MultiScheduler`]) — queries are partitioned by model
 //!   each round and matched by per-model Kairos min-cost matchings against
 //!   the instances bound to that model; the engine enforces the binding.
+//!
+//! [`InferenceService::run`] drives the same serving control loop as
+//! [`ServingSystem::run`], over N lanes instead of one, under one shared
+//! cadence clock.
 
+use crate::control_loop::{serve, Cadence, Fleet};
 use crate::distribution::KairosScheduler;
 use crate::serverless::ServerlessRuntime;
-use crate::serving::ServingOutcome;
 use crate::serving::{
-    estimate_rate_qps, reconcile_model, MarketState, ReconfigEvent, ReplanTrigger, ServingOptions,
-    ServingSystem, VariantSwitch,
+    MarketState, ReconfigEvent, ServingOptions, ServingOutcome, ServingSystem, VariantSwitch,
 };
 use kairos_models::{
     latency::LatencyTable, mlmodel::ModelKind, Config, Market, OfferingCatalog, PoolSpec,
     VariantCatalog,
 };
 use kairos_sim::{
-    ClusterSpec, Dispatch, EngineEvent, InstanceView, ModelReport, Scheduler, SchedulingContext,
-    ServiceSpec, SimEngine, SimReport, SimulationOptions,
+    ClusterSpec, Dispatch, InstanceView, ModelReport, Scheduler, SchedulingContext, ServiceSpec,
+    SimReport,
 };
-use kairos_workload::{MixSpec, ModelId, Query, TimeUs, Trace};
+use kairos_workload::{MixSpec, ModelId, Query, Trace};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rayon::prelude::*;
-use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// A query-distribution policy for multi-model clusters: one Kairos
@@ -162,16 +164,6 @@ impl Scheduler for MultiScheduler {
     }
 }
 
-/// One model's lane inside the facade: its engine room plus the loop state
-/// the facade tracks for it.
-struct ModelLane {
-    kind: ModelKind,
-    system: ServingSystem,
-    arrivals: VecDeque<TimeUs>,
-    planned_rate: Option<f64>,
-    last_replan_us: TimeUs,
-}
-
 /// Result of one multi-model serving run.
 #[derive(Debug, Clone)]
 pub struct MultiServingOutcome {
@@ -203,8 +195,11 @@ impl MultiServingOutcome {
 /// The multi-model serving facade: N per-model [`ServingSystem`] engine
 /// rooms behind one model-tagged query API and one shared hourly budget.
 pub struct InferenceService {
-    pool: PoolSpec,
-    lanes: Vec<ModelLane>,
+    /// One engine room per served model, indexed by [`ModelId`].
+    lanes: Vec<ServingSystem>,
+    /// Each lane's drift baseline: the demand its deployment was last
+    /// planned for (`None` before the first plan).
+    planned: Vec<Option<f64>>,
     options: ServingOptions,
     /// The attached cloud market, if any — shared across lanes (one market,
     /// one cooldown book; each lane replans over the same refreshed pool).
@@ -245,17 +240,11 @@ impl InferenceService {
         );
         let lanes = models
             .iter()
-            .map(|&kind| ModelLane {
-                kind,
-                system: ServingSystem::new(pool.clone(), kind, priors.clone(), options),
-                arrivals: VecDeque::with_capacity(options.rate_window),
-                planned_rate: None,
-                last_replan_us: 0,
-            })
+            .map(|&kind| ServingSystem::new(pool.clone(), kind, priors.clone(), options))
             .collect();
         Self {
-            pool,
             lanes,
+            planned: vec![None; models.len()],
             options,
             market: None,
             serverless: None,
@@ -293,7 +282,7 @@ impl InferenceService {
     #[must_use]
     pub fn with_variants(mut self, catalog: &VariantCatalog, base: &LatencyTable) -> Self {
         for lane in &mut self.lanes {
-            lane.system.attach_variants(catalog, base);
+            lane.attach_variants(catalog, base);
         }
         self
     }
@@ -325,36 +314,37 @@ impl InferenceService {
 
     /// The served models, indexed by [`ModelId`].
     pub fn models(&self) -> Vec<ModelKind> {
-        self.lanes.iter().map(|l| l.kind).collect()
+        self.lanes.iter().map(|l| l.controller().model()).collect()
     }
 
     /// The [`ModelId`] a model kind is served under, if any.
     pub fn model_id(&self, kind: ModelKind) -> Option<ModelId> {
         self.lanes
             .iter()
-            .position(|l| l.kind == kind)
+            .position(|l| l.controller().model() == kind)
             .map(ModelId::new)
     }
 
     /// A model's per-lane engine room (controller, plan cache, demand
     /// planner).
     pub fn lane(&self, model: ModelId) -> &ServingSystem {
-        &self.lanes[model.index()].system
+        &self.lanes[model.index()]
     }
 
     /// Mutable access to a model's engine room, e.g. to feed observations
     /// before the first run.
     pub fn lane_mut(&mut self, model: ModelId) -> &mut ServingSystem {
-        &mut self.lanes[model.index()].system
+        &mut self.lanes[model.index()]
     }
 
     /// The ground-truth service specifications of the served models, in
     /// [`ModelId`] order — the table handed to
-    /// [`SimEngine::new_multi`] by [`Self::run`].
+    /// [`SimEngine::new_multi`](kairos_sim::SimEngine::new_multi) by
+    /// [`Self::run`].
     pub fn service_specs(&self, latency: &LatencyTable) -> Vec<ServiceSpec> {
         self.lanes
             .iter()
-            .map(|l| ServiceSpec::new(l.kind, latency.clone()))
+            .map(|l| ServiceSpec::new(l.controller().model(), latency.clone()))
             .collect()
     }
 
@@ -366,50 +356,8 @@ impl InferenceService {
         for _ in 0..n {
             let (model, batch) = mix.sample(&mut rng);
             if let Some(lane) = self.lanes.get_mut(model.index()) {
-                lane.system.controller_mut().observe_query(batch);
+                lane.controller_mut().observe_query(batch);
             }
-        }
-    }
-
-    /// Converts per-model arrival rates into *capacity* weights: offered
-    /// QPS × the learned per-query service time on the pool's base type at
-    /// the lane's observed mean batch size — i.e. how many base-instance
-    /// seconds per second the model actually consumes.  Raw QPS would
-    /// starve slow models (an RM2 query costs ~100× an NCF query); capacity
-    /// weighting is what makes the budget split meaningful across QoS
-    /// classes.  Lanes without latency knowledge fall back to raw QPS.
-    fn capacity_weights(&self, demands: &[f64]) -> Vec<f64> {
-        let base_name = &self.pool.types()[self.pool.base_index()].name;
-        self.lanes
-            .iter()
-            .zip(demands)
-            .map(|(lane, &demand)| {
-                let controller = lane.system.controller();
-                let per_query_s = controller
-                    .learned_table()
-                    .and_then(|t| t.get(lane.kind, base_name))
-                    .map(|profile| {
-                        let batch = controller.monitor().mean().unwrap_or(1.0);
-                        profile.latency_ms(batch.round().max(1.0) as u32) / 1000.0
-                    })
-                    .unwrap_or(1.0);
-                demand.max(0.0) * per_query_s
-            })
-            .collect()
-    }
-
-    /// Per-lane budget floors for the given demands: one base instance per
-    /// lane, except lanes a [`ServerlessRuntime`] classifies as sparse —
-    /// those scale to zero (their parked container bills nothing, so the
-    /// split owes them nothing up front).
-    fn lane_floors(&self, demands: &[f64]) -> Vec<f64> {
-        let base_floor = self.pool.price(self.pool.base_index());
-        match &self.serverless {
-            Some(rt) => demands
-                .iter()
-                .map(|&d| if rt.is_sparse(d) { 0.0 } else { base_floor })
-                .collect(),
-            None => vec![base_floor; self.lanes.len()],
         }
     }
 
@@ -421,7 +369,8 @@ impl InferenceService {
     /// base-type service time, so slow models are not starved), iteratively
     /// pinning to its floor any model whose proportional share would fall
     /// below it (its freed share re-floods the rest).  Zero total demand
-    /// splits the spare evenly.
+    /// splits the spare evenly, and a single-model service keeps the whole
+    /// budget.
     ///
     /// The pinning loop keeps the still-flexible lanes in one in-place list
     /// (pinned lanes are swap-removed as they pin), so a pass over a
@@ -432,47 +381,12 @@ impl InferenceService {
     /// Panics if `demands` does not have one entry per model.
     pub fn split_budget(&self, demands: &[f64]) -> Vec<f64> {
         assert_eq!(demands.len(), self.lanes.len(), "one demand per model");
-        let n = self.lanes.len();
-        let weights = self.capacity_weights(demands);
-        let floors = self.lane_floors(demands);
-        let budget = self.options.budget_per_hour;
-        let mut alloc = floors.clone();
-        let mut flex: Vec<usize> = (0..n).collect();
-        let mut pinned_total = 0.0;
-        loop {
-            if flex.is_empty() {
-                break;
-            }
-            let spare = budget - pinned_total;
-            let flex_weight: f64 = flex.iter().map(|&i| weights[i]).sum();
-            // Round-start snapshot of the flex count: every lane in this
-            // round shares against the same denominator even as pinned
-            // lanes are swap-removed mid-round.
-            let round_len = flex.len();
-            let mut changed = false;
-            let mut k = 0;
-            while k < flex.len() {
-                let i = flex[k];
-                let share = if flex_weight > 0.0 {
-                    weights[i] / flex_weight
-                } else {
-                    1.0 / round_len as f64
-                };
-                alloc[i] = spare * share;
-                if alloc[i] < floors[i] {
-                    alloc[i] = floors[i];
-                    pinned_total += floors[i];
-                    flex.swap_remove(k);
-                    changed = true;
-                } else {
-                    k += 1;
-                }
-            }
-            if !changed {
-                break;
-            }
-        }
-        alloc
+        split_budget(
+            &self.lanes,
+            self.serverless.as_ref(),
+            self.options.budget_per_hour,
+            demands,
+        )
     }
 
     /// Plans an initial per-model cluster spec for the given expected
@@ -493,25 +407,21 @@ impl InferenceService {
         let budgets = self.split_budget(demands);
         let policies = self.lane_policies(demands);
         let base_vessel = {
-            let mut counts = vec![0; self.pool.num_types()];
-            counts[self.pool.base_index()] = 1;
+            let pool = self.lanes[0].pool();
+            let mut counts = vec![0; pool.num_types()];
+            counts[pool.base_index()] = 1;
             Config::new(counts)
         };
         let mut configs = Vec::with_capacity(self.lanes.len());
-        for (lane, ((&budget, &demand), policy)) in self
-            .lanes
-            .iter_mut()
-            .zip(budgets.iter().zip(demands.iter()).zip(&policies))
-        {
-            lane.system
-                .controller_mut()
-                .set_serverless_policy(policy.clone());
-            configs.push(if policy.is_some() {
-                base_vessel.clone()
+        for (m, (lane, policy)) in self.lanes.iter_mut().zip(policies).enumerate() {
+            let always_on = policy.is_none();
+            lane.controller_mut().set_serverless_policy(policy);
+            configs.push(if always_on {
+                lane.plan_for_demand_with_budget(budgets[m], demands[m])?
             } else {
-                lane.system.plan_for_demand_with_budget(budget, demand)?
+                base_vessel.clone()
             });
-            lane.planned_rate = Some(demand);
+            self.planned[m] = Some(demands[m]);
         }
         Some(ClusterSpec::from_configs(configs))
     }
@@ -531,18 +441,20 @@ impl InferenceService {
         MultiScheduler::new(
             self.lanes
                 .iter()
-                .map(|l| l.system.controller().make_scheduler())
+                .map(|l| l.controller().make_scheduler())
                 .collect(),
         )
     }
 
     /// Runs the multi-model controller-in-the-loop simulation of `trace`
     /// (a [`ModelId`]-tagged query stream) on `services`, starting from
-    /// `initial`.  Every lane observes its own arrivals and completions and
-    /// replans on its own cadence/drift signals; on each replan the global
+    /// `initial`: the serving control loop with one lane per model.  Every
+    /// lane observes its own arrivals and completions and replans on the
+    /// shared cadence or on its own drift signal; on each replan the global
     /// budget is re-split across lanes by current demand and each due lane's
     /// sub-cluster is steered independently (graceful add/retire, exactly as
-    /// in single-model serving).
+    /// in single-model serving).  A lane's drift or market replan leaves the
+    /// shared cadence clock alone.
     ///
     /// # Panics
     /// Panics if `services` does not cover every lane (in [`ModelId`]
@@ -555,286 +467,47 @@ impl InferenceService {
         trace: &Trace,
     ) -> MultiServingOutcome {
         let n = self.lanes.len();
-        assert_eq!(services.len(), n, "one service spec per model");
-        for (i, (lane, service)) in self.lanes.iter().zip(services).enumerate() {
-            assert_eq!(
-                lane.kind, service.model.kind,
-                "service spec {i} does not match lane model"
-            );
-        }
+        self.check_services(services);
         if let Some(stray) = trace.queries.iter().find(|q| q.model.index() >= n) {
             panic!(
                 "trace query {} targets model {} but only {n} models are served",
                 stray.id, stray.model
             );
         }
-        // Keep an owned handle to the market oracle next to the scheduler so
-        // the engine's borrow of it outlives the loop.
-        let market_oracle: Option<Arc<dyn Market>> =
-            self.market.as_ref().map(|m| m.market().clone());
         let mut scheduler = self.make_scheduler();
         let service_refs: Vec<&ServiceSpec> = services.iter().collect();
-        let mut engine = SimEngine::new_multi(
-            &self.pool,
+        let fleet = Fleet {
+            options: self.options,
+            market: self.market.as_mut(),
+            faults: None,
+            serverless: self.serverless.as_ref(),
+            cadence: Cadence::SharedTick,
+        };
+        serve(
+            &mut self.lanes,
+            &mut self.planned,
+            fleet,
             initial,
             &service_refs,
             trace,
             &mut scheduler,
-            &SimulationOptions {
-                seed: self.options.seed,
-            },
+        )
+    }
+
+    /// Panics unless `services` holds one spec per lane, in [`ModelId`]
+    /// order.
+    fn check_services(&self, services: &[ServiceSpec]) {
+        assert_eq!(
+            services.len(),
+            self.lanes.len(),
+            "one service spec per model"
         );
-        if let Some(market) = market_oracle.as_deref() {
-            // Keep storms that land while the backlog drains in scope.
-            let horizon = trace
-                .duration_us()
-                .saturating_add(self.options.market_horizon_slack_us);
-            engine = engine.with_market_horizon(market, horizon);
-        }
-        // Serverless lanes park between requests: the engine-side policy
-        // vector is built from the demands this run was planned for and is
-        // fixed for the run (the container lifecycle is configured at engine
-        // construction).  Each lane's policy is mirrored into its controller
-        // so it joins the knowledge signature and retires stale cached plans.
-        let planned: Vec<f64> = self
-            .lanes
-            .iter()
-            .map(|l| l.planned_rate.unwrap_or(0.0))
-            .collect();
-        let lane_policies = self.lane_policies(&planned);
-        if let Some(rt) = &self.serverless {
-            engine = engine.with_serverless(rt.config_for(&planned));
-        }
-        for (lane, policy) in self.lanes.iter_mut().zip(&lane_policies) {
-            lane.system
-                .controller_mut()
-                .set_serverless_policy(policy.clone());
-        }
-        // Lanes left on a non-reference variant by a previous run must be
-        // re-applied to the fresh engine, whose specs are reference-grade.
-        for (m, lane) in self.lanes.iter().enumerate() {
-            if let Some((profiles, accuracy)) = lane.system.initial_variant_profiles() {
-                engine.set_model_profiles(ModelId::new(m), &profiles, accuracy);
-            }
-        }
-
-        let mut reconfigs: Vec<ReconfigEvent> = Vec::new();
-        let mut variant_switches: Vec<VariantSwitch> = Vec::new();
-        let mut replans = 0usize;
-        let mut next_cadence_us = self.options.replan_interval_us;
-        let mut last_budget_split = self.split_budget(&vec![0.0; n]);
-        // Drift reaction is capped at the demand-estimation horizon: a lane
-        // should not be forced to wait out a long cadence interval when its
-        // own traffic has demonstrably shifted.
-        let drift_cooldown_us =
-            (self.options.replan_interval_us / 2).min(self.options.rate_horizon_us);
-        let horizon_s = self.options.rate_horizon_us as f64 / 1e6;
-
-        while let Some(event) = engine.step_event() {
-            let now = engine.now();
-            match &event {
-                EngineEvent::Arrival { query } => {
-                    let lane = &mut self.lanes[query.model.index()];
-                    lane.system.controller_mut().observe_query(query.batch_size);
-                    if lane.arrivals.len() == self.options.rate_window {
-                        lane.arrivals.pop_front();
-                    }
-                    lane.arrivals.push_back(query.arrival_us);
-                }
-                EngineEvent::Completion { record, type_name } => {
-                    let service_ms = (record.completion_us - record.start_us) as f64 / 1000.0;
-                    self.lanes[record.model.index()]
-                        .system
-                        .controller_mut()
-                        .observe_completion(type_name, record.batch_size, service_ms);
-                }
-                EngineEvent::Completions {
-                    records, type_name, ..
-                } => {
-                    // A fused/shared invocation: route every member to its
-                    // own lane's latency observer.
-                    for record in records {
-                        let service_ms = (record.completion_us - record.start_us) as f64 / 1000.0;
-                        self.lanes[record.model.index()]
-                            .system
-                            .controller_mut()
-                            .observe_completion(type_name, record.batch_size, service_ms);
-                    }
-                }
-                EngineEvent::InstanceReady { .. } | EngineEvent::BatchFired { .. } => {}
-                EngineEvent::PriceStep { .. }
-                | EngineEvent::PreemptionNotice { .. }
-                | EngineEvent::InstancePreempted { .. } => {}
-                // Fault processes are a single-model ServingSystem feature
-                // for now; the multi-model facade never attaches one.
-                EngineEvent::ZoneOutage { .. }
-                | EngineEvent::ZoneRestored { .. }
-                | EngineEvent::CapacityShortage { .. }
-                | EngineEvent::StragglerOnset { .. } => {}
-                // Parks are billing bookkeeping inside the engine; the loop
-                // reacts to the wake (a plain dispatch), not the park.
-                EngineEvent::InstanceParked { .. } => {}
-            }
-            // A market move replans every lane that has a fresh demand
-            // estimate (prices shifted for all of them at once).
-            let market_replan = match &mut self.market {
-                Some(market) => market.on_event(&event, now),
-                None => false,
-            };
-
-            // Per-lane demand: the lane's offered arrival rate plus its
-            // share of the queued backlog drain term.  The aggregate backlog
-            // is O(1) from the engine; it is attributed to lanes by their
-            // share of recent arrivals (per-model backlog would need a queue
-            // scan per event).
-            let backlog = engine.queued_backlog() as f64;
-            let window_total: usize = self.lanes.iter().map(|l| l.arrivals.len()).sum();
-            let mut demands = vec![0.0f64; n];
-            // Whether lane m produced a *fresh* rate estimate this event.  A
-            // lane without one must not be replanned against demand 0 — that
-            // would scale it to the floor while its real traffic is merely
-            // unobservable right now — so it keeps its last planned rate as
-            // its weight in the budget split and is never marked due (the
-            // single-model loop's `let Some(demand) = rate else { continue }`
-            // guard, per lane).
-            let mut fresh = vec![false; n];
-            let mut any_rate = false;
-            for (m, lane) in self.lanes.iter_mut().enumerate() {
-                let share = if window_total > 0 {
-                    lane.arrivals.len() as f64 / window_total as f64
-                } else {
-                    1.0 / n as f64
-                };
-                let pressure = backlog * share / horizon_s;
-                if let Some(rate) =
-                    estimate_rate_qps(&mut lane.arrivals, now, self.options.rate_horizon_us)
-                {
-                    demands[m] = rate + pressure;
-                    fresh[m] = true;
-                    any_rate = true;
-                } else {
-                    demands[m] = lane.planned_rate.unwrap_or(0.0);
-                }
-            }
-
-            // A lane replans on the shared cadence or on its own drift
-            // signal; the budget split is recomputed from all lanes' current
-            // demands whenever anyone replans.
-            let cadence_due = now >= next_cadence_us;
-            if cadence_due {
-                next_cadence_us = now + self.options.replan_interval_us;
-            }
-            if !any_rate {
-                continue;
-            }
-            let mut due: Vec<(usize, ReplanTrigger)> = Vec::new();
-            for (m, lane) in self.lanes.iter().enumerate() {
-                // A serverless lane's capacity is its parked vessel; billing
-                // follows usage through parking, not through reconfiguration,
-                // so the lane never enters the reconcile loop.
-                if lane_policies[m].is_some() {
-                    continue;
-                }
-                if !fresh[m] || lane.arrivals.len() < 2 {
-                    continue;
-                }
-                if market_replan {
-                    due.push((m, ReplanTrigger::Market));
-                } else if cadence_due {
-                    due.push((m, ReplanTrigger::Cadence));
-                } else if let Some(planned) = lane.planned_rate {
-                    let drifted = (demands[m] - planned).abs() / planned.max(1e-9)
-                        > self.options.drift_threshold;
-                    if drifted && now >= lane.last_replan_us + drift_cooldown_us {
-                        due.push((m, ReplanTrigger::Drift));
-                    }
-                }
-            }
-            if due.is_empty() {
-                continue;
-            }
-            // Market-attached runs re-read live prices (and cooldown
-            // expiries) into every lane's planning pool before planning.
-            if let Some(market) = &self.market {
-                let pool = market.planning_pool(now);
-                for lane in &mut self.lanes {
-                    lane.system.set_planning_pool(pool.clone());
-                }
-                self.pool = pool;
-            }
-            let budgets = self.split_budget(&demands);
-            last_budget_split = budgets.clone();
-            for (m, trigger) in due {
-                let lane = &mut self.lanes[m];
-                lane.last_replan_us = now;
-                if lane.system.controller().observed_queries() < self.options.min_observations {
-                    continue;
-                }
-                let model = ModelId::new(m);
-                // The variant axis settles first: the lane's configuration
-                // plan below runs against the adopted lane's knowledge.
-                if let Some((from, to, profiles, accuracy)) =
-                    lane.system.switch_variant_if_needed(budgets[m], demands[m])
-                {
-                    engine.set_model_profiles(model, &profiles, accuracy);
-                    variant_switches.push(VariantSwitch {
-                        at_us: now,
-                        model,
-                        from,
-                        to,
-                        accuracy,
-                        trigger,
-                    });
-                }
-                let current = engine.cluster().active_config_for(model);
-                let Some(target) = lane
-                    .system
-                    .select_target_for(budgets[m], demands[m], &current)
-                else {
-                    continue;
-                };
-                replans += 1;
-                lane.planned_rate = Some(demands[m]);
-                let (added_types, retired_instances) =
-                    reconcile_model(&mut engine, model, &target, &self.options, None, false);
-                if !added_types.is_empty() || !retired_instances.is_empty() {
-                    reconfigs.push(ReconfigEvent {
-                        at_us: now,
-                        model,
-                        trigger,
-                        demand_qps: demands[m],
-                        target,
-                        added_types,
-                        retired_instances,
-                    });
-                }
-            }
-        }
-
-        let final_active = ClusterSpec::from_configs(
-            (0..n)
-                .map(|m| engine.cluster().active_config_for(ModelId::new(m)))
-                .collect(),
-        );
-        // Reset per-run market state (virtual-time cooldowns, penalty prices
-        // in the lanes' planning pools) so later planning calls see live
-        // catalog prices again.
-        if let Some(market) = &mut self.market {
-            market.reset();
-            let pool = market.catalog().effective_pool();
-            for lane in &mut self.lanes {
-                lane.system.set_planning_pool(pool.clone());
-            }
-            self.pool = pool;
-        }
-        MultiServingOutcome {
-            report: engine.report(),
-            initial: initial.clone(),
-            final_active,
-            reconfigs,
-            replans,
-            last_budget_split,
-            variant_switches,
+        for (i, (lane, service)) in self.lanes.iter().zip(services).enumerate() {
+            assert_eq!(
+                lane.controller().model(),
+                service.model.kind,
+                "service spec {i} does not match lane model"
+            );
         }
     }
 
@@ -876,13 +549,7 @@ impl InferenceService {
             "sharded serving does not support markets: price steps and preemptions are global \
              events that couple every lane; use InferenceService::run"
         );
-        assert_eq!(services.len(), n, "one service spec per model");
-        for (i, (lane, service)) in self.lanes.iter().zip(services).enumerate() {
-            assert_eq!(
-                lane.kind, service.model.kind,
-                "service spec {i} does not match lane model"
-            );
-        }
+        self.check_services(services);
         let subs = trace.split_by_model(n);
         let demands: Vec<f64> = subs.iter().map(|s| s.offered_qps()).collect();
         let budgets = self.split_budget(&demands);
@@ -911,7 +578,7 @@ impl InferenceService {
             .zip(subs)
             .zip(configs.iter().zip(services).zip(&budgets))
             .map(|((lane, sub), ((config, service), &budget))| LaneJob {
-                system: &mut lane.system,
+                system: lane,
                 service,
                 config: config.clone(),
                 budget,
@@ -1005,9 +672,95 @@ impl InferenceService {
     }
 }
 
+/// Demand-weighted water-filling of `budget` across `lanes` (see
+/// [`InferenceService::split_budget`]); a single lane owns the whole budget.
+pub(crate) fn split_budget(
+    lanes: &[ServingSystem],
+    serverless: Option<&ServerlessRuntime>,
+    budget: f64,
+    demands: &[f64],
+) -> Vec<f64> {
+    let n = lanes.len();
+    if n == 1 {
+        return vec![budget];
+    }
+    let pool = lanes[0].pool();
+    let base_name = &pool.types()[pool.base_index()].name;
+    // Capacity weights: offered QPS × the learned per-query service time on
+    // the pool's base type at the lane's observed mean batch size, i.e. how
+    // many base-instance seconds per second the model actually consumes.
+    // Raw QPS would starve slow models (an RM2 query costs ~100× an NCF
+    // query); lanes without latency knowledge fall back to raw QPS.
+    let weights: Vec<f64> = lanes
+        .iter()
+        .zip(demands)
+        .map(|(lane, &demand)| {
+            let controller = lane.controller();
+            let per_query_s = controller
+                .learned_table()
+                .and_then(|t| t.get(controller.model(), base_name))
+                .map(|profile| {
+                    let batch = controller.monitor().mean().unwrap_or(1.0);
+                    profile.latency_ms(batch.round().max(1.0) as u32) / 1000.0
+                })
+                .unwrap_or(1.0);
+            demand.max(0.0) * per_query_s
+        })
+        .collect();
+    // Floors: one base instance per lane, except lanes the serverless
+    // runtime classifies as sparse — their parked container bills nothing,
+    // so the split owes them nothing up front.
+    let base_floor = pool.price(pool.base_index());
+    let floors: Vec<f64> = demands
+        .iter()
+        .map(|&d| match serverless {
+            Some(rt) if rt.is_sparse(d) => 0.0,
+            _ => base_floor,
+        })
+        .collect();
+    let mut alloc = floors.clone();
+    let mut flex: Vec<usize> = (0..n).collect();
+    let mut pinned_total = 0.0;
+    loop {
+        if flex.is_empty() {
+            break;
+        }
+        let spare = budget - pinned_total;
+        let flex_weight: f64 = flex.iter().map(|&i| weights[i]).sum();
+        // Round-start snapshot of the flex count: every lane in this round
+        // shares against the same denominator even as pinned lanes are
+        // swap-removed mid-round.
+        let round_len = flex.len();
+        let mut changed = false;
+        let mut k = 0;
+        while k < flex.len() {
+            let i = flex[k];
+            let share = if flex_weight > 0.0 {
+                weights[i] / flex_weight
+            } else {
+                1.0 / round_len as f64
+            };
+            alloc[i] = spare * share;
+            if alloc[i] < floors[i] {
+                alloc[i] = floors[i];
+                pinned_total += floors[i];
+                flex.swap_remove(k);
+                changed = true;
+            } else {
+                k += 1;
+            }
+        }
+        if !changed {
+            break;
+        }
+    }
+    alloc
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::serving::ReplanTrigger;
     use kairos_models::{calibration::paper_calibration, ec2};
     use kairos_workload::{ArrivalProcess, BatchSizeDistribution, MixedTraceSpec};
 
@@ -1135,6 +888,74 @@ mod tests {
             spec_models,
             vec![ModelId::new(0), ModelId::new(1), ModelId::new(2)]
         );
+    }
+
+    #[test]
+    fn a_second_run_starts_from_fresh_loop_state() {
+        let mut s = service(
+            ServingOptions::default()
+                .budget(6.0)
+                .replan_every(500_000)
+                .provisioning_delay(200_000),
+        );
+        s.warm_monitors(&mix(), 3000, 7);
+        let spec = s.plan_initial(&[60.0, 45.0, 45.0]).unwrap();
+        let services = s.service_specs(&paper_calibration());
+        let trace = MixedTraceSpec {
+            arrival: ArrivalProcess::Poisson { rate_qps: 150.0 },
+            mix: mix(),
+            duration_s: 4.0,
+            seed: 31,
+        }
+        .generate();
+        s.run(&spec, &services, &trace);
+        // The second run's virtual clock restarts at zero: arrival windows
+        // and cooldown stamps left by the first run must not feed its demand
+        // estimates.
+        let again = s.run(&spec, &services, &trace);
+        let offered_qps = trace.offered_qps();
+        for r in &again.reconfigs {
+            assert!(
+                r.demand_qps <= 10.0 * offered_qps,
+                "second run planned lane {} for {} QPS (offered {offered_qps})",
+                r.model,
+                r.demand_qps
+            );
+        }
+        assert_eq!(
+            again.report.completed() + again.report.unfinished.len(),
+            trace.len()
+        );
+    }
+
+    #[test]
+    fn batching_reaches_the_multi_model_engine() {
+        let mut s = service(
+            ServingOptions::default()
+                .budget(6.0)
+                .replan_every(500_000)
+                .batching(256, 2_000),
+        );
+        s.warm_monitors(&mix(), 3000, 7);
+        let spec = s.plan_initial(&[60.0, 45.0, 45.0]).unwrap();
+        let services = s.service_specs(&paper_calibration());
+        let trace = MixedTraceSpec {
+            arrival: ArrivalProcess::Poisson { rate_qps: 150.0 },
+            mix: mix(),
+            duration_s: 4.0,
+            seed: 31,
+        }
+        .generate();
+        let outcome = s.run(&spec, &services, &trace);
+        assert!(
+            outcome.report.service.batches_fired > 0,
+            "the batching knob must reach the engine"
+        );
+        assert_eq!(
+            outcome.report.completed() + outcome.report.unfinished.len(),
+            outcome.report.offered
+        );
+        assert_eq!(outcome.report.offered, trace.len());
     }
 
     #[test]

@@ -1,28 +1,12 @@
 //! The online serving loop: [`KairosController`] in the loop of a live,
 //! reconfigurable cluster.
 //!
-//! The paper's headline online result (Fig. 12, Sec. 6) is Kairos reacting
-//! to a load change in "one shot": the monitor notices the new mix, the
-//! planner re-ranks the configuration space from current knowledge, and the
-//! system redeploys — no online exploration.  [`ServingSystem`] is that loop
-//! against the discrete-event engine:
-//!
-//! ```text
-//!        ┌──────────────────────────────────────────────────────┐
-//!        │                  ServingSystem::run                  │
-//!        │                                                      │
-//!  trace ──► SimEngine::step_event ──► EngineEvent              │
-//!        │        ▲                      │ Arrival → observe_query
-//!        │        │                      │ Completion → observe_completion
-//!        │        │                      ▼                      │
-//!        │        │               KairosController              │
-//!        │        │                      │ cadence or drift     │
-//!        │        │                      ▼                      │
-//!        │        │            plan_for_demand(rate)            │
-//!        │        │                      │ diff vs live cluster │
-//!        │        └── add_instance / retire_instance ◄──────────┘
-//!        └──────────────────────────────────────────────────────┘
-//! ```
+//! [`ServingSystem`] is one model's "engine room": its controller, plan
+//! cache, attached market, fault process and variant lanes.  Its
+//! [`run`](ServingSystem::run) drives the one serving control loop (see
+//! `control_loop.rs`) with itself as the only lane; the multi-model
+//! [`InferenceService`](crate::InferenceService) drives the same loop over
+//! N of them.
 //!
 //! Replanning is **demand-aware**: rather than always deploying the
 //! maximum-throughput configuration under the budget cap, the driver picks
@@ -32,6 +16,7 @@
 //! makes the loop elastic in both directions: it scales out on a rate spike
 //! and scales in — gracefully draining surplus instances — when load drops.
 
+use crate::control_loop::{serve, Cadence, Fleet};
 use crate::controller::KairosController;
 use crate::planner::{PlanCache, ScoredPlan};
 use crate::variants::{build_lanes, prune_dominated, VariantRuntime};
@@ -41,9 +26,7 @@ use kairos_models::{
     Config, FailureDomain, FaultEvent, FaultProcess, Market, OfferingCatalog, PoolSpec,
     VariantCatalog,
 };
-use kairos_sim::{
-    BatchingOptions, EngineEvent, ServiceSpec, SimEngine, SimReport, SimulationOptions,
-};
+use kairos_sim::{ClusterSpec, EngineEvent, ServiceSpec, SimEngine, SimReport};
 use kairos_workload::{BatchSizeDistribution, ModelId, TimeUs, Trace};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -453,6 +436,11 @@ impl PurchaseBackoff {
         }
     }
 
+    /// Number of offerings the book tracks.
+    pub(crate) fn num_types(&self) -> usize {
+        self.retry_at.len()
+    }
+
     /// Whether purchases of `type_index` are parked at `now`.
     pub fn blocked(&self, type_index: usize, now: TimeUs) -> bool {
         self.retry_at[type_index] > now
@@ -489,7 +477,7 @@ impl PurchaseBackoff {
     /// pool's base anchor keeps its price — every enumerable configuration
     /// carries a base instance, so pricing it out would leave the planner
     /// with nothing; purchases of it are still parked at reconcile time.
-    fn penalized_pool(&self, base: &PoolSpec, now: TimeUs) -> PoolSpec {
+    pub(crate) fn penalized_pool(&self, base: &PoolSpec, now: TimeUs) -> PoolSpec {
         PoolSpec::new(
             base.types()
                 .iter()
@@ -696,21 +684,16 @@ impl ServingSystem {
         &self.placements
     }
 
-    /// Re-reads live market prices (with cooldowns applied) into the
-    /// planning pool.  No-op without an attached market.
-    fn refresh_market_pool(&mut self, now: TimeUs) {
-        if let Some(market) = &self.market {
-            let pool = market.planning_pool(now);
-            self.controller.set_pool(pool.clone());
-            self.pool = pool;
-        }
-    }
-
-    /// Replaces the planning pool from the outside — the multi-model facade
-    /// uses this to push one shared market refresh into every lane.
+    /// Replaces the planning pool — how the serving loop pushes live market
+    /// prices and backoff penalties into every lane.
     pub(crate) fn set_planning_pool(&mut self, pool: PoolSpec) {
         self.controller.set_pool(pool.clone());
         self.pool = pool;
+    }
+
+    /// The pool the planner currently enumerates.
+    pub(crate) fn pool(&self) -> &PoolSpec {
+        &self.pool
     }
 
     /// The plan cache: how many replans reused the previous scored space
@@ -784,354 +767,112 @@ impl ServingSystem {
 
     /// The next deployment target for this system's model given current
     /// knowledge, observed demand, an explicit budget cap, and the
-    /// sub-cluster deployed right now — the per-model "engine room" call a
-    /// multi-model facade drives after splitting its shared budget.  Applies
-    /// the scale-in hysteresis and goes through the plan cache (keyed on the
-    /// controller's knowledge signature *and* the budget), so a replan under
-    /// unchanged knowledge and unchanged budget split is near-free.
-    pub fn select_target_for(
+    /// sub-cluster deployed right now.  Applies the scale-in hysteresis
+    /// described on [`ServingOptions::shrink_factor`] and goes through the
+    /// plan cache (keyed on the controller's knowledge signature *and* the
+    /// budget), so a replan under unchanged knowledge and unchanged budget
+    /// split skips the enumeration walk, and every question asked of the
+    /// plan is one scan.  With `blocked` (the run's backoff book at its
+    /// current time), a target that grows a parked type is not realizable
+    /// and loses to one that is.
+    pub(crate) fn select_target(
         &mut self,
         budget_per_hour: f64,
         demand_qps: f64,
         current: &Config,
+        blocked: Option<(&PurchaseBackoff, TimeUs)>,
     ) -> Option<Config> {
-        select_target(
-            &mut self.plan_cache,
-            &self.controller,
-            &self.pool,
-            &self.options,
-            budget_per_hour,
-            demand_qps,
-            current,
-            (!self.placements.is_empty()).then_some(self.placements.as_slice()),
-            None,
-        )
-    }
-
-    /// Parks every offering the faulted `domain` covers until the fault
-    /// window active on it ends — purchases there are announced-doomed, so
-    /// probing them one rejection at a time would only waste replans.
-    fn park_domain(
-        &self,
-        backoff: Option<&mut PurchaseBackoff>,
-        domain: &FailureDomain,
-        now: TimeUs,
-    ) {
-        let (Some(backoff), Some(process)) = (backoff, self.faults.as_ref()) else {
-            return;
-        };
-        let Some(end) = fault_window_end(process, domain, now) else {
-            return;
-        };
-        let global = FailureDomain::global();
-        for i in 0..self.pool.num_types() {
-            if domain.covers(self.placements.get(i).unwrap_or(&global)) {
-                backoff.park(i, end);
-            }
-        }
-    }
-
-    /// Releases the `domain`'s offerings when its fault lifts — unless
-    /// another window (say a shortage outlasting the outage) still covers
-    /// them, in which case the hold is extended to that window instead.
-    fn release_domain(
-        &self,
-        backoff: Option<&mut PurchaseBackoff>,
-        domain: &FailureDomain,
-        now: TimeUs,
-    ) {
-        let Some(backoff) = backoff else {
-            return;
-        };
-        let still_held = self
-            .faults
-            .as_ref()
-            .and_then(|p| fault_window_end(p, domain, now));
-        let global = FailureDomain::global();
-        for i in 0..self.pool.num_types() {
-            if domain.covers(self.placements.get(i).unwrap_or(&global)) {
-                match still_held {
-                    Some(end) => backoff.park(i, end),
-                    None => backoff.note_success(i),
-                }
-            }
-        }
+        let plan = self.plan_cache.plan(&self.controller, budget_per_hour)?;
+        let options = &self.options;
+        let pool = &self.pool;
+        let required = demand_qps * options.demand_headroom;
+        // Realizability first: during an announced fault window the parked
+        // offerings reject every purchase, so a target that *grows* a parked
+        // type is a phantom plan — reconcile would shed real capacity against
+        // replacements that can never land.  (The price penalty alone cannot
+        // express this for the base type, which stays unpenalized so the
+        // planner always has an affordable anchor.)
+        let realizable = blocked
+            .filter(|(backoff, now)| backoff.any_blocked(*now))
+            .map(|(backoff, now)| {
+                move |counts: &[usize]| purchasable(counts, current, pool, backoff, now)
+            });
+        // The spread constraint filters the scored space *after* the solver
+        // ran — planners stay domain-free and the per-offering domain table
+        // resolves each coordinate back to its zone here.  While a fault
+        // window actively blocks offerings, the spread *preference* is
+        // suspended: concentrating in the surviving domains is exactly what
+        // the moment calls for (the constraint would otherwise veto the
+        // failover), and the next fault replan after restore re-balances the
+        // fleet.
+        let domains = (!self.placements.is_empty()).then_some(self.placements.as_slice());
+        let spread = options.max_fraction_per_domain.zip(domains);
+        let (candidate, realized) = demand_candidate(
+            &plan,
+            required,
+            realizable.as_ref().map(|f| f as CountsFilter<'_>),
+            spread,
+        );
+        // Keep the deployment when it still (approximately) covers demand —
+        // the 0.8 slack absorbs upper-bound wobble as knowledge evolves — and
+        // is not substantially more expensive than the candidate.  A
+        // deployment that violates the spread constraint is never kept.
+        let keep = plan.space.bound_of(current) >= required * 0.8
+            && current.cost(pool) <= candidate.cost(pool) * options.shrink_factor
+            && (realized
+                || spread.is_none_or(|(fraction, table)| {
+                    within_spread(current.counts(), table, fraction)
+                }));
+        Some(if keep { current.clone() } else { candidate })
     }
 
     /// Runs the controller-in-the-loop simulation of `trace` on `service`,
-    /// starting from `initial`.  The scheduler is the controller's own
-    /// matching distributor; the cluster is reconfigured live as described in
-    /// the module docs.
+    /// starting from `initial`: the serving control loop with this system
+    /// as its only lane, distributing with the controller's own matching
+    /// scheduler and reconfiguring the cluster live.  Every trigger restarts
+    /// the replan cadence, even one that finds no fresh rate to plan with.
     pub fn run(
         &mut self,
         initial: &Config,
         service: &ServiceSpec,
         trace: &Trace,
     ) -> ServingOutcome {
-        // The engine borrows the market for the whole run; keep our own Arc
-        // alive next to the scheduler so the borrow outlives the engine.
-        let market_oracle: Option<Arc<dyn Market>> =
-            self.market.as_ref().map(|m| m.market().clone());
         let mut scheduler = self.controller.make_scheduler();
-        let mut engine = SimEngine::new(
-            &self.pool,
-            initial,
-            service,
+        // This system is the loop's one lane; its fleet-wide attachments
+        // step out of it for the run so the loop can borrow both.
+        let mut market = self.market.take();
+        let faults = self.faults.take();
+        let fleet = Fleet {
+            options: self.options,
+            market: market.as_mut(),
+            faults: faults.as_ref(),
+            serverless: None,
+            cadence: Cadence::EveryTrigger,
+        };
+        let outcome = serve(
+            std::slice::from_mut(self),
+            &mut [None],
+            fleet,
+            &ClusterSpec::single(initial.clone()),
+            &[service],
             trace,
             &mut scheduler,
-            &SimulationOptions {
-                seed: self.options.seed,
-            },
         );
-        if let Some(market) = market_oracle.as_deref() {
-            // Events may land while the backlog drains past the last
-            // arrival; the slack keeps those storms in scope.
-            let horizon = trace
-                .duration_us()
-                .saturating_add(self.options.market_horizon_slack_us);
-            engine = engine.with_market_horizon(market, horizon);
-        }
-        if self.options.batch_max_size > 0 {
-            engine = engine.with_batching(BatchingOptions::new(
-                self.options.batch_max_size,
-                self.options.batch_timeout_us,
-            ));
-        }
-        if let Some(process) = &self.faults {
-            engine = engine.with_faults(process, &self.placements);
-        }
-        // A previous run may have left a non-reference variant live; the
-        // fresh engine starts from the reference service spec and must be
-        // brought up to date before the first event.
-        if let Some((profiles, accuracy)) = self.initial_variant_profiles() {
-            engine.set_model_profiles(ModelId::DEFAULT, &profiles, accuracy);
-        }
-
-        // Fault-resilient purchasing: the pristine planning pool (penalty
-        // prices are applied relative to it each replan and expire with the
-        // backoff) plus the per-offering backoff book.
-        let pristine_pool = self.pool.clone();
-        let mut backoff = self
-            .faults
-            .as_ref()
-            .map(|_| PurchaseBackoff::new(self.pool.num_types()));
-
-        let mut reconfigs: Vec<ReconfigEvent> = Vec::new();
-        let mut variant_switches: Vec<VariantSwitch> = Vec::new();
-        let mut replans = 0usize;
-        let mut arrival_times: VecDeque<TimeUs> = VecDeque::with_capacity(self.options.rate_window);
-        let mut next_cadence_us = self.options.replan_interval_us;
-        // Rate the current deployment was planned for (None before the first
-        // replan: the initial configuration is taken on faith).
-        let mut planned_rate: Option<f64> = None;
-        let drift_cooldown_us = self.options.replan_interval_us / 2;
-        let mut last_replan_us: TimeUs = 0;
-
-        while let Some(event) = engine.step_event() {
-            let now = engine.now();
-            match &event {
-                EngineEvent::Arrival { query } => {
-                    self.controller.observe_query(query.batch_size);
-                    if arrival_times.len() == self.options.rate_window {
-                        arrival_times.pop_front();
-                    }
-                    arrival_times.push_back(query.arrival_us);
-                }
-                EngineEvent::Completion { record, type_name } => {
-                    let service_ms = (record.completion_us - record.start_us) as f64 / 1000.0;
-                    self.controller
-                        .observe_completion(type_name, record.batch_size, service_ms);
-                }
-                EngineEvent::Completions {
-                    records, type_name, ..
-                } => {
-                    // A fused/shared invocation: every member is one
-                    // observed completion at its own batch size.
-                    for record in records {
-                        let service_ms = (record.completion_us - record.start_us) as f64 / 1000.0;
-                        self.controller.observe_completion(
-                            type_name,
-                            record.batch_size,
-                            service_ms,
-                        );
-                    }
-                }
-                EngineEvent::InstanceReady { .. } | EngineEvent::BatchFired { .. } => {}
-                EngineEvent::PriceStep { .. }
-                | EngineEvent::PreemptionNotice { .. }
-                | EngineEvent::InstancePreempted { .. } => {}
-                // Announced fault windows park the covered offerings up
-                // front: every purchase there is known-doomed until the
-                // window lifts, so the planner routes around the domain from
-                // the first fault replan instead of discovering the wall one
-                // rejection at a time.
-                EngineEvent::ZoneOutage { domain, .. } => {
-                    self.park_domain(backoff.as_mut(), domain, now);
-                }
-                EngineEvent::ZoneRestored { domain } => {
-                    self.release_domain(backoff.as_mut(), domain, now);
-                }
-                EngineEvent::CapacityShortage { domain, active } => {
-                    if *active {
-                        self.park_domain(backoff.as_mut(), domain, now);
-                    } else {
-                        self.release_domain(backoff.as_mut(), domain, now);
-                    }
-                }
-                EngineEvent::StragglerOnset { .. } => {}
-                // A park is pure billing bookkeeping; the single-model loop
-                // never enables the serverless lane, but the arm keeps the
-                // match exhaustive.
-                EngineEvent::InstanceParked { .. } => {}
-            }
-            // Correlated faults demand the fastest reaction: replan the
-            // moment an outage begins or lifts, a shortage toggles, or a
-            // straggler lands on a live instance.
-            let fault_replan = matches!(
-                &event,
-                EngineEvent::ZoneOutage { .. }
-                    | EngineEvent::ZoneRestored { .. }
-                    | EngineEvent::CapacityShortage { .. }
-                    | EngineEvent::StragglerOnset {
-                        victim: Some(_),
-                        ..
-                    }
-            );
-            // Market moves (price steps, preemption notices, kills) request
-            // an immediate replan and, for notices, start the offering's
-            // cooldown.
-            let market_replan = match &mut self.market {
-                Some(market) => market.on_event(&event, now),
-                None => false,
-            };
-
-            // Demand is the service rate the cluster must sustain: the
-            // offered arrival rate plus the rate needed to drain everything
-            // already in the system (centrally queued or sitting in local
-            // instance queues beyond the query in service) within one rate
-            // horizon.  The backlog term makes overload visible even when
-            // the arrival estimate lags a shift, and blocks scale-in while a
-            // backlog from a past spike is still draining.  The engine keeps
-            // this count incrementally, so reading it is O(1) per event.
-            let horizon_s = self.options.rate_horizon_us as f64 / 1e6;
-            let queue_pressure = engine.queued_backlog() as f64 / horizon_s;
-            let rate = estimate_rate_qps(&mut arrival_times, now, self.options.rate_horizon_us)
-                .map(|r| r + queue_pressure);
-            let trigger = if fault_replan {
-                Some(ReplanTrigger::Fault)
-            } else if market_replan {
-                Some(ReplanTrigger::Market)
-            } else if now >= next_cadence_us {
-                Some(ReplanTrigger::Cadence)
-            } else if let (Some(rate), Some(planned)) = (rate, planned_rate) {
-                let drifted =
-                    (rate - planned).abs() / planned.max(1e-9) > self.options.drift_threshold;
-                (drifted && now >= last_replan_us + drift_cooldown_us)
-                    .then_some(ReplanTrigger::Drift)
-            } else {
-                None
-            };
-
-            if let Some(trigger) = trigger {
-                next_cadence_us = now + self.options.replan_interval_us;
-                last_replan_us = now;
-                if self.controller.observed_queries() < self.options.min_observations {
-                    continue;
-                }
-                let Some(demand) = rate else { continue };
-                // Re-read live prices (and cooldown expiries) into the
-                // planning pool; price changes join the knowledge signature,
-                // so the plan cache invalidates exactly when they matter.
-                self.refresh_market_pool(now);
-                // Price parked offerings out on top, so the plan routes
-                // purchases around domains that just rejected them.
-                if let Some(backoff) = &backoff {
-                    let base = if self.market.is_some() {
-                        &self.pool
-                    } else {
-                        &pristine_pool
-                    };
-                    let pool = backoff.penalized_pool(base, now);
-                    self.controller.set_pool(pool.clone());
-                    self.pool = pool;
-                }
-                // The variant axis settles first: the configuration plan
-                // below runs against the (possibly just-adopted) lane's
-                // latency knowledge.
-                if let Some((from, to, profiles, accuracy)) =
-                    self.switch_variant_if_needed(self.options.budget_per_hour, demand)
-                {
-                    engine.set_model_profiles(ModelId::DEFAULT, &profiles, accuracy);
-                    variant_switches.push(VariantSwitch {
-                        at_us: now,
-                        model: ModelId::DEFAULT,
-                        from,
-                        to,
-                        accuracy,
-                        trigger,
-                    });
-                }
-                let current = engine.cluster().active_config();
-                let Some(target) = select_target(
-                    &mut self.plan_cache,
-                    &self.controller,
-                    &self.pool,
-                    &self.options,
-                    self.options.budget_per_hour,
-                    demand,
-                    &current,
-                    (!self.placements.is_empty()).then_some(self.placements.as_slice()),
-                    backoff.as_ref().map(|b| (b, now)),
-                ) else {
-                    continue;
-                };
-                replans += 1;
-                planned_rate = Some(demand);
-                let (added_types, retired_instances) = reconcile_model(
-                    &mut engine,
-                    ModelId::DEFAULT,
-                    &target,
-                    &self.options,
-                    backoff.as_mut(),
-                    trigger == ReplanTrigger::Fault,
-                );
-                if !added_types.is_empty() || !retired_instances.is_empty() {
-                    reconfigs.push(ReconfigEvent {
-                        at_us: now,
-                        model: ModelId::DEFAULT,
-                        trigger,
-                        demand_qps: demand,
-                        target,
-                        added_types,
-                        retired_instances,
-                    });
-                }
-            }
-        }
-
-        let final_active = engine.cluster().active_config();
-        // Leave the system ready for the next run: cooldowns are stamped in
-        // this run's virtual time, and the planning pool may still carry
-        // cooldown penalty prices from the last replan — both must not leak
-        // into later `plan_for_demand`/`run` calls.
-        if let Some(market) = &mut self.market {
-            market.reset();
-            let pool = market.catalog().effective_pool();
-            self.controller.set_pool(pool.clone());
-            self.pool = pool;
-        } else if backoff.is_some() {
-            // Backoff penalty prices are stamped in this run's virtual time
-            // and must not leak into the next run's fresh clock either.
-            self.controller.set_pool(pristine_pool.clone());
-            self.pool = pristine_pool;
-        }
+        self.market = market;
+        self.faults = faults;
         ServingOutcome {
-            report: engine.report(),
+            report: outcome.report,
             initial: initial.clone(),
-            final_active,
-            reconfigs,
-            replans,
-            variant_switches,
+            final_active: outcome
+                .final_active
+                .pools
+                .into_iter()
+                .next()
+                .expect("one lane")
+                .config,
+            reconfigs: outcome.reconfigs,
+            replans: outcome.replans,
+            variant_switches: outcome.variant_switches,
         }
     }
 }
@@ -1172,65 +913,6 @@ fn demand_candidate(
         .cheapest_covering(required, |_| true)
         .map_or_else(|| plan.chosen.clone(), |i| space.config(i));
     (unconstrained, false)
-}
-
-/// Picks the next deployment target given current knowledge, observed
-/// demand, a budget cap and the configuration deployed right now, applying
-/// the scale-in hysteresis described on [`ServingOptions::shrink_factor`].
-/// The scored plan comes through the [`PlanCache`], so back-to-back replans
-/// under materially unchanged knowledge and budget skip the enumeration
-/// walk, and every question asked of the plan is one scan.  (Free function
-/// over split borrows: the serving loop calls it while the engine borrows
-/// the pool.)
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn select_target(
-    plan_cache: &mut PlanCache,
-    controller: &KairosController,
-    pool: &PoolSpec,
-    options: &ServingOptions,
-    budget_per_hour: f64,
-    demand_qps: f64,
-    current: &Config,
-    domains: Option<&[FailureDomain]>,
-    blocked: Option<(&PurchaseBackoff, TimeUs)>,
-) -> Option<Config> {
-    let plan = plan_cache.plan(controller, budget_per_hour)?;
-    let required = demand_qps * options.demand_headroom;
-    // Realizability first: during an announced fault window the parked
-    // offerings reject every purchase, so a target that *grows* a parked
-    // type is a phantom plan — reconcile would shed real capacity against
-    // replacements that can never land.  (The price penalty alone cannot
-    // express this for the base type, which stays unpenalized so the
-    // planner always has an affordable anchor.)
-    let realizable = blocked
-        .filter(|(backoff, now)| backoff.any_blocked(*now))
-        .map(|(backoff, now)| {
-            move |counts: &[usize]| purchasable(counts, current, pool, backoff, now)
-        });
-    // The spread constraint filters the scored space *after* the solver ran
-    // — the PR 5 lowering keeps planners domain-free and the per-offering
-    // domain table resolves each coordinate back to its zone here.  While a
-    // fault window actively blocks offerings, the spread *preference* is
-    // suspended: concentrating in the surviving domains is exactly what the
-    // moment calls for (the constraint would otherwise veto the failover),
-    // and the next fault replan after restore re-balances the fleet.
-    let spread = options.max_fraction_per_domain.zip(domains);
-    let (candidate, realized) = demand_candidate(
-        &plan,
-        required,
-        realizable.as_ref().map(|f| f as CountsFilter<'_>),
-        spread,
-    );
-    // Keep the deployment when it still (approximately) covers demand —
-    // the 0.8 slack absorbs upper-bound wobble as knowledge evolves — and
-    // is not substantially more expensive than the candidate.  A deployment
-    // that violates the spread constraint is never kept.
-    let keep = plan.space.bound_of(current) >= required * 0.8
-        && current.cost(pool) <= candidate.cost(pool) * options.shrink_factor
-        && (realized
-            || spread
-                .is_none_or(|(fraction, table)| within_spread(current.counts(), table, fraction)));
-    Some(if keep { current.clone() } else { candidate })
 }
 
 /// Whether `target` can be realized right now: every type it grows beyond

@@ -7,7 +7,7 @@
 //! offering catalog lowers purchase options into a flat
 //! [`PoolSpec`]: every variant becomes a *lane*
 //! with its own concrete [`LatencyTable`], and the unchanged
-//! [`ThroughputEstimator`](crate::ThroughputEstimator) ranks configurations
+//! [`ThroughputEstimator`] ranks configurations
 //! per lane.  The variant axis is then just one more loop around the
 //! solver:
 //!
