@@ -192,8 +192,8 @@ impl ReactiveAutoscaler {
             if last_action_us.is_some_and(|t| now < t + opts.cooldown_us) {
                 continue;
             }
-            // Pressure signal: queries in the system (central + local) per
-            // active instance.  One fold, no per-event allocation.
+            // Pressure signal: queries in the system (central + held by
+            // instances) per active instance.  One fold, no per-event allocation.
             let mut active_count = 0usize;
             let mut in_system = engine.central_queue().len();
             let mut victim: Option<(usize, usize)> = None; // (backlog, index)
@@ -202,7 +202,7 @@ impl ReactiveAutoscaler {
                     continue;
                 }
                 active_count += 1;
-                let backlog = inst.backlog();
+                let backlog = engine.instance_backlog(inst.index);
                 in_system += backlog;
                 // Emptiest instance, ties to the newest.
                 if victim.is_none_or(|(b, i)| backlog < b || (backlog == b && inst.index > i)) {

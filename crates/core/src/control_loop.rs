@@ -278,18 +278,13 @@ pub(crate) fn serve(
                 }
                 arrivals[m].push_back(query.arrival_us);
             }
-            EngineEvent::Completion { record, type_name } => {
-                let service_ms = (record.completion_us - record.start_us) as f64 / 1000.0;
-                lanes[record.model.index()]
-                    .controller_mut()
-                    .observe_completion(type_name, record.batch_size, service_ms);
-            }
             EngineEvent::Completions {
                 records, type_name, ..
             } => {
-                // A fused/shared invocation: every member is one observed
-                // completion of its own lane at its own batch size.
-                for record in records {
+                // One invocation: every member (one under serial service,
+                // several for a fused batch) is one observed completion of
+                // its own lane at its own batch size.
+                for record in &engine.records()[records.clone()] {
                     let service_ms = (record.completion_us - record.start_us) as f64 / 1000.0;
                     lanes[record.model.index()]
                         .controller_mut()

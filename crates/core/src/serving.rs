@@ -79,8 +79,8 @@ pub struct ServingOptions {
     /// Service-noise seed passed to the engine.
     pub seed: u64,
     /// Dynamic batcher: maximum fused batch size per instance (summed over
-    /// member queries' batch sizes).  `0` disables batching and keeps the
-    /// engine on its legacy one-query-at-a-time service path.
+    /// member queries' batch sizes).  `0` disables batching: instances serve
+    /// one query at a time (the paper's serial service).
     pub batch_max_size: u32,
     /// Dynamic batcher: how long a forming batch waits for company before
     /// firing anyway (only meaningful when `batch_max_size > 0`).
@@ -1089,7 +1089,7 @@ pub(crate) fn reconcile_model(
                             && inst.type_index == type_index
                             && inst.accepts_dispatches()
                     })
-                    .map(|inst| (inst.backlog(), inst.index))
+                    .map(|inst| (engine.instance_backlog(inst.index), inst.index))
                     .collect();
                 // Shallowest backlog first; ties retire the newest instance.
                 surplus.sort_unstable_by(|a, b| a.0.cmp(&b.0).then(b.1.cmp(&a.1)));
@@ -1203,6 +1203,65 @@ mod tests {
             with.report.records.len() + with.report.unfinished.len(),
             with.report.offered
         );
+    }
+
+    /// Sends every query to the highest-indexed accepting instance.
+    struct LastInstance;
+
+    impl kairos_sim::Scheduler for LastInstance {
+        fn name(&self) -> &'static str {
+            "last-instance"
+        }
+
+        fn schedule(
+            &mut self,
+            ctx: &kairos_sim::SchedulingContext<'_>,
+        ) -> Vec<kairos_sim::Dispatch> {
+            let Some(last) = ctx.instances.iter().rposition(|v| v.accepting) else {
+                return Vec::new();
+            };
+            (0..ctx.queued.len())
+                .map(|query_index| kairos_sim::Dispatch {
+                    query_index,
+                    instance_index: last,
+                })
+                .collect()
+        }
+    }
+
+    #[test]
+    fn reconcile_retires_the_idle_instance_when_the_loaded_one_batches() {
+        // Two GPUs behind a batcher: the newer one holds a forming batch,
+        // the older one is idle.  Shrinking the type by one must retire the
+        // idle instance, not the loaded one.
+        let service = ServiceSpec::new(ModelKind::Rm2, paper_calibration());
+        let trace = Trace::from_queries(vec![kairos_workload::Query::new(0, 10, 1_000)]);
+        let mut scheduler = LastInstance;
+        let mut engine = SimEngine::new(
+            &pool(),
+            &Config::new(vec![2, 0, 0, 0]),
+            &service,
+            &trace,
+            &mut scheduler,
+            &kairos_sim::SimulationOptions::default(),
+        )
+        .with_batching(kairos_sim::BatchingOptions::new(256, 2_000));
+        assert!(engine.step());
+        let (added, retired) = reconcile_model(
+            &mut engine,
+            ModelId::DEFAULT,
+            &Config::new(vec![1, 0, 0, 0]),
+            &ServingOptions::default(),
+            None,
+            false,
+        );
+        assert!(added.is_empty());
+        assert_eq!(retired, vec![0], "the idle instance goes first");
+        assert!(engine.cluster().instances()[0].is_retired());
+        assert!(engine.cluster().instances()[1].accepts_dispatches());
+        let report = engine.run();
+        assert_eq!(report.completed(), 1);
+        assert_eq!(report.records[0].instance_index, 1);
     }
 
     #[test]

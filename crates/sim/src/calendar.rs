@@ -8,7 +8,7 @@
 //!
 //! 1. **Arrivals are known upfront and sorted** — the engine walks them with
 //!    a cursor and never materializes them as events (see `SimEngine`).
-//! 2. **Timed events are few**: at most one completion per serving instance
+//! 2. **Timed events are few**: at most one completion per busy instance
 //!    plus one `Ready` per in-flight provisioning action, so the pending set
 //!    is bounded by the cluster size, not the trace length.
 //!
@@ -36,8 +36,6 @@ use kairos_workload::TimeUs;
 /// deadline scheduled when a preemption notice lands.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum TimedKind {
-    /// A query finishes service on `instance_index`.
-    Completion,
     /// A provisioned instance (`instance_index`) comes online.
     Ready,
     /// A materialized market event; `instance_index` is the index into the
@@ -50,10 +48,11 @@ pub(crate) enum TimedKind {
     /// capacity-shortage boundary, straggler onset); `instance_index` is the
     /// index into the engine's fault-occurrence table, not an instance.
     Fault,
-    /// The frontmost fair-sharing completion of `instance_index`.
+    /// The frontmost invocation of `instance_index` finishes service.
     /// Re-schedulable: the engine re-derives it whenever the instance's
-    /// sharer count changes, so a popped event is only live when its
-    /// generation stamp matches the instance's current one (lazy deletion).
+    /// sharer count or rate changes (and a kill cancels it), so a popped
+    /// event is only live when its generation stamp matches the instance's
+    /// current one (lazy deletion).
     FlexCompletion,
     /// The dynamic batcher's forming-window timeout on `instance_index`.
     /// Generation-stamped like [`Self::FlexCompletion`]: firing the batch
@@ -262,7 +261,7 @@ mod tests {
             time,
             seq,
             instance_index: 0,
-            kind: TimedKind::Completion,
+            kind: TimedKind::FlexCompletion,
             gen: 0,
         }
     }

@@ -4,7 +4,9 @@
 //! [`PoolSpec`] into concrete simulated instances, and a [`ServiceSpec`]
 //! couples the served ML model with its ground-truth latency behaviour.
 //! Matching the paper's deployment model (Sec. 6), every instance hosts one
-//! model replica and serves exactly one query at a time.
+//! model replica.  The work an instance holds lives in the engine's service
+//! path ([`crate::flex`]), not here: the cluster tracks identity, placement
+//! and lifecycle.
 //!
 //! # Multi-model clusters
 //!
@@ -23,9 +25,9 @@
 //! The cluster is no longer fixed for the lifetime of a run: instances can be
 //! [added](Cluster::add_instance) (they come online after a provisioning
 //! delay) and [retired](Cluster::retire_instance).  Retirement is *graceful*:
-//! a draining instance finishes the query it is serving and everything
-//! already in its local queue, but accepts no new dispatches; once drained it
-//! transitions to [`InstanceLifecycle::Retired`] and stops costing money.
+//! a draining instance finishes everything already dispatched to it, but
+//! accepts no new dispatches; once drained it transitions to
+//! [`InstanceLifecycle::Retired`] and stops costing money.
 //! Indices are stable — retired instances stay in the instance vector so that
 //! completion records and scheduler views never dangle.
 
@@ -34,10 +36,9 @@ use kairos_models::{
     mlmodel::{spec, ModelKind, ModelSpec},
     Config, PoolSpec,
 };
-use kairos_workload::{ModelId, Query, TimeUs};
+use kairos_workload::{ModelId, TimeUs};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
-use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// The ML service being hosted: model identity plus ground-truth latency.
@@ -222,9 +223,9 @@ impl ClusterSpec {
 ///                   │ retire_instance         │ market preemption notice
 ///                   ▼                         ▼
 ///                Draining                 Preempting (forced drain until
-///      (finishes serving + local queue,    the notice deadline, no new
+///      (finishes its dispatched work,      the notice deadline, no new
 ///       no new work)                       work)
-///                   │ last local query        │ deadline: in-flight work
+///                   │ last held query         │ deadline: held work
 ///                   │ completes               │ requeued, instance killed
 ///                   ▼                         ▼
 ///                Retired                  Preempted
@@ -247,7 +248,7 @@ pub enum InstanceLifecycle {
     /// Accepting dispatches (possibly still provisioning; queued work waits
     /// until `available_from_us`).
     Active,
-    /// Retirement requested: drains its local queue, accepts nothing new.
+    /// Retirement requested: drains its dispatched work, accepts nothing new.
     Draining,
     /// Fully drained and removed from service.
     Retired,
@@ -282,27 +283,12 @@ pub struct SimInstance {
     /// Lifecycle state (see [`InstanceLifecycle`]).
     pub lifecycle: InstanceLifecycle,
     /// Virtual time from which the instance can start serving (provisioning
-    /// boundary; 0 for instances present since the start of the run).
+    /// or cold-start boundary; 0 for instances present since the start of
+    /// the run).
     pub available_from_us: TimeUs,
-    /// Query currently being served, with its service start time.
-    pub serving: Option<(Query, TimeUs)>,
-    /// Time at which the currently served query completes (meaningless when idle).
-    pub busy_until_us: TimeUs,
-    /// Queries dispatched to this instance but not yet started (local FIFO).
-    pub local_queue: VecDeque<Query>,
 }
 
 impl SimInstance {
-    /// Whether the instance is currently serving nothing and has no backlog.
-    pub fn is_idle(&self) -> bool {
-        self.serving.is_none() && self.local_queue.is_empty()
-    }
-
-    /// Number of queries at the instance (serving + locally queued).
-    pub fn backlog(&self) -> usize {
-        self.local_queue.len() + usize::from(self.serving.is_some())
-    }
-
     /// Whether the scheduler may dispatch new work to this instance.  Parked
     /// instances remain dispatchable: the engine wakes them with a cold
     /// start.
@@ -392,9 +378,6 @@ impl Cluster {
                         is_base: ty.is_base,
                         lifecycle: InstanceLifecycle::Active,
                         available_from_us: 0,
-                        serving: None,
-                        busy_until_us: 0,
-                        local_queue: VecDeque::new(),
                     });
                 }
             }
@@ -438,21 +421,19 @@ impl Cluster {
             is_base: ty.is_base,
             lifecycle: InstanceLifecycle::Active,
             available_from_us,
-            serving: None,
-            busy_until_us: 0,
-            local_queue: VecDeque::new(),
         });
         index
     }
 
     /// Requests graceful retirement of an instance: it stops accepting
-    /// dispatches immediately, finishes its local work, and transitions to
-    /// [`InstanceLifecycle::Retired`] once drained (immediately if idle).
-    /// Returns `true` if the instance is fully retired on return.
+    /// dispatches immediately, finishes the work it holds, and transitions
+    /// to [`InstanceLifecycle::Retired`] once drained — immediately if
+    /// `drained` (it holds no work; the engine knows).  Returns `true` if
+    /// the instance is fully retired on return.
     ///
     /// # Panics
     /// Panics if `index` is out of range.
-    pub fn retire_instance(&mut self, index: usize) -> bool {
+    pub fn retire_instance(&mut self, index: usize, drained: bool) -> bool {
         let inst = &mut self.instances[index];
         if inst.is_terminated() {
             return true;
@@ -461,7 +442,7 @@ impl Cluster {
             // Already racing its kill deadline; retirement is moot.
             return false;
         }
-        if inst.is_idle() {
+        if drained {
             inst.lifecycle = InstanceLifecycle::Retired;
             true
         } else {
@@ -470,12 +451,12 @@ impl Cluster {
         }
     }
 
-    /// Marks a draining instance as retired if it has fully drained.  Called
-    /// by the engine after every completion.  Returns `true` if the instance
-    /// transitioned to retired in this call.
+    /// Marks a draining instance as retired.  Called by the engine once a
+    /// completion leaves the instance holding no work.  Returns `true` if
+    /// the instance transitioned to retired in this call.
     pub(crate) fn settle_drained(&mut self, index: usize) -> bool {
         let inst = &mut self.instances[index];
-        if inst.lifecycle == InstanceLifecycle::Draining && inst.is_idle() {
+        if inst.lifecycle == InstanceLifecycle::Draining {
             inst.lifecycle = InstanceLifecycle::Retired;
             true
         } else {
@@ -599,7 +580,6 @@ mod tests {
         assert!(cluster.instances()[0].is_base);
         assert_eq!(&*cluster.instances()[2].type_name, "c5n.2xlarge");
         assert_eq!(&*cluster.instances()[5].type_name, "t3.xlarge");
-        assert!(cluster.instances().iter().all(|i| i.is_idle()));
         assert!(cluster.instances().iter().all(|i| i.accepts_dispatches()));
         assert!((cluster.hourly_cost() - (2.0 * 0.526 + 0.432 + 3.0 * 0.1664)).abs() < 1e-9);
     }
@@ -629,28 +609,25 @@ mod tests {
     #[test]
     fn idle_instance_retires_immediately_and_stops_billing() {
         let mut cluster = Cluster::new(pool(), Config::new(vec![2, 0, 0, 0]));
-        assert!(cluster.retire_instance(1));
+        assert!(cluster.retire_instance(1, true));
         assert!(cluster.instances()[1].is_retired());
         assert_eq!(cluster.active_counts(), vec![1, 0, 0, 0]);
         assert!((cluster.hourly_cost() - 0.526).abs() < 1e-9);
         // Retiring again is a no-op.
-        assert!(cluster.retire_instance(1));
+        assert!(cluster.retire_instance(1, false));
     }
 
     #[test]
     fn busy_instance_drains_before_retiring() {
         let mut cluster = Cluster::new(pool(), Config::new(vec![1, 0, 0, 0]));
-        cluster.instances_mut()[0].serving = Some((Query::new(0, 5, 0), 0));
-        assert!(!cluster.retire_instance(0));
+        assert!(!cluster.retire_instance(0, false));
         let inst = &cluster.instances()[0];
         assert_eq!(inst.lifecycle, InstanceLifecycle::Draining);
         assert!(!inst.accepts_dispatches());
         assert!(!inst.is_retired());
         // Still billed while draining.
         assert!((cluster.hourly_cost() - 0.526).abs() < 1e-9);
-        // Not drained yet: settle keeps it draining.
-        assert!(!cluster.settle_drained(0));
-        cluster.instances_mut()[0].serving = None;
+        // Drained: settling retires it.
         assert!(cluster.settle_drained(0));
         assert!(cluster.instances()[0].is_retired());
         assert_eq!(cluster.hourly_cost(), 0.0);
@@ -740,16 +717,5 @@ mod tests {
                 config: Config::new(vec![0, 1, 0, 0]),
             },
         ]);
-    }
-
-    #[test]
-    fn backlog_accounting() {
-        let mut cluster = Cluster::new(pool(), Config::new(vec![1, 0, 0, 0]));
-        let inst = &mut cluster.instances_mut()[0];
-        assert_eq!(inst.backlog(), 0);
-        inst.local_queue.push_back(Query::new(1, 10, 0));
-        inst.serving = Some((Query::new(0, 5, 0), 0));
-        assert_eq!(inst.backlog(), 2);
-        assert!(!inst.is_idle());
     }
 }

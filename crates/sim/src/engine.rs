@@ -3,12 +3,16 @@
 //! The engine plays a [`Trace`] of queries against a [`Cluster`] under a
 //! pluggable [`Scheduler`] policy, using a virtual clock in microseconds.
 //! It reproduces the serving model of the paper's implementation (Sec. 6):
-//! a central controller receives all queries, decides the query-to-instance
-//! mapping, and each instance serves exactly one query at a time from its own
-//! FIFO of dispatched queries.
+//! a central controller receives all queries and decides the
+//! query-to-instance mapping, and each instance serves the work dispatched
+//! to it through one service path ([`crate::flex`]).  That path's default
+//! setting is the paper's: one query at a time, in dispatch order.  Fair
+//! throughput sharing and dynamic batching are other settings of the same
+//! path, not separate code.
 //!
-//! Events are (a) query arrivals and (b) query completions; the scheduler is
-//! consulted after every event so it can react to freed capacity immediately.
+//! Events are query arrivals, invocation completions and the timed events
+//! of the attached extensions; the scheduler is consulted after every event
+//! so it can react to freed capacity immediately.
 //!
 //! # Hot-path architecture
 //!
@@ -16,28 +20,30 @@
 //! cluster and the RNG, and exposes `step()` / `run()` / `report()` so
 //! callers (the capacity search, Kairos+, the baseline searches and the
 //! bench harness) all drive simulations through one API.  Steady-state
-//! execution performs **zero heap allocations**; per-event work is
-//! proportional to the instances the event touches plus — only on rounds
-//! where queries are actually waiting — an O(idle instances) clock clamp,
-//! never a full-cluster, queue-walking sweep.
+//! serial service performs **zero heap allocations** (the batcher allocates
+//! one member list per fused invocation); per-event work is proportional to
+//! the instances the event touches plus — only on rounds where queries are
+//! actually waiting — an O(idle instances) clock clamp, never a
+//! full-cluster, queue-walking sweep.
 //! The moving parts (see DESIGN.md, "Hot-path architecture"):
 //!
 //! * **Arrival cursor + event calendar** — trace arrivals are never
 //!   materialized as heap entries: the engine walks the (sorted) query
-//!   vector with a cursor.  The few genuinely dynamic events (one completion
-//!   per serving instance, one `Ready` per provisioning action) live in a
-//!   bucketed [calendar queue](crate::calendar) tuned to the trace's arrival
-//!   granularity.
+//!   vector with a cursor.  The few genuinely dynamic events (one
+//!   completion per busy instance, one `Ready` per provisioning action) live
+//!   in a bucketed [calendar queue](crate::calendar) tuned to the trace's
+//!   arrival granularity.
 //! * **Incremental views** — each [`InstanceView`] is updated at the moment
-//!   its instance changes (dispatch, service start, completion, lifecycle),
-//!   never by sweeping the cluster.  Idle instances' `free_at_us` tracks the
-//!   clock lazily via the idle index below.
+//!   its instance changes (dispatch, admission, completion, lifecycle),
+//!   never by sweeping the cluster.  An instance that cannot take a
+//!   dispatch frees up at its frontmost invocation's scheduled finish plus
+//!   the nominal service times of its queued invocations; dispatchable
+//!   instances' `free_at_us` tracks the clock lazily via the idle index.
 //! * **Idle-instance index** — the engine maintains the dispatchable
-//!   backlog-free instances as a sorted index
-//!   ([`SchedulingContext::idle`]), split into a free list (boundary
-//!   passed, sorted by instance index) and a pending list (still
-//!   provisioning, sorted by ready time); entries migrate as the clock
-//!   passes their provisioning boundary.
+//!   instances as a sorted index ([`SchedulingContext::idle`]), split into a
+//!   free list (boundary passed, sorted by instance index) and a pending
+//!   list (still provisioning, sorted by ready time); entries migrate as the
+//!   clock passes their provisioning boundary.
 //! * **Scratch buffers** — the dispatch plan, the duplicate-dispatch marks
 //!   (generation-stamped, never cleared), and the removal sweep all reuse
 //!   engine-owned buffers; [`Scheduler::schedule_into`] lets policies fill
@@ -46,10 +52,12 @@
 //!   resolved once at construction, so service-time math involves no string
 //!   hashing.
 //!
-//! The original per-event full rebuild is preserved as [`run_trace_naive`]
-//! (and [`SimEngine::recompute_views`]) — it is the reference against which
-//! determinism and the incremental state are tested, and the baseline for
-//! the `simulator` Criterion bench.
+//! [`SimEngine::recompute_views`] and [`SimEngine::recompute_idle`] rebuild
+//! the views and the idle index from the per-instance service state from
+//! scratch — the oracle the incremental state is tested against.
+//! [`run_trace_naive`], the original per-event full rebuild with its own
+//! per-instance FIFOs, is the independent reference for whole reports and
+//! the baseline for the `simulator` Criterion bench.
 //!
 //! # Online reconfiguration
 //!
@@ -73,7 +81,7 @@
 //! invariant is enforced by `tests/proptest_reconfig.rs`.
 
 use crate::calendar::{EventCalendar, TimedEvent, TimedKind};
-use crate::cluster::{Cluster, ClusterSpec, InstanceLifecycle, ServiceSpec};
+use crate::cluster::{Cluster, ClusterSpec, InstanceLifecycle, ServiceSpec, SimInstance};
 use crate::flex::{ActiveUnit, BatchingOptions, FlexConfig, FlexState, SharingMode, WorkUnit};
 use crate::scheduler::{idle_order, Dispatch, InstanceView, Scheduler, SchedulingContext};
 use crate::serverless::{ServerlessConfig, ServerlessState};
@@ -90,7 +98,8 @@ use kairos_workload::{ModelId, Query, TimeUs, Trace};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Options controlling one simulation run.
@@ -141,13 +150,6 @@ pub enum EngineEvent {
         /// The arriving query.
         query: Query,
     },
-    /// A query finished service.
-    Completion {
-        /// The completion record (latency, instance, type).
-        record: QueryRecord,
-        /// Type name of the serving instance.
-        type_name: Arc<str>,
-    },
     /// A previously added instance finished provisioning and is now live.
     InstanceReady {
         /// Index of the instance that came online.
@@ -173,7 +175,7 @@ pub enum EngineEvent {
         deadline_us: TimeUs,
     },
     /// A preemption deadline fired: the instance was killed and whatever it
-    /// still held (in-flight query plus local queue) was requeued to the
+    /// still held (in service, queued or forming) was requeued to the
     /// central queue.
     InstancePreempted {
         /// Index of the killed instance.
@@ -181,15 +183,16 @@ pub enum EngineEvent {
         /// Queries returned to the central queue.
         requeued: usize,
     },
-    /// A fused invocation finished on a flex-path instance (throughput
-    /// sharing and/or dynamic batching enabled): every member query of the
-    /// invocation — and of any other invocation whose finish volume was
-    /// reached at the same instant — completed at once.
+    /// An invocation finished service: every member query of it (one under
+    /// serial service, several for a fused batch) — and of any other
+    /// invocation whose finish volume was reached at the same instant —
+    /// completed at once.
     Completions {
         /// Index of the instance whose invocation(s) finished.
         instance_index: usize,
-        /// One record per completed member, in completion order.
-        records: Vec<QueryRecord>,
+        /// The completed members' records, in completion order, as a range
+        /// of [`SimEngine::records`] (no per-completion allocation).
+        records: Range<usize>,
         /// Type name of the serving instance.
         type_name: Arc<str>,
     },
@@ -328,43 +331,12 @@ fn nominal_us_profile(profile: &LatencyProfile, batch: u32) -> TimeUs {
     crate::cluster::quantize_service_ms(profile.latency_ms(batch))
 }
 
-/// Builds scheduler views by recomputing every instance's `free_at_us` from
-/// its local queue — the original O(instances × queue-depth) path.  This is
-/// the **single shared reference implementation**: [`run_trace_naive`]
-/// rebuilds with it every round, [`SimEngine::recompute_views`] exposes it to
-/// the property-test oracles, and the engine's incremental views are asserted
-/// bit-identical to its output.
-pub(crate) fn build_views_naive(
-    cluster: &Cluster,
-    services: &[&ServiceSpec],
-    now: TimeUs,
-) -> Vec<InstanceView> {
-    cluster
-        .instances()
-        .iter()
-        .map(|inst| {
-            let service = services[inst.model.index()];
-            let mut free_at = if inst.serving.is_some() {
-                inst.busy_until_us.max(now)
-            } else {
-                now.max(inst.available_from_us)
-            };
-            // Account for the nominal service time of locally queued work.
-            for q in &inst.local_queue {
-                free_at += nominal_us(service, &inst.type_name, q.batch_size);
-            }
-            InstanceView {
-                instance_index: inst.index,
-                type_index: inst.type_index,
-                type_name: inst.type_name.clone(),
-                model: inst.model,
-                is_base: inst.is_base,
-                accepting: inst.accepts_dispatches(),
-                free_at_us: free_at,
-                backlog: inst.backlog(),
-            }
-        })
-        .collect()
+/// `x.ceil()` for a non-negative `x` below 2^63, without the libm call
+/// (one conversion instruction each way).  Exact on whole numbers, so a
+/// finish derived from whole microseconds of volume at rate 1 stays exact.
+fn ceil_us(x: f64) -> TimeUs {
+    let whole = x as i64;
+    (if (whole as f64) < x { whole + 1 } else { whole }) as TimeUs
 }
 
 /// The discrete-event serving simulator.
@@ -428,15 +400,10 @@ pub struct SimEngine<'a> {
     /// Idle entries' `free_at_us` is clamped to the clock lazily, per
     /// scheduling round, via the idle index (see `prepare_round`).
     views: Vec<InstanceView>,
-    /// Per-instance running sum of the (individually rounded) nominal
-    /// service times of locally queued queries.
-    local_nominal_us: Vec<TimeUs>,
-    /// Total queries sitting in local queues (excluding those in service).
-    local_queued: usize,
-    /// Dispatchable backlog-free instances whose provisioning boundary has
-    /// passed, sorted by instance index.
+    /// Dispatchable instances whose provisioning boundary has passed,
+    /// sorted by instance index.
     idle_free: Vec<u32>,
-    /// Dispatchable backlog-free instances still provisioning, sorted by
+    /// Dispatchable instances still provisioning, sorted by
     /// `(available_from_us, instance index)`.
     idle_pending: Vec<u32>,
     /// Concatenation of the two lists handed to the scheduler each round.
@@ -526,14 +493,14 @@ pub struct SimEngine<'a> {
     /// Per-model QoS targets, indexed by [`ModelId`] — an array load on the
     /// completion path, never a string lookup.
     qos_by_model: Vec<u64>,
-    /// Flex service-path configuration (throughput sharing / dynamic
-    /// batching).  `None` keeps every instance on the legacy one-at-a-time
-    /// path, bit-for-bit.
-    flex: Option<FlexConfig>,
-    /// Per-instance flex state; empty unless [`Self::flex`] is set.
+    /// Service-path configuration (sharing / batching knobs); the default
+    /// is the paper's serial service.
+    flex: FlexConfig,
+    /// Per-instance service state: every dispatched query lives here until
+    /// it completes (or a kill requeues it).
     flex_states: Vec<FlexState>,
-    /// Queries dispatched to flex instances but not yet admitted to service
-    /// (forming batches plus admission queues) — the flex contribution to
+    /// Queries dispatched to instances but not yet admitted to service
+    /// (forming batches plus admission queues) — the instances' share of
     /// [`Self::queued_backlog`].
     flex_waiting: usize,
     /// Fused invocations fired by the dynamic batcher so far.
@@ -545,7 +512,7 @@ pub struct SimEngine<'a> {
     /// Sum over fired members of their forming-buffer wait, in µs.
     batch_wait_us_sum: u64,
     /// Serverless-lane configuration (keep-alive policies + cold-start
-    /// costs).  `None` keeps every instance on the legacy always-billed
+    /// costs).  `None` keeps every instance on the always-billed
     /// path, bit-for-bit (`tests/proptest_serverless.rs` pins that
     /// contract).
     serverless: Option<ServerlessConfig>,
@@ -657,13 +624,15 @@ impl<'a> SimEngine<'a> {
             1_000
         };
 
-        let views = build_views_naive(&cluster, &services, 0);
-        let idle_free: Vec<u32> = views
-            .iter()
-            .filter(|v| v.accepting && v.backlog == 0)
-            .map(|v| v.instance_index as u32)
-            .collect();
-        let local_nominal_us = vec![0; cluster.len()];
+        // Every instance starts empty, live and dispatchable.
+        let idle_free: Vec<u32> = (0..cluster.len() as u32).collect();
+        let flex_states = vec![
+            FlexState {
+                in_idle: true,
+                ..FlexState::default()
+            };
+            cluster.len()
+        ];
         let billed_start_us = vec![0; cluster.len()];
         let offered = arrivals.len();
         let rngs = (0..services.len())
@@ -672,7 +641,7 @@ impl<'a> SimEngine<'a> {
         let billed_by_model = vec![0.0; services.len()];
         let accuracy_by_model: Vec<f64> = services.iter().map(|s| s.model.accuracy).collect();
         let accuracy_sum_by_model = vec![0.0; services.len()];
-        Self {
+        let mut engine = Self {
             services,
             scheduler,
             cluster,
@@ -689,9 +658,7 @@ impl<'a> SimEngine<'a> {
             // avoids growth-doubling's transient 2x peak (and its fresh-page
             // copies) on multi-gigabyte replays.
             records: Vec::with_capacity(offered),
-            views,
-            local_nominal_us,
-            local_queued: 0,
+            views: Vec::new(),
             idle_free,
             idle_pending: Vec::new(),
             idle_ctx: Vec::new(),
@@ -728,8 +695,8 @@ impl<'a> SimEngine<'a> {
             straggler_onsets: 0,
             qos_us: qos_by_model[0],
             qos_by_model,
-            flex: None,
-            flex_states: Vec::new(),
+            flex: FlexConfig::default(),
+            flex_states,
             flex_waiting: 0,
             batches_fired: 0,
             batched_queries: 0,
@@ -741,14 +708,15 @@ impl<'a> SimEngine<'a> {
             cold_starts: 0,
             cold_start_wait_us_sum: 0,
             parked_us_sum: 0,
-        }
+        };
+        engine.views = engine.recompute_views();
+        engine
     }
 
     /// Attaches a fair throughput-sharing service model:
     /// [`SharingMode::Fair`] lets several invocations share each instance
     /// under the options' degradation curves, while [`SharingMode::None`]
-    /// is a no-op that leaves the engine on the legacy dedicated-instance
-    /// path, bit-for-bit (`tests/proptest_flex.rs` pins that contract).
+    /// keeps the default dedicated-instance service (a no-op).
     ///
     /// Must be called before the first step.
     ///
@@ -770,8 +738,7 @@ impl<'a> SimEngine<'a> {
             options.num_curves(),
             self.num_types
         );
-        self.flex.get_or_insert_with(FlexConfig::default).sharing = Some(options);
-        self.init_flex();
+        self.flex.sharing = Some(options);
         self
     }
 
@@ -792,8 +759,7 @@ impl<'a> SimEngine<'a> {
             self.serverless.is_none(),
             "dynamic batching does not compose with the serverless lane"
         );
-        self.flex.get_or_insert_with(FlexConfig::default).batching = Some(options);
-        self.init_flex();
+        self.flex.batching = Some(options);
         self
     }
 
@@ -804,7 +770,7 @@ impl<'a> SimEngine<'a> {
     /// settles on the spot), stays dispatchable, and the next dispatch wakes
     /// it by paying the cold-start latency before service.  Lanes with
     /// `None` — and the whole engine when no lane has a policy — behave
-    /// bit-identically to the legacy always-billed path
+    /// bit-identically to the always-billed engine
     /// (`tests/proptest_serverless.rs` pins that contract).
     ///
     /// Keep-alive timers ride the event calendar with the batcher's lazy
@@ -818,13 +784,13 @@ impl<'a> SimEngine<'a> {
     /// [`Self::with_sharing`] / [`Self::with_batching`].
     ///
     /// # Panics
-    /// Panics if the engine has already started, a flex service model is
+    /// Panics if the engine has already started, sharing or batching is
     /// attached, `config.policies` is not one entry per served model, or the
     /// cold-start profile is neither uniform nor one entry per pool type.
     pub fn with_serverless(mut self, config: ServerlessConfig) -> Self {
         self.assert_unstarted("serverless");
         assert!(
-            self.flex.is_none(),
+            self.flex == FlexConfig::default(),
             "the serverless lane does not compose with sharing/batching"
         );
         assert_eq!(
@@ -863,20 +829,6 @@ impl<'a> SimEngine<'a> {
             self.next_arrival == 0 && self.records.is_empty() && self.now == 0,
             "configure {what} before stepping the engine"
         );
-    }
-
-    /// Creates the per-instance flex states (idempotent across the two
-    /// builder calls), seeding idle-index membership from the index itself.
-    fn init_flex(&mut self) {
-        if self.flex_states.len() == self.cluster.len() {
-            return;
-        }
-        self.flex_states = (0..self.cluster.len())
-            .map(|i| FlexState {
-                in_idle: self.idle_free.binary_search(&(i as u32)).is_ok(),
-                ..FlexState::default()
-            })
-            .collect();
     }
 
     /// Attaches a cloud market to the engine: prices become time-varying for
@@ -1043,10 +995,30 @@ impl<'a> SimEngine<'a> {
     }
 
     /// Queries in the system that are not being served: the central queue
-    /// plus every local instance queue.  O(1) — maintained incrementally for
-    /// the serving loop's demand estimate.
+    /// plus every instance's forming batch and admission queue.  O(1) —
+    /// maintained incrementally for the serving loop's demand estimate.
     pub fn queued_backlog(&self) -> usize {
-        self.central_queue.len() - self.queue_head + self.local_queued + self.flex_waiting
+        self.central_queue.len() - self.queue_head + self.flex_waiting
+    }
+
+    /// Queries held by instance `instance_index` in any stage (forming,
+    /// queued for admission, in service).  O(1) — what reconfiguration
+    /// drivers rank retirement candidates by.
+    pub fn instance_backlog(&self, instance_index: usize) -> usize {
+        self.flex_states[instance_index].total_members()
+    }
+
+    /// The queries held by an instance in service order: in-service
+    /// invocations first (in completion order), then queued invocations,
+    /// then the forming batch.  Diagnostic/test API.
+    pub fn instance_queries(&self, instance_index: usize) -> impl Iterator<Item = &Query> + '_ {
+        let st = &self.flex_states[instance_index];
+        st.active
+            .iter()
+            .map(|a| &a.unit)
+            .chain(&st.queued)
+            .flat_map(|unit| std::iter::once(&unit.lead).chain(&unit.rest))
+            .chain(st.forming.iter().map(|(q, _)| q))
     }
 
     /// Completion records gathered so far.
@@ -1058,15 +1030,78 @@ impl<'a> SimEngine<'a> {
     /// instance (including retired ones the hot path leaves stale).
     /// Diagnostic/test API: O(instances × queue-depth).
     pub fn views(&mut self) -> &[InstanceView] {
-        self.views = build_views_naive(&self.cluster, &self.services, self.now);
+        self.views = self.recompute_views();
         &self.views
     }
 
-    /// Recomputes the scheduler views from scratch (O(instances ×
-    /// queue-depth)).  Reference implementation for tests; the hot path
-    /// updates views incrementally instead.
+    /// Rebuilds every scheduler view from scratch from the per-instance
+    /// service state (O(instances × queue-depth)): a dispatchable instance
+    /// is free at `max(now, provisioning boundary)`; any other instance
+    /// frees up at its frontmost invocation's scheduled finish plus the
+    /// nominal service times of its queued invocations (at its provisioning
+    /// boundary when nothing is in service — a non-accepting instance
+    /// holding at most a forming batch).  Reference implementation for
+    /// tests; the hot path updates views incrementally instead.
     pub fn recompute_views(&self) -> Vec<InstanceView> {
-        build_views_naive(&self.cluster, &self.services, self.now)
+        self.cluster
+            .instances()
+            .iter()
+            .zip(&self.flex_states)
+            .map(|(inst, st)| {
+                let accepting = inst.accepts_dispatches();
+                let clock = self.now.max(inst.available_from_us);
+                let free_at_us = if accepting && self.flex.open(st) {
+                    clock
+                } else {
+                    let profile = self.instance_profile(inst.index);
+                    let queued: TimeUs = st
+                        .queued
+                        .iter()
+                        .map(|unit| nominal_us_profile(profile, unit.fused))
+                        .sum();
+                    let front = if st.active.is_empty() {
+                        inst.available_from_us
+                    } else {
+                        st.finish_at_us
+                    };
+                    front + queued
+                };
+                let in_units: usize = st
+                    .queued
+                    .iter()
+                    .chain(st.active.iter().map(|a| &a.unit))
+                    .map(WorkUnit::members)
+                    .sum();
+                InstanceView {
+                    instance_index: inst.index,
+                    type_index: inst.type_index,
+                    type_name: inst.type_name.clone(),
+                    model: inst.model,
+                    is_base: inst.is_base,
+                    accepting,
+                    free_at_us,
+                    backlog: st.forming.len() + in_units,
+                }
+            })
+            .collect()
+    }
+
+    /// Rebuilds the idle index from scratch: the dispatchable instances
+    /// sorted by `(free_at_us, instance index)` of
+    /// [`Self::recompute_views`].  Under serial service this is
+    /// [`idle_order`] of those views; with sharing or batching an instance
+    /// can stay dispatchable while it holds work.  Reference implementation
+    /// for tests.
+    pub fn recompute_idle(&self) -> Vec<u32> {
+        let views = self.recompute_views();
+        let mut idle: Vec<u32> = views
+            .iter()
+            .zip(&self.flex_states)
+            .filter(|(view, st)| view.accepting && self.flex.open(st))
+            .map(|(view, _)| view.instance_index as u32)
+            .collect();
+        idle.sort_by_key(|&i| (views[i as usize].free_at_us, i));
+        idle
     }
 
     /// Exactly what the next scheduling round would see: the incrementally
@@ -1104,10 +1139,11 @@ impl<'a> SimEngine<'a> {
         // Arrivals carry sequence numbers 0..offered (their trace position),
         // timed events continue from there — so on a time tie the arrival
         // fires first, exactly as the reference heap orders (time, seq).
-        // The inner loop exists only for cancelled completions (a query
-        // whose instance was preemption-killed after its completion was
-        // scheduled): those events are discarded without advancing the clock
-        // and the next event is taken instead.
+        // The inner loop exists only for superseded generation-stamped
+        // entries (a completion re-derived or cancelled by a kill, a batch
+        // fired early, a keep-alive beaten by a dispatch): those are
+        // discarded without advancing the clock and the next event is taken
+        // instead.
         let observed = loop {
             let take_arrival = match (
                 self.next_arrival < self.arrivals.len(),
@@ -1129,14 +1165,6 @@ impl<'a> SimEngine<'a> {
                 break EngineEvent::Arrival { query };
             }
             let event = self.calendar.pop().expect("peeked above");
-            if event.kind == TimedKind::Completion
-                && self.cluster.instances()[event.instance_index].is_preempted()
-            {
-                // The serving query was requeued by a kill; its old
-                // completion is void (the kill counted the cancellation).
-                self.calendar.note_stale_pop();
-                continue;
-            }
             if matches!(
                 event.kind,
                 TimedKind::FlexCompletion | TimedKind::BatchTimeout
@@ -1168,24 +1196,19 @@ impl<'a> SimEngine<'a> {
                 TimedKind::Ready => {
                     // A provisioned instance comes online: no state change
                     // beyond the scheduler consultation that lets queries
-                    // flow to it (flex instances additionally admit work
-                    // that queued up while they were provisioning; a
+                    // flow to it (work dispatched while it provisioned was
+                    // admitted to start at this boundary; an empty
                     // serverless instance starts its first tracked idle
                     // period).
-                    if self.flex.is_some() {
-                        self.flex_on_ready(event.instance_index);
+                    let i = event.instance_index;
+                    if self.serverless.is_some()
+                        && self.cluster.instances()[i].accepts_dispatches()
+                        && self.flex_states[i].is_empty()
+                    {
+                        self.serverless_arm(i);
                     }
-                    if self.serverless.is_some() {
-                        let inst = &self.cluster.instances()[event.instance_index];
-                        if inst.accepts_dispatches() && inst.backlog() == 0 {
-                            self.serverless_arm(event.instance_index);
-                        }
-                    }
-                    break EngineEvent::InstanceReady {
-                        instance_index: event.instance_index,
-                    };
+                    break EngineEvent::InstanceReady { instance_index: i };
                 }
-                TimedKind::Completion => break self.complete(event.instance_index),
                 TimedKind::FlexCompletion => break self.flex_complete(event.instance_index),
                 TimedKind::BatchTimeout => break self.flex_timeout(event.instance_index),
                 TimedKind::Market => break self.apply_market_event(event.instance_index),
@@ -1227,32 +1250,7 @@ impl<'a> SimEngine<'a> {
                     if inst.lifecycle == InstanceLifecycle::Preempting {
                         continue; // already racing an earlier deadline
                     }
-                    // A flex instance's cluster-level backlog is trivially
-                    // zero; its index membership lives in the flex state.
-                    let indexed = if self.flex.is_some() {
-                        self.flex_states[i].in_idle
-                    } else {
-                        inst.accepts_dispatches() && inst.backlog() == 0
-                    };
-                    if indexed {
-                        self.remove_idle(i as u32);
-                        if let Some(st) = self.flex_states.get_mut(i) {
-                            st.in_idle = false;
-                        }
-                    }
-                    if self.serverless.is_some() {
-                        self.serverless_on_decommission(i);
-                    }
-                    self.cluster.instances_mut()[i].lifecycle = InstanceLifecycle::Preempting;
-                    self.views[i].accepting = false;
-                    self.calendar.push(TimedEvent {
-                        time: deadline_us,
-                        seq: self.seq,
-                        instance_index: i,
-                        kind: TimedKind::Kill,
-                        gen: 0,
-                    });
-                    self.seq += 1;
+                    self.serve_notice(i, deadline_us);
                     affected += 1;
                 }
                 self.preemption_notices += 1;
@@ -1315,33 +1313,8 @@ impl<'a> SimEngine<'a> {
             if inst.lifecycle == InstanceLifecycle::Preempting {
                 continue; // already racing an earlier deadline
             }
-            // Same de-indexing as a market preemption notice: a flex
-            // instance's membership lives in its flex state.
-            let indexed = if self.flex.is_some() {
-                self.flex_states[i].in_idle
-            } else {
-                inst.accepts_dispatches() && inst.backlog() == 0
-            };
-            if indexed {
-                self.remove_idle(i as u32);
-                if let Some(st) = self.flex_states.get_mut(i) {
-                    st.in_idle = false;
-                }
-            }
-            if self.serverless.is_some() {
-                self.serverless_on_decommission(i);
-            }
-            self.cluster.instances_mut()[i].lifecycle = InstanceLifecycle::Preempting;
-            self.views[i].accepting = false;
             self.outage_victim[i] = record_tag;
-            self.calendar.push(TimedEvent {
-                time: deadline_us,
-                seq: self.seq,
-                instance_index: i,
-                kind: TimedKind::Kill,
-                gen: 0,
-            });
-            self.seq += 1;
+            self.serve_notice(i, deadline_us);
             affected += 1;
         }
         self.outage_records.push(OutageRecord {
@@ -1359,29 +1332,40 @@ impl<'a> SimEngine<'a> {
         }
     }
 
+    /// Serves a preemption-style notice (market reclamation or zone
+    /// outage) on instance `i`: it stops accepting dispatches, leaves the
+    /// idle index, and races a `Kill` at `deadline_us`.
+    fn serve_notice(&mut self, i: usize, deadline_us: TimeUs) {
+        if self.serverless.is_some() {
+            self.serverless_on_decommission(i);
+        }
+        self.cluster.instances_mut()[i].lifecycle = InstanceLifecycle::Preempting;
+        self.flex_sync_view(i);
+        self.calendar.push(TimedEvent {
+            time: deadline_us,
+            seq: self.seq,
+            instance_index: i,
+            kind: TimedKind::Kill,
+            gen: 0,
+        });
+        self.seq += 1;
+    }
+
     /// A straggler onset: the lowest-indexed live instance of the offering
     /// that is still healthy degrades to `slowdown` of nominal throughput.
-    /// On the flex path the processed-volume clock is credited at the old
-    /// rate first and the frontmost completion re-derived at the new one
-    /// (generation bump, lazy deletion — the in-flight invocation
-    /// reschedules correctly); on the legacy path the in-flight service
-    /// finishes at its already-scheduled time and every later one
-    /// stretches by `1 / slowdown`.
+    /// The processed-volume clock is credited at the old rate first and the
+    /// frontmost completion re-derived at the new one (generation bump,
+    /// lazy deletion), so the in-flight invocation slows from the onset.
     fn begin_straggler(&mut self, offering: usize, slowdown: f64) -> EngineEvent {
         let victim = (0..self.cluster.len()).find(|&i| {
             let inst = &self.cluster.instances()[i];
             inst.type_index == offering && !inst.is_terminated() && self.slowdown[i] == 1.0
         });
         if let Some(i) = victim {
-            if self.flex.is_some() {
-                // Credit the volume earned so far at the healthy rate
-                // *before* degrading it.
-                self.flex_advance(i);
-                self.slowdown[i] = slowdown;
-                self.flex_reschedule(i);
-            } else {
-                self.slowdown[i] = slowdown;
-            }
+            self.flex_advance(i);
+            self.slowdown[i] = slowdown;
+            self.flex_reschedule(i);
+            self.flex_sync_view(i);
             self.straggler_onsets += 1;
         }
         EngineEvent::StragglerOnset { victim, slowdown }
@@ -1403,42 +1387,48 @@ impl<'a> SimEngine<'a> {
         record.lost_queries += requeued;
     }
 
-    /// Forcibly terminates an instance at its preemption deadline: the
-    /// in-flight query (if any) and the local queue are requeued to the
-    /// central queue exactly once, the bill is settled, and the instance
-    /// becomes [`InstanceLifecycle::Preempted`].
+    /// Forcibly terminates an instance at its preemption deadline: every
+    /// query it holds — in service, queued, forming, in that order — is
+    /// requeued to the central queue exactly once, the pending calendar
+    /// entries die lazily, the bill is settled, and the instance becomes
+    /// [`InstanceLifecycle::Preempted`].
     fn kill_instance(&mut self, instance_index: usize) -> EngineEvent {
-        if self.flex.is_some() {
-            let event = self.flex_kill(instance_index);
-            if let EngineEvent::InstancePreempted { requeued, .. } = event {
-                self.attribute_outage_kill(instance_index, requeued);
-            }
-            return event;
+        debug_assert_eq!(
+            self.cluster.instances()[instance_index].lifecycle,
+            InstanceLifecycle::Preempting
+        );
+        let st = &mut self.flex_states[instance_index];
+        debug_assert!(!st.in_idle, "notice already de-indexed the instance");
+        if st.batch_pending {
+            st.batch_pending = false;
+            st.batch_gen += 1;
+            self.calendar.note_cancelled();
         }
-        let mut requeued = 0usize;
+        if st.completion_pending {
+            st.completion_pending = false;
+            st.completion_gen += 1;
+            self.calendar.note_cancelled();
+        }
+        self.flex_waiting -= st.forming.len() + st.queued_members;
+        let mut requeued = st.forming.len();
+        for unit in st
+            .active
+            .drain(..)
+            .map(|a| a.unit)
+            .chain(st.queued.drain(..))
         {
-            let inst = &mut self.cluster.instances_mut()[instance_index];
-            debug_assert_eq!(inst.lifecycle, InstanceLifecycle::Preempting);
-            if let Some((query, _)) = inst.serving.take() {
-                // The scheduled completion for this query is now void; it
-                // will be skipped (and counted stale) at pop time.
-                self.calendar.note_cancelled();
-                self.central_queue.push(query);
-                requeued += 1;
-            }
-            while let Some(query) = inst.local_queue.pop_front() {
-                self.central_queue.push(query);
-                requeued += 1;
-                self.local_queued -= 1;
-            }
-            inst.lifecycle = InstanceLifecycle::Preempted;
-            let free_at = self.now.max(inst.available_from_us);
-            let view = &mut self.views[instance_index];
-            view.backlog = 0;
-            view.free_at_us = free_at;
-            debug_assert!(!view.accepting, "notice already stopped dispatches");
+            requeued += unit.members();
+            self.central_queue.push(unit.lead);
+            self.central_queue.extend(unit.rest);
         }
-        self.local_nominal_us[instance_index] = 0;
+        self.central_queue
+            .extend(st.forming.drain(..).map(|(query, _)| query));
+        st.forming_fused = 0;
+        st.queued_members = 0;
+        st.queued_nominal_us = 0;
+        st.active_members = 0;
+        self.cluster.instances_mut()[instance_index].lifecycle = InstanceLifecycle::Preempted;
+        self.flex_sync_view(instance_index);
         self.settle_bill(instance_index, self.now);
         self.preempted_instances += 1;
         self.requeued_queries += requeued;
@@ -1472,46 +1462,6 @@ impl<'a> SimEngine<'a> {
         let (type_index, model) = (inst.type_index, inst.model);
         self.billed_by_model[model.index()] += self.price_integral(type_index, start, end_us);
         self.billed_start_us[instance_index] = TimeUs::MAX;
-    }
-
-    /// Applies a completion event on `instance_index`.
-    fn complete(&mut self, instance_index: usize) -> EngineEvent {
-        let (query, start_us, type_index, type_name) = {
-            let inst = &mut self.cluster.instances_mut()[instance_index];
-            let (query, start_us) = inst
-                .serving
-                .take()
-                .expect("completion event for idle instance");
-            (query, start_us, inst.type_index, inst.type_name.clone())
-        };
-        let record = QueryRecord {
-            id: query.id,
-            model: query.model,
-            batch_size: query.batch_size,
-            arrival_us: query.arrival_us,
-            start_us,
-            completion_us: self.now,
-            instance_index,
-            type_index,
-        };
-        if record.within_qos(self.qos_by_model[query.model.index()]) {
-            self.on_time_completions += 1;
-        } else {
-            self.late_completions += 1;
-        }
-        self.records.push(record);
-        self.accuracy_sum_by_model[query.model.index()] +=
-            self.accuracy_by_model[query.model.index()];
-        let service_ms = (self.now - start_us) as f64 / 1000.0;
-        self.scheduler
-            .on_completion(type_index, query.model, query.batch_size, service_ms);
-        // Start the next locally queued query, if any; a draining instance
-        // that just emptied transitions to retired (and settles its bill).
-        self.start_next(instance_index);
-        if self.cluster.settle_drained(instance_index) {
-            self.settle_bill(instance_index, self.now);
-        }
-        EngineEvent::Completion { record, type_name }
     }
 
     /// Adds an instance of the given pool type bound to
@@ -1552,18 +1502,15 @@ impl<'a> SimEngine<'a> {
             free_at_us: ready_at.max(self.now),
             backlog: 0,
         });
-        self.local_nominal_us.push(0);
         self.billed_start_us.push(self.now);
         if self.faults {
             self.outage_victim.push(0);
             self.slowdown.push(1.0);
         }
-        if self.flex.is_some() {
-            self.flex_states.push(FlexState {
-                in_idle: true,
-                ..FlexState::default()
-            });
-        }
+        self.flex_states.push(FlexState {
+            in_idle: true,
+            ..FlexState::default()
+        });
         if self.serverless.is_some() {
             // The keep-alive countdown starts at the `Ready` boundary, once
             // the instance is actually idle-and-live.
@@ -1616,29 +1563,22 @@ impl<'a> SimEngine<'a> {
     }
 
     /// Gracefully retires an instance: it accepts no further dispatches and
-    /// transitions to retired once its local queue drains (immediately if
-    /// idle).  Queries already dispatched to it are still served.
+    /// transitions to retired once it holds no work (immediately if empty).
+    /// Queries already dispatched to it are still served.
     pub fn retire_instance(&mut self, instance_index: usize) {
-        if self.flex.is_some() {
-            self.flex_retire(instance_index);
+        if self.cluster.instances()[instance_index].is_terminated() {
             return;
-        }
-        let was_dispatchable_idle = {
-            let inst = &self.cluster.instances()[instance_index];
-            inst.accepts_dispatches() && inst.backlog() == 0
-        };
-        if was_dispatchable_idle {
-            self.remove_idle(instance_index as u32);
         }
         if self.serverless.is_some() {
             self.serverless_on_decommission(instance_index);
         }
-        if self.cluster.retire_instance(instance_index) {
-            // Fully retired on the spot (idle or already terminated): the
-            // bill settles now; `settle_bill` no-ops on settled instances.
+        let drained = self.flex_states[instance_index].is_empty();
+        if self.cluster.retire_instance(instance_index, drained) {
+            // Fully retired on the spot: the bill settles now
+            // (`settle_bill` no-ops on a parked instance's settled bill).
             self.settle_bill(instance_index, self.now);
         }
-        self.views[instance_index].accepting = false;
+        self.flex_sync_view(instance_index);
     }
 
     /// Swaps the latency profiles (and delivered accuracy) of one served
@@ -1646,20 +1586,16 @@ impl<'a> SimEngine<'a> {
     /// loop lowers the chosen variant's latency table to one profile per
     /// pool type and installs it here without rebuilding the engine.
     ///
-    /// Semantics across the switch boundary: queries already *in service*
-    /// keep the service time they drew under the old variant (the artifact
-    /// that started them finishes them); queries still waiting in local
-    /// queues start under the new variant.  The incremental accounting is
-    /// repaired accordingly — every affected instance's queued-nominal sum
-    /// is recomputed under the new profiles and its scheduler view's
-    /// `free_at_us` re-derived — so the hot path's running values stay
+    /// Semantics across the switch boundary: invocations already *in
+    /// service* keep the service time they drew under the old variant (the
+    /// artifact that started them finishes them); invocations still waiting
+    /// for admission start under the new variant.  The incremental
+    /// accounting is repaired accordingly — every affected instance's
+    /// queued-nominal sum is recomputed under the new profiles and its
+    /// scheduler view re-derived — so the hot path's running values stay
     /// exact.  Completions recorded after the switch accrue the new
     /// accuracy.  Installing the currently active profiles is a no-op
     /// bit-for-bit.
-    ///
-    /// With a flex service model attached (sharing/batching), in-flight and
-    /// queued invocations keep their admitted service volumes; only future
-    /// admissions see the new profiles.
     ///
     /// # Panics
     /// Panics if `model` is not served by this engine or `per_type` does not
@@ -1683,57 +1619,26 @@ impl<'a> SimEngine<'a> {
         self.profiles[base..base + self.num_types].copy_from_slice(per_type);
         self.accuracy_by_model[model.index()] = accuracy;
         // Repair the incremental per-instance accounting: nominal estimates
-        // of locally queued queries were charged under the old profiles.
+        // of queued invocations were charged under the old profiles.
         for i in 0..self.cluster.len() {
             let inst = &self.cluster.instances()[i];
-            if inst.model != model || inst.is_terminated() {
-                continue;
-            }
-            if inst.local_queue.is_empty() && inst.serving.is_none() {
+            let st = &mut self.flex_states[i];
+            if inst.model != model || st.queued.is_empty() {
                 continue;
             }
             let profile = &self.profiles[base + inst.type_index];
-            let nominal: TimeUs = inst
-                .local_queue
+            st.queued_nominal_us = st
+                .queued
                 .iter()
-                .map(|q| nominal_us_profile(profile, q.batch_size))
+                .map(|unit| nominal_us_profile(profile, unit.fused))
                 .sum();
-            self.local_nominal_us[i] = nominal;
-            self.views[i].free_at_us = inst.busy_until_us + nominal;
+            self.flex_sync_view(i);
         }
     }
 
     /// The delivered accuracy of the variant currently serving `model`.
     pub fn model_accuracy(&self, model: ModelId) -> f64 {
         self.accuracy_by_model[model.index()]
-    }
-
-    /// [`Self::retire_instance`] for the flex path.  The cluster-level
-    /// serving slot and local queue are unused there, so [`Cluster`]'s
-    /// idleness check would retire a loaded instance on the spot; the
-    /// engine drains against the flex state instead.
-    fn flex_retire(&mut self, instance_index: usize) {
-        if self.cluster.instances()[instance_index].is_terminated() {
-            return;
-        }
-        if self.flex_states[instance_index].in_idle {
-            self.remove_idle(instance_index as u32);
-            self.flex_states[instance_index].in_idle = false;
-        }
-        let lifecycle = self.cluster.instances()[instance_index].lifecycle;
-        if lifecycle == InstanceLifecycle::Preempting {
-            // The kill deadline wins, exactly as on the legacy path.
-            self.views[instance_index].accepting = false;
-            return;
-        }
-        if self.flex_states[instance_index].is_empty() {
-            let retired = self.cluster.retire_instance(instance_index);
-            debug_assert!(retired, "an empty flex instance retires immediately");
-            self.settle_bill(instance_index, self.now);
-        } else {
-            self.cluster.instances_mut()[instance_index].lifecycle = InstanceLifecycle::Draining;
-        }
-        self.views[instance_index].accepting = false;
     }
 
     /// Applies a [`ClusterAction`] (driver convenience).
@@ -1820,8 +1725,8 @@ impl<'a> SimEngine<'a> {
         self.report().meets_qos(tolerance)
     }
 
-    /// Finalizes the run: anything still queued (centrally or locally) is
-    /// reported as unfinished, and instances still renting are billed
+    /// Finalizes the run: anything still queued (centrally or at an
+    /// instance) or in service is reported as unfinished, and instances still renting are billed
     /// through the horizon.
     pub fn report(mut self) -> SimReport {
         let unfinished_of = |q: &Query| UnfinishedQuery {
@@ -1837,15 +1742,8 @@ impl<'a> SimEngine<'a> {
         // Arrivals the probe never reached count as unfinished too (only
         // possible when a run is abandoned early, e.g. by `run_qos_probe`).
         unfinished.extend(self.arrivals[self.next_arrival..].iter().map(unfinished_of));
-        for inst in self.cluster.instances() {
-            unfinished.extend(inst.local_queue.iter().map(unfinished_of));
-            if let Some((q, _)) = &inst.serving {
-                unfinished.push(unfinished_of(q));
-            }
-        }
-        // Flex-path work lives outside the cluster's serving slots: forming
-        // batches, queued invocations, and in-flight invocations all count
-        // as unfinished at the horizon.
+        // Per instance: forming batch, queued invocations, then in-flight
+        // invocations.
         for st in &self.flex_states {
             unfinished.extend(st.forming.iter().map(|(q, _)| unfinished_of(q)));
             for unit in &st.queued {
@@ -1923,68 +1821,6 @@ impl<'a> SimEngine<'a> {
         }
     }
 
-    /// Starts the next locally queued query on an idle instance, or marks the
-    /// instance idle (and indexes it) when nothing is waiting.  Service
-    /// cannot begin before the instance's provisioning boundary.
-    fn start_next(&mut self, instance_index: usize) {
-        let inst = &mut self.cluster.instances_mut()[instance_index];
-        debug_assert!(inst.serving.is_none(), "instance already serving a query");
-        if let Some(query) = inst.local_queue.pop_front() {
-            // The query leaves the local queue: retire its nominal estimate
-            // from the incremental view and charge the actual service time.
-            // Model-mismatched dispatches were rejected, so the instance's
-            // binding is the query's model.
-            let profile = &self.profiles[inst.model.index() * self.num_types + inst.type_index];
-            self.local_queued -= 1;
-            self.local_nominal_us[instance_index] -= nominal_us_profile(profile, query.batch_size);
-            let service_us = self.services[inst.model.index()].service_time_us_from_profile(
-                profile,
-                query.batch_size,
-                &mut self.rngs[inst.model.index()],
-            );
-            // A straggler serves everything slower: the drawn service time
-            // stretches by the reciprocal of the degraded throughput
-            // (fault-free runs never branch here).
-            let service_us = if self.faults && self.slowdown[instance_index] != 1.0 {
-                (((service_us as f64) / self.slowdown[instance_index]).ceil() as TimeUs).max(1)
-            } else {
-                service_us
-            };
-            let start_us = self.now.max(inst.available_from_us);
-            inst.serving = Some((query, start_us));
-            inst.busy_until_us = start_us + service_us;
-            let view = &mut self.views[instance_index];
-            view.free_at_us = inst.busy_until_us + self.local_nominal_us[instance_index];
-            view.backlog = inst.local_queue.len() + 1;
-            self.calendar.push(TimedEvent {
-                time: inst.busy_until_us,
-                seq: self.seq,
-                instance_index,
-                kind: TimedKind::Completion,
-                gen: 0,
-            });
-            self.seq += 1;
-        } else {
-            // Instance goes idle (reachable from the completion path only, so
-            // its provisioning boundary has necessarily passed).
-            debug_assert!(inst.available_from_us <= self.now);
-            let accepting = inst.accepts_dispatches();
-            let view = &mut self.views[instance_index];
-            view.backlog = 0;
-            view.free_at_us = self.now;
-            if accepting {
-                let pos = self
-                    .idle_free
-                    .binary_search(&(instance_index as u32))
-                    .unwrap_err();
-                self.idle_free.insert(pos, instance_index as u32);
-                if self.serverless.is_some() {
-                    self.serverless_arm(instance_index);
-                }
-            }
-        }
-    }
-
     /// Removes an instance from whichever idle list holds it.
     fn remove_idle(&mut self, instance_index: u32) {
         if let Ok(pos) = self.idle_free.binary_search(&instance_index) {
@@ -2042,20 +1878,15 @@ impl<'a> SimEngine<'a> {
         true
     }
 
-    /// Consults the scheduler and applies its dispatch decisions.  On the
-    /// flex path the round is re-run while it keeps making progress:
-    /// batching/sharing instances stay dispatchable across several
-    /// dispatches, but policies like FCFS hand out at most one query per
-    /// instance per round.  (The legacy path keeps its single round — one
-    /// dispatch fills the instance — so its event sequence is untouched.)
+    /// Consults the scheduler and applies its dispatch decisions.  When an
+    /// instance can absorb more than one dispatch per round (a batcher, or
+    /// a concurrency cap other than 1) the round is re-run while it keeps
+    /// making progress: policies like FCFS hand out at most one query per
+    /// idle instance per round.  Under serial service one dispatch fills an
+    /// idle instance, so a single round suffices.
     fn invoke_scheduler(&mut self) {
-        loop {
-            let dispatched = self.scheduler_round();
-            if self.flex.is_none() || dispatched == 0 || self.central_queue.len() == self.queue_head
-            {
-                return;
-            }
-        }
+        let repeat = self.flex.repeats_rounds();
+        while self.scheduler_round() > 0 && repeat && self.central_queue.len() > self.queue_head {}
     }
 
     /// One scheduling round: consults the policy once and applies its plan.
@@ -2118,41 +1949,7 @@ impl<'a> SimEngine<'a> {
         // Dispatch in the order returned by the policy.
         for d in &plan {
             let query = self.central_queue[self.queue_head + d.query_index];
-            let i = d.instance_index;
-            if self.flex.is_some() {
-                self.flex_dispatch(i, query);
-                continue;
-            }
-            let (needs_start, was_idle, type_index) = {
-                let inst = &mut self.cluster.instances_mut()[i];
-                let was_idle = inst.backlog() == 0;
-                inst.local_queue.push_back(query);
-                (inst.serving.is_none(), was_idle, inst.type_index)
-            };
-            if was_idle {
-                self.remove_idle(i as u32);
-                if self.serverless.is_some() {
-                    // Ends the tracked idle period: records the observed
-                    // gap, disarms the keep-alive timer, and — if the
-                    // instance parked — wakes it with a cold start (the
-                    // pushed-back query then starts after the cold-start
-                    // boundary via `start_next`'s provisioning clamp).
-                    self.serverless_on_dispatch(i);
-                }
-            }
-            self.local_queued += 1;
-            self.local_nominal_us[i] += nominal_us_profile(
-                &self.profiles[query.model.index() * self.num_types + type_index],
-                query.batch_size,
-            );
-            if needs_start {
-                self.start_next(i);
-            } else {
-                let inst = &self.cluster.instances()[i];
-                let view = &mut self.views[i];
-                view.free_at_us = inst.busy_until_us + self.local_nominal_us[i];
-                view.backlog = inst.backlog();
-            }
+            self.flex_dispatch(d.instance_index, query);
         }
 
         // Remove dispatched queries.  A dispatched *prefix* — the common
@@ -2199,22 +1996,53 @@ impl<'a> SimEngine<'a> {
         dispatched
     }
 
-    // ---- Flex service path: fair sharing + dynamic batching ------------
+    // ---- The service path: serial service, fair sharing, batching -------
     //
-    // The flex path replaces the serving slot / local FIFO of an instance
-    // with three stages: a *forming* batch (batching only), an *admission
-    // queue* of fired invocations, and the *active* set progressing under
-    // the sharing discipline.  All service work is tracked in normalized
-    // processed-volume units (see `crate::flex`); every mutation below
-    // touches only the affected instance, and superseded calendar entries
-    // die lazily via generation stamps.
+    // Every instance holds its work in three stages: a *forming* batch
+    // (batching only), an *admission queue* of fired invocations, and the
+    // *active* set progressing under the sharing discipline (at most one
+    // invocation under serial service).  All service work is tracked in
+    // normalized processed-volume units (see `crate::flex`); the volume
+    // clock of an instance runs from its availability boundary, so work
+    // admitted while it provisions (or wakes from a cold start) starts at
+    // that boundary.  Every mutation below touches only the affected
+    // instance, and superseded calendar entries die lazily via generation
+    // stamps.
 
-    /// Accepts a dispatched query on a flex instance: into the forming
-    /// batch when batching is on, otherwise straight toward admission.
+    /// The latency profile instance `i` serves its model with.
+    fn instance_profile(&self, i: usize) -> &LatencyProfile {
+        let inst = &self.cluster.instances()[i];
+        &self.profiles[inst.model.index() * self.num_types + inst.type_index]
+    }
+
+    /// The instant from which instance `i` can serve: the clock, or its
+    /// provisioning / cold-start boundary if that lies ahead.
+    fn service_clock(&self, i: usize) -> TimeUs {
+        self.now.max(self.cluster.instances()[i].available_from_us)
+    }
+
+    /// Per-invocation progress rate on instance `i` with `n` invocations
+    /// active, straggler slowdown included.
+    fn service_rate(&self, i: usize, n: u32) -> f64 {
+        let rate = self.flex.rate(self.cluster.instances()[i].type_index, n);
+        if self.faults {
+            rate * self.slowdown[i]
+        } else {
+            rate
+        }
+    }
+
+    /// Accepts a dispatched query: into the forming batch when batching is
+    /// on, otherwise straight toward admission.  A dispatch landing on an
+    /// empty serverless instance first ends its tracked idle period: it
+    /// records the observed gap, disarms the keep-alive timer, and wakes a
+    /// parked instance, whose cold start becomes its admission boundary.
     fn flex_dispatch(&mut self, i: usize, query: Query) {
+        if self.serverless.is_some() && self.flex_states[i].is_empty() {
+            self.serverless_on_dispatch(i);
+        }
         self.flex_waiting += 1;
-        let batching = self.flex.as_ref().expect("flex dispatch").batching;
-        match batching {
+        match self.flex.batching {
             Some(b) => {
                 let st = &mut self.flex_states[i];
                 st.forming.push_back((query, self.now));
@@ -2243,18 +2071,15 @@ impl<'a> SimEngine<'a> {
     /// Fires the forming batch as one fused invocation (size cap reached or
     /// timeout expired).  Returns the member count.
     fn flex_fire_batch(&mut self, i: usize) -> usize {
-        {
-            let st = &mut self.flex_states[i];
-            if st.batch_pending {
-                // Superseded by the size trigger: the scheduled timeout
-                // dies lazily at pop time.
-                st.batch_pending = false;
-                st.batch_gen += 1;
-                self.calendar.note_cancelled();
-            }
-        }
         let now = self.now;
         let st = &mut self.flex_states[i];
+        if st.batch_pending {
+            // Superseded by the size trigger: the scheduled timeout dies
+            // lazily at pop time.
+            st.batch_pending = false;
+            st.batch_gen += 1;
+            self.calendar.note_cancelled();
+        }
         let (lead, lead_entered) = st.forming.pop_front().expect("fired an empty batch");
         let mut wait_us = now - lead_entered;
         let mut rest = Vec::with_capacity(st.forming.len());
@@ -2277,132 +2102,139 @@ impl<'a> SimEngine<'a> {
         members
     }
 
-    /// Queues a fired invocation for admission and admits while capacity
-    /// allows.
+    /// Hands a fired invocation to the instance: admitted on the spot when a
+    /// slot is open and nothing waits ahead of it, queued for admission
+    /// otherwise.  A lone invocation on an instance with nothing in service
+    /// finishes its solo service time after it starts, so its completion is
+    /// scheduled directly — the same value the volume arithmetic gives,
+    /// and integer arithmetic at rate 1 (serial service).
     fn flex_enqueue(&mut self, i: usize, unit: WorkUnit) {
-        {
-            let st = &mut self.flex_states[i];
-            st.queued_members += unit.members();
-            st.queued.push_back(unit);
-        }
-        if self.flex_try_admit(i) {
-            self.flex_reschedule(i);
-        }
-    }
-
-    /// Admits queued invocations while the concurrency cap allows, drawing
-    /// each one's service time at its fused batch size.  Returns whether
-    /// the active set changed (the caller then re-derives the frontmost
-    /// completion).
-    fn flex_try_admit(&mut self, i: usize) -> bool {
-        let (type_index, model, available_from_us) = {
-            let inst = &self.cluster.instances()[i];
-            (inst.type_index, inst.model, inst.available_from_us)
-        };
-        if self.now < available_from_us {
-            return false; // still provisioning; `Ready` re-runs admission
-        }
-        let cap = self
-            .flex
-            .as_ref()
-            .expect("flex admission")
-            .concurrency_cap();
-        let mut changed = false;
-        while !self.flex_states[i].queued.is_empty()
-            && (cap == 0 || (self.flex_states[i].active.len() as u32) < cap)
-        {
-            if !changed {
-                // Advance the volume at the pre-admission rate exactly once
-                // (subsequent same-instant admissions see dt = 0).
-                self.flex_advance(i);
-                changed = true;
+        let st = &self.flex_states[i];
+        if st.queued.is_empty() && self.flex.has_slot(st) {
+            let lone = st.active.is_empty();
+            let work_us = self.flex_admit(i, unit);
+            if lone {
+                let rate = self.service_rate(i, 1);
+                let solo_us = if rate == 1.0 {
+                    work_us
+                } else {
+                    ceil_us(work_us as f64 / rate)
+                };
+                self.flex_schedule_finish(i, self.service_clock(i) + solo_us.max(1));
+            } else {
+                self.flex_reschedule(i);
             }
-            let unit = {
-                let st = &mut self.flex_states[i];
-                let unit = st.queued.pop_front().expect("checked non-empty");
-                st.queued_members -= unit.members();
-                unit
-            };
-            let profile = &self.profiles[model.index() * self.num_types + type_index];
-            let work_us = self.services[model.index()].service_time_us_from_profile(
-                profile,
-                unit.fused,
-                &mut self.rngs[model.index()],
-            );
-            self.flex_waiting -= unit.members();
-            let st = &mut self.flex_states[i];
-            st.admit_counter += 1;
-            st.insert_active(ActiveUnit {
-                finish_volume: st.volume + work_us as f64,
-                admit_seq: st.admit_counter,
-                start_us: self.now,
-                unit,
-            });
+            return;
         }
-        changed
+        let nominal = nominal_us_profile(self.instance_profile(i), unit.fused);
+        let st = &mut self.flex_states[i];
+        st.queued_members += unit.members();
+        st.queued_nominal_us += nominal;
+        st.queued.push_back(unit);
     }
 
-    /// Advances the instance's processed volume to the current clock at the
+    /// Admits queued invocations while the concurrency cap allows (after a
+    /// completion freed slots), then re-derives the frontmost completion.
+    fn flex_refill(&mut self, i: usize) {
+        while !self.flex_states[i].queued.is_empty() && self.flex.has_slot(&self.flex_states[i]) {
+            let unit = self.flex_states[i]
+                .queued
+                .pop_front()
+                .expect("checked non-empty");
+            let nominal = nominal_us_profile(self.instance_profile(i), unit.fused);
+            let st = &mut self.flex_states[i];
+            st.queued_members -= unit.members();
+            st.queued_nominal_us -= nominal;
+            self.flex_admit(i, unit);
+        }
+        self.flex_reschedule(i);
+    }
+
+    /// Admits one invocation and returns its work: its service time, drawn
+    /// at its fused batch size.  The instance's volume first advances at the
+    /// pre-admission rate (same-instant admissions see dt = 0) — or, with
+    /// nothing in service, restarts at zero: volumes only matter relative to
+    /// the residents' finish volumes, and the restart keeps a lone
+    /// invocation's finish volume exactly its work.  The invocation starts
+    /// at the instance's service clock; the caller schedules the frontmost
+    /// completion after.
+    fn flex_admit(&mut self, i: usize, unit: WorkUnit) -> TimeUs {
+        let start_us = self.service_clock(i);
+        if self.flex_states[i].active.is_empty() {
+            let st = &mut self.flex_states[i];
+            st.volume = 0.0;
+            st.last_update_us = start_us;
+        } else {
+            self.flex_advance(i);
+        }
+        let inst = &self.cluster.instances()[i];
+        let model = inst.model.index();
+        let profile = &self.profiles[model * self.num_types + inst.type_index];
+        let work_us = self.services[model].service_time_us_from_profile(
+            profile,
+            unit.fused,
+            &mut self.rngs[model],
+        );
+        self.flex_waiting -= unit.members();
+        let st = &mut self.flex_states[i];
+        st.admit_counter += 1;
+        st.insert_active(ActiveUnit {
+            finish_volume: st.volume + work_us as f64,
+            admit_seq: st.admit_counter,
+            start_us,
+            unit,
+        });
+        work_us
+    }
+
+    /// Advances the instance's processed volume to its service clock at the
     /// prevailing per-sharer rate.  Must run *before* the sharer count
     /// changes.
     fn flex_advance(&mut self, i: usize) {
-        let type_index = self.cluster.instances()[i].type_index;
-        let st = &mut self.flex_states[i];
-        if st.active.is_empty() {
-            st.last_update_us = self.now;
-            return;
+        let clock = self.service_clock(i);
+        let n = self.flex_states[i].active.len() as u32;
+        let dt = clock - self.flex_states[i].last_update_us;
+        if n > 0 && dt > 0 {
+            let rate = self.service_rate(i, n);
+            self.flex_states[i].volume += dt as f64 * rate;
         }
-        let dt = self.now - st.last_update_us;
-        if dt > 0 {
-            let mut rate = self
-                .flex
-                .as_ref()
-                .expect("flex advance")
-                .rate(type_index, st.active.len() as u32);
-            if self.faults {
-                rate *= self.slowdown[i];
-            }
-            st.volume += dt as f64 * rate;
-            st.last_update_us = self.now;
-        }
+        self.flex_states[i].last_update_us = clock;
     }
 
     /// Re-derives the frontmost completion after the active set (and hence
     /// the sharing rate) changed: the superseded calendar entry is
     /// invalidated in place (generation bump, lazy deletion) and the new
     /// boundary scheduled.  O(1) given the sorted active set — the
-    /// incremental heart of the sharing path: an arrival or completion
+    /// incremental heart of the service path: an arrival or completion
     /// re-derives exactly one instance's frontmost event, never rescanning
     /// the cluster or the calendar.
     fn flex_reschedule(&mut self, i: usize) {
-        {
-            let st = &mut self.flex_states[i];
-            if st.completion_pending {
-                st.completion_pending = false;
-                st.completion_gen += 1;
-                self.calendar.note_cancelled();
-            }
-        }
-        let type_index = self.cluster.instances()[i].type_index;
         let st = &mut self.flex_states[i];
+        if st.completion_pending {
+            st.completion_pending = false;
+            st.completion_gen += 1;
+            self.calendar.note_cancelled();
+        }
         let Some(front) = st.active.first() else {
             return;
         };
-        let mut rate = self
-            .flex
-            .as_ref()
-            .expect("flex reschedule")
-            .rate(type_index, st.active.len() as u32);
-        if self.faults {
-            rate *= self.slowdown[i];
-        }
         let remaining = (front.finish_volume - st.volume).max(0.0);
-        let dt = ((remaining / rate).ceil() as TimeUs).max(1);
+        let n = st.active.len() as u32;
+        let rate = self.service_rate(i, n);
+        let at = self.service_clock(i) + ceil_us(remaining / rate).max(1);
+        self.flex_schedule_finish(i, at);
+    }
+
+    /// Schedules instance `i`'s frontmost completion at `at`; any superseded
+    /// entry has been invalidated by the caller.
+    fn flex_schedule_finish(&mut self, i: usize, at: TimeUs) {
+        let st = &mut self.flex_states[i];
         st.completion_gen += 1;
         st.completion_pending = true;
+        st.finish_at_us = at;
         let gen = st.completion_gen;
         self.calendar.push(TimedEvent {
-            time: self.now + dt,
+            time: at,
             seq: self.seq,
             instance_index: i,
             kind: TimedKind::FlexCompletion,
@@ -2422,44 +2254,44 @@ impl<'a> SimEngine<'a> {
         }
     }
 
-    /// Applies a live `FlexCompletion`: advances the volume, pops every
-    /// invocation whose finish volume is reached, records the members,
-    /// refills from the admission queue, and re-derives the next frontmost
-    /// completion.
+    /// Applies a live `FlexCompletion`: pops the frontmost invocation (and,
+    /// with several in service, every other one whose finish volume the
+    /// advanced volume reached), records the members, refills from the
+    /// admission queue, and re-derives the next frontmost completion.  A
+    /// lone invocation leaves the instance with nothing in service, so its
+    /// volume is not advanced (the next admission restarts it).  An
+    /// instance left empty re-enters the idle index (and a serverless one
+    /// starts a tracked idle period), or — if draining — retires.
     fn flex_complete(&mut self, i: usize) -> EngineEvent {
-        {
+        let sharers = {
             let st = &mut self.flex_states[i];
             st.completion_pending = false;
             st.completion_gen += 1;
-        }
-        self.flex_advance(i);
-        let (type_index, type_name) = {
-            let inst = &self.cluster.instances()[i];
-            (inst.type_index, inst.type_name.clone())
+            st.active.len()
         };
-        {
+        if sharers > 1 {
+            self.flex_advance(i);
             // Integer rounding of the event time can land a hair before the
             // exact crossing; the event is authoritative for the frontmost
             // invocation, so clamp the volume up to it.
             let st = &mut self.flex_states[i];
-            let front = st
-                .active
-                .first()
-                .expect("live completion on an empty instance")
-                .finish_volume;
-            if st.volume < front {
-                st.volume = front;
-            }
+            st.volume = st.volume.max(st.active[0].finish_volume);
         }
-        let mut records = Vec::new();
-        while let Some(front) = self.flex_states[i].active.first() {
-            if front.finish_volume > self.flex_states[i].volume {
-                break;
-            }
-            let done = self.flex_states[i].active.remove(0);
-            self.flex_states[i].active_members -= done.unit.members();
+        let (type_index, type_name, accepting) = {
+            let inst = &self.cluster.instances()[i];
+            (
+                inst.type_index,
+                inst.type_name.clone(),
+                inst.accepts_dispatches(),
+            )
+        };
+        let first_record = self.records.len();
+        let st = &mut self.flex_states[i];
+        loop {
+            let done = st.active.remove(0);
+            st.active_members -= done.unit.members();
             let service_ms = (self.now - done.start_us) as f64 / 1000.0;
-            for query in std::iter::once(&done.unit.lead).chain(done.unit.rest.iter()) {
+            for query in std::iter::once(&done.unit.lead).chain(&done.unit.rest) {
                 let record = QueryRecord {
                     id: query.id,
                     model: query.model,
@@ -2478,20 +2310,29 @@ impl<'a> SimEngine<'a> {
                 self.records.push(record);
                 self.accuracy_sum_by_model[query.model.index()] +=
                     self.accuracy_by_model[query.model.index()];
-                records.push(record);
                 self.scheduler
                     .on_completion(type_index, query.model, query.batch_size, service_ms);
             }
+            if !st
+                .active
+                .first()
+                .is_some_and(|a| a.finish_volume <= st.volume)
+            {
+                break;
+            }
         }
-        self.flex_try_admit(i);
-        self.flex_reschedule(i);
+        self.flex_refill(i);
+        let empty = self.flex_states[i].is_empty();
+        if empty && accepting && self.serverless.is_some() {
+            self.serverless_arm(i);
+        }
         self.flex_sync_view(i);
-        if self.flex_states[i].is_empty() && self.cluster.settle_drained(i) {
+        if empty && self.cluster.settle_drained(i) {
             self.settle_bill(i, self.now);
         }
         EngineEvent::Completions {
             instance_index: i,
-            records,
+            records: first_record..self.records.len(),
             type_name,
         }
     }
@@ -2512,102 +2353,38 @@ impl<'a> SimEngine<'a> {
         }
     }
 
-    /// Provisioning boundary passed on a flex instance: admit anything that
-    /// queued up while it was unavailable.
-    fn flex_on_ready(&mut self, i: usize) {
-        if self.flex_try_admit(i) {
-            self.flex_reschedule(i);
-        }
-        self.flex_sync_view(i);
-    }
-
-    /// Preemption-deadline kill of a flex instance: every member in any
-    /// stage (forming, admission queue, in flight) requeues to the central
-    /// queue exactly once, and the pending calendar entries die lazily.
-    fn flex_kill(&mut self, instance_index: usize) -> EngineEvent {
-        debug_assert_eq!(
-            self.cluster.instances()[instance_index].lifecycle,
-            InstanceLifecycle::Preempting
-        );
-        let mut requeued = 0usize;
-        {
-            let st = &mut self.flex_states[instance_index];
-            debug_assert!(!st.in_idle, "notice already de-indexed the instance");
-            if st.batch_pending {
-                st.batch_pending = false;
-                st.batch_gen += 1;
-                self.calendar.note_cancelled();
-            }
-            if st.completion_pending {
-                st.completion_pending = false;
-                st.completion_gen += 1;
-                self.calendar.note_cancelled();
-            }
-            st.forming_fused = 0;
-            self.flex_waiting -= st.forming.len() + st.queued_members;
-            while let Some((query, _)) = st.forming.pop_front() {
-                self.central_queue.push(query);
-                requeued += 1;
-            }
-            while let Some(unit) = st.queued.pop_front() {
-                requeued += unit.members();
-                self.central_queue.push(unit.lead);
-                self.central_queue.extend(unit.rest);
-            }
-            for done in st.active.drain(..) {
-                requeued += done.unit.members();
-                self.central_queue.push(done.unit.lead);
-                self.central_queue.extend(done.unit.rest);
-            }
-            st.queued_members = 0;
-            st.active_members = 0;
-        }
-        {
-            let inst = &mut self.cluster.instances_mut()[instance_index];
-            inst.lifecycle = InstanceLifecycle::Preempted;
-            let free_at = self.now.max(inst.available_from_us);
-            let view = &mut self.views[instance_index];
-            view.backlog = 0;
-            view.free_at_us = free_at;
-            debug_assert!(!view.accepting, "notice already stopped dispatches");
-        }
-        self.settle_bill(instance_index, self.now);
-        self.preempted_instances += 1;
-        self.requeued_queries += requeued;
-        EngineEvent::InstancePreempted {
-            instance_index,
-            requeued,
-        }
-    }
-
     /// Re-derives the instance's scheduler view and idle-index membership
-    /// from its flex state.  A flex instance is *dispatchable* while it can
-    /// absorb another query: forming below the size cap with an empty
-    /// admission queue when batching, an open admission slot (and empty
-    /// queue) under sharing alone.
+    /// from its service state.  A dispatchable instance (see
+    /// [`FlexConfig::open`]) sits in the idle index; any other frees up at
+    /// its frontmost invocation's scheduled finish (its provisioning
+    /// boundary when nothing is in service) plus the nominal times of its
+    /// queued invocations.
     fn flex_sync_view(&mut self, i: usize) {
         let (accepting, available_from_us) = {
             let inst = &self.cluster.instances()[i];
             (inst.accepts_dispatches(), inst.available_from_us)
         };
-        let config = self.flex.as_ref().expect("flex view sync");
-        let cap = config.concurrency_cap();
+        let clock = self.now.max(available_from_us);
         let st = &self.flex_states[i];
-        let open = match config.batching {
-            Some(b) => st.forming_fused < b.max_batch_size && st.queued.is_empty(),
-            None => st.queued.is_empty() && (cap == 0 || (st.active.len() as u32) < cap),
-        };
-        let dispatchable = accepting && open;
-        let backlog = st.total_members();
+        let dispatchable = accepting && self.flex.open(st);
         let was_indexed = st.in_idle;
-        self.views[i].backlog = backlog;
-        self.views[i].accepting = accepting;
+        let view = &mut self.views[i];
+        view.backlog = st.total_members();
+        view.accepting = accepting;
+        if !dispatchable {
+            let front = if st.active.is_empty() {
+                available_from_us
+            } else {
+                st.finish_at_us
+            };
+            view.free_at_us = front + st.queued_nominal_us;
+        }
         if dispatchable == was_indexed {
             return;
         }
         if dispatchable {
-            self.views[i].free_at_us = self.now.max(available_from_us);
-            if available_from_us > self.now {
+            view.free_at_us = clock;
+            if clock > self.now {
                 self.insert_idle_pending(i as u32);
             } else {
                 let pos = self.idle_free.binary_search(&(i as u32)).unwrap_err();
@@ -2628,7 +2405,7 @@ impl<'a> SimEngine<'a> {
     // and a live expiry parks the instance — bill settled, lifecycle
     // `Parked`, still in the idle index.  The next dispatch to a parked
     // instance restarts billing and injects the cold-start latency through
-    // the provisioning clamp (`available_from_us`), so `start_next` needs
+    // the availability boundary (`available_from_us`), so admission needs
     // no serverless branch at all.
 
     /// Starts a tracked idle period on a live idle instance: arms the
@@ -2759,10 +2536,21 @@ pub fn run_trace(
     SimEngine::new(pool, config, service, trace, scheduler, options).run()
 }
 
+/// One instance's service state in [`run_trace_naive`]: the query in service
+/// and the local FIFO behind it.  The reference keeps its own slots so it
+/// stays independent of the engine's service path.
+#[derive(Default)]
+struct NaiveSlot {
+    serving: Option<(Query, TimeUs)>,
+    busy_until_us: TimeUs,
+    local_queue: VecDeque<Query>,
+}
+
 /// The original event loop, which keeps every event (arrivals included) in a
 /// binary heap, rebuilds every [`InstanceView`] and the idle index from
 /// scratch on every event, and removes dispatched queries with per-index
-/// `Vec::remove` calls.
+/// `Vec::remove` calls.  It serves the paper's one-query-at-a-time model
+/// only.
 ///
 /// Preserved as the behavioural reference for [`SimEngine`]: the determinism
 /// and property tests assert the two produce identical reports, and the
@@ -2776,7 +2564,8 @@ pub fn run_trace_naive(
     scheduler: &mut dyn Scheduler,
     options: &SimulationOptions,
 ) -> SimReport {
-    let mut cluster = Cluster::new(pool.clone(), config.clone());
+    let cluster = Cluster::new(pool.clone(), config.clone());
+    let mut slots: Vec<NaiveSlot> = (0..cluster.len()).map(|_| NaiveSlot::default()).collect();
     scheduler.bind_types(cluster.type_names());
     scheduler.bind_models(&[service.model.kind]);
     let mut rng = StdRng::seed_from_u64(options.seed);
@@ -2798,27 +2587,63 @@ pub fn run_trace_naive(
     let mut last_event: TimeUs = 0;
     let mut events_processed = 0u64;
 
+    // Views rebuilt from the slots: a busy instance frees up when its query
+    // finishes plus the nominal time of everything queued behind it.
+    fn build_views(
+        cluster: &Cluster,
+        slots: &[NaiveSlot],
+        service: &ServiceSpec,
+        now: TimeUs,
+    ) -> Vec<InstanceView> {
+        cluster
+            .instances()
+            .iter()
+            .zip(slots)
+            .map(|(inst, slot)| {
+                let mut free_at = if slot.serving.is_some() {
+                    slot.busy_until_us.max(now)
+                } else {
+                    now.max(inst.available_from_us)
+                };
+                for q in &slot.local_queue {
+                    free_at += nominal_us(service, &inst.type_name, q.batch_size);
+                }
+                InstanceView {
+                    instance_index: inst.index,
+                    type_index: inst.type_index,
+                    type_name: inst.type_name.clone(),
+                    model: inst.model,
+                    is_base: inst.is_base,
+                    accepting: inst.accepts_dispatches(),
+                    free_at_us: free_at,
+                    backlog: slot.local_queue.len() + usize::from(slot.serving.is_some()),
+                }
+            })
+            .collect()
+    }
+
     // Helper to start the next locally queued query on an idle instance.
-    fn start_next(
-        cluster: &mut Cluster,
+    fn begin_service(
+        inst: &SimInstance,
+        slot: &mut NaiveSlot,
         service: &ServiceSpec,
         rng: &mut StdRng,
         heap: &mut BinaryHeap<Reverse<Event>>,
         seq: &mut u64,
-        instance_index: usize,
         now: TimeUs,
     ) {
-        let inst = &mut cluster.instances_mut()[instance_index];
-        debug_assert!(inst.serving.is_none(), "instance already serving a query");
-        if let Some(query) = inst.local_queue.pop_front() {
+        debug_assert!(slot.serving.is_none(), "instance already serving a query");
+        if let Some(query) = slot.local_queue.pop_front() {
             let service_us = service.service_time_us(&inst.type_name, query.batch_size, rng);
             let start_us = now.max(inst.available_from_us);
-            inst.serving = Some((query, start_us));
-            inst.busy_until_us = start_us + service_us;
+            slot.serving = Some((query, start_us));
+            slot.busy_until_us = start_us + service_us;
             heap.push(Reverse(Event {
-                time: inst.busy_until_us,
+                time: slot.busy_until_us,
                 seq: *seq,
-                kind: EventKind::Completion { instance_index },
+                kind: EventKind::Completion {
+                    instance_index: inst.index,
+                },
             }));
             *seq += 1;
         }
@@ -2827,7 +2652,8 @@ pub fn run_trace_naive(
     // Consult the scheduler and apply its dispatch decisions.
     #[allow(clippy::too_many_arguments)]
     fn invoke_scheduler(
-        cluster: &mut Cluster,
+        cluster: &Cluster,
+        slots: &mut [NaiveSlot],
         service: &ServiceSpec,
         scheduler: &mut dyn Scheduler,
         central_queue: &mut Vec<Query>,
@@ -2840,7 +2666,7 @@ pub fn run_trace_naive(
         if central_queue.is_empty() {
             return;
         }
-        let views = build_views_naive(cluster, &[service], now);
+        let views = build_views(cluster, slots, service, now);
         let idle = idle_order(&views);
         let qos_by_model = [qos_us];
         let ctx = SchedulingContext {
@@ -2872,14 +2698,11 @@ pub fn run_trace_naive(
 
         // Dispatch in the order returned by the policy.
         for d in &plan {
-            let query = central_queue[d.query_index];
-            let needs_start = {
-                let inst = &mut cluster.instances_mut()[d.instance_index];
-                inst.local_queue.push_back(query);
-                inst.serving.is_none()
-            };
-            if needs_start {
-                start_next(cluster, service, rng, heap, seq, d.instance_index, now);
+            let slot = &mut slots[d.instance_index];
+            slot.local_queue.push_back(central_queue[d.query_index]);
+            if slot.serving.is_none() {
+                let inst = &cluster.instances()[d.instance_index];
+                begin_service(inst, slot, service, rng, heap, seq, now);
             }
         }
 
@@ -2901,14 +2724,11 @@ pub fn run_trace_naive(
                 central_queue.push(query);
             }
             EventKind::Completion { instance_index } => {
-                let (query, start_us, type_index) = {
-                    let inst = &mut cluster.instances_mut()[instance_index];
-                    let (query, start_us) = inst
-                        .serving
-                        .take()
-                        .expect("completion event for idle instance");
-                    (query, start_us, inst.type_index)
-                };
+                let (query, start_us) = slots[instance_index]
+                    .serving
+                    .take()
+                    .expect("completion event for idle instance");
+                let type_index = cluster.instances()[instance_index].type_index;
                 records.push(QueryRecord {
                     id: query.id,
                     model: query.model,
@@ -2922,19 +2742,20 @@ pub fn run_trace_naive(
                 let service_ms = (now - start_us) as f64 / 1000.0;
                 scheduler.on_completion(type_index, query.model, query.batch_size, service_ms);
                 // Start the next locally queued query, if any.
-                start_next(
-                    &mut cluster,
+                begin_service(
+                    &cluster.instances()[instance_index],
+                    &mut slots[instance_index],
                     service,
                     &mut rng,
                     &mut heap,
                     &mut seq,
-                    instance_index,
                     now,
                 );
             }
         }
         invoke_scheduler(
-            &mut cluster,
+            &cluster,
+            &mut slots,
             service,
             scheduler,
             &mut central_queue,
@@ -2954,9 +2775,9 @@ pub fn run_trace_naive(
         arrival_us: q.arrival_us,
     };
     let mut unfinished: Vec<UnfinishedQuery> = central_queue.iter().map(unfinished_of).collect();
-    for inst in cluster.instances() {
-        unfinished.extend(inst.local_queue.iter().map(unfinished_of));
-        if let Some((q, _)) = &inst.serving {
+    for slot in &slots {
+        unfinished.extend(slot.local_queue.iter().map(unfinished_of));
+        if let Some((q, _)) = &slot.serving {
             unfinished.push(unfinished_of(q));
         }
     }
@@ -3208,14 +3029,10 @@ mod tests {
         }
         // The scheduling round saw queries [0,1,2,3,4] and dispatched {4, 3}
         // in that order: 4 entered service first, 3 waits in the local queue.
-        let inst = &engine.cluster().instances()[0];
-        assert_eq!(
-            inst.serving.unwrap().0.id,
-            4,
-            "first dispatched query must start first"
-        );
-        let local: Vec<u64> = inst.local_queue.iter().map(|q| q.id).collect();
-        assert_eq!(local, vec![3], "second dispatch queues behind: {local:?}");
+        let held: Vec<u64> = engine.instance_queries(0).map(|q| q.id).collect();
+        assert_eq!(held[0], 4, "first dispatched query must start first");
+        let local = &held[1..];
+        assert_eq!(local, [3], "second dispatch queues behind: {local:?}");
         // The central queue keeps the remaining queries in arrival order.
         let central: Vec<u64> = engine.central_queue().iter().map(|q| q.id).collect();
         assert_eq!(central, vec![0, 1, 2], "sweep must preserve arrival order");
@@ -3265,10 +3082,63 @@ mod tests {
         // Queries 0, 2, 4 were dispatched; 1, 3, 5 must survive in order.
         let central: Vec<u64> = engine.central_queue().iter().map(|q| q.id).collect();
         assert_eq!(central, vec![1, 3, 5]);
-        let inst = &engine.cluster().instances()[0];
-        assert_eq!(inst.serving.unwrap().0.id, 0);
-        let local: Vec<u64> = inst.local_queue.iter().map(|q| q.id).collect();
-        assert_eq!(local, vec![2, 4]);
+        let held: Vec<u64> = engine.instance_queries(0).map(|q| q.id).collect();
+        assert_eq!(held[0], 0);
+        assert_eq!(held[1..], [2, 4]);
+    }
+
+    /// Dispatches every queued query to instance 0 as soon as it arrives.
+    struct FirstInstance;
+
+    impl Scheduler for FirstInstance {
+        fn name(&self) -> &'static str {
+            "first-instance"
+        }
+
+        fn schedule(&mut self, ctx: &SchedulingContext<'_>) -> Vec<Dispatch> {
+            (0..ctx.queued.len())
+                .map(|query_index| Dispatch {
+                    query_index,
+                    instance_index: 0,
+                })
+                .collect()
+        }
+    }
+
+    #[test]
+    fn instance_backlog_counts_every_stage() {
+        let (pool, service) = setup();
+        let config = Config::new(vec![1, 0, 0, 0]);
+        // Two full batches and a straggler at t = 0: the first batch is in
+        // service, the second waits for the one admission slot, and the
+        // straggler forms the next batch.
+        let trace = Trace::from_queries(vec![
+            Query::new(0, 200, 0),
+            Query::new(1, 200, 0),
+            Query::new(2, 50, 0),
+        ]);
+        let mut scheduler = FirstInstance;
+        let mut engine = SimEngine::new(
+            &pool,
+            &config,
+            &service,
+            &trace,
+            &mut scheduler,
+            &SimulationOptions::default(),
+        )
+        .with_batching(BatchingOptions::new(200, 10_000));
+        assert_eq!(engine.instance_backlog(0), 0);
+        for _ in 0..3 {
+            assert!(engine.step());
+        }
+        assert_eq!(engine.instance_backlog(0), 3);
+        assert_eq!(engine.recompute_views()[0].backlog, 3);
+        // Two of the three wait outside service (queued + forming).
+        assert_eq!(engine.queued_backlog(), 2);
+        let held: Vec<u64> = engine.instance_queries(0).map(|q| q.id).collect();
+        assert_eq!(held, vec![0, 1, 2], "in service, queued, forming");
+        let report = engine.run();
+        assert_eq!(report.completed(), 3);
     }
 
     #[test]
@@ -3594,7 +3464,11 @@ mod tests {
                     assert_eq!(instance_index, 1);
                     let inst = &engine.cluster().instances()[instance_index];
                     assert!(inst.is_preempted());
-                    assert!(inst.is_idle(), "kill must strip all work");
+                    assert_eq!(
+                        engine.instance_backlog(instance_index),
+                        0,
+                        "kill must strip all work"
+                    );
                 }
                 _ => {}
             }
@@ -3664,7 +3538,7 @@ mod tests {
         use crate::flex::SharingOptions;
         use kairos_models::ThroughputDegradation;
 
-        /// Service time of one lone legacy query of `batch` at t = 0 on the
+        /// Service time of one lone serial query of `batch` at t = 0 on the
         /// GPU — the yardstick the sharing tests scale against.
         fn solo_service_us(batch: u32) -> TimeUs {
             let (pool, service) = setup();
@@ -3956,7 +3830,7 @@ mod tests {
             for r in report.records.iter().filter(|r| r.instance_index == 1) {
                 assert!(
                     r.arrival_us < 400_000,
-                    "query {} dispatched to a draining flex instance",
+                    "query {} dispatched to a draining sharing instance",
                     r.id
                 );
             }
@@ -3998,35 +3872,53 @@ mod tests {
 
     #[test]
     fn incremental_views_match_recomputed_views_each_step() {
+        use crate::flex::SharingOptions;
+        use kairos_models::ThroughputDegradation;
         let (pool, service) = setup();
         // FCFS dispatches to idle instances only, so this exercises the
-        // serving-slot accounting; deep-local-queue coverage (and the full
-        // 10k-query regression) lives in tests/engine_regression.rs with a
+        // in-service accounting (and, with the knobs, the forming and
+        // sharing stages); deep-queue coverage (and the full 10k-query
+        // regression) lives in tests/engine_regression.rs with a
         // queue-building scheduler.
         let trace = TraceSpec::production(600.0, 0.5, 31).generate();
         let config = Config::new(vec![1, 0, 1, 0]);
-        let mut scheduler = FcfsScheduler::new();
-        let mut engine = SimEngine::new(
-            &pool,
-            &config,
-            &service,
-            &trace,
-            &mut scheduler,
-            &SimulationOptions::default(),
+        let sharing = SharingMode::Fair(
+            SharingOptions::uniform(ThroughputDegradation::TimeSliced).with_max_concurrency(2),
         );
-        let mut steps = 0usize;
-        while engine.step() {
-            let reference = engine.recompute_views();
-            let reference_idle = idle_order(&reference);
-            let (views, idle) = engine.scheduler_views();
-            assert_eq!(views, &reference[..], "views diverged at step {steps}");
-            assert_eq!(idle, &reference_idle[..], "idle diverged at step {steps}");
-            steps += 1;
+        let batching = BatchingOptions::new(256, 2_000);
+        for knob in 0..4 {
+            let mut scheduler = FcfsScheduler::new();
+            let mut engine = SimEngine::new(
+                &pool,
+                &config,
+                &service,
+                &trace,
+                &mut scheduler,
+                &SimulationOptions::default(),
+            );
+            if knob & 1 == 1 {
+                engine = engine.with_sharing(sharing.clone());
+            }
+            if knob & 2 == 2 {
+                engine = engine.with_batching(batching);
+            }
+            let mut steps = 0usize;
+            while engine.step() {
+                let reference = engine.recompute_views();
+                let reference_idle = engine.recompute_idle();
+                if knob == 0 {
+                    assert_eq!(reference_idle, idle_order(&reference));
+                }
+                let (views, idle) = engine.scheduler_views();
+                assert_eq!(views, &reference[..], "views diverged at step {steps}");
+                assert_eq!(idle, &reference_idle[..], "idle diverged at step {steps}");
+                steps += 1;
+            }
+            assert!(
+                steps > trace.len(),
+                "simulation should process every arrival"
+            );
         }
-        assert!(
-            steps > trace.len(),
-            "simulation should process every arrival"
-        );
     }
 
     #[test]
@@ -4268,7 +4160,7 @@ mod tests {
                         cold_profile(),
                     ));
             while let Some(event) = engine.step_event() {
-                if matches!(event, EngineEvent::Completion { .. }) {
+                if matches!(event, EngineEvent::Completions { .. }) {
                     engine.retire_instance(0);
                 }
             }

@@ -1,9 +1,10 @@
-//! Fair throughput-sharing and dynamic batching for the serving engine.
+//! The engine's one service path: serial service, fair throughput sharing
+//! and dynamic batching as settings of the same per-instance state.
 //!
-//! The paper's serving model dedicates an instance to one query at a time,
-//! so a completion time is fixed the moment service starts.  This module
-//! holds the configuration and per-instance state of the engine's *flex*
-//! service path, which relaxes that in two independent, composable ways:
+//! The paper's serving model (Sec. 6) dedicates an instance to one query at
+//! a time, served from its own queue.  That is the default setting of this
+//! path — concurrency cap 1, no batcher, per-sharer rate 1 — and two
+//! independent, composable options relax it:
 //!
 //! * **Fair throughput sharing** ([`SharingOptions`]) — several in-flight
 //!   invocations share one instance, each progressing at the per-sharer
@@ -23,9 +24,9 @@
 //!   profile's batch axis, amortizing the per-invocation intercept across
 //!   the members.
 //!
-//! Neither option touches the legacy path: an engine built without
-//! [`SharingMode::Fair`] or batching runs the exact pre-flex code,
-//! bit-for-bit (property-tested in `tests/proptest_flex.rs`).
+//! Every curve has `per_sharer_rate(1) == 1.0`, so sharing capped at one
+//! invocation is serial service bit for bit (property-tested in
+//! `tests/proptest_flex.rs`).
 
 use kairos_models::ThroughputDegradation;
 use kairos_workload::{Query, TimeUs};
@@ -96,8 +97,8 @@ impl SharingOptions {
 /// invocations.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SharingMode {
-    /// The paper's dedicated-instance model: one invocation at a time,
-    /// bit-identical to an engine that never heard of sharing.
+    /// The paper's dedicated-instance model: one invocation at a time (the
+    /// engine's default, so selecting it changes nothing).
     None,
     /// Fair sharing under the given degradation curves.
     Fair(SharingOptions),
@@ -128,7 +129,8 @@ impl BatchingOptions {
     }
 }
 
-/// Engine-level flex configuration: either half may be enabled alone.
+/// Engine-level service configuration: either half may be enabled alone;
+/// the default (neither) is the paper's serial service.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub(crate) struct FlexConfig {
     pub sharing: Option<SharingOptions>,
@@ -136,9 +138,9 @@ pub(crate) struct FlexConfig {
 }
 
 impl FlexConfig {
-    /// Concurrent-invocation cap per instance: batching without sharing
-    /// serves strictly one fused invocation at a time (the legacy serial
-    /// discipline over batches); sharing uses its own cap (`0` unbounded).
+    /// Concurrent-invocation cap per instance: without sharing an instance
+    /// serves strictly one (possibly fused) invocation at a time; sharing
+    /// uses its own cap (`0` unbounded).
     pub fn concurrency_cap(&self) -> u32 {
         match &self.sharing {
             Some(s) => s.max_concurrency(),
@@ -152,6 +154,33 @@ impl FlexConfig {
         match &self.sharing {
             Some(s) => s.curve(type_index).per_sharer_rate(n),
             None => 1.0,
+        }
+    }
+
+    /// Whether an instance can absorb more than one dispatch per scheduling
+    /// round (a batcher is attached or the cap is not 1).  Only then does
+    /// the engine repeat a round that made progress: policies like FCFS
+    /// hand out at most one query per idle instance per round.
+    pub fn repeats_rounds(&self) -> bool {
+        self.batching.is_some() || self.concurrency_cap() != 1
+    }
+
+    /// Whether an instance in state `st` has a free admission slot.
+    pub fn has_slot(&self, st: &FlexState) -> bool {
+        let cap = self.concurrency_cap();
+        cap == 0 || (st.active.len() as u32) < cap
+    }
+
+    /// Whether an instance in state `st` can take another dispatch: forming
+    /// below the size cap with an empty admission queue when batching, an
+    /// open admission slot (and empty queue) otherwise.
+    pub fn open(&self, st: &FlexState) -> bool {
+        if !st.queued.is_empty() {
+            return false;
+        }
+        match self.batching {
+            Some(b) => st.forming_fused < b.max_batch_size,
+            None => self.has_slot(st),
         }
     }
 }
@@ -194,7 +223,7 @@ pub(crate) struct ActiveUnit {
     pub admit_seq: u64,
 }
 
-/// Per-instance state of the flex service path.  All fields are pure
+/// Per-instance state of the service path.  All fields are pure
 /// functions of the instance's event history, so per-model-lane shards
 /// replay the combined run's float arithmetic bit-for-bit.
 #[derive(Debug, Clone, Default)]
@@ -211,6 +240,10 @@ pub(crate) struct FlexState {
     pub queued: VecDeque<WorkUnit>,
     /// Total queries across `queued`.
     pub queued_members: usize,
+    /// Sum of the (individually rounded) nominal service times of the
+    /// `queued` invocations at their fused sizes — the queued part of a busy
+    /// instance's `free_at_us`.
+    pub queued_nominal_us: TimeUs,
     /// Admitted invocations, sorted by `(finish_volume, admit_seq)` — the
     /// deterministic completion order.
     pub active: Vec<ActiveUnit>,
@@ -224,6 +257,9 @@ pub(crate) struct FlexState {
     pub completion_gen: u64,
     /// Whether a `FlexCompletion` is live in the calendar.
     pub completion_pending: bool,
+    /// Virtual time of the live `FlexCompletion` (the frontmost active
+    /// invocation's scheduled finish).
+    pub finish_at_us: TimeUs,
     /// Invocations admitted so far (the `admit_seq` source).
     pub admit_counter: u64,
     /// Whether this instance currently sits in the engine's idle index.
@@ -236,8 +272,7 @@ impl FlexState {
         self.forming.len() + self.queued_members + self.active_members
     }
 
-    /// No work in any stage — the flex analogue of `SimInstance::is_idle`
-    /// (whose serving slot and local queue the flex path never uses).
+    /// No work in any stage.
     pub fn is_empty(&self) -> bool {
         self.forming.is_empty() && self.queued.is_empty() && self.active.is_empty()
     }

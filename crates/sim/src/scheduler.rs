@@ -4,8 +4,8 @@
 //! changes (a query arrives or an instance completes a query).  The scheduler
 //! sees the central queue of not-yet-dispatched queries and a view of every
 //! instance (its type and when it will next be free) and returns a set of
-//! (query, instance) dispatch decisions.  Dispatched queries are appended to
-//! the target instance's local FIFO queue, which allows both
+//! (query, instance) dispatch decisions.  Dispatched queries join the target
+//! instance's own queue (served in dispatch order), which allows both
 //! central-queue policies (Kairos, Ribbon, DRS — they only dispatch to idle
 //! instances) and per-instance-queue policies (Clockwork) to be expressed.
 //!
@@ -75,8 +75,8 @@ pub struct InstanceView {
     /// path: views of retired instances are not refreshed (policies must not
     /// dispatch to them, so their projected free time is meaningless).
     pub free_at_us: TimeUs,
-    /// Number of queries currently queued locally at the instance (including
-    /// the one being served).
+    /// Number of queries the instance holds in any stage (forming batch,
+    /// queued, in service).
     pub backlog: usize,
 }
 
@@ -102,8 +102,10 @@ pub struct SchedulingContext<'a> {
     pub queued: &'a [Query],
     /// View of every instance in the cluster.
     pub instances: &'a [InstanceView],
-    /// Indices (into [`Self::instances`]) of the *dispatchable* backlog-free
-    /// instances — accepting, nothing serving, nothing queued locally.  The
+    /// Indices (into [`Self::instances`]) of the *dispatchable* instances —
+    /// accepting and able to take another query (under serial service:
+    /// nothing serving, nothing queued; with sharing or batching an instance
+    /// with an open slot or a forming batch stays dispatchable).  The
     /// immediately usable ones (`free_at_us <= now_us`) come first in
     /// instance-index order; instances still provisioning (`free_at_us >
     /// now_us`) follow, sorted by `(provisioning boundary, instance
@@ -145,14 +147,16 @@ impl SchedulingContext<'_> {
     }
 }
 
-/// Reference computation of [`SchedulingContext::idle`] from a view array:
-/// the dispatchable backlog-free instances sorted by `(free_at_us,
-/// instance_index)`.  The ordering is purely view-derived — the clock enters
-/// only later, through [`SchedulingContext::idle_now`]'s usable-prefix cut.
+/// Reference computation of [`SchedulingContext::idle`] from a view array
+/// under serial service: the accepting backlog-free instances sorted by
+/// `(free_at_us, instance_index)`.  The ordering is purely view-derived —
+/// the clock enters only later, through [`SchedulingContext::idle_now`]'s
+/// usable-prefix cut.
 ///
-/// This is the oracle the engine's incremental index is tested against, and
-/// what [`crate::engine::run_trace_naive`] rebuilds every round; tests that
-/// hand-construct a [`SchedulingContext`] should use it too.
+/// This is what [`crate::engine::run_trace_naive`] rebuilds every round and
+/// what [`SimEngine::recompute_idle`](crate::SimEngine::recompute_idle)
+/// equals under serial service; tests that hand-construct a
+/// [`SchedulingContext`] should use it too.
 pub fn idle_order(views: &[InstanceView]) -> Vec<u32> {
     let mut idle: Vec<u32> = views
         .iter()

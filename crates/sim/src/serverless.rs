@@ -21,7 +21,7 @@ pub struct ServerlessConfig {
     /// Per-model keep-alive policy, indexed by
     /// [`ModelId`](kairos_workload::ModelId).  `None` keeps that lane
     /// always-on: its instances never park and the engine's behaviour on the
-    /// lane is bit-identical to the legacy path.
+    /// lane is bit-identical to an engine without the serverless lane.
     pub policies: Vec<Option<KeepAlivePolicy>>,
     /// Cold-start cost (container init + model load) per pool type; a
     /// single-entry profile applies uniformly.

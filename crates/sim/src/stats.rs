@@ -61,11 +61,10 @@ pub struct UnfinishedQuery {
     pub arrival_us: TimeUs,
 }
 
-/// Counters of the flexible service layer (fair throughput sharing + dynamic
-/// batching), the serverless container lane (cold starts, parked time), and
-/// the calendar's lazy-deletion bookkeeping.  All zeros on the legacy scalar
-/// service path except the `calendar_scheduled` count, which every engine
-/// run produces.  Every field sums across shard merges: flex and serverless
+/// Counters of the service path's sharing and batching settings, the
+/// serverless container lane (cold starts, parked time), and the calendar's
+/// lazy-deletion bookkeeping.  All zeros under plain serial service except
+/// the `calendar_scheduled` count, which every engine run produces.  Every field sums across shard merges: flex and serverless
 /// state is per-instance and instances belong to exactly one model lane, so
 /// the sharded engine's per-lane counters partition the combined run's.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]

@@ -62,7 +62,7 @@ fn multi_spec(num_models: usize) -> impl Strategy<Value = ClusterSpec> {
     )
 }
 
-/// Flex knobs: 0 = legacy, 1 = sharing, 2 = batching, 3 = both.
+/// Service-path knobs: 0 = serial, 1 = sharing, 2 = batching, 3 = both.
 fn flex(knob: usize) -> (Option<SharingMode>, Option<BatchingOptions>) {
     match knob {
         0 => (None, None),

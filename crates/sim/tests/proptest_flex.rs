@@ -1,23 +1,30 @@
-//! Property-based tests of the throughput-sharing / dynamic-batching
-//! ("flex") service path.
+//! Property-based tests of the engine's service path under its sharing and
+//! batching settings.
 //!
 //! 1. **None-mode bit-identity** — [`SharingMode::None`] with the batcher
-//!    disabled is the legacy engine, bit for bit, on random multi-model
-//!    traces against random multi-model cluster shapes: records,
-//!    unfinished queries, events processed, billing (compared by f64 bit
-//!    pattern) and the service counters all match [`SimEngine::new_multi`]
-//!    without the builder call.  The flex path must be pay-for-use.
-//! 2. **Shard transparency under flex** — with random sharing curves,
+//!    disabled is the default serial service, bit for bit, on random
+//!    multi-model traces against random multi-model cluster shapes:
+//!    records, unfinished queries, events processed, billing (compared by
+//!    f64 bit pattern) and the service counters all match
+//!    [`SimEngine::new_multi`] without the builder call.
+//! 2. **Sharing capped at one is serial service** — every degradation curve
+//!    runs a lone invocation at rate 1, so `Fair(curve)` with a concurrency
+//!    cap of 1 reproduces the serial report bit for bit, under FCFS and
+//!    under Kairos, whose matching reads busy instances' projected free
+//!    times (`free_at_us`) and so sees any view the sharing setting fails
+//!    to keep exact.
+//! 3. **Shard transparency under flex** — with random sharing curves,
 //!    concurrency caps and batcher knobs enabled, the [`ShardedEngine`]
 //!    reproduces the combined engine's report bit-for-bit under rayon
 //!    pools of 1, 2, 4 and 8 threads: per-instance sharing state never
 //!    couples model lanes.
-//! 3. **Conservation & counter sanity** — on every random flex case each
+//! 4. **Conservation & counter sanity** — on every random flex case each
 //!    offered query lands in `records` or `unfinished` exactly once, fused
 //!    members share their invocation's bounds, and the calendar's lazy
 //!    deletion never skips an entry it did not first cancel
 //!    (`stale_popped <= cancelled`).
 
+use kairos_core::KairosScheduler;
 use kairos_models::{
     calibration::paper_calibration, ec2, Config, ModelKind, PoolSpec, ThroughputDegradation,
 };
@@ -25,7 +32,7 @@ use kairos_sim::{
     BatchingOptions, ClusterSpec, FcfsScheduler, Scheduler, ServiceSpec, ShardedEngine,
     SharingMode, SharingOptions, SimEngine, SimReport, SimulationOptions,
 };
-use kairos_workload::{ModelId, Query, Trace};
+use kairos_workload::{ModelId, Query, Trace, TraceSpec};
 use proptest::prelude::*;
 
 /// The model kinds backing ids 0..3 in these tests.
@@ -139,11 +146,70 @@ fn assert_reports_identical(a: &SimReport, b: &SimReport) {
     assert_eq!(a.service, b.service);
 }
 
+/// Replays a single-model WND trace on `counts` under serial service and
+/// under `Fair(curve)` capped at one invocation, with FCFS or Kairos, and
+/// asserts the two reports are identical.
+fn assert_capped_sharing_is_serial(
+    counts: Vec<usize>,
+    trace: &Trace,
+    curve: ThroughputDegradation,
+    kairos: bool,
+    seed: u64,
+) {
+    let pool = PoolSpec::new(ec2::paper_pool());
+    let service = ServiceSpec::new(ModelKind::Wnd, paper_calibration());
+    let config = Config::new(counts);
+    let opts = SimulationOptions { seed };
+    let scheduler = || -> Box<dyn Scheduler> {
+        if kairos {
+            Box::new(KairosScheduler::new())
+        } else {
+            Box::new(FcfsScheduler::new())
+        }
+    };
+    let mut serial_sched = scheduler();
+    let serial = SimEngine::new(
+        &pool,
+        &config,
+        &service,
+        trace,
+        serial_sched.as_mut(),
+        &opts,
+    )
+    .run();
+    let mut capped_sched = scheduler();
+    let capped = SimEngine::new(
+        &pool,
+        &config,
+        &service,
+        trace,
+        capped_sched.as_mut(),
+        &opts,
+    )
+    .with_sharing(SharingMode::Fair(
+        SharingOptions::uniform(curve).with_max_concurrency(1),
+    ))
+    .run();
+    assert_reports_identical(&serial, &capped);
+}
+
+/// The two cases where a busy sharing instance used to look free to Kairos
+/// (its view was never refreshed while it served): WND at 60 QPS on
+/// (1, 0, 2, 0), seed 15, and at 250 QPS on (1, 0, 3, 0), seed 13.
+#[test]
+fn kairos_sees_busy_capped_sharing_instances_as_busy() {
+    for (rate, counts, seed) in [(60.0, vec![1, 0, 2, 0], 15), (250.0, vec![1, 0, 3, 0], 13)] {
+        let trace = TraceSpec::production(rate, 1.0, seed).generate();
+        assert_capped_sharing_is_serial(counts, &trace, ThroughputDegradation::TimeSliced, true, 0);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// SharingMode::None with no batcher is the legacy engine bit for bit:
-    /// opting the builder in without opting a behavior in costs nothing.
+    /// SharingMode::None with no batcher is the default serial service bit
+    /// for bit: opting the builder in without opting a behavior in costs
+    /// nothing.
     #[test]
     fn sharing_mode_none_without_batching_is_bit_identical_to_the_legacy_engine(
         case in multi_case(),
@@ -162,6 +228,21 @@ proptest! {
                 .with_sharing(SharingMode::None)
                 .run();
         assert_reports_identical(&plain, &none);
+    }
+
+    /// Sharing capped at one invocation is serial service, bit for bit,
+    /// under FCFS and Kairos on random traces and clusters.
+    #[test]
+    fn sharing_capped_at_one_is_serial_service(
+        seed in 0u64..64,
+        rate in 20.0f64..400.0,
+        counts in prop::collection::vec(0usize..3, 4),
+        c in curve(),
+        kairos in 0usize..2,
+    ) {
+        prop_assume!(counts.iter().sum::<usize>() > 0);
+        let trace = TraceSpec::production(rate, 1.0, seed).generate();
+        assert_capped_sharing_is_serial(counts, &trace, c, kairos == 1, seed);
     }
 
     /// With sharing and batching enabled, the sharded engine reproduces the

@@ -1,7 +1,8 @@
 //! Property-based tests of the engine's hot-path and reconfiguration
 //! invariants.
 //!
-//! **Reconfiguration** — for random traces and random interleavings of
+//! **Reconfiguration** — for random traces, random service-path knobs
+//! (serial, sharing, batching, both) and random interleavings of
 //! `add_instance` / `retire_instance` actions injected at random points of
 //! the event stream:
 //!
@@ -23,11 +24,11 @@
 
 use kairos_models::{
     calibration::paper_calibration, ec2, Config, ModelKind, Offering, OfferingCatalog, PoolSpec,
-    PreemptionProcess, PriceTrace, TraceMarket,
+    PreemptionProcess, PriceTrace, ThroughputDegradation, TraceMarket,
 };
 use kairos_sim::{
-    idle_order, run_trace, run_trace_naive, Dispatch, EngineEvent, Scheduler, SchedulingContext,
-    ServiceSpec, SimEngine, SimulationOptions,
+    idle_order, run_trace, run_trace_naive, BatchingOptions, Dispatch, EngineEvent, Scheduler,
+    SchedulingContext, ServiceSpec, SharingMode, SharingOptions, SimEngine, SimulationOptions,
 };
 use kairos_workload::TraceSpec;
 use proptest::prelude::*;
@@ -149,6 +150,27 @@ impl Scheduler for ThresholdScheduler {
     }
 }
 
+/// Applies service-path knob `knob`: 0 serial, 1 sharing, 2 batching,
+/// 3 sharing + batching.
+fn with_knob(engine: SimEngine<'_>, knob: usize) -> SimEngine<'_> {
+    let sharing = SharingMode::Fair(
+        SharingOptions::uniform(ThroughputDegradation::try_new_linear(0.2).unwrap())
+            .with_max_concurrency(3),
+    );
+    let batching = BatchingOptions::new(256, 2_000);
+    match knob {
+        0 => engine,
+        1 => engine.with_sharing(sharing),
+        2 => engine.with_batching(batching),
+        _ => engine.with_sharing(sharing).with_batching(batching),
+    }
+}
+
+/// The queries an instance holds in any stage.
+fn held_of(engine: &SimEngine<'_>, index: usize) -> HashSet<u64> {
+    engine.instance_queries(index).map(|q| q.id).collect()
+}
+
 fn make_scheduler(kind: usize) -> Box<dyn Scheduler> {
     match kind {
         0 => Box::new(kairos_sim::FcfsScheduler::new()),
@@ -164,19 +186,23 @@ proptest! {
     fn reconfig_preserves_views_and_never_dispatches_to_retired(
         seed in 1u64..1000,
         plan in actions(),
+        knob in 0usize..4,
     ) {
         let pool = PoolSpec::new(ec2::paper_pool());
         let service = ServiceSpec::new(ModelKind::Wnd, paper_calibration());
         let trace = TraceSpec::production(800.0, 0.5, seed).generate();
         let offered = trace.len();
         let mut scheduler = EarliestFreeScheduler;
-        let mut engine = SimEngine::new(
-            &pool,
-            &Config::new(vec![1, 1, 1, 0]),
-            &service,
-            &trace,
-            &mut scheduler,
-            &SimulationOptions::default(),
+        let mut engine = with_knob(
+            SimEngine::new(
+                &pool,
+                &Config::new(vec![1, 1, 1, 0]),
+                &service,
+                &trace,
+                &mut scheduler,
+                &SimulationOptions::default(),
+            ),
+            knob,
         );
 
         let mut next_action = 0usize;
@@ -205,14 +231,7 @@ proptest! {
                         // Keep at least one live instance so the run drains.
                         if candidates.len() > 1 {
                             let victim = candidates[victim_seed % candidates.len()];
-                            let held: HashSet<u64> = {
-                                let inst = &engine.cluster().instances()[victim];
-                                inst.local_queue
-                                    .iter()
-                                    .map(|q| q.id)
-                                    .chain(inst.serving.iter().map(|(q, _)| q.id))
-                                    .collect()
-                            };
+                            let held = held_of(&engine, victim);
                             engine.retire_instance(victim);
                             allowed_after_retire.push((victim, held));
                         }
@@ -226,7 +245,10 @@ proptest! {
             // for bit.  Only retired instances (never dispatchable) are
             // allowed a stale `free_at_us`.
             let reference = engine.recompute_views();
-            let reference_idle = idle_order(&reference);
+            let reference_idle = engine.recompute_idle();
+            if knob == 0 {
+                prop_assert_eq!(&reference_idle, &idle_order(&reference));
+            }
             let (views, idle) = engine.scheduler_views();
             prop_assert_eq!(idle, &reference_idle[..]);
             for (view, expect) in views.iter().zip(&reference) {
@@ -243,13 +265,7 @@ proptest! {
             // Invariant 2: non-accepting instances hold no query that was not
             // already theirs when retirement was requested.
             for (victim, held) in &allowed_after_retire {
-                let inst = &engine.cluster().instances()[*victim];
-                for q in inst
-                    .local_queue
-                    .iter()
-                    .map(|q| q.id)
-                    .chain(inst.serving.iter().map(|(q, _)| q.id))
-                {
+                for q in held_of(&engine, *victim) {
                     prop_assert!(
                         held.contains(&q),
                         "query {} dispatched to instance {} after retirement",
@@ -268,7 +284,7 @@ proptest! {
                 "instance {} never settled to retired",
                 victim
             );
-            prop_assert!(inst.is_idle());
+            prop_assert_eq!(engine.instance_backlog(*victim), 0);
         }
 
         // Invariant 3: conservation of queries.
@@ -288,6 +304,7 @@ proptest! {
         notices in prop::collection::vec((50_000u64..450_000, 0usize..2), 1..4),
         plan in actions(),
         scheduler_kind in 0usize..3,
+        knob in 0usize..4,
     ) {
         // Offerings: the four on-demand paper types plus two preemptible
         // spot offerings (GPU and r5n) the notices target.
@@ -322,15 +339,18 @@ proptest! {
         let trace = TraceSpec::production(700.0, 0.5, seed).generate();
         let offered = trace.len();
         let mut scheduler = make_scheduler(scheduler_kind);
-        let mut engine = SimEngine::new(
-            &pool,
-            &Config::new(vec![1, 0, 0, 0, 1, 1]),
-            &service,
-            &trace,
-            scheduler.as_mut(),
-            &SimulationOptions::default(),
-        )
-        .with_market_horizon(&market, 1_000_000);
+        let mut engine = with_knob(
+            SimEngine::new(
+                &pool,
+                &Config::new(vec![1, 0, 0, 0, 1, 1]),
+                &service,
+                &trace,
+                scheduler.as_mut(),
+                &SimulationOptions::default(),
+            )
+            .with_market_horizon(&market, 1_000_000),
+            knob,
+        );
 
         let mut next_action = 0usize;
         let mut event_ordinal = 0usize;
@@ -341,15 +361,6 @@ proptest! {
         let mut noticed: HashSet<usize> = HashSet::new();
         let mut requeues_seen = 0usize;
         let mut requeues_by_kill: HashMap<usize, usize> = HashMap::new();
-
-        let held_of = |engine: &SimEngine<'_>, index: usize| -> HashSet<u64> {
-            let inst = &engine.cluster().instances()[index];
-            inst.local_queue
-                .iter()
-                .map(|q| q.id)
-                .chain(inst.serving.iter().map(|(q, _)| q.id))
-                .collect()
-        };
 
         while let Some(event) = engine.step_event() {
             event_ordinal += 1;
@@ -374,7 +385,10 @@ proptest! {
                     prop_assert_eq!(prior, None);
                     let inst = &engine.cluster().instances()[*instance_index];
                     prop_assert!(inst.is_preempted());
-                    prop_assert!(inst.is_idle(), "kill must strip all work");
+                    prop_assert!(
+                        engine.instance_backlog(*instance_index) == 0,
+                        "kill must strip all work"
+                    );
                 }
                 _ => {}
             }
@@ -410,7 +424,7 @@ proptest! {
             // recomputed reference (terminated instances may keep a stale
             // free time — no policy reads it).
             let reference = engine.recompute_views();
-            let reference_idle = idle_order(&reference);
+            let reference_idle = engine.recompute_idle();
             let (views, idle) = engine.scheduler_views();
             prop_assert_eq!(idle, &reference_idle[..]);
             for (view, expect) in views.iter().zip(&reference) {
