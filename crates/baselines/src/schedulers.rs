@@ -15,7 +15,8 @@
 //!
 //! All three implement the scratch-aware [`Scheduler::schedule_into`] hot
 //! path: dispatch decisions are written into the engine's reusable buffer,
-//! per-round working sets live in scheduler-owned scratch vectors, and
+//! the idle index is read in place, per-round working sets (where a policy
+//! needs one) live in scheduler-owned scratch vectors, and
 //! latency predictions resolve through per-type-index profile caches — so a
 //! steady-state scheduling round performs no allocation and no string
 //! hashing.
@@ -69,17 +70,37 @@ impl Scheduler for RibbonScheduler {
 pub struct DrsScheduler {
     /// Batch-size threshold separating GPU-bound from CPU-bound queries.
     pub threshold: u32,
-    /// Reusable per-round scratch: idle base / auxiliary instances.
-    idle_base: Vec<u32>,
-    idle_aux: Vec<u32>,
 }
 
 impl DrsScheduler {
     /// Creates the policy with a given threshold.
     pub fn new(threshold: u32) -> Self {
-        Self {
-            threshold,
-            ..Self::default()
+        Self { threshold }
+    }
+}
+
+/// The next idle slot of one class (`base` or auxiliary) at or after
+/// `*cursor` in `idle`, consumed by moving the cursor past it.  An exhausted
+/// class parks its cursor at the end, so later queries of that class cost
+/// O(1).
+fn take_next(
+    ctx: &SchedulingContext<'_>,
+    idle: &[u32],
+    cursor: &mut usize,
+    base: bool,
+) -> Option<u32> {
+    match idle[*cursor..]
+        .iter()
+        .position(|&i| ctx.instances[i as usize].is_base == base)
+    {
+        Some(off) => {
+            let pos = *cursor + off;
+            *cursor = pos + 1;
+            Some(idle[pos])
+        }
+        None => {
+            *cursor = idle.len();
+            None
         }
     }
 }
@@ -96,18 +117,15 @@ impl Scheduler for DrsScheduler {
     }
 
     fn schedule_into(&mut self, ctx: &SchedulingContext<'_>, out: &mut Vec<Dispatch>) {
-        // The idle index is sorted by instance index within the usable
-        // prefix, so each class list comes out in deterministic FCFS order.
-        self.idle_base.clear();
-        self.idle_aux.clear();
-        for &i in ctx.idle_now() {
-            if ctx.instances[i as usize].is_base {
-                self.idle_base.push(i);
-            } else {
-                self.idle_aux.push(i);
-            }
-        }
-        // Only consulted when the auxiliary list runs dry with a small query
+        // The usable idle prefix is sorted by instance index, so one cursor
+        // per class walks that class's slots in deterministic FCFS order,
+        // in place.
+        let idle = ctx.idle_now();
+        debug_assert!(
+            idle.windows(2).all(|w| w[0] < w[1]),
+            "idle_now() must be strictly ascending by instance index"
+        );
+        // Only consulted when the auxiliary class runs dry with a small query
         // waiting, so resolve it lazily instead of scanning every round.
         let mut homogeneous: Option<bool> = None;
 
@@ -115,34 +133,20 @@ impl Scheduler for DrsScheduler {
         let mut next_aux = 0usize;
         for (query_index, query) in ctx.queued.iter().enumerate() {
             let target = if query.batch_size > self.threshold {
-                let slot = self.idle_base.get(next_base).copied();
-                if slot.is_some() {
-                    next_base += 1;
-                }
-                slot
+                take_next(ctx, idle, &mut next_base, true)
             } else {
                 // Small queries prefer auxiliary instances, but may borrow an
                 // idle base instance when no auxiliary exists in the pool at
                 // all (otherwise a homogeneous pool could never serve them).
-                match self.idle_aux.get(next_aux).copied() {
-                    Some(slot) => {
-                        next_aux += 1;
-                        Some(slot)
+                take_next(ctx, idle, &mut next_aux, false).or_else(|| {
+                    let all_base =
+                        *homogeneous.get_or_insert_with(|| ctx.instances.iter().all(|i| i.is_base));
+                    if all_base {
+                        take_next(ctx, idle, &mut next_base, true)
+                    } else {
+                        None
                     }
-                    None => {
-                        let all_base = *homogeneous
-                            .get_or_insert_with(|| ctx.instances.iter().all(|i| i.is_base));
-                        if all_base {
-                            let slot = self.idle_base.get(next_base).copied();
-                            if slot.is_some() {
-                                next_base += 1;
-                            }
-                            slot
-                        } else {
-                            None
-                        }
-                    }
-                }
+                })
             };
             if let Some(instance_index) = target {
                 out.push(Dispatch {
@@ -481,6 +485,122 @@ mod tests {
             qos_by_model: &[],
         };
         assert_eq!(DrsScheduler::new(128).schedule(&ctx).len(), 1);
+    }
+
+    /// The DRS round as it was before the in-place rewrite, verbatim but for
+    /// its per-class lists, which were scheduler-owned scratch.
+    fn drs_round_with_class_lists(threshold: u32, ctx: &SchedulingContext<'_>) -> Vec<Dispatch> {
+        let mut out = Vec::new();
+        let mut idle_base: Vec<u32> = Vec::new();
+        let mut idle_aux: Vec<u32> = Vec::new();
+        for &i in ctx.idle_now() {
+            if ctx.instances[i as usize].is_base {
+                idle_base.push(i);
+            } else {
+                idle_aux.push(i);
+            }
+        }
+        let mut homogeneous: Option<bool> = None;
+
+        let mut next_base = 0usize;
+        let mut next_aux = 0usize;
+        for (query_index, query) in ctx.queued.iter().enumerate() {
+            let target = if query.batch_size > threshold {
+                let slot = idle_base.get(next_base).copied();
+                if slot.is_some() {
+                    next_base += 1;
+                }
+                slot
+            } else {
+                match idle_aux.get(next_aux).copied() {
+                    Some(slot) => {
+                        next_aux += 1;
+                        Some(slot)
+                    }
+                    None => {
+                        let all_base = *homogeneous
+                            .get_or_insert_with(|| ctx.instances.iter().all(|i| i.is_base));
+                        if all_base {
+                            let slot = idle_base.get(next_base).copied();
+                            if slot.is_some() {
+                                next_base += 1;
+                            }
+                            slot
+                        } else {
+                            None
+                        }
+                    }
+                }
+            };
+            if let Some(instance_index) = target {
+                out.push(Dispatch {
+                    query_index,
+                    instance_index: instance_index as usize,
+                });
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn drs_in_place_round_matches_the_class_list_round() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        const NOW_US: u64 = 500_000;
+        let mut rng = StdRng::seed_from_u64(7);
+        let mut drs = DrsScheduler::new(128);
+        for _ in 0..2_000 {
+            // Contexts as the engine builds them: the usable idle prefix in
+            // instance-index order (views unclamped), then the provisioning
+            // tail by `(boundary, index)`.
+            let n = rng.gen_range(1..40usize);
+            let base_share = [0.0, 0.3, 0.7, 1.0][rng.gen_range(0..4usize)];
+            let (mut usable, mut pending) = (Vec::new(), Vec::new());
+            let instances: Vec<InstanceView> = (0..n)
+                .map(|idx| {
+                    let is_base = rng.gen_bool(base_share);
+                    let mut v = view(
+                        idx,
+                        if is_base { "g4dn.xlarge" } else { "r5n.large" },
+                        is_base,
+                        0,
+                    );
+                    v.accepting = rng.gen_bool(0.9);
+                    match rng.gen_range(0..3u32) {
+                        0 => v.free_at_us = NOW_US - rng.gen_range(0..50_000u64),
+                        1 => {
+                            v.free_at_us = NOW_US + rng.gen_range(1..50_000u64);
+                            v.backlog = 1;
+                        }
+                        _ => v.free_at_us = NOW_US + 1_000 * rng.gen_range(1..5u64),
+                    }
+                    if v.accepting && v.backlog == 0 {
+                        if v.free_at_us <= NOW_US {
+                            usable.push(idx as u32);
+                        } else {
+                            pending.push((v.free_at_us, idx as u32));
+                        }
+                    }
+                    v
+                })
+                .collect();
+            pending.sort_unstable();
+            let idle: Vec<u32> = usable
+                .into_iter()
+                .chain(pending.into_iter().map(|(_, i)| i))
+                .collect();
+            let queued: Vec<Query> = (0..rng.gen_range(0..2 * n + 1))
+                .map(|q| Query::new(q as u64, rng.gen_range(1..300u32), NOW_US))
+                .collect();
+            let ctx = SchedulingContext {
+                now_us: NOW_US,
+                queued: &queued,
+                instances: &instances,
+                idle: &idle,
+                qos_us: 25_000,
+                qos_by_model: &[],
+            };
+            assert_eq!(drs.schedule(&ctx), drs_round_with_class_lists(128, &ctx));
+        }
     }
 
     #[test]

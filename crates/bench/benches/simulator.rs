@@ -4,7 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use kairos_baselines::ClockworkScheduler;
-use kairos_bench::{scheduler_factory, SchedulerKind};
+use kairos_bench::{figures::ScaleMix, scheduler_factory, SchedulerKind};
 use kairos_models::{
     calibration::paper_calibration, ec2, Config, FailureDomain, FaultEvent, FaultProcess,
     ModelKind, PoolSpec,
@@ -284,6 +284,36 @@ fn bench_sharded_replay(c: &mut Criterion) {
             let report = sharded.run(&trace, |_| Box::new(FcfsScheduler::new()));
             assert!(report.events_processed > 0);
             assert!(report.events_per_sec(1.0) > 0.0);
+            black_box(report)
+        })
+    });
+    group.finish();
+}
+
+/// FCFS replay over wide lanes: the `fig_scale` five-model mix at 1M QPS
+/// for 0.1 simulated seconds (100k queries) through [`ShardedEngine`],
+/// every lane sized to its offered rate (hundreds to thousands of instances
+/// per lane).  The `trace_replay_50k` and `sharded_replay_multimodel` rows
+/// replay lanes of at most ten instances, where a per-round cost linear in
+/// the idle set is invisible; here a round that copies and sorts the idle
+/// set more than doubles the replay time.  The same query count at 100k
+/// QPS for one second makes lanes ten times narrower and hides most of
+/// that cost.
+fn bench_sharded_replay_wide(c: &mut Criterion) {
+    let mix = ScaleMix::new(1_000_000.0, 0.1, 2023);
+    let svc_refs: Vec<&ServiceSpec> = mix.services.iter().collect();
+    let opts = SimulationOptions { seed: 11 };
+    let sharded = ShardedEngine::new(&mix.pool, &mix.spec, &svc_refs, &opts);
+
+    let mut group = c.benchmark_group("sharded_replay_wide");
+    group.sample_size(10);
+    group.bench_function("fcfs_scale_mix_1m_qps", |b| {
+        b.iter(|| {
+            let report = sharded.run(&mix.trace, |_| Box::new(FcfsScheduler::new()));
+            assert_eq!(
+                report.completed() + report.unfinished.len(),
+                mix.trace.len()
+            );
             black_box(report)
         })
     });
@@ -623,6 +653,7 @@ criterion_group!(
     bench_trace_replay,
     bench_engine_vs_naive_50k,
     bench_sharded_replay,
+    bench_sharded_replay_wide,
     bench_rank_configs_sweep,
     bench_rank_configs_variants,
     bench_planner_cold,

@@ -1037,6 +1037,71 @@ pub fn figure_variants() {
     }
 }
 
+/// The scale experiment's five-model workload: the paper pool, one service
+/// per model lane, each lane's all-base-type sub-cluster sized for its
+/// share of the offered rate, and the Poisson trace.  Shared by
+/// [`figure_scale`] and the wide-pool FCFS replay bench.
+pub struct ScaleMix {
+    /// The paper's instance pool.
+    pub pool: PoolSpec,
+    /// One service per model lane, in lane order.
+    pub services: Vec<ServiceSpec>,
+    /// One all-base-type pool per model lane.
+    pub spec: ClusterSpec,
+    /// The mixed five-model trace (fixed batch 8).
+    pub trace: Trace,
+}
+
+impl ScaleMix {
+    /// Sizes every lane for `total_qps` with 35 % headroom and generates
+    /// `duration_s` seconds of trace from `seed`.
+    pub fn new(total_qps: f64, duration_s: f64, seed: u64) -> Self {
+        let pool = PoolSpec::new(ec2::paper_pool());
+        let latency = paper_calibration();
+        // Faster models take the bigger stream shares so the fleet stays in
+        // the thousands of instances (RM2 at 350 ms/query needs ~475
+        // instances per 1k QPS; NCF needs ~7).
+        let kinds = [
+            ModelKind::Ncf,
+            ModelKind::Wnd,
+            ModelKind::MtWnd,
+            ModelKind::Dien,
+            ModelKind::Rm2,
+        ];
+        let shares = [0.55, 0.20, 0.13, 0.10, 0.02];
+        let batch: u32 = 8;
+        let headroom = 1.35;
+        let base = pool.base_index();
+        let base_name = pool.types()[base].name.clone();
+
+        // Size each model's all-base-type sub-cluster for its offered rate.
+        let configs: Vec<Config> = kinds
+            .iter()
+            .zip(&shares)
+            .map(|(&kind, &share)| {
+                let per_query_s = latency.expect(kind, &base_name).latency_ms(batch) / 1000.0;
+                let count = (share * total_qps * per_query_s * headroom).ceil() as usize;
+                let mut counts = vec![0usize; pool.num_types()];
+                counts[base] = count.max(1);
+                Config::new(counts)
+            })
+            .collect();
+        let mix = MixSpec::from_shares(
+            &shares,
+            &vec![BatchSizeDistribution::Fixed(batch); kinds.len()],
+        );
+        Self {
+            services: kinds
+                .iter()
+                .map(|&k| ServiceSpec::new(k, latency.clone()))
+                .collect(),
+            pool,
+            spec: ClusterSpec::from_configs(configs),
+            trace: MixedTraceSpec::poisson(total_qps, mix, duration_s, seed).generate(),
+        }
+    }
+}
+
 /// One engine pass of the scale experiment.
 struct ScaleRow {
     engine: &'static str,
@@ -1071,50 +1136,15 @@ pub fn figure_scale() {
         crate::harness::prefault_heap(8 << 30);
     }
 
-    let pool = PoolSpec::new(ec2::paper_pool());
-    let latency = paper_calibration();
-    // Faster models take the bigger stream shares so the fleet stays in the
-    // thousands of instances (RM2 at 350 ms/query needs ~475 instances per
-    // 1k QPS; NCF needs ~7).
-    let kinds = [
-        ModelKind::Ncf,
-        ModelKind::Wnd,
-        ModelKind::MtWnd,
-        ModelKind::Dien,
-        ModelKind::Rm2,
-    ];
-    let shares = [0.55, 0.20, 0.13, 0.10, 0.02];
-    let batch: u32 = 8;
-    let headroom = 1.35;
-    let base = pool.base_index();
-    let base_name = pool.types()[base].name.clone();
-
-    // Size each model's all-base-type sub-cluster for its offered rate.
-    let services: Vec<ServiceSpec> = kinds
-        .iter()
-        .map(|&k| ServiceSpec::new(k, latency.clone()))
-        .collect();
-    let svc_refs: Vec<&ServiceSpec> = services.iter().collect();
-    let configs: Vec<Config> = kinds
-        .iter()
-        .zip(&shares)
-        .map(|(&kind, &share)| {
-            let per_query_s = latency.expect(kind, &base_name).latency_ms(batch) / 1000.0;
-            let count = (share * total_qps * per_query_s * headroom).ceil() as usize;
-            let mut counts = vec![0usize; pool.num_types()];
-            counts[base] = count.max(1);
-            Config::new(counts)
-        })
-        .collect();
-    let spec = ClusterSpec::from_configs(configs);
-    let total_instances: usize = spec.pools.iter().map(|p| p.config.total_instances()).sum();
-
-    let mix = MixSpec::from_shares(
-        &shares,
-        &vec![BatchSizeDistribution::Fixed(batch); kinds.len()],
-    );
     println!("generating the trace ({total_qps} QPS x {duration_s} s, 5 models)...");
-    let trace = MixedTraceSpec::poisson(total_qps, mix, duration_s, 2023).generate();
+    let ScaleMix {
+        pool,
+        services,
+        spec,
+        trace,
+    } = ScaleMix::new(total_qps, duration_s, 2023);
+    let svc_refs: Vec<&ServiceSpec> = services.iter().collect();
+    let total_instances: usize = spec.pools.iter().map(|p| p.config.total_instances()).sum();
     let sim_s = trace.duration_us() as f64 / 1e6;
     println!(
         "{} queries over {:.1} simulated seconds, {} instances across 5 model lanes",

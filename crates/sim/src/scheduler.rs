@@ -153,10 +153,18 @@ impl SchedulingContext<'_> {
 /// the clock enters only later, through [`SchedulingContext::idle_now`]'s
 /// usable-prefix cut.
 ///
-/// This is what [`crate::engine::run_trace_naive`] rebuilds every round and
-/// what [`SimEngine::recompute_idle`](crate::SimEngine::recompute_idle)
-/// equals under serial service; tests that hand-construct a
-/// [`SchedulingContext`] should use it too.
+/// The usable prefix meets the [`SchedulingContext::idle`] contract
+/// (instance-index order) only when every usable idle view carries
+/// `free_at_us == now_us`, i.e. idle views are clamped to the clock, as
+/// [`crate::engine::run_trace_naive`] and
+/// [`SimEngine::scheduler_views`](crate::SimEngine::scheduler_views) do.
+/// Unclamped idle views with different past `free_at_us` come out sorted
+/// by idle time instead, which the FCFS-family rounds reject.
+///
+/// This is what `run_trace_naive` rebuilds every round and what
+/// [`SimEngine::recompute_idle`](crate::SimEngine::recompute_idle) equals
+/// under serial service; tests that hand-construct a [`SchedulingContext`]
+/// should use it too, with their idle views clamped to `now_us`.
 pub fn idle_order(views: &[InstanceView]) -> Vec<u32> {
     let mut idle: Vec<u32> = views
         .iter()
@@ -241,9 +249,8 @@ pub trait Scheduler {
 /// policy reduces exactly to the classic slot-by-slot pairing.
 #[derive(Debug, Default, Clone)]
 pub struct FcfsScheduler {
-    /// Reusable ordering scratch (idle instances, base type first).
-    order: Vec<u32>,
-    /// Reusable taken-marks over the idle order (generation-stamped).
+    /// Reusable taken-marks over the positions of
+    /// [`SchedulingContext::idle_now`] (generation-stamped).
     taken: Vec<u64>,
     generation: u64,
 }
@@ -268,41 +275,51 @@ impl Scheduler for FcfsScheduler {
 
     fn schedule_into(&mut self, ctx: &SchedulingContext<'_>, out: &mut Vec<Dispatch>) {
         // Idle instances, base type first (Ribbon "prefers instances of the
-        // base type when multiple instances are available").
-        self.order.clear();
-        self.order.extend_from_slice(ctx.idle_now());
-        self.order
-            .sort_unstable_by_key(|&i| (!ctx.instances[i as usize].is_base, i));
+        // base type when multiple instances are available").  The usable
+        // idle prefix is already in instance-index order, so "base first,
+        // then by index" is two passes over it in place: base slots in pass
+        // 0, the rest in pass 1.
+        let idle = ctx.idle_now();
+        debug_assert!(
+            idle.windows(2).all(|w| w[0] < w[1]),
+            "idle_now() must be strictly ascending by instance index"
+        );
         self.generation += 1;
-        if self.taken.len() < self.order.len() {
-            self.taken.resize(self.order.len(), 0);
+        let generation = self.generation;
+        if self.taken.len() < idle.len() {
+            self.taken.resize(idle.len(), 0);
         }
-        let mut free_slots = self.order.len();
-        // Oldest query first: each takes the first untaken idle instance
-        // bound to its model.  On a single-model cluster every instance
-        // matches, so query k pairs with idle slot k exactly as before.
-        // `start` skips the fully-taken prefix so the single-model round is
-        // O(min(queries, idle)) — slots are always consumed front to back
-        // there, and a multi-model scan never re-walks dead slots.
-        let mut start = 0usize;
+        let taken = &mut self.taken[..idle.len()];
+        let view = |pos: usize| &ctx.instances[idle[pos] as usize];
+        let mut free_slots = idle.len();
+        // Each pass's cursor sits on its first untaken slot of its class, so
+        // the round is O(dispatches + slots skipped): slots are consumed
+        // front to back on a single-model cluster, and a multi-model scan
+        // never re-walks dead or other-class slots.
+        let mut start = [0usize; 2];
         for (query_index, query) in ctx.queued.iter().enumerate() {
             if free_slots == 0 {
                 break;
             }
-            while start < self.order.len() && self.taken[start] == self.generation {
-                start += 1;
-            }
-            let slot = self.order[start..].iter().enumerate().find(|&(off, &i)| {
-                self.taken[start + off] != self.generation
-                    && ctx.instances[i as usize].model == query.model
-            });
-            if let Some((off, &i)) = slot {
-                self.taken[start + off] = self.generation;
-                free_slots -= 1;
-                out.push(Dispatch {
-                    query_index,
-                    instance_index: i as usize,
-                });
+            // Oldest query first: each takes the first untaken idle instance
+            // bound to its model, base pass first.
+            for (pass, cursor) in start.iter_mut().enumerate() {
+                let base = pass == 0;
+                let open = |pos: usize| taken[pos] != generation && view(pos).is_base == base;
+                while *cursor < idle.len() && !open(*cursor) {
+                    *cursor += 1;
+                }
+                let slot =
+                    (*cursor..idle.len()).find(|&pos| open(pos) && view(pos).model == query.model);
+                if let Some(pos) = slot {
+                    taken[pos] = generation;
+                    free_slots -= 1;
+                    out.push(Dispatch {
+                        query_index,
+                        instance_index: idle[pos] as usize,
+                    });
+                    break;
+                }
             }
         }
     }
