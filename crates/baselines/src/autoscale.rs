@@ -35,21 +35,24 @@ pub fn static_overprovision(pool: &PoolSpec, budget_per_hour: f64, factor: f64) 
     config
 }
 
+/// Scale out when the mean backlog per active instance exceeds this.
+const SCALE_OUT_BACKLOG: f64 = 2.0;
+
+/// Scale in when the mean backlog per active instance falls below this.
+const SCALE_IN_BACKLOG: f64 = 0.25;
+
+/// Never scale below this many active instances.
+const MIN_INSTANCES: usize = 1;
+
 /// Tunables of the reactive homogeneous autoscaler.
 #[derive(Debug, Clone, Copy)]
 pub struct AutoscalerOptions {
-    /// Scale out when the mean backlog per active instance exceeds this.
-    pub scale_out_backlog: f64,
-    /// Scale in when the mean backlog per active instance falls below this.
-    pub scale_in_backlog: f64,
     /// Minimum time between scaling actions.
     pub cooldown_us: TimeUs,
     /// Provisioning delay of added instances.
     pub provisioning_delay_us: TimeUs,
     /// Hard cap on concurrently active instances.
     pub max_instances: usize,
-    /// Never scale below this many active instances.
-    pub min_instances: usize,
     /// Pool type index the scaler buys (`None` = the pool's base type).
     /// Pointing it at a spot offering of a market-lowered catalog pool
     /// yields the classic naive-cheap baseline: always buy the discount,
@@ -62,12 +65,9 @@ pub struct AutoscalerOptions {
 impl Default for AutoscalerOptions {
     fn default() -> Self {
         Self {
-            scale_out_backlog: 2.0,
-            scale_in_backlog: 0.25,
             cooldown_us: 1_000_000,
             provisioning_delay_us: 500_000,
             max_instances: 32,
-            min_instances: 1,
             scale_type: None,
             seed: 0,
         }
@@ -142,7 +142,7 @@ impl ReactiveAutoscaler {
     ) -> AutoscaleOutcome {
         let opts = &self.options;
         assert!(
-            (opts.min_instances..=opts.max_instances).contains(&initial_instances),
+            (MIN_INSTANCES..=opts.max_instances).contains(&initial_instances),
             "initial instance count outside [min, max]"
         );
         let scale_type = opts.scale_type.unwrap_or_else(|| pool.base_index());
@@ -219,9 +219,9 @@ impl ReactiveAutoscaler {
             }
             let mean_backlog = in_system as f64 / active_count as f64;
 
-            if mean_backlog > opts.scale_out_backlog && active_count < opts.max_instances {
+            if mean_backlog > SCALE_OUT_BACKLOG && active_count < opts.max_instances {
                 buy(&mut engine, &mut actions, &mut last_action_us, now);
-            } else if mean_backlog < opts.scale_in_backlog && active_count > opts.min_instances {
+            } else if mean_backlog < SCALE_IN_BACKLOG && active_count > MIN_INSTANCES {
                 let (_, victim) = victim.expect("non-empty active set");
                 engine.retire_instance(victim);
                 actions.push((now, -1));

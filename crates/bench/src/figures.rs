@@ -465,8 +465,7 @@ pub fn figure_spot() {
     let serving_options = ServingOptions::default()
         .budget(budget)
         .replan_every(500_000)
-        .provisioning_delay(300_000)
-        .spot_cooldown(2_000_000);
+        .provisioning_delay(300_000);
     let row_of = |scheme: &'static str, report: &SimReport| SpotRow {
         scheme,
         violation_fraction: report.violation_fraction(),
@@ -697,8 +696,7 @@ pub fn figure_outage() {
     let serving_options = ServingOptions::default()
         .budget(budget)
         .replan_every(500_000)
-        .provisioning_delay(400_000)
-        .purchase_backoff(400_000, 3);
+        .provisioning_delay(400_000);
 
     // Domain-aware: the spread constraint caps any zone at half the fleet,
     // so zone b holds serving capacity — including a GPU — through the

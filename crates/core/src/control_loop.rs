@@ -24,8 +24,9 @@
 //!        └──────────────────────────────────────────────────────────┘
 //! ```
 //!
-//! The entry points differ only in their scheduler, their input checks,
-//! their outcome type and their [`Cadence`] rule.
+//! The entry points differ only in their scheduler, their input checks and
+//! their outcome type.  The replan clock's rule follows from the lane count
+//! (see [`ReplanClock`]).
 
 use crate::serverless::ServerlessRuntime;
 use crate::service::{split_budget, MultiServingOutcome};
@@ -40,19 +41,29 @@ use kairos_sim::{
 use kairos_workload::{ModelId, TimeUs, Trace};
 use std::collections::VecDeque;
 
-/// When the replan clock restarts: the one rule the two entry points keep
-/// apart.  Each reproduces its figures bit for bit only under its own rule
-/// (multi-lane drift replans are frequent enough that either rule forced on
-/// both moves a figure).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Cadence {
-    /// Single-lane: every trigger restarts the cadence clock and the lane's
-    /// drift cooldown, even when the lane has no fresh rate to plan with.
-    EveryTrigger,
-    /// Multi-lane: one shared clock that only the cadence tick restarts; a
-    /// lane's drift or market replan stamps only that lane's cooldown.
-    SharedTick,
-}
+/// Relative arrival-rate change (vs the rate at the previous plan) that
+/// triggers an immediate replan between cadence ticks.
+const DRIFT_THRESHOLD: f64 = 0.35;
+
+/// Cap on the number of recent arrivals kept for the rate estimate.
+const RATE_WINDOW: usize = 1024;
+
+/// Time horizon of the rate estimate: only arrivals within this window of
+/// `now` count.  A time-bounded window reacts to load *drops* as fast as to
+/// spikes (a count-bounded one drains slowly at low rates).
+const RATE_HORIZON_US: TimeUs = 2_000_000;
+
+/// Minimum number of monitored queries before the loop trusts a plan: with
+/// only a handful of observations the batch-mix estimate (and with it every
+/// upper bound) is noise, and acting on noise thrashes the cluster.
+const MIN_OBSERVATIONS: usize = 200;
+
+/// How far past the last trace arrival market events are still materialized
+/// (market-attached runs only).  A storm landing while the backlog drains
+/// must still fire; events beyond the slack are dropped (they would
+/// otherwise stretch the run — and its billing horizon — into empty virtual
+/// time).
+const MARKET_HORIZON_SLACK_US: TimeUs = 2_000_000;
 
 /// The fleet-wide attachments of one run, borrowed from its entry point.
 pub(crate) struct Fleet<'f> {
@@ -64,15 +75,19 @@ pub(crate) struct Fleet<'f> {
     pub faults: Option<&'f FaultProcess>,
     /// The keep-alive runtime sparse lanes park under, if any.
     pub serverless: Option<&'f ServerlessRuntime>,
-    /// The entry point's cadence rule.
-    pub cadence: Cadence,
 }
 
 /// The replan clock of one run: the cadence tick and each lane's
-/// drift-cooldown stamp.
+/// drift-cooldown stamp.  When the clock restarts follows from the lane
+/// count:
+///
+/// * one lane — every trigger restarts the cadence clock and the lane's
+///   drift cooldown, even when the lane has no fresh rate to plan with;
+/// * more lanes — one shared clock that only the cadence tick restarts; a
+///   lane's drift or market replan stamps only that lane's cooldown (a
+///   lane's own triggers must not delay its siblings' cadence).
 #[derive(Debug)]
 struct ReplanClock {
-    cadence: Cadence,
     interval_us: TimeUs,
     /// Drift reaction is capped at the demand-estimation horizon: a lane
     /// should not wait out a long cadence interval when its own traffic has
@@ -83,18 +98,17 @@ struct ReplanClock {
 }
 
 impl ReplanClock {
-    fn new(cadence: Cadence, options: &ServingOptions, lanes: usize) -> Self {
+    fn new(interval_us: TimeUs, lanes: usize) -> Self {
         Self {
-            cadence,
-            interval_us: options.replan_interval_us,
-            drift_cooldown_us: (options.replan_interval_us / 2).min(options.rate_horizon_us),
-            next_tick_us: options.replan_interval_us,
+            interval_us,
+            drift_cooldown_us: (interval_us / 2).min(RATE_HORIZON_US),
+            next_tick_us: interval_us,
             last_replan_us: vec![0; lanes],
         }
     }
 
     /// Collects into `due` the lanes to replan at `now`, and applies the
-    /// cadence rule.  `event` is the fleet-wide trigger the engine event
+    /// restart rule.  `event` is the fleet-wide trigger the engine event
     /// itself raised (a fault or a market move); `signals[m]` is `None` for a
     /// lane that cannot plan (no fresh rate, or a parked serverless lane),
     /// else whether its demand drifted past the threshold.
@@ -106,6 +120,7 @@ impl ReplanClock {
         due: &mut Vec<(usize, ReplanTrigger)>,
     ) {
         due.clear();
+        let single = self.last_replan_us.len() == 1;
         let tick = now >= self.next_tick_us;
         let mut fired = false;
         for (m, &signal) in signals.iter().enumerate() {
@@ -117,7 +132,7 @@ impl ReplanClock {
             else {
                 continue;
             };
-            if signal.is_some() || self.cadence == Cadence::EveryTrigger {
+            if signal.is_some() || single {
                 self.last_replan_us[m] = now;
                 fired = true;
             }
@@ -125,10 +140,7 @@ impl ReplanClock {
                 due.push((m, trigger));
             }
         }
-        let restart = match self.cadence {
-            Cadence::EveryTrigger => fired,
-            Cadence::SharedTick => tick,
-        };
+        let restart = if single { fired } else { tick };
         if restart {
             self.next_tick_us = now + self.interval_us;
         }
@@ -191,7 +203,6 @@ pub(crate) fn serve(
         mut market,
         faults,
         serverless,
-        cadence,
     } = fleet;
     let n = lanes.len();
     // The engine borrows the market oracle for the whole run; this handle
@@ -208,9 +219,7 @@ pub(crate) fn serve(
     if let Some(oracle) = oracle.as_deref() {
         // Events may land while the backlog drains past the last arrival;
         // the slack keeps those storms in scope.
-        let horizon = trace
-            .duration_us()
-            .saturating_add(options.market_horizon_slack_us);
+        let horizon = trace.duration_us().saturating_add(MARKET_HORIZON_SLACK_US);
         engine = engine.with_market_horizon(oracle, horizon);
     }
     if options.batch_max_size > 0 {
@@ -252,9 +261,9 @@ pub(crate) fn serve(
     // fault-resilient purchasing the backoff book plus the pristine pool
     // (penalty prices apply relative to it and expire with the backoff).
     let mut arrivals: Vec<VecDeque<TimeUs>> = (0..n)
-        .map(|_| VecDeque::with_capacity(options.rate_window))
+        .map(|_| VecDeque::with_capacity(RATE_WINDOW))
         .collect();
-    let mut clock = ReplanClock::new(cadence, &options, n);
+    let mut clock = ReplanClock::new(options.replan_interval_us, n);
     let num_types = lanes[0].pool().num_types();
     let pristine_pool = lanes[0].pool().clone();
     let mut backoff = faults.map(|_| PurchaseBackoff::new(num_types));
@@ -265,7 +274,7 @@ pub(crate) fn serve(
     let mut reconfigs: Vec<ReconfigEvent> = Vec::new();
     let mut variant_switches: Vec<VariantSwitch> = Vec::new();
     let mut replans = 0usize;
-    let horizon_s = options.rate_horizon_us as f64 / 1e6;
+    let horizon_s = RATE_HORIZON_US as f64 / 1e6;
 
     while let Some(event) = engine.step_event() {
         let now = engine.now();
@@ -273,7 +282,7 @@ pub(crate) fn serve(
             EngineEvent::Arrival { query } => {
                 let m = query.model.index();
                 lanes[m].controller_mut().observe_query(query.batch_size);
-                if arrivals[m].len() == options.rate_window {
+                if arrivals[m].len() == RATE_WINDOW {
                     arrivals[m].pop_front();
                 }
                 arrivals[m].push_back(query.arrival_us);
@@ -359,13 +368,12 @@ pub(crate) fn serve(
                 1.0 / n as f64
             };
             let pressure = backlog * share / horizon_s;
-            let rate = estimate_rate_qps(&mut arrivals[m], now, options.rate_horizon_us);
+            let rate = estimate_rate_qps(&mut arrivals[m], now, RATE_HORIZON_US);
             demands[m] = rate.map_or(planned[m].unwrap_or(0.0), |r| r + pressure);
             // A serverless lane's capacity is its parked vessel; billing
             // follows usage through parking, so it never reconciles.
             signals[m] = rate.filter(|_| !parked_lane[m]).map(|_| {
-                planned[m]
-                    .is_some_and(|p| (demands[m] - p).abs() / p.max(1e-9) > options.drift_threshold)
+                planned[m].is_some_and(|p| (demands[m] - p).abs() / p.max(1e-9) > DRIFT_THRESHOLD)
             });
         }
         clock.collect_due(now, event_trigger, &signals, &mut due);
@@ -392,7 +400,7 @@ pub(crate) fn serve(
         last_budget_split = split_budget(lanes, serverless, options.budget_per_hour, &demands);
         for &(m, trigger) in &due {
             let lane = &mut lanes[m];
-            if lane.controller().observed_queries() < options.min_observations {
+            if lane.controller().observed_queries() < MIN_OBSERVATIONS {
                 continue;
             }
             let model = ModelId::new(m);
@@ -423,7 +431,7 @@ pub(crate) fn serve(
                 &mut engine,
                 model,
                 &target,
-                &options,
+                options.provisioning_delay_us,
                 backoff.as_mut(),
                 trigger == ReplanTrigger::Fault,
             );
@@ -475,19 +483,15 @@ pub(crate) fn serve(
 mod tests {
     use super::*;
 
-    fn clock(cadence: Cadence, lanes: usize) -> ReplanClock {
-        ReplanClock::new(
-            cadence,
-            &ServingOptions::default().replan_every(1_000_000),
-            lanes,
-        )
+    fn clock(lanes: usize) -> ReplanClock {
+        ReplanClock::new(1_000_000, lanes)
     }
 
     #[test]
     fn single_lane_rule_restarts_on_every_trigger_even_without_a_plan() {
         let mut due = Vec::new();
         for trigger in [ReplanTrigger::Market, ReplanTrigger::Fault] {
-            let mut c = clock(Cadence::EveryTrigger, 1);
+            let mut c = clock(1);
             // No fresh rate: the lane cannot plan, yet the trigger restarts
             // both the cadence clock and the lane's cooldown stamp.
             c.collect_due(300_000, Some(trigger), &[None], &mut due);
@@ -496,7 +500,7 @@ mod tests {
             assert_eq!(c.last_replan_us, vec![300_000]);
         }
         // A drift replan restarts the clock too.
-        let mut c = clock(Cadence::EveryTrigger, 1);
+        let mut c = clock(1);
         c.collect_due(600_000, None, &[Some(true)], &mut due);
         assert_eq!(due, vec![(0, ReplanTrigger::Drift)]);
         assert_eq!(c.next_tick_us, 1_600_000);
@@ -511,7 +515,7 @@ mod tests {
     #[test]
     fn multi_lane_rule_keeps_one_clock_that_only_the_tick_restarts() {
         let mut due = Vec::new();
-        let mut c = clock(Cadence::SharedTick, 3);
+        let mut c = clock(3);
         // Lane 1 drifts: only its own stamp moves, the shared clock stays.
         c.collect_due(600_000, None, &[Some(false), Some(true), None], &mut due);
         assert_eq!(due, vec![(1, ReplanTrigger::Drift)]);

@@ -28,7 +28,8 @@
 //!    model-less facade: N per-model lanes behind one model-tagged query
 //!    API, sharing a single hourly budget by demand-weighted water-filling,
 //!    each replanning on its own knowledge signature.  Both entry points
-//!    drive the same control loop; only their replan cadence rule differs.
+//!    drive the same control loop, whose replan clock follows from the
+//!    lane count.
 //! 7. **Serverless lane** ([`serverless::ServerlessRuntime`]) — scale-to-zero
 //!    for the sparse model tail: lanes planned below a QPS threshold drop
 //!    their always-on budget floor, receive one parkable base-instance

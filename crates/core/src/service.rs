@@ -38,10 +38,12 @@
 //!   the instances bound to that model; the engine enforces the binding.
 //!
 //! [`InferenceService::run`] drives the same serving control loop as
-//! [`ServingSystem::run`], over N lanes instead of one, under one shared
-//! cadence clock.
+//! [`ServingSystem::run`], over N lanes instead of one.  The replan clock
+//! follows from the lane count: several lanes share one cadence clock that
+//! only its tick restarts, while a one-lane service restarts it on every
+//! trigger and so replays [`ServingSystem::run`] exactly.
 
-use crate::control_loop::{serve, Cadence, Fleet};
+use crate::control_loop::{serve, Fleet};
 use crate::distribution::KairosScheduler;
 use crate::serverless::ServerlessRuntime;
 use crate::serving::{
@@ -265,7 +267,10 @@ impl InferenceService {
         options: ServingOptions,
     ) -> Self {
         let mut service = Self::new(catalog.effective_pool(), models, priors, options);
-        service.market = Some(MarketState::new(catalog, market, options.spot_cooldown_us));
+        for lane in &mut service.lanes {
+            lane.place_in(&catalog);
+        }
+        service.market = Some(MarketState::new(catalog, market));
         service
     }
 
@@ -317,24 +322,10 @@ impl InferenceService {
         self.lanes.iter().map(|l| l.controller().model()).collect()
     }
 
-    /// The [`ModelId`] a model kind is served under, if any.
-    pub fn model_id(&self, kind: ModelKind) -> Option<ModelId> {
-        self.lanes
-            .iter()
-            .position(|l| l.controller().model() == kind)
-            .map(ModelId::new)
-    }
-
     /// A model's per-lane engine room (controller, plan cache, demand
     /// planner).
     pub fn lane(&self, model: ModelId) -> &ServingSystem {
         &self.lanes[model.index()]
-    }
-
-    /// Mutable access to a model's engine room, e.g. to feed observations
-    /// before the first run.
-    pub fn lane_mut(&mut self, model: ModelId) -> &mut ServingSystem {
-        &mut self.lanes[model.index()]
     }
 
     /// The ground-truth service specifications of the served models, in
@@ -453,8 +444,9 @@ impl InferenceService {
     /// shared cadence or on its own drift signal; on each replan the global
     /// budget is re-split across lanes by current demand and each due lane's
     /// sub-cluster is steered independently (graceful add/retire, exactly as
-    /// in single-model serving).  A lane's drift or market replan leaves the
-    /// shared cadence clock alone.
+    /// in single-model serving).  With several lanes, a lane's drift or
+    /// market replan leaves the shared cadence clock alone; a one-lane
+    /// service restarts it on every trigger, as [`ServingSystem::run`] does.
     ///
     /// # Panics
     /// Panics if `services` does not cover every lane (in [`ModelId`]
@@ -481,7 +473,6 @@ impl InferenceService {
             market: self.market.as_mut(),
             faults: None,
             serverless: self.serverless.as_ref(),
-            cadence: Cadence::SharedTick,
         };
         serve(
             &mut self.lanes,
@@ -760,9 +751,11 @@ pub(crate) fn split_budget(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::serving::ReplanTrigger;
-    use kairos_models::{calibration::paper_calibration, ec2};
-    use kairos_workload::{ArrivalProcess, BatchSizeDistribution, MixedTraceSpec};
+    use crate::serving::{within_spread, ReplanTrigger};
+    use kairos_models::{
+        calibration::paper_calibration, ec2, FailureDomain, Offering, TraceMarket,
+    };
+    use kairos_workload::{ArrivalProcess, BatchSizeDistribution, MixedTraceSpec, PhasedArrival};
 
     fn pool() -> PoolSpec {
         PoolSpec::new(ec2::paper_pool())
@@ -963,14 +956,13 @@ mod tests {
         let mut s = service(
             ServingOptions::default()
                 .budget(6.0)
-                .replan_every(100_000_000) // cadence never fires in-trace
-                .drift_threshold(0.3),
+                .replan_every(100_000_000), // cadence never fires in-trace
         );
         s.warm_monitors(&mix(), 3000, 19);
         let spec = s.plan_initial(&[40.0, 30.0, 30.0]).unwrap();
         let services = s.service_specs(&paper_calibration());
         // Model 0's rate quadruples mid-trace; the others stay flat.
-        use kairos_workload::{Phase, PhasedArrival};
+        use kairos_workload::Phase;
         let calm = MixSpec::from_shares(
             &[0.4, 0.3, 0.3],
             &[
@@ -1090,7 +1082,7 @@ mod tests {
     #[test]
     fn variant_catalog_downgrades_the_pressured_lane() {
         use kairos_models::VariantCatalog;
-        use kairos_workload::{Phase, PhasedArrival};
+        use kairos_workload::Phase;
         let mut s = service(
             ServingOptions::default()
                 .budget(6.0)
@@ -1282,6 +1274,92 @@ mod tests {
         );
         assert_eq!(a.report.service, b.report.service);
         assert_eq!(a.replans, b.replans);
+    }
+
+    #[test]
+    fn a_one_lane_service_replays_the_single_model_system() {
+        // One lane restarts the replan clock on every trigger, exactly as the
+        // single-model entry point does, so the two serve the same run.
+        let options = ServingOptions::default()
+            .replan_every(500_000)
+            .provisioning_delay(200_000);
+        let batches = BatchSizeDistribution::production_default();
+        let trace =
+            PhasedArrival::step_change(40.0, 160.0, batches.clone(), 3.0, 3.0, 23).generate();
+        let latency = paper_calibration();
+
+        let mut system = ServingSystem::new(pool(), ModelKind::Rm2, Some(latency.clone()), options);
+        system.warm_monitor(&batches, 2000, 99);
+        let initial = system.plan_for_demand(40.0).unwrap();
+        let single = system.run(
+            &initial,
+            &ServiceSpec::new(ModelKind::Rm2, latency.clone()),
+            &trace,
+        );
+
+        let mut service =
+            InferenceService::new(pool(), &[ModelKind::Rm2], Some(latency.clone()), options);
+        service.warm_monitors(&MixSpec::single(ModelId::DEFAULT, batches), 2000, 99);
+        let services = service.service_specs(&latency);
+        let multi = service.run(&ClusterSpec::single(initial), &services, &trace);
+
+        assert!(single.replans > 0);
+        assert_eq!(single.report.records, multi.report.records);
+        assert_eq!(single.report.unfinished, multi.report.unfinished);
+        assert_eq!(
+            single.report.billed_dollars.to_bits(),
+            multi.report.billed_dollars.to_bits()
+        );
+        assert_eq!(single.replans, multi.replans);
+        assert_eq!(
+            format!("{:?}", single.reconfigs),
+            format!("{:?}", multi.reconfigs)
+        );
+        assert_eq!(
+            format!("{:?}", single.variant_switches),
+            format!("{:?}", multi.variant_switches)
+        );
+    }
+
+    #[test]
+    fn market_lanes_plan_under_the_catalog_spread() {
+        // The same hardware in two zones, zone b a hair dearer, so a
+        // domain-blind plan concentrates in zone a.
+        let zone_a = FailureDomain::zone("us-east-1", "us-east-1a");
+        let zone_b = FailureDomain::zone("us-east-1", "us-east-1b");
+        let mut gpu_b = ec2::g4dn_xlarge();
+        gpu_b.is_base = false;
+        gpu_b.price_per_hour *= 1.001;
+        let mut aux_b = ec2::r5n_large();
+        aux_b.price_per_hour *= 1.02;
+        let catalog = OfferingCatalog::new(vec![
+            Offering::on_demand(ec2::g4dn_xlarge()).in_domain(zone_a.clone()),
+            Offering::on_demand(ec2::r5n_large()).in_domain(zone_a),
+            Offering::on_demand(gpu_b).in_domain(zone_b.clone()),
+            Offering::on_demand(aux_b).in_domain(zone_b),
+        ]);
+        let market = Arc::new(TraceMarket::new(catalog.clone()));
+        let mut s = InferenceService::with_market(
+            catalog.clone(),
+            market,
+            &three_models(),
+            Some(paper_calibration()),
+            ServingOptions::default().budget(6.0).spread_limit(0.5),
+        );
+        s.warm_monitors(&mix(), 3000, 11);
+        let domains = catalog.domains();
+        for m in 0..3 {
+            assert_eq!(s.lane(ModelId::new(m)).placements(), domains.as_slice());
+        }
+        let spec = s.plan_initial(&[60.0, 45.0, 45.0]).unwrap();
+        for slice in &spec.pools {
+            assert!(
+                within_spread(slice.config.counts(), &domains, 0.5),
+                "lane {} plans {} past the spread",
+                slice.model,
+                slice.config
+            );
+        }
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! makes the loop elastic in both directions: it scales out on a rate spike
 //! and scales in — gracefully draining surplus instances — when load drops.
 
-use crate::control_loop::{serve, Cadence, Fleet};
+use crate::control_loop::{serve, Fleet};
 use crate::controller::KairosController;
 use crate::planner::{PlanCache, ScoredPlan};
 use crate::variants::{build_lanes, prune_dominated, VariantRuntime};
@@ -33,7 +33,35 @@ use rand::SeedableRng;
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-/// Tunables of the online serving loop.
+/// Capacity headroom: the deployed configuration's throughput upper bound
+/// must cover `observed rate × DEMAND_HEADROOM`.
+pub(crate) const DEMAND_HEADROOM: f64 = 1.35;
+
+/// Scale-in hysteresis: the deployed configuration is kept (even when a
+/// cheaper one would cover demand) unless it costs more than
+/// `SHRINK_FACTOR ×` the cheapest sufficient alternative.  Prevents
+/// near-equivalent configurations from thrashing the cluster when the demand
+/// estimate wobbles.
+const SHRINK_FACTOR: f64 = 1.25;
+
+/// How long a spot offering stays priced out of the planner after one of its
+/// preemption notices (market-attached runs only): re-buying the exact
+/// capacity the cloud is actively reclaiming would bounce straight into the
+/// next kill.
+const SPOT_COOLDOWN_US: TimeUs = 2_000_000;
+
+/// Base delay of the capped exponential purchase backoff: after a rejected
+/// purchase (zone outage or capacity shortage) the offering is retried no
+/// sooner than `PURCHASE_BACKOFF_US << min(failures, PURCHASE_BACKOFF_CAP)`
+/// later, and is priced out of the planning pool meanwhile so replans steer
+/// spend to alternative offerings and domains.
+const PURCHASE_BACKOFF_US: TimeUs = 400_000;
+
+/// Exponent cap of the purchase backoff.
+const PURCHASE_BACKOFF_CAP: u32 = 3;
+
+/// The choices the operator makes for the online serving loop; every other
+/// loop parameter is a named constant.
 #[derive(Debug, Clone, Copy)]
 pub struct ServingOptions {
     /// Hourly budget cap handed to the planner.
@@ -42,40 +70,6 @@ pub struct ServingOptions {
     pub replan_interval_us: TimeUs,
     /// Provisioning delay charged to every added instance.
     pub provisioning_delay_us: TimeUs,
-    /// Relative arrival-rate change (vs the rate at the previous plan) that
-    /// triggers an immediate replan between cadence ticks.
-    pub drift_threshold: f64,
-    /// Capacity headroom: the deployed configuration's throughput upper
-    /// bound must cover `observed rate × headroom`.
-    pub demand_headroom: f64,
-    /// Scale-in hysteresis: the deployed configuration is kept (even when a
-    /// cheaper one would cover demand) unless it costs more than
-    /// `shrink_factor ×` the cheapest sufficient alternative.  Prevents
-    /// near-equivalent configurations from thrashing the cluster when the
-    /// demand estimate wobbles.
-    pub shrink_factor: f64,
-    /// Cap on the number of recent arrivals kept for the rate estimate.
-    pub rate_window: usize,
-    /// Time horizon of the rate estimate: only arrivals within this window
-    /// of `now` count.  A time-bounded window reacts to load *drops* as fast
-    /// as to spikes (a count-bounded one drains slowly at low rates).
-    pub rate_horizon_us: TimeUs,
-    /// Minimum number of monitored queries before the loop trusts a plan:
-    /// with only a handful of observations the batch-mix estimate (and with
-    /// it every upper bound) is noise, and acting on noise thrashes the
-    /// cluster.
-    pub min_observations: usize,
-    /// How long a spot offering stays priced out of the planner after one of
-    /// its preemption notices (market-attached runs only): re-buying the
-    /// exact capacity the cloud is actively reclaiming would bounce straight
-    /// into the next kill.
-    pub spot_cooldown_us: TimeUs,
-    /// How far past the last trace arrival market events are still
-    /// materialized (market-attached runs only).  A storm landing while the
-    /// backlog drains must still fire; events beyond the slack are dropped
-    /// (they would otherwise stretch the run — and its billing horizon —
-    /// into empty virtual time).
-    pub market_horizon_slack_us: TimeUs,
     /// Service-noise seed passed to the engine.
     pub seed: u64,
     /// Dynamic batcher: maximum fused batch size per instance (summed over
@@ -90,14 +84,6 @@ pub struct ServingOptions {
     /// configurations through the catalog's per-offering domain table, so
     /// solvers stay domain-free).  `None` plans domain-blind.
     pub max_fraction_per_domain: Option<f64>,
-    /// Base delay of the capped exponential purchase backoff: after a
-    /// rejected purchase (zone outage or capacity shortage) the offering is
-    /// retried no sooner than `base << min(failures, cap)` later, and is
-    /// priced out of the planning pool meanwhile so replans steer spend to
-    /// alternative offerings and domains.
-    pub purchase_backoff_us: TimeUs,
-    /// Exponent cap of the purchase backoff.
-    pub purchase_backoff_cap: u32,
     /// Accuracy floor for variant auto-selection
     /// ([`ServingSystem::with_variants`]): a variant below the floor is
     /// never served, no matter the pressure.  `None` admits every catalog
@@ -111,20 +97,10 @@ impl Default for ServingOptions {
             budget_per_hour: 2.5,
             replan_interval_us: 1_000_000,
             provisioning_delay_us: 500_000,
-            drift_threshold: 0.35,
-            demand_headroom: 1.35,
-            shrink_factor: 1.25,
-            rate_window: 1024,
-            rate_horizon_us: 2_000_000,
-            min_observations: 200,
-            spot_cooldown_us: 2_000_000,
-            market_horizon_slack_us: 2_000_000,
             seed: 0,
             batch_max_size: 0,
             batch_timeout_us: 2_000,
             max_fraction_per_domain: None,
-            purchase_backoff_us: 500_000,
-            purchase_backoff_cap: 5,
             min_accuracy: None,
         }
     }
@@ -151,54 +127,6 @@ impl ServingOptions {
         self
     }
 
-    /// Sets the relative rate drift that triggers an immediate replan.
-    pub fn drift_threshold(mut self, threshold: f64) -> Self {
-        self.drift_threshold = threshold;
-        self
-    }
-
-    /// Sets the capacity headroom factor over the observed demand.
-    pub fn demand_headroom(mut self, headroom: f64) -> Self {
-        self.demand_headroom = headroom;
-        self
-    }
-
-    /// Sets the scale-in hysteresis factor.
-    pub fn shrink_factor(mut self, factor: f64) -> Self {
-        self.shrink_factor = factor;
-        self
-    }
-
-    /// Sets the cap on arrivals kept for the rate estimate.
-    pub fn rate_window(mut self, window: usize) -> Self {
-        self.rate_window = window;
-        self
-    }
-
-    /// Sets the time horizon of the rate estimate.
-    pub fn rate_horizon(mut self, horizon_us: TimeUs) -> Self {
-        self.rate_horizon_us = horizon_us;
-        self
-    }
-
-    /// Sets the observation floor before plans are trusted.
-    pub fn min_observations(mut self, observations: usize) -> Self {
-        self.min_observations = observations;
-        self
-    }
-
-    /// Sets the post-preemption spot cooldown.
-    pub fn spot_cooldown(mut self, cooldown_us: TimeUs) -> Self {
-        self.spot_cooldown_us = cooldown_us;
-        self
-    }
-
-    /// Sets how far past the last arrival market events still fire.
-    pub fn market_horizon_slack(mut self, slack_us: TimeUs) -> Self {
-        self.market_horizon_slack_us = slack_us;
-        self
-    }
-
     /// Sets the service-noise seed passed to the engine.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
@@ -221,14 +149,6 @@ impl ServingOptions {
             "spread fraction must lie in (0, 1]"
         );
         self.max_fraction_per_domain = Some(fraction);
-        self
-    }
-
-    /// Sets the capped exponential purchase backoff (base delay and exponent
-    /// cap) applied after rejected purchases.
-    pub fn purchase_backoff(mut self, base_us: TimeUs, cap: u32) -> Self {
-        self.purchase_backoff_us = base_us;
-        self.purchase_backoff_cap = cap;
         self
     }
 
@@ -338,7 +258,6 @@ const COOLDOWN_PRICE_FACTOR: f64 = 40.0;
 pub struct MarketState {
     catalog: OfferingCatalog,
     market: Arc<dyn Market>,
-    cooldown_us: TimeUs,
     cooldown_until: Vec<TimeUs>,
 }
 
@@ -347,7 +266,7 @@ impl MarketState {
     ///
     /// # Panics
     /// Panics if the market does not price exactly the catalog's offerings.
-    pub fn new(catalog: OfferingCatalog, market: Arc<dyn Market>, cooldown_us: TimeUs) -> Self {
+    pub fn new(catalog: OfferingCatalog, market: Arc<dyn Market>) -> Self {
         assert_eq!(
             market.num_offerings(),
             catalog.len(),
@@ -357,7 +276,6 @@ impl MarketState {
         Self {
             catalog,
             market,
-            cooldown_us,
             cooldown_until: vec![0; n],
         }
     }
@@ -400,7 +318,7 @@ impl MarketState {
         match event {
             EngineEvent::PriceStep { .. } => true,
             EngineEvent::PreemptionNotice { offering, .. } => {
-                self.cooldown_until[*offering] = now + self.cooldown_us;
+                self.cooldown_until[*offering] = now + SPOT_COOLDOWN_US;
                 true
             }
             EngineEvent::InstancePreempted { .. } => true,
@@ -418,7 +336,7 @@ impl MarketState {
 
 /// Per-offering capped exponential backoff over rejected purchases.  A
 /// rejected purchase (zone outage, capacity shortage) parks the offering
-/// until `base << min(failures, cap)` elapses; while parked the offering is
+/// until 400 ms `<< min(failures, 3)` elapses; while parked the offering is
 /// also priced out of the planning pool, so replans steer spend to
 /// alternative offerings and domains instead of hammering the dead one.
 #[derive(Debug, Clone)]
@@ -452,9 +370,9 @@ impl PurchaseBackoff {
     }
 
     /// Books one rejected purchase: doubles the delay up to the cap.
-    pub fn note_rejection(&mut self, type_index: usize, now: TimeUs, options: &ServingOptions) {
-        let exponent = self.failures[type_index].min(options.purchase_backoff_cap);
-        self.retry_at[type_index] = now + (options.purchase_backoff_us << exponent);
+    pub fn note_rejection(&mut self, type_index: usize, now: TimeUs) {
+        let exponent = self.failures[type_index].min(PURCHASE_BACKOFF_CAP);
+        self.retry_at[type_index] = now + (PURCHASE_BACKOFF_US << exponent);
         self.failures[type_index] = self.failures[type_index].saturating_add(1);
     }
 
@@ -551,8 +469,8 @@ impl ServingSystem {
     /// the market's live prices, and the loop replans on market events —
     /// price steps refresh the planning pool (joining the knowledge
     /// signature, so the plan cache invalidates exactly when prices move)
-    /// and preemption notices price the reclaimed offering out for
-    /// [`ServingOptions::spot_cooldown_us`].
+    /// and preemption notices price the reclaimed offering out for a
+    /// cooldown of 2 s.
     pub fn with_market(
         catalog: OfferingCatalog,
         market: Arc<dyn Market>,
@@ -561,9 +479,16 @@ impl ServingSystem {
         options: ServingOptions,
     ) -> Self {
         let mut system = Self::new(catalog.effective_pool(), model, priors, options);
-        system.placements = catalog.domains();
-        system.market = Some(MarketState::new(catalog, market, options.spot_cooldown_us));
+        system.place_in(&catalog);
+        system.market = Some(MarketState::new(catalog, market));
         system
+    }
+
+    /// Takes the catalog's per-offering failure domains as this system's
+    /// placement table: a market-attached system plans over one pool type
+    /// per offering.
+    pub(crate) fn place_in(&mut self, catalog: &OfferingCatalog) {
+        self.placements = catalog.domains();
     }
 
     /// The attached market state, if this system trades on one.
@@ -665,20 +590,6 @@ impl ServingSystem {
         self
     }
 
-    /// Overrides the per-type failure-domain table (one entry per pool
-    /// type).  Market-attached systems inherit the catalog's placements
-    /// automatically; pool-only systems are domain-blind until told.
-    ///
-    /// # Panics
-    /// Panics unless `placements` is empty or has one entry per pool type.
-    pub fn set_placements(&mut self, placements: Vec<FailureDomain>) {
-        assert!(
-            placements.is_empty() || placements.len() == self.pool.num_types(),
-            "one placement per pool type"
-        );
-        self.placements = placements;
-    }
-
     /// The per-type failure-domain table (empty when domain-blind).
     pub fn placements(&self) -> &[FailureDomain] {
         &self.placements
@@ -761,14 +672,14 @@ impl ServingSystem {
             .options
             .max_fraction_per_domain
             .zip((!self.placements.is_empty()).then_some(self.placements.as_slice()));
-        let required = demand_qps * self.options.demand_headroom;
+        let required = demand_qps * DEMAND_HEADROOM;
         Some(demand_candidate(&plan, required, None, spread).0)
     }
 
     /// The next deployment target for this system's model given current
     /// knowledge, observed demand, an explicit budget cap, and the
     /// sub-cluster deployed right now.  Applies the scale-in hysteresis
-    /// described on [`ServingOptions::shrink_factor`] and goes through the
+    /// described on `SHRINK_FACTOR` and goes through the
     /// plan cache (keyed on the controller's knowledge signature *and* the
     /// budget), so a replan under unchanged knowledge and unchanged budget
     /// split skips the enumeration walk, and every question asked of the
@@ -785,7 +696,7 @@ impl ServingSystem {
         let plan = self.plan_cache.plan(&self.controller, budget_per_hour)?;
         let options = &self.options;
         let pool = &self.pool;
-        let required = demand_qps * options.demand_headroom;
+        let required = demand_qps * DEMAND_HEADROOM;
         // Realizability first: during an announced fault window the parked
         // offerings reject every purchase, so a target that *grows* a parked
         // type is a phantom plan — reconcile would shed real capacity against
@@ -818,7 +729,7 @@ impl ServingSystem {
         // is not substantially more expensive than the candidate.  A
         // deployment that violates the spread constraint is never kept.
         let keep = plan.space.bound_of(current) >= required * 0.8
-            && current.cost(pool) <= candidate.cost(pool) * options.shrink_factor
+            && current.cost(pool) <= candidate.cost(pool) * SHRINK_FACTOR
             && (realized
                 || spread.is_none_or(|(fraction, table)| {
                     within_spread(current.counts(), table, fraction)
@@ -829,8 +740,9 @@ impl ServingSystem {
     /// Runs the controller-in-the-loop simulation of `trace` on `service`,
     /// starting from `initial`: the serving control loop with this system
     /// as its only lane, distributing with the controller's own matching
-    /// scheduler and reconfiguring the cluster live.  Every trigger restarts
-    /// the replan cadence, even one that finds no fresh rate to plan with.
+    /// scheduler and reconfiguring the cluster live.  With one lane, every
+    /// trigger restarts the replan cadence, even one that finds no fresh
+    /// rate to plan with.
     pub fn run(
         &mut self,
         initial: &Config,
@@ -847,7 +759,6 @@ impl ServingSystem {
             market: market.as_mut(),
             faults: faults.as_ref(),
             serverless: None,
-            cadence: Cadence::EveryTrigger,
         };
         let outcome = serve(
             std::slice::from_mut(self),
@@ -1028,7 +939,7 @@ pub(crate) fn reconcile_model(
     engine: &mut SimEngine<'_>,
     model: ModelId,
     target: &Config,
-    options: &ServingOptions,
+    provisioning_delay_us: TimeUs,
     mut backoff: Option<&mut PurchaseBackoff>,
     defer_retires: bool,
 ) -> (Vec<usize>, Vec<usize>) {
@@ -1048,23 +959,20 @@ pub(crate) fn reconcile_model(
                         if backoff.blocked(type_index, now) {
                             break;
                         }
-                        match engine.try_add_instance_for(
-                            model,
-                            type_index,
-                            options.provisioning_delay_us,
-                        ) {
+                        match engine.try_add_instance_for(model, type_index, provisioning_delay_us)
+                        {
                             Ok(_) => {
                                 backoff.note_success(type_index);
                                 added_types.push(type_index);
                             }
                             Err(_) => {
-                                backoff.note_rejection(type_index, now, options);
+                                backoff.note_rejection(type_index, now);
                                 break;
                             }
                         }
                     }
                     None => {
-                        engine.add_instance_for(model, type_index, options.provisioning_delay_us);
+                        engine.add_instance_for(model, type_index, provisioning_delay_us);
                         added_types.push(type_index);
                     }
                 }
@@ -1251,7 +1159,7 @@ mod tests {
             &mut engine,
             ModelId::DEFAULT,
             &Config::new(vec![1, 0, 0, 0]),
-            &ServingOptions::default(),
+            ServingOptions::default().provisioning_delay_us,
             None,
             false,
         );
@@ -1404,8 +1312,7 @@ mod tests {
             Some(paper_calibration()),
             ServingOptions::default()
                 .replan_every(500_000)
-                .provisioning_delay(200_000)
-                .spot_cooldown(2_000_000),
+                .provisioning_delay(200_000),
         );
         system.warm_monitor(&BatchSizeDistribution::production_default(), 2000, 7);
         let workload = PhasedArrival::step_change(
@@ -1483,7 +1390,7 @@ mod tests {
             market,
             ModelKind::Rm2,
             Some(paper_calibration()),
-            ServingOptions::default().market_horizon_slack(2_000_000),
+            ServingOptions::default(),
         );
         system.warm_monitor(&BatchSizeDistribution::production_default(), 2000, 7);
         let workload = PhasedArrival::step_change(
@@ -1554,8 +1461,7 @@ mod tests {
             ServingOptions::default()
                 .replan_every(500_000)
                 .provisioning_delay(200_000)
-                .spread_limit(0.75)
-                .purchase_backoff(400_000, 3),
+                .spread_limit(0.75),
         )
         .with_fault_process(process);
         system.warm_monitor(&BatchSizeDistribution::production_default(), 2000, 7);

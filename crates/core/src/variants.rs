@@ -31,6 +31,7 @@
 
 use crate::controller::KairosController;
 use crate::planner::PlanCache;
+use crate::serving::DEMAND_HEADROOM;
 use crate::ThroughputEstimator;
 use kairos_models::{
     latency::{LatencyProfile, LatencyTable},
@@ -411,8 +412,8 @@ impl VariantRuntime {
 
     /// Picks the lane the loop should serve on for the coming interval:
     /// the highest-accuracy admissible lane whose scored plan covers
-    /// `demand_qps × headroom` within the budget, else the admissible lane
-    /// with the largest achievable bound (downgrade-under-pressure; the
+    /// `demand_qps × DEMAND_HEADROOM` within the budget, else the admissible
+    /// lane with the largest achievable bound (downgrade-under-pressure; the
     /// same rule re-promotes automatically once demand recedes).  The live
     /// lane is evaluated with the loop's real `controller` — its online
     /// latency fits included — while every other lane is probed through a
@@ -426,7 +427,7 @@ impl VariantRuntime {
         budget_per_hour: f64,
         demand_qps: f64,
     ) -> usize {
-        let required = demand_qps * options.demand_headroom;
+        let required = demand_qps * DEMAND_HEADROOM;
         let mut fallback: Option<(usize, f64)> = None;
         for i in 0..self.lanes.len() {
             let lane = &self.lanes[i];

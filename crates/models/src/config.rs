@@ -214,27 +214,21 @@ impl fmt::Display for Config {
     }
 }
 
-/// Options controlling configuration-space enumeration.
+/// Options controlling configuration-space enumeration.  Every enumerated
+/// configuration holds at least one base instance: the pool needs one to
+/// serve the largest queries within QoS, and the paper's configurations all
+/// satisfy it.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct EnumerationOptions {
     /// Hourly cost budget in dollars.
     pub budget_per_hour: f64,
-    /// Require at least one base instance (needed for the pool to serve the
-    /// largest queries within QoS; the paper's configurations all satisfy it).
-    pub require_base_instance: bool,
-    /// Require at least one instance in total.
-    pub require_nonempty: bool,
 }
 
 impl EnumerationOptions {
-    /// Standard options: positive budget, at least one base instance.
+    /// Options for a positive budget.
     pub fn with_budget(budget_per_hour: f64) -> Self {
         assert!(budget_per_hour > 0.0, "budget must be positive");
-        Self {
-            budget_per_hour,
-            require_base_instance: true,
-            require_nonempty: true,
-        }
+        Self { budget_per_hour }
     }
 }
 
@@ -260,8 +254,7 @@ pub fn enumerate_configs(pool: &PoolSpec, options: &EnumerationOptions) -> Vec<C
 ///
 /// The walk recurses over the types in pool order, trying counts upwards
 /// from zero and breaking as soon as the running cost exceeds the budget
-/// (`+1e-9` slack); the base and non-empty filters of `options` apply at the
-/// leaf.
+/// (`+1e-9` slack); the base-instance filter applies at the leaf.
 pub fn for_each_affordable<F: FnMut(&[usize])>(
     pool: &PoolSpec,
     options: &EnumerationOptions,
@@ -278,9 +271,7 @@ pub fn for_each_affordable<F: FnMut(&[usize])>(
     impl<F: FnMut(&[usize])> Walk<'_, F> {
         fn recurse(&mut self, dim: usize, spent: f64, current: &mut [usize]) {
             if dim == self.max_counts.len() {
-                let keep = (!self.options.require_nonempty || current.iter().any(|&c| c > 0))
-                    && (!self.options.require_base_instance || current[self.base] > 0);
-                if keep {
+                if current[self.base] > 0 {
                     (self.visit)(current);
                 }
                 return;
@@ -436,16 +427,6 @@ mod tests {
             "search space unexpectedly large: {}",
             configs.len()
         );
-    }
-
-    #[test]
-    fn enumeration_without_base_requirement_is_larger() {
-        let pool = paper_pool();
-        let mut opts = EnumerationOptions::with_budget(2.5);
-        let with_base = enumerate_configs(&pool, &opts).len();
-        opts.require_base_instance = false;
-        let without_base = enumerate_configs(&pool, &opts).len();
-        assert!(without_base > with_base);
     }
 
     #[test]

@@ -1636,11 +1636,6 @@ impl<'a> SimEngine<'a> {
         }
     }
 
-    /// The delivered accuracy of the variant currently serving `model`.
-    pub fn model_accuracy(&self, model: ModelId) -> f64 {
-        self.accuracy_by_model[model.index()]
-    }
-
     /// Applies a [`ClusterAction`] (driver convenience).
     pub fn apply(&mut self, action: ClusterAction) {
         match action {

@@ -79,8 +79,7 @@ fn main() {
         ServingOptions::default()
             .budget(2.5)
             .replan_every(500_000)
-            .provisioning_delay(300_000)
-            .spot_cooldown(2_000_000),
+            .provisioning_delay(300_000),
     );
     system.warm_monitor(&BatchSizeDistribution::production_default(), 2_000, 7);
     let initial = system.plan_for_demand(60.0).expect("prior knowledge");

@@ -70,8 +70,7 @@ fn main() {
     let options = ServingOptions::default()
         .budget(2.6)
         .replan_every(500_000)
-        .provisioning_delay(400_000)
-        .purchase_backoff(400_000, 3);
+        .provisioning_delay(400_000);
 
     let mut results = Vec::new();
     for (label, spread) in [("domain-aware", Some(0.5)), ("domain-blind", None)] {
