@@ -428,7 +428,7 @@ fn bench_rank_configs_variants(c: &mut Criterion) {
 /// cheapest-covering scan at a mid-space demand and the bound lookup of the
 /// deployed configuration.
 fn bench_planner_cold(c: &mut Criterion) {
-    use kairos_core::KairosController;
+    use kairos_core::{KairosController, PlanCache};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -474,6 +474,26 @@ fn bench_planner_cold(c: &mut Criterion) {
         })
     });
     group.finish();
+
+    // The serving loop's miss as the loop pays it: a plan cache asked for
+    // two budgets one ulp apart in turn, so every call misses and scores
+    // into the warm buffers of the plan it replaces.
+    let budgets = [10.3, f64::from_bits(10.3f64.to_bits() + 1)];
+    let mut cache = PlanCache::new();
+    let mut turn = 0;
+    let mut group = c.benchmark_group("planner_warm");
+    group.sample_size(10);
+    group.bench_function("rm2_budget_10_miss", |b| {
+        b.iter(|| {
+            turn ^= 1;
+            let plan = cache
+                .plan(&controller, black_box(budgets[turn]))
+                .expect("priors allow a plan");
+            black_box(plan.space.len())
+        })
+    });
+    group.finish();
+    assert_eq!(cache.hits(), 0, "every call must miss");
 }
 
 /// The sparse per-model hot paths a thousands-of-models serverless tail

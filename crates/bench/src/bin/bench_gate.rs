@@ -3,17 +3,19 @@
 //! Usage: `bench_gate <measured.json> <budget.json>`
 //!
 //! `measured.json` is the JSONL file the criterion shim appends to when
-//! `CRITERION_JSON` is set (`{"name": ..., "mean_ns": ..., "iters": ...}`
-//! per line); `budget.json` is the checked-in budget (`BENCH_budget.json`,
-//! `{"name": ..., "budget_ns": ...}` per line).  The gate **fails** when a
-//! budgeted benchmark's measured mean exceeds `budget_ns × 1.25` — a
-//! regression of more than 25 % against the budget — or when a budgeted
-//! benchmark was not measured at all.  Benchmarks without a budget line are
+//! `CRITERION_JSON` is set (`{"name": ..., "mean_ns": ..., "median_ns": ...,
+//! ...}` per line); `budget.json` is the checked-in budget
+//! (`BENCH_budget.json`, `{"name": ..., "budget_ns": ...}` per line).  The
+//! gate **fails** when a budgeted benchmark's measured median over its
+//! samples exceeds `budget_ns × 1.25` — a regression of more than 25 %
+//! against the budget — or when a budgeted benchmark was not measured at
+//! all.  The median, unlike the mean, is not dragged by one sample a noisy
+//! neighbour slowed down.  Benchmarks without a budget line are
 //! reported but never fail the gate, so the baseline (`*_run_trace_naive`)
 //! entries stay unguarded.
 //!
 //! Budgets are deliberately set above the reference machine's measured
-//! means (see BENCH_simulator.json) so ordinary CI hardware variance does
+//! times (see BENCH_simulator.json) so ordinary CI hardware variance does
 //! not trip the gate; the 1.25 factor on top catches real hot-path
 //! regressions.
 //!
@@ -54,7 +56,7 @@ fn main() -> ExitCode {
         eprintln!("usage: bench_gate <measured.json> <budget.json>");
         return ExitCode::from(2);
     }
-    let measured = parse(&args[1], "mean_ns");
+    let measured = parse(&args[1], "median_ns");
     let budgets = parse(&args[2], "budget_ns");
     if budgets.is_empty() {
         eprintln!("bench_gate: no budgets found in {}", args[2]);
@@ -65,32 +67,35 @@ fn main() -> ExitCode {
     let mut failed = false;
     for (bench, budget_ns) in &budgets {
         // The criterion shim appends; the *last* measurement wins.
-        let mean = measured
+        let median = measured
             .iter()
             .rev()
             .find(|(name, _)| name == bench)
-            .map(|(_, mean)| *mean);
-        match mean {
+            .map(|(_, median)| *median);
+        match median {
             None => {
                 eprintln!("FAIL  {bench}: budgeted but not measured");
                 failed = true;
             }
-            Some(mean_ns) => {
+            Some(median_ns) => {
                 let limit = budget_ns * TOLERANCE;
-                let verdict = if mean_ns > limit { "FAIL" } else { "ok  " };
+                let verdict = if median_ns > limit { "FAIL" } else { "ok  " };
                 println!(
-                    "{verdict}  {bench}: mean {:.2} ms vs budget {:.2} ms (limit {:.2} ms)",
-                    mean_ns / 1e6,
+                    "{verdict}  {bench}: median {:.2} ms vs budget {:.2} ms (limit {:.2} ms)",
+                    median_ns / 1e6,
                     budget_ns / 1e6,
                     limit / 1e6
                 );
-                failed |= mean_ns > limit;
+                failed |= median_ns > limit;
             }
         }
     }
-    for (bench, mean_ns) in &measured {
+    for (bench, median_ns) in &measured {
         if !budgets.iter().any(|(b, _)| b == bench) {
-            println!("info  {bench}: {:.2} ms (no budget)", mean_ns / 1e6);
+            println!(
+                "info  {bench}: median {:.2} ms (no budget)",
+                median_ns / 1e6
+            );
         }
     }
     if failed {

@@ -22,7 +22,8 @@
 //!   entry, for Kairos+ and the offline analyses.
 //!
 //! The Criterion groups `planner` (bench `upper_bound`) and `planner_cold`
-//! (bench `simulator`) time both forms.
+//! (bench `simulator`) time both forms; `planner_warm` times a
+//! [`PlanCache`] miss as the serving loop pays it.
 
 use crate::controller::KairosController;
 use crate::selection::select_configuration;

@@ -103,16 +103,30 @@ fn check_bound_inputs(q_base: f64, q_base_splus: f64, fraction_small: f64) {
     );
 }
 
+/// Whether [`check_bound_inputs`] passes on these inputs.
+fn bound_inputs_valid(q_base: f64, q_base_splus: f64, fraction_small: f64) -> bool {
+    q_base >= 0.0 && q_base_splus >= 0.0 && (0.0..=1.0 + F_EPS).contains(&fraction_small)
+}
+
 /// The input check of [`upper_bound_general`] on one auxiliary class.
 fn check_aux_qps(qps: f64) {
-    assert!(qps >= 0.0, "auxiliary throughput must be non-negative");
+    assert!(
+        aux_qps_valid(qps),
+        "auxiliary throughput must be non-negative"
+    );
+}
+
+/// Whether [`check_aux_qps`] passes on `qps`.
+fn aux_qps_valid(qps: f64) -> bool {
+    qps >= 0.0
 }
 
 /// The shared core of the general bound, once the auxiliary side is reduced
 /// to its total rate `Σ v_i·Q_a^i`: [`upper_bound_general`] sums the classes
 /// it is handed, [`ThroughputEstimator::estimate_counts`] sums straight off
-/// a count vector in the same coordinate order, so both reach this with the
-/// same bits.
+/// a count vector in the same coordinate order, and
+/// [`ThroughputEstimator::score_affordable`] carries the same sum down its
+/// walk, so all three reach this with the same bits.
 fn upper_bound_from_aux_total(
     base_nodes: usize,
     q_base: f64,
@@ -362,8 +376,8 @@ impl ThroughputEstimator {
     }
 
     /// [`Self::estimate`] straight off a per-type count vector, without
-    /// building a [`Config`] — the form the ranking walk scores its leaves
-    /// with.
+    /// building a [`Config`].  [`Self::score_affordable`] reaches the same
+    /// bits with the sum carried down its walk.
     ///
     /// O(types) and allocation-free: every sample-dependent quantity in the
     /// bound depends on the sample only through the shared cutoff, whose
@@ -421,15 +435,24 @@ impl ThroughputEstimator {
     }
 
     /// Every configuration `options` admits on this estimator's pool, scored
-    /// but not ranked: one [`for_each_affordable`] walk bounds each leaf in
-    /// place with [`Self::estimate_counts`] and prices it, keeping counts,
-    /// bound and cost in flat buffers in enumeration order.  Empty when the
-    /// budget affords nothing.
+    /// but not ranked: counts, bound and cost in flat buffers in enumeration
+    /// order.  Each bound has the bits [`Self::estimate_counts`] gives the
+    /// configuration and each cost the bits of [`Config::cost`].  Empty when
+    /// the budget affords nothing.
+    ///
+    /// One [`for_each_affordable`] walk carries the bound's state down the
+    /// recursion instead of rebuilding it per leaf: per prefix, the largest
+    /// auxiliary cutoff slot present and, per cutoff slot, the partial sum
+    /// `Σ v_i·Q_a^i` over the prefix's auxiliary types, added in pool
+    /// order (so the leaf's `Σ` has the bits of `estimate_counts`' sum).
+    /// A leaf adds the last type's term to one partial sum and evaluates
+    /// the bound's closed form: O(1) in the pool's width.
     ///
     /// # Panics
-    /// Panics with "finite bounds" when two or more configurations are
-    /// affordable and one of them bounds to NaN — exactly when ranking the
-    /// space would.
+    /// With `estimate_counts`' input-check messages at the first
+    /// configuration, in enumeration order, whose bound would fail them;
+    /// with "finite bounds" when two or more configurations are affordable
+    /// and one of them bounds to NaN — exactly when ranking the space would.
     pub fn score_affordable(&self, options: &EnumerationOptions) -> ScoredSpace {
         self.score_affordable_into(options, ScoredSpace::default())
     }
@@ -452,17 +475,70 @@ impl ThroughputEstimator {
         counts.clear();
         bounds.clear();
         costs.clear();
-        for_each_affordable(&self.pool, options, |leaf| {
-            bounds.push(self.estimate_counts(leaf));
-            // `Config::cost`'s sum: pool order, one multiply per type.
-            costs.push(
-                leaf.iter()
-                    .zip(self.pool.types())
-                    .map(|(&c, t)| t.cost_of(c))
-                    .sum(),
-            );
-            counts.extend_from_slice(leaf);
-        });
+        // A slot is clean when no configuration sharing its cutoff can fail
+        // an input check; a leaf on an unclean slot re-runs the checks.
+        let clean: Vec<bool> = self
+            .cutoff_stats
+            .iter()
+            .map(|stats| {
+                bound_inputs_valid(self.q_base, stats.q_base_splus, stats.fraction_small)
+                    && self
+                        .stats_index
+                        .iter()
+                        .zip(&stats.aux_qps)
+                        .all(|(slot, &qps)| slot.is_none() || aux_qps_valid(qps))
+            })
+            .collect();
+        let last = types - 1;
+        let last_slot = self.stats_index[last];
+        let root = Prefix {
+            shared: None,
+            aux_sums: vec![std::iter::empty::<f64>().sum(); self.cutoff_stats.len()],
+        };
+        for_each_affordable(
+            &self.pool,
+            options,
+            root,
+            |parent, child, dim, count| {
+                child.shared = parent.shared;
+                child.aux_sums.copy_from_slice(&parent.aux_sums);
+                if let Some(slot) = self.stats_index[dim].filter(|_| count > 0) {
+                    child.shared = child.shared.max(Some(slot));
+                    for (sum, stats) in child.aux_sums.iter_mut().zip(&self.cutoff_stats) {
+                        *sum += count as f64 * stats.aux_qps[dim];
+                    }
+                }
+            },
+            |leaf, cost, prefix| {
+                let u = leaf[self.base_index];
+                let own = last_slot.filter(|_| leaf[last] > 0);
+                let bound = match prefix.shared.max(own) {
+                    None => u as f64 * self.q_base,
+                    Some(shared) => {
+                        if !clean[shared] {
+                            // Panics with the message the leaf's bound
+                            // raises, if it raises one.
+                            self.estimate_counts(leaf);
+                        }
+                        let stats = &self.cutoff_stats[shared];
+                        let mut aux_total = prefix.aux_sums[shared];
+                        if own.is_some() {
+                            aux_total += leaf[last] as f64 * stats.aux_qps[last];
+                        }
+                        upper_bound_from_aux_total(
+                            u,
+                            self.q_base,
+                            stats.q_base_splus,
+                            aux_total,
+                            stats.fraction_small,
+                        )
+                    }
+                };
+                bounds.push(bound);
+                costs.push(cost);
+                counts.extend_from_slice(leaf);
+            },
+        );
         ScoredSpace::new(types, counts, bounds, costs)
     }
 
@@ -476,6 +552,17 @@ impl ThroughputEstimator {
     pub fn rank_affordable(&self, options: &EnumerationOptions) -> Vec<(Config, f64)> {
         self.score_affordable(options).ranked()
     }
+}
+
+/// The bound's state over a prefix of a configuration, as
+/// [`ThroughputEstimator::score_affordable`] carries it down the walk.
+#[derive(Debug, Clone)]
+struct Prefix {
+    /// The largest cutoff slot among the prefix's auxiliary types present.
+    shared: Option<usize>,
+    /// Per cutoff slot `j`, `Σ v_i·Q_a^i` over the prefix's auxiliary types
+    /// present, with `Q_a^i` read at slot `j`.
+    aux_sums: Vec<f64>,
 }
 
 /// The affordable configuration space of one pool, budget and estimator,
@@ -986,6 +1073,60 @@ mod tests {
                 "k = {k}"
             );
         }
+    }
+
+    /// The message `f` panics with, if it panics.
+    fn panic_message(f: impl FnOnce()) -> Option<String> {
+        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).err()?;
+        Some(
+            payload
+                .downcast_ref::<String>()
+                .cloned()
+                .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
+                .unwrap_or_default(),
+        )
+    }
+
+    #[test]
+    fn scoring_walk_panics_exactly_where_the_per_config_bound_does() {
+        // Corrupt one cutoff statistic at a time.  The walk must panic with
+        // the message ranking the enumerated space raises (the first
+        // failing configuration's, in enumeration order), and not at all
+        // when no affordable configuration reads the corrupted value.
+        let clean = estimator(ModelKind::Rm2);
+        let options = EnumerationOptions::with_budget(4.0);
+        let configs = kairos_models::enumerate_configs(clean.pool(), &options);
+        let mut corrupted = Vec::new();
+        for slot in 0..clean.cutoff_stats.len() {
+            for bad in [-1.0, f64::NAN] {
+                let mut est = clean.clone();
+                est.cutoff_stats[slot].q_base_splus = bad;
+                corrupted.push(est);
+                let mut est = clean.clone();
+                est.cutoff_stats[slot].fraction_small = 1.5 + bad.abs();
+                corrupted.push(est);
+                for i in (0..clean.pool.num_types()).filter(|&i| clean.stats_index[i].is_some()) {
+                    let mut est = clean.clone();
+                    est.cutoff_stats[slot].aux_qps[i] = bad;
+                    corrupted.push(est);
+                }
+            }
+        }
+        let (mut panicked, mut passed) = (0, 0);
+        for est in &corrupted {
+            let walk = panic_message(|| drop(est.score_affordable(&options)));
+            let oracle = panic_message(|| drop(est.rank_configs(&configs)));
+            assert_eq!(walk, oracle);
+            if walk.is_some() {
+                panicked += 1;
+            } else {
+                passed += 1;
+            }
+        }
+        assert!(
+            panicked > 0 && passed > 0,
+            "{panicked} panicked, {passed} passed"
+        );
     }
 
     #[test]

@@ -50,6 +50,17 @@ pub fn random_pool(rng: &mut StdRng, types: usize) -> PoolSpec {
     PoolSpec::new(pool)
 }
 
+/// `pool`, or in half the cases `pool` with its base type moved to a
+/// random index: the walk must handle a base anywhere, not just first.
+pub fn relocate_base(rng: &mut StdRng, pool: PoolSpec) -> PoolSpec {
+    let mut types = pool.types().to_vec();
+    if rng.gen_bool(0.5) {
+        let base = types.remove(pool.base_index());
+        types.insert(rng.gen_range(0..=types.len()), base);
+    }
+    PoolSpec::new(types)
+}
+
 /// The paper calibration with every (model, type) profile scaled by a
 /// random factor per coefficient; `spread = 0` keeps the priors exact.
 pub fn perturbed_priors(rng: &mut StdRng, spread: f64) -> LatencyTable {
@@ -83,9 +94,13 @@ pub fn random_sample(rng: &mut StdRng, shape: u32, len: usize) -> Vec<u32> {
 /// Number of configurations `budget` affords on `pool`.
 pub fn affordable(pool: &PoolSpec, budget: f64) -> usize {
     let mut count = 0usize;
-    for_each_affordable(pool, &EnumerationOptions::with_budget(budget), |_| {
-        count += 1
-    });
+    for_each_affordable(
+        pool,
+        &EnumerationOptions::with_budget(budget),
+        (),
+        |_, _, _, _| {},
+        |_, _, _| count += 1,
+    );
     count
 }
 

@@ -9,7 +9,8 @@
 //! them, and [`select_configuration`] picks.  `KairosPlanner::plan` must
 //! return the identical ranked list — same configurations, same order, same
 //! bound bits — and the same chosen configuration on random pools of 2–6
-//! types (equal prices and duplicated types, so costs and bounds tie),
+//! types (equal prices and duplicated types, so costs and bounds tie; the
+//! base type first or anywhere else),
 //! budgets from just over one base instance up to ~20k configurations,
 //! perturbed latency priors, and batch samples that are production-like,
 //! single-valued, entirely above every cutoff or entirely below.  A budget
@@ -17,7 +18,10 @@
 
 mod common;
 
-use common::{capped_budget, panic_message, perturbed_priors, random_pool, random_sample, MODELS};
+use common::{
+    capped_budget, panic_message, perturbed_priors, random_pool, random_sample, relocate_base,
+    MODELS,
+};
 use kairos_core::{
     select_configuration, upper_bound_general, AuxClass, KairosPlanner, ThroughputEstimator,
 };
@@ -176,6 +180,7 @@ proptest! {
     ) {
         let mut rng = StdRng::seed_from_u64(seed);
         let pool = random_pool(&mut rng, types);
+        let pool = relocate_base(&mut rng, pool);
         let model = MODELS[model_index];
         let spread = if rng.gen_bool(0.25) { 0.0 } else { 0.3 };
         let latency = perturbed_priors(&mut rng, spread);
@@ -222,6 +227,7 @@ proptest! {
     ) {
         let mut rng = StdRng::seed_from_u64(seed);
         let pool = random_pool(&mut rng, types);
+        let pool = relocate_base(&mut rng, pool);
         let latency = perturbed_priors(&mut rng, 0.3);
         let sample = random_sample(&mut rng, 0, 200);
         let budget = pool.base_type().price_per_hour * (1.0 - shortfall);

@@ -1,8 +1,10 @@
 //! Property tests: the serving loop's scan queries over the scored
 //! affordable space against the ranked-list pipeline they replaced.
 //!
-//! The oracle is that pipeline: [`ThroughputEstimator::rank_affordable`]
-//! ranks the space, [`oracle_cheapest_covering`] (the `min_by` over the
+//! The oracle is that pipeline, kept off the scoring walk the planner
+//! uses: [`enumerate_configs`] lists the space and
+//! [`ThroughputEstimator::rank_configs`] bounds each configuration on its
+//! own (`estimate_counts`) and ranks the list, [`oracle_cheapest_covering`] (the `min_by` over the
 //! ranked list the loop used) finds the cheapest covering entry, a filtered
 //! copy of the list supplies the top entry passing a filter (its `[0]`), a
 //! `find` reads the bound of the current deployment, and
@@ -10,7 +12,8 @@
 //! [`KairosPlanner::scored_plan`] over the same inputs must answer every
 //! one of those questions with the same entry — same configuration, same
 //! bound bits, same cost bits — on random pools of 2–6 types with tied
-//! prices and repeated types, budgets from one base instance up to ~20k
+//! prices and repeated types (the base type first or anywhere else),
+//! budgets from one base instance up to ~20k
 //! configurations (including budgets a hair under an integer multiple of a
 //! price), demands below, between and above the bounds, deployments inside
 //! and outside the affordable set, and random spread-like and
@@ -19,7 +22,10 @@
 
 mod common;
 
-use common::{capped_budget, panic_message, perturbed_priors, random_pool, random_sample, MODELS};
+use common::{
+    capped_budget, panic_message, perturbed_priors, random_pool, random_sample, relocate_base,
+    MODELS,
+};
 use kairos_core::{
     select_configuration, selection::TOP_CANDIDATES, KairosPlanner, ScoredSpace,
     ThroughputEstimator,
@@ -63,12 +69,13 @@ fn oracle_ranked(
     budget_per_hour: f64,
     sample: &[u32],
 ) -> (Vec<(Config, f64)>, Config) {
-    let estimator = ThroughputEstimator::new(pool.clone(), model, latency.clone(), sample.to_vec());
-    let ranked = estimator.rank_affordable(&EnumerationOptions::with_budget(budget_per_hour));
+    let configs = enumerate_configs(pool, &EnumerationOptions::with_budget(budget_per_hour));
     assert!(
-        !ranked.is_empty(),
+        !configs.is_empty(),
         "budget {budget_per_hour} cannot afford any configuration with a base instance"
     );
+    let estimator = ThroughputEstimator::new(pool.clone(), model, latency.clone(), sample.to_vec());
+    let ranked = estimator.rank_configs(&configs);
     let chosen = select_configuration(&ranked, pool);
     (ranked, chosen)
 }
@@ -178,6 +185,7 @@ proptest! {
     ) {
         let mut rng = StdRng::seed_from_u64(seed);
         let pool = random_pool(&mut rng, types);
+        let pool = relocate_base(&mut rng, pool);
         let model = MODELS[model_index];
         let spread = if rng.gen_bool(0.25) { 0.0 } else { 0.3 };
         let latency = perturbed_priors(&mut rng, spread);
@@ -266,6 +274,7 @@ proptest! {
     ) {
         let mut rng = StdRng::seed_from_u64(seed);
         let pool = random_pool(&mut rng, types);
+        let pool = relocate_base(&mut rng, pool);
         let model = MODELS[model_index];
         let latency = if rng.gen_bool(0.5) {
             nan_priors(&mut rng, &pool, model)

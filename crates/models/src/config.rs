@@ -241,65 +241,109 @@ impl EnumerationOptions {
 /// walk order.
 pub fn enumerate_configs(pool: &PoolSpec, options: &EnumerationOptions) -> Vec<Config> {
     let mut out = Vec::new();
-    for_each_affordable(pool, options, |counts| {
-        out.push(Config::new(counts.to_vec()))
-    });
+    for_each_affordable(
+        pool,
+        options,
+        (),
+        |_, _, _, _| {},
+        |counts, _, _| out.push(Config::new(counts.to_vec())),
+    );
     out
 }
 
 /// Visits every configuration [`enumerate_configs`] returns, in the same
-/// (lexicographic) order, as a borrowed count vector — the allocation-free
-/// form a caller that only needs to *score* each configuration walks.  The
-/// `counts` slice is reused between calls.
+/// (lexicographic) order, as a borrowed count vector with its hourly cost,
+/// carrying a caller-defined state down the walk.  This is the one place
+/// the affordable space is defined; every enumerator and scorer walks it.
 ///
-/// The walk recurses over the types in pool order, trying counts upwards
-/// from zero and breaking as soon as the running cost exceeds the budget
-/// (`+1e-9` slack); the base-instance filter applies at the leaf.
-pub fn for_each_affordable<F: FnMut(&[usize])>(
+/// The walk recurses over the types in pool order.  Type `i`'s count runs
+/// upwards to its cap `floor(budget / price_i)` and breaks as soon as the
+/// running cost `spent + price_i·count` exceeds the budget (`+1e-9`
+/// slack).  The base type's count starts at one, so the walk never enters
+/// a subtree without a base instance.  The cost handed to `visit` is that
+/// running cost: pool order, one multiply per type, so it has the bits of
+/// [`Config::cost`].
+///
+/// The state is the caller's fold over a prefix of the configuration.
+/// Every type but the last extends it: before the walk descends past type
+/// `i` at count `c`, `fold(parent, child, i, c)` writes into `child` the
+/// state of the prefix `parent` describes extended by `c` instances of
+/// type `i` (the walk keeps one state per level, so `child` is scratch it
+/// overwrites).  `visit(counts, cost, prefix)` then receives the state of
+/// every type but the last; a leaf reads the last count off `counts`, so
+/// per-leaf work stays independent of the pool's width.  `root` is the
+/// empty prefix's state.
+///
+/// # Panics
+/// Panics with "price must be positive" when a type's price is zero,
+/// negative or not finite: a zero price makes that type's count unbounded.
+pub fn for_each_affordable<S: Clone>(
     pool: &PoolSpec,
     options: &EnumerationOptions,
-    visit: F,
+    root: S,
+    fold: impl FnMut(&S, &mut S, usize, usize),
+    visit: impl FnMut(&[usize], f64, &S),
 ) {
-    struct Walk<'a, F> {
-        pool: &'a PoolSpec,
-        options: &'a EnumerationOptions,
-        max_counts: Vec<usize>,
+    struct Walk<S, Fold, Visit> {
+        prices: Vec<f64>,
+        caps: Vec<usize>,
         base: usize,
-        visit: F,
+        limit: f64,
+        counts: Vec<usize>,
+        /// `states[i]` is the fold over types `0..i` of `counts`.
+        states: Vec<S>,
+        fold: Fold,
+        visit: Visit,
     }
 
-    impl<F: FnMut(&[usize])> Walk<'_, F> {
-        fn recurse(&mut self, dim: usize, spent: f64, current: &mut [usize]) {
-            if dim == self.max_counts.len() {
-                if current[self.base] > 0 {
-                    (self.visit)(current);
-                }
-                return;
-            }
-            let price = self.pool.price(dim);
-            for count in 0..=self.max_counts[dim] {
+    impl<S, Fold, Visit> Walk<S, Fold, Visit>
+    where
+        Fold: FnMut(&S, &mut S, usize, usize),
+        Visit: FnMut(&[usize], f64, &S),
+    {
+        fn recurse(&mut self, dim: usize, spent: f64) {
+            let price = self.prices[dim];
+            let first = usize::from(dim == self.base);
+            let last = dim + 1 == self.prices.len();
+            for count in first..=self.caps[dim] {
                 let cost = spent + price * count as f64;
-                if cost > self.options.budget_per_hour + 1e-9 {
+                if cost > self.limit {
                     break;
                 }
-                current[dim] = count;
-                self.recurse(dim + 1, cost, current);
+                self.counts[dim] = count;
+                if last {
+                    (self.visit)(&self.counts, cost, &self.states[dim]);
+                } else {
+                    let (prefix, rest) = self.states.split_at_mut(dim + 1);
+                    (self.fold)(&prefix[dim], &mut rest[0], dim, count);
+                    self.recurse(dim + 1, cost);
+                }
             }
-            current[dim] = 0;
+            self.counts[dim] = 0;
         }
     }
 
-    let n = pool.num_types();
+    let prices: Vec<f64> = pool.types().iter().map(|t| t.price_per_hour).collect();
+    assert!(
+        prices.iter().all(|p| p.is_finite() && *p > 0.0),
+        "price must be positive"
+    );
+    let budget = options.budget_per_hour;
+    let n = prices.len();
     let mut walk = Walk {
-        pool,
-        options,
-        max_counts: (0..n)
-            .map(|i| (options.budget_per_hour / pool.price(i)).floor() as usize)
+        caps: prices
+            .iter()
+            .map(|p| (budget / p).floor() as usize)
             .collect(),
+        prices,
         base: pool.base_index(),
+        limit: budget + 1e-9,
+        counts: vec![0; n],
+        states: vec![root; n],
+        fold,
         visit,
     };
-    walk.recurse(0, 0.0, &mut vec![0usize; n]);
+    walk.recurse(0, 0.0);
 }
 
 /// Returns the optimal *homogeneous* configuration: the maximum number of
@@ -427,6 +471,16 @@ mod tests {
             "search space unexpectedly large: {}",
             configs.len()
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "price must be positive")]
+    fn walk_rejects_a_zero_price() {
+        // A deserialized pool can hold a price `InstanceType::new` rejects;
+        // its type's count would be unbounded.
+        let mut types = ec2::paper_pool();
+        types[2].price_per_hour = 0.0;
+        enumerate_configs(&PoolSpec::new(types), &EnumerationOptions::with_budget(2.5));
     }
 
     #[test]

@@ -2,8 +2,8 @@
 
 use kairos_models::{
     calibration::paper_calibration,
-    config::{enumerate_configs, Config, EnumerationOptions, PoolSpec},
-    instance::ec2,
+    config::{enumerate_configs, for_each_affordable, Config, EnumerationOptions, PoolSpec},
+    instance::{ec2, InstanceClass, InstanceType},
     latency::LatencyProfile,
     mlmodel::ModelKind,
     predictor::OnlinePredictor,
@@ -12,6 +12,38 @@ use proptest::prelude::*;
 
 fn paper_pool() -> PoolSpec {
     PoolSpec::new(ec2::paper_pool())
+}
+
+/// The affordable space by brute force: every count vector in the box
+/// `0..=floor(budget / price_i)`, in lexicographic order, kept when it
+/// holds a base instance and its [`Config::cost`] is within the budget
+/// (`+1e-9`).
+fn box_filter(pool: &PoolSpec, budget: f64) -> Vec<Config> {
+    let n = pool.num_types();
+    let caps: Vec<usize> = (0..n)
+        .map(|i| (budget / pool.price(i)).floor() as usize)
+        .collect();
+    let mut counts = vec![0usize; n];
+    let mut out = Vec::new();
+    loop {
+        let config = Config::new(counts.clone());
+        if config.count(pool.base_index()) >= 1 && config.cost(pool) <= budget + 1e-9 {
+            out.push(config);
+        }
+        // Odometer step: the last type counts fastest.
+        let mut dim = n;
+        loop {
+            if dim == 0 {
+                return out;
+            }
+            dim -= 1;
+            if counts[dim] < caps[dim] {
+                counts[dim] += 1;
+                break;
+            }
+            counts[dim] = 0;
+        }
+    }
 }
 
 proptest! {
@@ -72,6 +104,58 @@ proptest! {
         for c in &small {
             prop_assert!(large.contains(c));
         }
+    }
+
+    #[test]
+    fn affordable_walk_is_the_box_filter(
+        prices in prop::collection::vec(0.3f64..1.5, 1..=5),
+        base_pick in 0usize..5,
+        factor in 0.2f64..2.5,
+        multiple_pick in 0usize..5,
+        k in 1u32..=8,
+        ulps in 0u64..4,
+        budget_shape in 0u32..2,
+    ) {
+        let base = base_pick % prices.len();
+        let pool = PoolSpec::new(
+            prices
+                .iter()
+                .enumerate()
+                .map(|(i, &p)| {
+                    InstanceType::new(&format!("t{i}"), InstanceClass::GeneralPurpose, p, i == base)
+                })
+                .collect(),
+        );
+        // Either a plain budget or `k` instances of one type's price
+        // stepped down a few ulps, so `budget / price` lands just under `k`.
+        let budget = if budget_shape == 1 {
+            let exact = f64::from(k) * prices[multiple_pick % prices.len()];
+            f64::from_bits(exact.to_bits() - ulps)
+        } else {
+            factor
+        };
+
+        let mut walked: Vec<(Vec<usize>, u64)> = Vec::new();
+        for_each_affordable(
+            &pool,
+            &EnumerationOptions::with_budget(budget),
+            Vec::new(),
+            |parent: &Vec<usize>, child: &mut Vec<usize>, dim, count| {
+                assert_eq!(parent.len(), dim, "fold runs in pool order");
+                child.clone_from(parent);
+                child.push(count);
+            },
+            |counts, cost, prefix| {
+                assert_eq!(prefix.as_slice(), &counts[..counts.len() - 1]);
+                walked.push((counts.to_vec(), cost.to_bits()));
+            },
+        );
+        let expected: Vec<(Vec<usize>, u64)> = box_filter(&pool, budget)
+            .into_iter()
+            .map(|c| (c.counts().to_vec(), c.cost(&pool).to_bits()))
+            .collect();
+        prop_assert_eq!(&walked, &expected);
+        prop_assert!(walked.windows(2).all(|w| w[0].0 < w[1].0));
     }
 
     #[test]

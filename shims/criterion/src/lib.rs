@@ -4,11 +4,15 @@
 //! [`criterion_group!`], [`criterion_main!`], benchmark groups,
 //! [`BenchmarkId`] and `Bencher::iter` — with a simple
 //! warmup-then-measure timer instead of criterion's statistical machinery.
+//! The measured iterations are split into up to [`SAMPLES`] equal samples,
+//! so a run reports the median and 90th percentile of the per-sample mean
+//! beside the overall mean.
 //!
 //! Results are printed as aligned rows.  When the `CRITERION_JSON`
 //! environment variable names a file, one JSON object per benchmark is
-//! appended to it (`{"name": ..., "mean_ns": ..., "iters": ...}`), which is
-//! how the repository records `BENCH_*.json` baselines.
+//! appended to it (`{"name": ..., "mean_ns": ..., "median_ns": ...,
+//! "p90_ns": ..., "samples": ..., "iters": ...}`), which is how the
+//! repository records `BENCH_*.json` baselines.
 //!
 //! Set `CRITERION_SAMPLE_MS` (default 300) to control per-benchmark
 //! measurement time.
@@ -51,10 +55,40 @@ pub struct Bencher<'a> {
     result: &'a mut Option<Measurement>,
 }
 
+/// The most samples one benchmark's iterations are split into (fewer when
+/// the sample budget affords fewer iterations).
+pub const SAMPLES: u64 = 11;
+
 #[derive(Debug, Clone, Copy)]
 struct Measurement {
     mean_ns: f64,
+    median_ns: f64,
+    p90_ns: f64,
+    samples: u64,
     iters: u64,
+}
+
+impl Measurement {
+    /// Summarizes per-sample nanoseconds-per-iteration over `iters` total
+    /// iterations that took `total_ns`.
+    fn from_samples(mut per_iter_ns: Vec<f64>, total_ns: f64, iters: u64) -> Self {
+        per_iter_ns.sort_by(f64::total_cmp);
+        let n = per_iter_ns.len();
+        let median_ns = if n % 2 == 1 {
+            per_iter_ns[n / 2]
+        } else {
+            0.5 * (per_iter_ns[n / 2 - 1] + per_iter_ns[n / 2])
+        };
+        // Nearest rank: the smallest sample at or above 90 % of them.
+        let p90_ns = per_iter_ns[(n * 9).div_ceil(10) - 1];
+        Self {
+            mean_ns: total_ns / iters as f64,
+            median_ns,
+            p90_ns,
+            samples: n as u64,
+            iters,
+        }
+    }
 }
 
 fn sample_budget() -> Duration {
@@ -67,8 +101,9 @@ fn sample_budget() -> Duration {
 
 impl Bencher<'_> {
     /// Times `routine`: a short calibration pass sizes the batch, then the
-    /// routine runs for the sample budget and the mean per-iteration time is
-    /// recorded.
+    /// routine runs for the sample budget in up to [`SAMPLES`] equal
+    /// samples, and the mean, median and 90th-percentile per-iteration
+    /// times are recorded.
     pub fn iter<O, R: FnMut() -> O>(&mut self, mut routine: R) {
         // Calibration: one run to size the measurement loop.
         let start = Instant::now();
@@ -77,16 +112,25 @@ impl Bencher<'_> {
 
         let budget = sample_budget();
         let target_iters = (budget.as_nanos() / once.as_nanos()).clamp(1, 1_000_000) as u64;
+        let samples = target_iters.min(SAMPLES);
+        let per_sample = target_iters / samples;
 
-        let start = Instant::now();
-        for _ in 0..target_iters {
-            black_box(routine());
+        let mut per_iter_ns = Vec::with_capacity(samples as usize);
+        let mut total_ns = 0.0;
+        for _ in 0..samples {
+            let start = Instant::now();
+            for _ in 0..per_sample {
+                black_box(routine());
+            }
+            let ns = start.elapsed().as_nanos() as f64;
+            total_ns += ns;
+            per_iter_ns.push(ns / per_sample as f64);
         }
-        let total = start.elapsed();
-        *self.result = Some(Measurement {
-            mean_ns: total.as_nanos() as f64 / target_iters as f64,
-            iters: target_iters,
-        });
+        *self.result = Some(Measurement::from_samples(
+            per_iter_ns,
+            total_ns,
+            samples * per_sample,
+        ));
     }
 }
 
@@ -104,9 +148,12 @@ fn human(ns: f64) -> String {
 
 fn record(name: &str, m: Measurement) {
     println!(
-        "bench  {name:<56} {:>12}  ({} iters)",
+        "bench  {name:<56} {:>12}  (mean {}, p90 {}; {} iters in {} samples)",
+        human(m.median_ns),
         human(m.mean_ns),
-        m.iters
+        human(m.p90_ns),
+        m.iters,
+        m.samples
     );
     if let Ok(path) = std::env::var("CRITERION_JSON") {
         if let Ok(mut file) = std::fs::OpenOptions::new()
@@ -116,8 +163,8 @@ fn record(name: &str, m: Measurement) {
         {
             let _ = writeln!(
                 file,
-                "{{\"name\":\"{name}\",\"mean_ns\":{:.1},\"iters\":{}}}",
-                m.mean_ns, m.iters
+                "{{\"name\":\"{name}\",\"mean_ns\":{:.1},\"median_ns\":{:.1},\"p90_ns\":{:.1},\"samples\":{},\"iters\":{}}}",
+                m.mean_ns, m.median_ns, m.p90_ns, m.samples, m.iters
             );
         }
     }
@@ -257,6 +304,18 @@ mod tests {
         });
         group.bench_function("plain", |b| b.iter(|| black_box(1 + 1)));
         group.finish();
+    }
+
+    #[test]
+    fn sample_summary_reads_the_median_and_nearest_rank_p90() {
+        let odd = Measurement::from_samples(vec![5.0, 1.0, 3.0], 90.0, 10);
+        assert_eq!((odd.median_ns, odd.p90_ns, odd.mean_ns), (3.0, 5.0, 9.0));
+        assert_eq!(odd.samples, 3);
+        let samples: Vec<f64> = (1..=10).rev().map(f64::from).collect();
+        let even = Measurement::from_samples(samples, 55.0, 10);
+        assert_eq!((even.median_ns, even.p90_ns), (5.5, 9.0));
+        let one = Measurement::from_samples(vec![7.0], 7.0, 1);
+        assert_eq!((one.median_ns, one.p90_ns, one.samples), (7.0, 7.0, 1));
     }
 
     #[test]
