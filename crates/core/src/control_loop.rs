@@ -1,12 +1,13 @@
-//! The one serving control loop behind [`ServingSystem::run`] and
-//! [`InferenceService::run`](crate::InferenceService::run).
+//! The one serving control loop behind
+//! [`InferenceService::run`](crate::InferenceService::run) and its one-lane
+//! form [`ServingSystem::run`](crate::ServingSystem::run).
 //!
 //! The paper's headline online result (Fig. 12, Sec. 6) is Kairos reacting
 //! to a load change in "one shot": the monitor notices the new mix, the
 //! planner re-ranks the configuration space from current knowledge, and the
 //! system redeploys — no online exploration.  [`serve`] is that loop against
-//! the discrete-event engine, for one lane (a single-model
-//! [`ServingSystem`]) or N lanes under one shared budget:
+//! the discrete-event engine, for one [`ModelLane`] per served model under
+//! one shared budget:
 //!
 //! ```text
 //!        ┌──────────────────────────────────────────────────────────┐
@@ -31,8 +32,8 @@
 use crate::serverless::ServerlessRuntime;
 use crate::service::{split_budget, MultiServingOutcome};
 use crate::serving::{
-    estimate_rate_qps, fault_window_end, reconcile_model, MarketState, PurchaseBackoff,
-    ReconfigEvent, ReplanTrigger, ServingOptions, ServingSystem, VariantSwitch,
+    estimate_rate_qps, fault_window_end, reconcile_model, MarketState, ModelLane, PurchaseBackoff,
+    ReconfigEvent, ReplanTrigger, ServingOptions, VariantSwitch,
 };
 use kairos_models::{FailureDomain, FaultProcess, PoolSpec};
 use kairos_sim::{
@@ -65,16 +66,28 @@ const MIN_OBSERVATIONS: usize = 200;
 /// time).
 const MARKET_HORIZON_SLACK_US: TimeUs = 2_000_000;
 
-/// The fleet-wide attachments of one run, borrowed from its entry point.
-pub(crate) struct Fleet<'f> {
+/// The fleet-wide attachments of a service, held once by its
+/// [`InferenceService`](crate::InferenceService) and lent to every run.
+#[derive(Debug, Clone)]
+pub(crate) struct Fleet {
+    /// The pool every lane plans over, at reference prices (a run pushes
+    /// live market prices and backoff penalties into the lanes' controllers
+    /// and restores this pool when it ends).
+    pub pool: PoolSpec,
     /// Loop tunables; `budget_per_hour` is the budget the lanes share.
     pub options: ServingOptions,
-    /// The cloud market every lane trades on, if any.
-    pub market: Option<&'f mut MarketState>,
+    /// Per-type failure-domain table (one entry per pool type, resolved from
+    /// the offering catalog when market-attached).  Empty means domain-blind:
+    /// every instance lands in [`FailureDomain::global`].
+    pub placements: Vec<FailureDomain>,
+    /// The cloud market every lane trades on, if any (one market, one
+    /// cooldown book; every lane replans over the same refreshed pool).
+    pub market: Option<MarketState>,
     /// The correlated-fault process the engine materializes, if any.
-    pub faults: Option<&'f FaultProcess>,
-    /// The keep-alive runtime sparse lanes park under, if any.
-    pub serverless: Option<&'f ServerlessRuntime>,
+    pub faults: Option<FaultProcess>,
+    /// The keep-alive runtime sparse lanes park under, if any: they scale
+    /// to zero in the budget split instead of holding an always-on floor.
+    pub serverless: Option<ServerlessRuntime>,
 }
 
 /// The replan clock of one run: the cadence tick and each lane's
@@ -175,10 +188,11 @@ fn hold_domain(
     }
 }
 
-/// Pushes one planning pool into every lane: lanes share the pool.
-fn share_pool(lanes: &mut [ServingSystem], pool: &PoolSpec) {
+/// Pushes one planning pool into every lane's controller: lanes share the
+/// pool.
+fn share_pool(lanes: &mut [ModelLane], pool: &PoolSpec) {
     for lane in lanes {
-        lane.set_planning_pool(pool.clone());
+        lane.controller.set_pool(pool.clone());
     }
 }
 
@@ -190,26 +204,26 @@ fn share_pool(lanes: &mut [ServingSystem], pool: &PoolSpec) {
 /// planning pool are reset before returning, so nothing stamped in this
 /// run's virtual time leaks into the next.
 pub(crate) fn serve(
-    lanes: &mut [ServingSystem],
+    lanes: &mut [ModelLane],
     planned: &mut [Option<f64>],
-    fleet: Fleet<'_>,
+    fleet: &mut Fleet,
     initial: &ClusterSpec,
     services: &[&ServiceSpec],
     trace: &Trace,
     scheduler: &mut dyn Scheduler,
 ) -> MultiServingOutcome {
-    let Fleet {
-        options,
-        mut market,
-        faults,
-        serverless,
-    } = fleet;
+    let options = fleet.options;
+    let pool = &fleet.pool;
+    let placements = fleet.placements.as_slice();
+    let faults = fleet.faults.as_ref();
+    let serverless = fleet.serverless.as_ref();
+    let mut market = fleet.market.as_mut();
     let n = lanes.len();
     // The engine borrows the market oracle for the whole run; this handle
     // outlives it.
     let oracle = market.as_deref().map(|m| m.market().clone());
     let mut engine = SimEngine::new_multi(
-        lanes[0].pool(),
+        pool,
         initial,
         services,
         trace,
@@ -228,10 +242,8 @@ pub(crate) fn serve(
             options.batch_timeout_us,
         ));
     }
-    // Per-type failure domains; lanes share one pool and so one table.
-    let placements = lanes[0].placements().to_vec();
     if let Some(process) = faults {
-        engine = engine.with_faults(process, &placements);
+        engine = engine.with_faults(process, placements);
     }
     // Serverless lanes park between requests: the engine-side policies are
     // fixed for the run from the demands it was planned for, and mirrored
@@ -246,7 +258,7 @@ pub(crate) fn serve(
             .zip(&mut parked_lane)
         {
             *parked = policy.is_some();
-            lane.controller_mut().set_serverless_policy(policy);
+            lane.controller.set_serverless_policy(policy);
         }
     }
     // A previous run may have left a lane on a non-reference variant; the
@@ -258,15 +270,13 @@ pub(crate) fn serve(
     }
 
     // Per-run lane state: arrival windows, the replan clock, and for
-    // fault-resilient purchasing the backoff book plus the pristine pool
-    // (penalty prices apply relative to it and expire with the backoff).
+    // fault-resilient purchasing the backoff book (penalty prices apply
+    // relative to the fleet's pool and expire with the backoff).
     let mut arrivals: Vec<VecDeque<TimeUs>> = (0..n)
         .map(|_| VecDeque::with_capacity(RATE_WINDOW))
         .collect();
     let mut clock = ReplanClock::new(options.replan_interval_us, n);
-    let num_types = lanes[0].pool().num_types();
-    let pristine_pool = lanes[0].pool().clone();
-    let mut backoff = faults.map(|_| PurchaseBackoff::new(num_types));
+    let mut backoff = faults.map(|_| PurchaseBackoff::new(pool.num_types()));
     let mut demands = vec![0.0f64; n];
     let mut signals: Vec<Option<bool>> = vec![None; n];
     let mut due: Vec<(usize, ReplanTrigger)> = Vec::new();
@@ -275,13 +285,14 @@ pub(crate) fn serve(
     let mut variant_switches: Vec<VariantSwitch> = Vec::new();
     let mut replans = 0usize;
     let horizon_s = RATE_HORIZON_US as f64 / 1e6;
+    let spread = options.spread(placements);
 
     while let Some(event) = engine.step_event() {
         let now = engine.now();
         match &event {
             EngineEvent::Arrival { query } => {
                 let m = query.model.index();
-                lanes[m].controller_mut().observe_query(query.batch_size);
+                lanes[m].controller.observe_query(query.batch_size);
                 if arrivals[m].len() == RATE_WINDOW {
                     arrivals[m].pop_front();
                 }
@@ -295,9 +306,11 @@ pub(crate) fn serve(
                 // its own lane at its own batch size.
                 for record in &engine.records()[records.clone()] {
                     let service_ms = (record.completion_us - record.start_us) as f64 / 1000.0;
-                    lanes[record.model.index()]
-                        .controller_mut()
-                        .observe_completion(type_name, record.batch_size, service_ms);
+                    lanes[record.model.index()].controller.observe_completion(
+                        type_name,
+                        record.batch_size,
+                        service_ms,
+                    );
                 }
             }
             // Announced fault windows park the covered offerings up front,
@@ -305,15 +318,15 @@ pub(crate) fn serve(
             // replan instead of discovering the wall one rejection at a time.
             EngineEvent::ZoneOutage { domain, .. } => {
                 let book = backoff.as_mut();
-                hold_domain(book, faults, &placements, domain, now, true);
+                hold_domain(book, faults, placements, domain, now, true);
             }
             EngineEvent::ZoneRestored { domain } => {
                 let book = backoff.as_mut();
-                hold_domain(book, faults, &placements, domain, now, false);
+                hold_domain(book, faults, placements, domain, now, false);
             }
             EngineEvent::CapacityShortage { domain, active } => {
                 let book = backoff.as_mut();
-                hold_domain(book, faults, &placements, domain, now, *active);
+                hold_domain(book, faults, placements, domain, now, *active);
             }
             // Market events are digested by `MarketState::on_event` below;
             // stragglers only trigger a fault replan; parks are billing
@@ -386,21 +399,18 @@ pub(crate) fn serve(
         // plan cache invalidates exactly when they matter.  Parked offerings
         // are priced out on top, so plans route purchases around domains
         // that just rejected them.
-        if let Some(market) = market.as_deref() {
-            share_pool(lanes, &market.planning_pool(now));
-        }
-        if let Some(backoff) = &backoff {
-            let base = if market.is_some() {
-                lanes[0].pool()
-            } else {
-                &pristine_pool
-            };
-            share_pool(lanes, &backoff.penalized_pool(base, now));
+        let live = market.as_deref().map(|market| market.planning_pool(now));
+        let planning = match &backoff {
+            Some(backoff) => Some(backoff.penalized_pool(live.as_ref().unwrap_or(pool), now)),
+            None => live,
+        };
+        if let Some(planning) = planning {
+            share_pool(lanes, &planning);
         }
         last_budget_split = split_budget(lanes, serverless, options.budget_per_hour, &demands);
         for &(m, trigger) in &due {
             let lane = &mut lanes[m];
-            if lane.controller().observed_queries() < MIN_OBSERVATIONS {
+            if lane.controller.observed_queries() < MIN_OBSERVATIONS {
                 continue;
             }
             let model = ModelId::new(m);
@@ -408,7 +418,7 @@ pub(crate) fn serve(
             // The variant axis settles first: the configuration plan below
             // runs against the (possibly just-adopted) variant's knowledge.
             if let Some((from, to, profiles, accuracy)) =
-                lane.switch_variant_if_needed(budget, demand)
+                lane.switch_variant_if_needed(options.min_accuracy, budget, demand)
             {
                 engine.set_model_profiles(model, &profiles, accuracy);
                 variant_switches.push(VariantSwitch {
@@ -422,7 +432,7 @@ pub(crate) fn serve(
             }
             let current = engine.cluster().active_config_for(model);
             let blocked = backoff.as_ref().map(|b| (b, now));
-            let Some(target) = lane.select_target(budget, demand, &current, blocked) else {
+            let Some(target) = lane.select_target(spread, budget, demand, &current, blocked) else {
                 continue;
             };
             replans += 1;
@@ -458,15 +468,12 @@ pub(crate) fn serve(
     // are stamped in this run's virtual time, and the planning pools may
     // still carry their penalty prices — none of it may leak into later
     // planning calls or runs.
-    let reset_pool = match market {
-        Some(market) => {
-            market.reset();
-            Some(market.catalog().effective_pool())
-        }
-        None => backoff.map(|_| pristine_pool),
-    };
-    if let Some(pool) = reset_pool {
-        share_pool(lanes, &pool);
+    let repriced = market.is_some() || backoff.is_some();
+    if let Some(market) = market {
+        market.reset();
+    }
+    if repriced {
+        share_pool(lanes, pool);
     }
     MultiServingOutcome {
         report: engine.report(),

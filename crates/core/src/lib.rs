@@ -27,8 +27,9 @@
 //! 6. **Multi-model serving** ([`service::InferenceService`]) — the
 //!    model-less facade: N per-model lanes behind one model-tagged query
 //!    API, sharing a single hourly budget by demand-weighted water-filling,
-//!    each replanning on its own knowledge signature.  Both entry points
-//!    drive the same control loop, whose replan clock follows from the
+//!    each replanning on its own knowledge signature.  The facade owns
+//!    every fleet-wide attachment; `ServingSystem` is its one-lane form, and
+//!    both drive the same control loop, whose replan clock follows from the
 //!    lane count.
 //! 7. **Serverless lane** ([`serverless::ServerlessRuntime`]) — scale-to-zero
 //!    for the sparse model tail: lanes planned below a QPS threshold drop
@@ -80,8 +81,8 @@ pub use selection::select_configuration;
 pub use serverless::ServerlessRuntime;
 pub use service::{InferenceService, MultiScheduler, MultiServingOutcome};
 pub use serving::{
-    MarketState, PurchaseBackoff, ReconfigEvent, ReplanTrigger, ServingOptions, ServingOutcome,
-    ServingSystem, VariantSwitch,
+    MarketState, ModelLane, PurchaseBackoff, ReconfigEvent, ReplanTrigger, ServingOptions,
+    ServingOutcome, ServingSystem, VariantSwitch,
 };
 pub use upper_bound::{
     upper_bound_general, upper_bound_single, AuxClass, ScoredSpace, SingleAuxInputs,

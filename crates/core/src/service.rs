@@ -15,8 +15,8 @@
 //!  (ModelId-tagged)  │  QoS in-engine, model-checked dispatch)    │
 //!                    │      │ arrivals / completions, by model    │
 //!                    │      ▼                                     │
-//!                    │  lane[m]: ServingSystem (controller, plan  │
-//!                    │  cache, demand estimate)  ── per-model     │
+//!                    │  lane[m]: ModelLane (controller, plan      │
+//!                    │  cache, variants)  ── per-model            │
 //!                    │      ▲                        replanning   │
 //!                    │      │ budget_m                            │
 //!                    │  demand-weighted water-filling over the    │
@@ -28,30 +28,40 @@
 //!   guaranteed a floor (one base instance); the spare budget is
 //!   water-filled proportionally to per-model demand, re-pinning any model
 //!   whose proportional share would fall below its floor.
-//! * **Per-model replanning** — each lane is a full [`ServingSystem`]
-//!   "engine room": its own controller (monitor + predictors), its own
-//!   [`PlanCache`](crate::PlanCache) keyed on *its* knowledge signature and
-//!   budget share, its own drift detection.  A mix shift in one model
-//!   replans that model; the others keep their cached rankings.
+//! * **Per-model replanning** — each lane is a [`ModelLane`]: its own
+//!   controller (monitor + predictors), its own
+//!   [`PlanCache`] keyed on *its* knowledge signature and
+//!   budget share, its own variant runtime and drift detection.  A mix
+//!   shift in one model replans that model; the others keep their cached
+//!   rankings.
+//! * **Fleet-wide attachments** — the planning pool, [`ServingOptions`],
+//!   the failure-domain placements, the market, the fault process and the
+//!   serverless runtime live once, on the facade, and reach each lane as
+//!   arguments.
 //! * **Scheduling** ([`MultiScheduler`]) — queries are partitioned by model
 //!   each round and matched by per-model Kairos min-cost matchings against
 //!   the instances bound to that model; the engine enforces the binding.
 //!
-//! [`InferenceService::run`] drives the same serving control loop as
-//! [`ServingSystem::run`], over N lanes instead of one.  The replan clock
+//! [`InferenceService::run`] drives the serving control loop over every
+//! lane; [`ServingSystem`](crate::ServingSystem) is the facade's one-lane
+//! form.  The replan clock
 //! follows from the lane count: several lanes share one cadence clock that
 //! only its tick restarts, while a one-lane service restarts it on every
-//! trigger and so replays [`ServingSystem::run`] exactly.
+//! trigger and so replays
+//! [`ServingSystem::run`](crate::ServingSystem::run) exactly.
 
-use crate::control_loop::{serve, Fleet};
+use crate::control_loop::{self, Fleet};
+use crate::controller::KairosController;
 use crate::distribution::KairosScheduler;
+use crate::planner::PlanCache;
 use crate::serverless::ServerlessRuntime;
 use crate::serving::{
-    MarketState, ReconfigEvent, ServingOptions, ServingOutcome, ServingSystem, VariantSwitch,
+    MarketState, ModelLane, ReconfigEvent, ServingOptions, ServingOutcome, VariantSwitch,
 };
+use crate::variants::{build_lanes, prune_dominated, VariantRuntime};
 use kairos_models::{
-    latency::LatencyTable, mlmodel::ModelKind, Config, Market, OfferingCatalog, PoolSpec,
-    VariantCatalog,
+    latency::LatencyTable, mlmodel::ModelKind, Config, FaultProcess, Market, OfferingCatalog,
+    PoolSpec, VariantCatalog,
 };
 use kairos_sim::{
     ClusterSpec, Dispatch, InstanceView, ModelReport, Scheduler, SchedulingContext, ServiceSpec,
@@ -194,22 +204,17 @@ impl MultiServingOutcome {
     }
 }
 
-/// The multi-model serving facade: N per-model [`ServingSystem`] engine
-/// rooms behind one model-tagged query API and one shared hourly budget.
+/// The multi-model serving facade: N per-model [`ModelLane`]s behind one
+/// model-tagged query API and one shared hourly budget, with every
+/// fleet-wide attachment held once, here.
+#[derive(Debug, Clone)]
 pub struct InferenceService {
-    /// One engine room per served model, indexed by [`ModelId`].
-    lanes: Vec<ServingSystem>,
+    /// One lane per served model, indexed by [`ModelId`].
+    pub(crate) lanes: Vec<ModelLane>,
     /// Each lane's drift baseline: the demand its deployment was last
     /// planned for (`None` before the first plan).
     planned: Vec<Option<f64>>,
-    options: ServingOptions,
-    /// The attached cloud market, if any — shared across lanes (one market,
-    /// one cooldown book; each lane replans over the same refreshed pool).
-    market: Option<MarketState>,
-    /// The attached serverless runtime, if any: sparse lanes run under its
-    /// keep-alive policy (and scale to zero in the budget split) instead of
-    /// holding an always-on floor.
-    serverless: Option<ServerlessRuntime>,
+    pub(crate) fleet: Fleet,
 }
 
 impl InferenceService {
@@ -219,8 +224,9 @@ impl InferenceService {
     /// budget shared by all models.
     ///
     /// # Panics
-    /// Panics if `models` is empty, a model repeats, or the global budget
-    /// cannot cover one base instance per model.
+    /// Panics if `models` is empty, a model repeats, or, serving several
+    /// models, the global budget cannot cover one base instance per model
+    /// (a single model owns the whole budget, which the split never floors).
     pub fn new(
         pool: PoolSpec,
         models: &[ModelKind],
@@ -234,31 +240,47 @@ impl InferenceService {
                 "model {m} appears twice"
             );
         }
-        let floor = pool.price(pool.base_index());
-        assert!(
-            options.budget_per_hour >= floor * models.len() as f64,
-            "budget {} cannot cover one base instance ({floor} $/hr) per model",
-            options.budget_per_hour
-        );
+        if models.len() > 1 {
+            let floor = pool.price(pool.base_index());
+            assert!(
+                options.budget_per_hour >= floor * models.len() as f64,
+                "budget {} cannot cover one base instance ({floor} $/hr) per model",
+                options.budget_per_hour
+            );
+        }
         let lanes = models
             .iter()
-            .map(|&kind| ServingSystem::new(pool.clone(), kind, priors.clone(), options))
+            .map(|&kind| ModelLane {
+                controller: match priors.clone() {
+                    Some(table) => KairosController::with_priors(pool.clone(), kind, table),
+                    None => KairosController::new(pool.clone(), kind),
+                },
+                plan_cache: PlanCache::new(),
+                variants: None,
+            })
             .collect();
         Self {
             lanes,
             planned: vec![None; models.len()],
-            options,
-            market: None,
-            serverless: None,
+            fleet: Fleet {
+                pool,
+                options,
+                placements: Vec::new(),
+                market: None,
+                faults: None,
+                serverless: None,
+            },
         }
     }
 
     /// Creates a **market-aware** facade over an offering catalog: every
-    /// lane plans over the catalog's offerings at live prices, simulation
-    /// bills at the market, and market events (price steps, preemption
-    /// notices, kills) replan the affected deployment — see
-    /// [`ServingSystem::with_market`] for the single-model semantics this
-    /// lifts to N lanes under one shared budget.
+    /// lane plans over the catalog's offerings (which hardware *at which
+    /// purchase option*) at live prices, simulation runs bill at the
+    /// market's live prices, and the loop replans on market events — price
+    /// steps refresh the planning pool (joining the knowledge signature, so
+    /// the plan cache invalidates exactly when prices move) and preemption
+    /// notices price the reclaimed offering out for a cooldown of 2 s.  The
+    /// catalog's per-offering failure domains become the placement table.
     pub fn with_market(
         catalog: OfferingCatalog,
         market: Arc<dyn Market>,
@@ -267,19 +289,23 @@ impl InferenceService {
         options: ServingOptions,
     ) -> Self {
         let mut service = Self::new(catalog.effective_pool(), models, priors, options);
-        for lane in &mut service.lanes {
-            lane.place_in(&catalog);
-        }
-        service.market = Some(MarketState::new(catalog, market));
+        service.fleet.placements = catalog.domains();
+        service.fleet.market = Some(MarketState::new(catalog, market));
         service
     }
 
-    /// Attaches a variant catalog to **every** lane: each model's serving
-    /// loop auto-selects among its catalog variants at its own replans
-    /// (lowered against this lane's model, dominated variants pruned) — see
-    /// [`ServingSystem::with_variants`] for the per-lane semantics.  The
-    /// shared budget split is unchanged; a lane that downgrades simply
-    /// covers its demand share with a faster, cheaper-per-query variant.
+    /// Attaches a variant catalog to **every** lane: each lane auto-selects
+    /// which variant of its model to serve at its own replans.  The catalog
+    /// is lowered against the pool and `base` (the reference calibration
+    /// table), dominated variants are pruned, and serving starts on the
+    /// reference, so a [`reference_only`](VariantCatalog::reference_only)
+    /// catalog reproduces the variant-free service bit for bit.  A replan
+    /// serves the most accurate variant at or above
+    /// [`ServingOptions::min_accuracy`] whose plan covers the lane's demand
+    /// within its budget share, downgrading under pressure and re-promoting
+    /// once headroom returns.  A switch adopts the variant's priors (joining
+    /// the knowledge signature, so cached plans retire), hot-swaps the
+    /// engine's latency profiles, and is logged in the outcome.
     ///
     /// # Panics
     /// Panics if the catalog lacks variants for any served model or if
@@ -287,8 +313,24 @@ impl InferenceService {
     #[must_use]
     pub fn with_variants(mut self, catalog: &VariantCatalog, base: &LatencyTable) -> Self {
         for lane in &mut self.lanes {
-            lane.attach_variants(catalog, base);
+            let model = lane.controller.model();
+            let variants = prune_dominated(build_lanes(&self.fleet.pool, model, base, catalog));
+            lane.variants = Some(VariantRuntime::new(variants));
         }
+        self
+    }
+
+    /// Attaches a correlated-fault process: the engine materializes its zone
+    /// outages, capacity shortages and stragglers, and the loop becomes
+    /// resilient — fault events trigger
+    /// [`ReplanTrigger::Fault`](crate::ReplanTrigger::Fault) replans of
+    /// every lane, rejected purchases back off exponentially across
+    /// alternative offerings, and (with
+    /// [`ServingOptions::max_fraction_per_domain`]) the planner spreads each
+    /// lane's deployment across failure domains.
+    #[must_use]
+    pub fn with_fault_process(mut self, process: FaultProcess) -> Self {
+        self.fleet.faults = Some(process);
         self
     }
 
@@ -303,28 +345,27 @@ impl InferenceService {
     /// between always-on and serverless retires its cached plans.
     #[must_use]
     pub fn with_serverless(mut self, runtime: ServerlessRuntime) -> Self {
-        self.serverless = Some(runtime);
+        self.fleet.serverless = Some(runtime);
         self
     }
 
     /// The attached serverless runtime, if any.
     pub fn serverless(&self) -> Option<&ServerlessRuntime> {
-        self.serverless.as_ref()
+        self.fleet.serverless.as_ref()
     }
 
     /// The attached market state, if this facade trades on one.
     pub fn market(&self) -> Option<&MarketState> {
-        self.market.as_ref()
+        self.fleet.market.as_ref()
     }
 
     /// The served models, indexed by [`ModelId`].
     pub fn models(&self) -> Vec<ModelKind> {
-        self.lanes.iter().map(|l| l.controller().model()).collect()
+        self.lanes.iter().map(|l| l.controller.model()).collect()
     }
 
-    /// A model's per-lane engine room (controller, plan cache, demand
-    /// planner).
-    pub fn lane(&self, model: ModelId) -> &ServingSystem {
+    /// A model's lane (controller, plan cache, variant runtime).
+    pub fn lane(&self, model: ModelId) -> &ModelLane {
         &self.lanes[model.index()]
     }
 
@@ -335,7 +376,7 @@ impl InferenceService {
     pub fn service_specs(&self, latency: &LatencyTable) -> Vec<ServiceSpec> {
         self.lanes
             .iter()
-            .map(|l| ServiceSpec::new(l.controller().model(), latency.clone()))
+            .map(|l| ServiceSpec::new(l.controller.model(), latency.clone()))
             .collect()
     }
 
@@ -347,7 +388,7 @@ impl InferenceService {
         for _ in 0..n {
             let (model, batch) = mix.sample(&mut rng);
             if let Some(lane) = self.lanes.get_mut(model.index()) {
-                lane.controller_mut().observe_query(batch);
+                lane.controller.observe_query(batch);
             }
         }
     }
@@ -372,10 +413,11 @@ impl InferenceService {
     /// Panics if `demands` does not have one entry per model.
     pub fn split_budget(&self, demands: &[f64]) -> Vec<f64> {
         assert_eq!(demands.len(), self.lanes.len(), "one demand per model");
+        let fleet = &self.fleet;
         split_budget(
             &self.lanes,
-            self.serverless.as_ref(),
-            self.options.budget_per_hour,
+            fleet.serverless.as_ref(),
+            fleet.options.budget_per_hour,
             demands,
         )
     }
@@ -396,19 +438,23 @@ impl InferenceService {
     /// before.
     pub fn plan_initial(&mut self, demands: &[f64]) -> Option<ClusterSpec> {
         let budgets = self.split_budget(demands);
-        let policies = self.lane_policies(demands);
+        let fleet = &self.fleet;
+        let policies = match &fleet.serverless {
+            Some(rt) => rt.assign(demands),
+            None => vec![None; self.lanes.len()],
+        };
         let base_vessel = {
-            let pool = self.lanes[0].pool();
-            let mut counts = vec![0; pool.num_types()];
-            counts[pool.base_index()] = 1;
+            let mut counts = vec![0; fleet.pool.num_types()];
+            counts[fleet.pool.base_index()] = 1;
             Config::new(counts)
         };
+        let spread = fleet.options.spread(&fleet.placements);
         let mut configs = Vec::with_capacity(self.lanes.len());
         for (m, (lane, policy)) in self.lanes.iter_mut().zip(policies).enumerate() {
             let always_on = policy.is_none();
-            lane.controller_mut().set_serverless_policy(policy);
+            lane.controller.set_serverless_policy(policy);
             configs.push(if always_on {
-                lane.plan_for_demand_with_budget(budgets[m], demands[m])?
+                lane.plan_for_demand_with_budget(spread, budgets[m], demands[m])?
             } else {
                 base_vessel.clone()
             });
@@ -417,22 +463,13 @@ impl InferenceService {
         Some(ClusterSpec::from_configs(configs))
     }
 
-    /// Per-lane keep-alive assignment for the given demands: `None` for
-    /// every lane without an attached runtime.
-    fn lane_policies(&self, demands: &[f64]) -> Vec<Option<kairos_models::KeepAlivePolicy>> {
-        match &self.serverless {
-            Some(rt) => rt.assign(demands),
-            None => vec![None; self.lanes.len()],
-        }
-    }
-
     /// Builds the multi-model query distributor from every lane's current
     /// latency knowledge.
     pub fn make_scheduler(&self) -> MultiScheduler {
         MultiScheduler::new(
             self.lanes
                 .iter()
-                .map(|l| l.controller().make_scheduler())
+                .map(|l| l.controller.make_scheduler())
                 .collect(),
         )
     }
@@ -446,7 +483,10 @@ impl InferenceService {
     /// sub-cluster is steered independently (graceful add/retire, exactly as
     /// in single-model serving).  With several lanes, a lane's drift or
     /// market replan leaves the shared cadence clock alone; a one-lane
-    /// service restarts it on every trigger, as [`ServingSystem::run`] does.
+    /// service restarts it on every trigger, as
+    /// [`ServingSystem::run`](crate::ServingSystem::run) does.
+    /// An attached fault process reaches every lane: outages and shortages
+    /// replan each lane with [`ReplanTrigger::Fault`](crate::ReplanTrigger).
     ///
     /// # Panics
     /// Panics if `services` does not cover every lane (in [`ModelId`]
@@ -468,16 +508,10 @@ impl InferenceService {
         }
         let mut scheduler = self.make_scheduler();
         let service_refs: Vec<&ServiceSpec> = services.iter().collect();
-        let fleet = Fleet {
-            options: self.options,
-            market: self.market.as_mut(),
-            faults: None,
-            serverless: self.serverless.as_ref(),
-        };
-        serve(
+        control_loop::serve(
             &mut self.lanes,
             &mut self.planned,
-            fleet,
+            &mut self.fleet,
             initial,
             &service_refs,
             trace,
@@ -495,7 +529,7 @@ impl InferenceService {
         );
         for (i, (lane, service)) in self.lanes.iter().zip(services).enumerate() {
             assert_eq!(
-                lane.controller().model(),
+                lane.controller.model(),
                 service.model.kind,
                 "service spec {i} does not match lane model"
             );
@@ -507,9 +541,8 @@ impl InferenceService {
     /// simulation (its own engine, controller, plan cache, replanning) on
     /// its own rayon worker, then merges the per-lane outcomes through
     /// [`SimReport::merge`].  The global budget is split **once**, up
-    /// front, from each lane's offered load over the whole trace, and
-    /// frozen into the lane's engine room ([`ServingSystem::set_budget`])
-    /// before the fan-out.
+    /// front, from each lane's offered load over the whole trace, and each
+    /// lane's run serves under its frozen share.
     ///
     /// This is deliberately *not* bit-equal to [`Self::run`]: the combined
     /// loop re-splits the budget at every replan from live demand and
@@ -523,10 +556,10 @@ impl InferenceService {
     /// (each lane is a sequential simulation; the merge is canonical).
     ///
     /// # Panics
-    /// Panics if a market is attached (market events are global and couple
-    /// every lane's prices and kill schedule — serve those through
-    /// [`Self::run`]), if `services` does not cover every lane, if the
-    /// trace targets an unserved model, or if `initial` lacks a lane's
+    /// Panics if a market, a fault process or a serverless runtime is
+    /// attached (each acts on every lane at once — serve those through
+    /// [`Self::run`]), if `services` does not cover every lane, if the trace
+    /// targets an unserved model, or if `initial` lacks a lane's
     /// sub-cluster.
     pub fn run_sharded(
         &mut self,
@@ -535,11 +568,19 @@ impl InferenceService {
         trace: &Trace,
     ) -> MultiServingOutcome {
         let n = self.lanes.len();
-        assert!(
-            self.market.is_none(),
-            "sharded serving does not support markets: price steps and preemptions are global \
-             events that couple every lane; use InferenceService::run"
-        );
+        let fleet = &self.fleet;
+        let refused = [
+            (fleet.market.is_some(), "markets"),
+            (fleet.faults.is_some(), "fault processes"),
+            (fleet.serverless.is_some(), "serverless runtimes"),
+        ];
+        for (attached, what) in refused {
+            assert!(
+                !attached,
+                "sharded serving does not support {what}: they act on every lane at once; \
+                 use InferenceService::run"
+            );
+        }
         self.check_services(services);
         let subs = trace.split_by_model(n);
         let demands: Vec<f64> = subs.iter().map(|s| s.offered_qps()).collect();
@@ -557,7 +598,7 @@ impl InferenceService {
             .collect();
 
         struct LaneJob<'j> {
-            system: &'j mut ServingSystem,
+            lane: &'j mut ModelLane,
             service: &'j ServiceSpec,
             config: Config,
             budget: f64,
@@ -569,7 +610,7 @@ impl InferenceService {
             .zip(subs)
             .zip(configs.iter().zip(services).zip(&budgets))
             .map(|((lane, sub), ((config, service), &budget))| LaneJob {
-                system: lane,
+                lane,
                 service,
                 config: config.clone(),
                 budget,
@@ -587,8 +628,22 @@ impl InferenceService {
         let outcomes: Vec<ServingOutcome> = jobs
             .par_iter_mut()
             .map(|job| {
-                job.system.set_budget(job.budget);
-                job.system.run(&job.config, job.service, &job.sub)
+                // Each lane serves as a one-lane run with no drift baseline,
+                // under its frozen budget share.
+                let mut fleet = Fleet {
+                    options: self.fleet.options.budget(job.budget),
+                    ..self.fleet.clone()
+                };
+                let mut scheduler = job.lane.controller.make_scheduler();
+                ServingOutcome::one_lane(control_loop::serve(
+                    std::slice::from_mut(job.lane),
+                    &mut [None],
+                    &mut fleet,
+                    &ClusterSpec::single(job.config.clone()),
+                    &[job.service],
+                    &job.sub,
+                    &mut scheduler,
+                ))
             })
             .collect();
 
@@ -666,7 +721,7 @@ impl InferenceService {
 /// Demand-weighted water-filling of `budget` across `lanes` (see
 /// [`InferenceService::split_budget`]); a single lane owns the whole budget.
 pub(crate) fn split_budget(
-    lanes: &[ServingSystem],
+    lanes: &[ModelLane],
     serverless: Option<&ServerlessRuntime>,
     budget: f64,
     demands: &[f64],
@@ -675,7 +730,8 @@ pub(crate) fn split_budget(
     if n == 1 {
         return vec![budget];
     }
-    let pool = lanes[0].pool();
+    // The lanes' live planning pool (lanes share it).
+    let pool = lanes[0].controller.pool();
     let base_name = &pool.types()[pool.base_index()].name;
     // Capacity weights: offered QPS × the learned per-query service time on
     // the pool's base type at the lane's observed mean batch size, i.e. how
@@ -686,7 +742,7 @@ pub(crate) fn split_budget(
         .iter()
         .zip(demands)
         .map(|(lane, &demand)| {
-            let controller = lane.controller();
+            let controller = &lane.controller;
             let per_query_s = controller
                 .learned_table()
                 .and_then(|t| t.get(controller.model(), base_name))
@@ -751,9 +807,10 @@ pub(crate) fn split_budget(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::serving::{within_spread, ReplanTrigger};
+    use crate::serving::{within_spread, ReplanTrigger, ServingSystem};
     use kairos_models::{
-        calibration::paper_calibration, ec2, FailureDomain, Offering, TraceMarket,
+        calibration::paper_calibration, ec2, FailureDomain, FaultEvent, Offering,
+        PreemptionProcess, PriceTrace, TraceMarket,
     };
     use kairos_workload::{ArrivalProcess, BatchSizeDistribution, MixedTraceSpec, PhasedArrival};
 
@@ -1276,32 +1333,54 @@ mod tests {
         assert_eq!(a.replans, b.replans);
     }
 
-    #[test]
-    fn a_one_lane_service_replays_the_single_model_system() {
-        // One lane restarts the replan clock on every trigger, exactly as the
-        // single-model entry point does, so the two serve the same run.
-        let options = ServingOptions::default()
-            .replan_every(500_000)
-            .provisioning_delay(200_000);
-        let batches = BatchSizeDistribution::production_default();
-        let trace =
-            PhasedArrival::step_change(40.0, 160.0, batches.clone(), 3.0, 3.0, 23).generate();
-        let latency = paper_calibration();
+    /// The same hardware in two zones, zone b a hair dearer, so a
+    /// domain-blind plan concentrates in zone a.
+    fn two_zone_catalog() -> OfferingCatalog {
+        let zone_a = FailureDomain::zone("us-east-1", "us-east-1a");
+        let zone_b = FailureDomain::zone("us-east-1", "us-east-1b");
+        let mut gpu_b = ec2::g4dn_xlarge();
+        gpu_b.is_base = false;
+        gpu_b.price_per_hour *= 1.001;
+        let mut aux_b = ec2::r5n_large();
+        aux_b.price_per_hour *= 1.02;
+        OfferingCatalog::new(vec![
+            Offering::on_demand(ec2::g4dn_xlarge()).in_domain(zone_a.clone()),
+            Offering::on_demand(ec2::r5n_large()).in_domain(zone_a),
+            Offering::on_demand(gpu_b).in_domain(zone_b.clone()),
+            Offering::on_demand(aux_b).in_domain(zone_b),
+        ])
+    }
 
-        let mut system = ServingSystem::new(pool(), ModelKind::Rm2, Some(latency.clone()), options);
+    /// A zone-a outage over `[start_us, start_us + duration_us)`.
+    fn zone_a_outage(start_us: u64, duration_us: u64) -> FaultProcess {
+        FaultProcess::new(vec![FaultEvent::ZoneOutage {
+            domain: FailureDomain::zone("us-east-1", "us-east-1a"),
+            start_us,
+            duration_us,
+        }])
+    }
+
+    /// Serves `trace` through the single-model system and through the
+    /// one-lane facade built with the same attachments, asserts the two
+    /// runs are the same run, and returns the single-model outcome.
+    fn assert_one_lane_replay(
+        mut system: ServingSystem,
+        mut service: InferenceService,
+        trace: &Trace,
+    ) -> ServingOutcome {
+        let batches = BatchSizeDistribution::production_default();
+        let latency = paper_calibration();
         system.warm_monitor(&batches, 2000, 99);
         let initial = system.plan_for_demand(40.0).unwrap();
         let single = system.run(
             &initial,
             &ServiceSpec::new(ModelKind::Rm2, latency.clone()),
-            &trace,
+            trace,
         );
 
-        let mut service =
-            InferenceService::new(pool(), &[ModelKind::Rm2], Some(latency.clone()), options);
         service.warm_monitors(&MixSpec::single(ModelId::DEFAULT, batches), 2000, 99);
         let services = service.service_specs(&latency);
-        let multi = service.run(&ClusterSpec::single(initial), &services, &trace);
+        let multi = service.run(&ClusterSpec::single(initial), &services, trace);
 
         assert!(single.replans > 0);
         assert_eq!(single.report.records, multi.report.records);
@@ -1319,25 +1398,153 @@ mod tests {
             format!("{:?}", single.variant_switches),
             format!("{:?}", multi.variant_switches)
         );
+        single
+    }
+
+    #[test]
+    fn a_one_lane_service_replays_the_single_model_system() {
+        // One lane restarts the replan clock on every trigger, exactly as the
+        // single-model entry point does, so the two serve the same run — for
+        // every attachment: bare, on a market through a preemption storm, and
+        // through a zone outage.
+        let options = ServingOptions::default()
+            .replan_every(500_000)
+            .provisioning_delay(200_000);
+        let batches = BatchSizeDistribution::production_default();
+        let trace =
+            PhasedArrival::step_change(40.0, 160.0, batches.clone(), 3.0, 3.0, 23).generate();
+        let latency = paper_calibration();
+        let rm2 = [ModelKind::Rm2];
+
+        assert_one_lane_replay(
+            ServingSystem::new(pool(), ModelKind::Rm2, Some(latency.clone()), options),
+            InferenceService::new(pool(), &rm2, Some(latency.clone()), options),
+            &trace,
+        );
+
+        let storm = OfferingCatalog::new(vec![
+            Offering::on_demand(ec2::g4dn_xlarge()),
+            Offering::on_demand(ec2::r5n_large()),
+            Offering::spot(
+                ec2::g4dn_xlarge(),
+                PriceTrace::constant(0.17),
+                PreemptionProcess::At {
+                    notices_us: vec![3_500_000],
+                },
+            ),
+            Offering::spot(
+                ec2::r5n_large(),
+                PriceTrace::constant(0.05),
+                PreemptionProcess::None,
+            ),
+        ]);
+        let market = || Arc::new(TraceMarket::new(storm.clone()));
+        let single = assert_one_lane_replay(
+            ServingSystem::with_market(
+                storm.clone(),
+                market(),
+                ModelKind::Rm2,
+                Some(latency.clone()),
+                options,
+            ),
+            InferenceService::with_market(
+                storm.clone(),
+                market(),
+                &rm2,
+                Some(latency.clone()),
+                options,
+            ),
+            &trace,
+        );
+        assert!(single.report.preemption_notices >= 1);
+        assert!(single
+            .reconfigs
+            .iter()
+            .any(|r| r.trigger == ReplanTrigger::Market));
+
+        let zones = two_zone_catalog();
+        let market = || Arc::new(TraceMarket::new(zones.clone()));
+        let options = options.spread_limit(0.75);
+        let outage = zone_a_outage(2_500_000, 2_000_000);
+        let single = assert_one_lane_replay(
+            ServingSystem::with_market(
+                zones.clone(),
+                market(),
+                ModelKind::Rm2,
+                Some(latency.clone()),
+                options,
+            )
+            .with_fault_process(outage.clone()),
+            InferenceService::with_market(zones.clone(), market(), &rm2, Some(latency), options)
+                .with_fault_process(outage),
+            &trace,
+        );
+        assert_eq!(single.report.outages.len(), 1);
+        assert!(single
+            .reconfigs
+            .iter()
+            .any(|r| r.trigger == ReplanTrigger::Fault));
+    }
+
+    #[test]
+    fn faults_reach_every_lane_of_a_three_model_service() {
+        let catalog = two_zone_catalog();
+        let market = Arc::new(TraceMarket::new(catalog.clone()));
+        let mut s = InferenceService::with_market(
+            catalog,
+            market,
+            &three_models(),
+            Some(paper_calibration()),
+            ServingOptions::default()
+                .budget(6.0)
+                .replan_every(500_000)
+                .provisioning_delay(200_000),
+        )
+        .with_fault_process(zone_a_outage(2_000_000, 2_000_000));
+        s.warm_monitors(&mix(), 3000, 7);
+        let spec = s.plan_initial(&[60.0, 45.0, 45.0]).unwrap();
+        let services = s.service_specs(&paper_calibration());
+        let trace = MixedTraceSpec {
+            arrival: ArrivalProcess::Poisson { rate_qps: 150.0 },
+            mix: mix(),
+            duration_s: 5.0,
+            seed: 31,
+        }
+        .generate();
+        let outcome = s.run(&spec, &services, &trace);
+        let report = &outcome.report;
+
+        // The outage fired, was booked, and drove at least one Fault replan.
+        assert_eq!(report.outages.len(), 1);
+        assert!(
+            outcome
+                .reconfigs
+                .iter()
+                .any(|r| r.trigger == ReplanTrigger::Fault),
+            "a fault replan must fire: {:?}",
+            outcome.reconfigs
+        );
+        // Kills and rejected purchases lose no query, in aggregate or per
+        // model.
+        assert_eq!(report.offered, trace.len());
+        assert_eq!(report.completed() + report.unfinished.len(), report.offered);
+        let per = outcome.per_model();
+        assert_eq!(per.len(), 3);
+        for m in &per {
+            assert_eq!(m.completed + m.unfinished, m.offered, "model {}", m.model);
+        }
+        // The calendar's books balance.
+        let service = &report.service;
+        assert!(service.calendar_stale_popped <= service.calendar_cancelled);
+        assert!(service.calendar_cancelled <= service.calendar_scheduled);
+        // The billing integral is the left fold of the per-model bills.
+        let folded = report.billed_by_model.iter().fold(0.0, |acc, &b| acc + b);
+        assert_eq!(report.billed_dollars.to_bits(), folded.to_bits());
     }
 
     #[test]
     fn market_lanes_plan_under_the_catalog_spread() {
-        // The same hardware in two zones, zone b a hair dearer, so a
-        // domain-blind plan concentrates in zone a.
-        let zone_a = FailureDomain::zone("us-east-1", "us-east-1a");
-        let zone_b = FailureDomain::zone("us-east-1", "us-east-1b");
-        let mut gpu_b = ec2::g4dn_xlarge();
-        gpu_b.is_base = false;
-        gpu_b.price_per_hour *= 1.001;
-        let mut aux_b = ec2::r5n_large();
-        aux_b.price_per_hour *= 1.02;
-        let catalog = OfferingCatalog::new(vec![
-            Offering::on_demand(ec2::g4dn_xlarge()).in_domain(zone_a.clone()),
-            Offering::on_demand(ec2::r5n_large()).in_domain(zone_a),
-            Offering::on_demand(gpu_b).in_domain(zone_b.clone()),
-            Offering::on_demand(aux_b).in_domain(zone_b),
-        ]);
+        let catalog = two_zone_catalog();
         let market = Arc::new(TraceMarket::new(catalog.clone()));
         let mut s = InferenceService::with_market(
             catalog.clone(),
@@ -1348,9 +1555,7 @@ mod tests {
         );
         s.warm_monitors(&mix(), 3000, 11);
         let domains = catalog.domains();
-        for m in 0..3 {
-            assert_eq!(s.lane(ModelId::new(m)).placements(), domains.as_slice());
-        }
+        assert_eq!(s.fleet.placements, domains);
         let spec = s.plan_initial(&[60.0, 45.0, 45.0]).unwrap();
         for slice in &spec.pools {
             assert!(
@@ -1366,15 +1571,17 @@ mod tests {
     #[should_panic(expected = "does not support markets")]
     fn sharded_serving_rejects_markets() {
         use kairos_models::market::ConstantMarket;
-        let catalog = OfferingCatalog::on_demand(&pool());
-        let market = Arc::new(ConstantMarket::from_pool(&pool()));
-        let mut s = InferenceService::with_market(
-            catalog,
-            market,
+        run_sharded_briefly(InferenceService::with_market(
+            OfferingCatalog::on_demand(&pool()),
+            Arc::new(ConstantMarket::from_pool(&pool())),
             &three_models(),
             Some(paper_calibration()),
             ServingOptions::default().budget(6.0),
-        );
+        ));
+    }
+
+    /// Runs `s` sharded over a short three-model trace.
+    fn run_sharded_briefly(mut s: InferenceService) {
         let services = s.service_specs(&paper_calibration());
         let spec = s.plan_initial(&[10.0, 10.0, 10.0]).unwrap();
         let trace = MixedTraceSpec {
@@ -1385,5 +1592,22 @@ mod tests {
         }
         .generate();
         s.run_sharded(&spec, &services, &trace);
+    }
+
+    #[test]
+    #[should_panic(expected = "does not support fault processes")]
+    fn sharded_serving_rejects_fault_processes() {
+        run_sharded_briefly(
+            service(ServingOptions::default().budget(6.0))
+                .with_fault_process(zone_a_outage(500_000, 200_000)),
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "does not support serverless runtimes")]
+    fn sharded_serving_rejects_serverless_runtimes() {
+        run_sharded_briefly(
+            service(ServingOptions::default().budget(6.0)).with_serverless(tail_runtime(5.0)),
+        );
     }
 }

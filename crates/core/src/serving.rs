@@ -1,12 +1,13 @@
 //! The online serving loop: [`KairosController`] in the loop of a live,
 //! reconfigurable cluster.
 //!
-//! [`ServingSystem`] is one model's "engine room": its controller, plan
-//! cache, attached market, fault process and variant lanes.  Its
-//! [`run`](ServingSystem::run) drives the one serving control loop (see
-//! `control_loop.rs`) with itself as the only lane; the multi-model
-//! [`InferenceService`](crate::InferenceService) drives the same loop over
-//! N of them.
+//! This module holds the loop's vocabulary and its per-model planning
+//! state.  A [`ModelLane`] is one served model's controller, plan cache
+//! and variant runtime; the [`InferenceService`] that holds the lanes owns
+//! every fleet-wide attachment (planning pool, options, failure-domain
+//! placements, market, fault process, serverless runtime) and drives the one
+//! serving control loop (see `control_loop.rs`).  [`ServingSystem`] is the
+//! service's one-lane form for single-model callers.
 //!
 //! Replanning is **demand-aware**: rather than always deploying the
 //! maximum-throughput configuration under the budget cap, the driver picks
@@ -16,10 +17,11 @@
 //! makes the loop elastic in both directions: it scales out on a rate spike
 //! and scales in — gracefully draining surplus instances — when load drops.
 
-use crate::control_loop::{serve, Fleet};
+use crate::control_loop::serve;
 use crate::controller::KairosController;
 use crate::planner::{PlanCache, ScoredPlan};
-use crate::variants::{build_lanes, prune_dominated, VariantRuntime};
+use crate::service::{InferenceService, MultiServingOutcome};
+use crate::variants::VariantRuntime;
 use kairos_models::{
     latency::{LatencyProfile, LatencyTable},
     mlmodel::ModelKind,
@@ -27,9 +29,7 @@ use kairos_models::{
     VariantCatalog,
 };
 use kairos_sim::{ClusterSpec, EngineEvent, ServiceSpec, SimEngine, SimReport};
-use kairos_workload::{BatchSizeDistribution, ModelId, TimeUs, Trace};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use kairos_workload::{BatchSizeDistribution, MixSpec, ModelId, TimeUs, Trace};
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -85,7 +85,7 @@ pub struct ServingOptions {
     /// solvers stay domain-free).  `None` plans domain-blind.
     pub max_fraction_per_domain: Option<f64>,
     /// Accuracy floor for variant auto-selection
-    /// ([`ServingSystem::with_variants`]): a variant below the floor is
+    /// ([`InferenceService::with_variants`]): a variant below the floor is
     /// never served, no matter the pressure.  `None` admits every catalog
     /// variant; without an attached variant catalog the floor is inert.
     pub min_accuracy: Option<f64>,
@@ -163,6 +163,17 @@ impl ServingOptions {
         );
         self.min_accuracy = Some(floor);
         self
+    }
+
+    /// The domain-spread constraint plans honor over the per-type domain
+    /// table `placements`: `None` unless both the fraction and the table are
+    /// set.
+    pub(crate) fn spread<'a>(
+        &self,
+        placements: &'a [FailureDomain],
+    ) -> Option<(f64, &'a [FailureDomain])> {
+        self.max_fraction_per_domain
+            .zip((!placements.is_empty()).then_some(placements))
     }
 }
 
@@ -242,6 +253,19 @@ impl ServingOutcome {
     /// Convenience: whether the run ever changed the cluster.
     pub fn reconfigured(&self) -> bool {
         !self.reconfigs.is_empty()
+    }
+
+    /// The single-model view of a one-lane loop outcome.
+    pub(crate) fn one_lane(outcome: MultiServingOutcome) -> Self {
+        let config = |spec: ClusterSpec| spec.pools.into_iter().next().expect("one lane").config;
+        Self {
+            report: outcome.report,
+            initial: config(outcome.initial),
+            final_active: config(outcome.final_active),
+            reconfigs: outcome.reconfigs,
+            replans: outcome.replans,
+            variant_switches: outcome.variant_switches,
+        }
     }
 }
 
@@ -412,147 +436,58 @@ impl PurchaseBackoff {
     }
 }
 
-/// The controller-in-the-loop online serving driver.
+/// One served model's planning state: its controller (which holds the
+/// lane's planning pool), its plan cache and its variant runtime.  The
+/// [`InferenceService`] that holds the lane owns every fleet-wide
+/// attachment; what the lane needs of them — its budget share, the accuracy
+/// floor, the domain spread — reaches it as an argument.
 #[derive(Debug, Clone)]
-pub struct ServingSystem {
-    pool: PoolSpec,
-    controller: KairosController,
-    options: ServingOptions,
+pub struct ModelLane {
+    /// Query monitor, latency predictors and the live planning pool.
+    pub(crate) controller: KairosController,
     /// Memoizes the scored plan across replans, keyed on the controller's
     /// quantized knowledge signature *and* the budget: a replan whose key
     /// matches the previous one reuses the prior scored space instead of
     /// re-enumerating and re-scoring the configuration space.
-    plan_cache: PlanCache,
-    /// The attached cloud market, if any (see [`ServingSystem::with_market`]).
-    market: Option<MarketState>,
-    /// The attached correlated-fault process, if any (see
-    /// [`ServingSystem::with_fault_process`]).
-    faults: Option<FaultProcess>,
-    /// Per-type failure-domain table (one entry per pool type, resolved from
-    /// the offering catalog when market-attached).  Empty means domain-blind:
-    /// every instance lands in [`FailureDomain::global`].
-    placements: Vec<FailureDomain>,
+    pub(crate) plan_cache: PlanCache,
     /// The attached variant lanes, if any (see
-    /// [`ServingSystem::with_variants`]).  `None` serves the reference only,
-    /// exactly as before variants existed.
-    variants: Option<VariantRuntime>,
+    /// [`InferenceService::with_variants`]).  `None` serves the reference
+    /// only, exactly as before variants existed.
+    pub(crate) variants: Option<VariantRuntime>,
 }
 
-impl ServingSystem {
-    /// Creates a serving system.  `priors` seeds the controller's latency
-    /// knowledge (without priors the first plan must wait for online fits).
-    pub fn new(
-        pool: PoolSpec,
-        model: ModelKind,
-        priors: Option<LatencyTable>,
-        options: ServingOptions,
-    ) -> Self {
-        let controller = match priors {
-            Some(table) => KairosController::with_priors(pool.clone(), model, table),
-            None => KairosController::new(pool.clone(), model),
-        };
-        Self {
-            pool,
-            controller,
-            options,
-            plan_cache: PlanCache::new(),
-            market: None,
-            faults: None,
-            placements: Vec::new(),
-            variants: None,
-        }
+impl ModelLane {
+    /// The controller driving the lane.
+    pub fn controller(&self) -> &KairosController {
+        &self.controller
     }
 
-    /// Creates a **market-aware** serving system over an offering catalog:
-    /// the planner enumerates configurations over the catalog's offerings
-    /// (which hardware *at which purchase option*), simulation runs bill at
-    /// the market's live prices, and the loop replans on market events —
-    /// price steps refresh the planning pool (joining the knowledge
-    /// signature, so the plan cache invalidates exactly when prices move)
-    /// and preemption notices price the reclaimed offering out for a
-    /// cooldown of 2 s.
-    pub fn with_market(
-        catalog: OfferingCatalog,
-        market: Arc<dyn Market>,
-        model: ModelKind,
-        priors: Option<LatencyTable>,
-        options: ServingOptions,
-    ) -> Self {
-        let mut system = Self::new(catalog.effective_pool(), model, priors, options);
-        system.place_in(&catalog);
-        system.market = Some(MarketState::new(catalog, market));
-        system
+    /// The plan cache: how many replans reused the previous scored space
+    /// versus recomputed it (diagnostics for the replanning hot path).
+    pub fn plan_cache(&self) -> &PlanCache {
+        &self.plan_cache
     }
 
-    /// Takes the catalog's per-offering failure domains as this system's
-    /// placement table: a market-attached system plans over one pool type
-    /// per offering.
-    pub(crate) fn place_in(&mut self, catalog: &OfferingCatalog) {
-        self.placements = catalog.domains();
-    }
-
-    /// The attached market state, if this system trades on one.
-    pub fn market(&self) -> Option<&MarketState> {
-        self.market.as_ref()
-    }
-
-    /// Attaches a variant catalog: the loop auto-selects which variant of
-    /// its model to serve at every replan.  The catalog is lowered against
-    /// the pool and `base` (the reference calibration table) into per-variant
-    /// lanes, dominated variants are pruned, and serving starts on the
-    /// reference lane — so with a
-    /// [`reference_only`](VariantCatalog::reference_only) catalog the loop
-    /// reproduces the variant-free system bit for bit.  At each replan the
-    /// highest-accuracy lane at or above
-    /// [`ServingOptions::min_accuracy`] whose plan covers demand within
-    /// budget is served; under pressure the loop downgrades to a faster
-    /// variant and re-promotes once headroom returns.  A switch adopts the
-    /// lane's priors into the controller (joining the knowledge signature,
-    /// so cached plans retire), hot-swaps the engine's latency profiles,
-    /// and is logged in [`ServingOutcome::variant_switches`].
-    ///
-    /// # Panics
-    /// Panics if the catalog has no variants for this system's model or if
-    /// `base` lacks a profile for some pool type.
-    #[must_use]
-    pub fn with_variants(mut self, catalog: &VariantCatalog, base: &LatencyTable) -> Self {
-        self.attach_variants(catalog, base);
-        self
-    }
-
-    /// By-ref form of [`Self::with_variants`], for callers that own the
-    /// system behind a struct field (the multi-model facade's lanes).
-    pub(crate) fn attach_variants(&mut self, catalog: &VariantCatalog, base: &LatencyTable) {
-        let model = self.controller.model();
-        let lanes = prune_dominated(build_lanes(&self.pool, model, base, catalog));
-        self.variants = Some(VariantRuntime::new(lanes));
-    }
-
-    /// The attached variant runtime, if any.
-    pub fn variants(&self) -> Option<&VariantRuntime> {
-        self.variants.as_ref()
-    }
-
-    /// Name of the variant the loop is currently serving (`None` without an
+    /// Name of the variant the lane is currently serving (`None` without an
     /// attached catalog).
     pub fn active_variant(&self) -> Option<&str> {
         self.variants.as_ref().map(|v| v.active_lane().name())
     }
 
-    /// Runs the variant auto-selection for one replan and applies a switch
-    /// to the controller if the winner differs from the live lane.  Returns
-    /// what the caller must apply to its engine — `(from, to, pool-ordered
-    /// profiles, accuracy)` — or `None` when the live variant stays (or no
-    /// catalog is attached).  Split off from the run loop so the
-    /// multi-model facade can drive the same policy per lane.
+    /// Runs the variant auto-selection for one replan under the accuracy
+    /// floor `min_accuracy` and applies a switch to the controller if the
+    /// winner differs from the live variant.  Returns what the caller must
+    /// apply to its engine — `(from, to, pool-ordered profiles, accuracy)` —
+    /// or `None` when the live variant stays (or no catalog is attached).
     pub(crate) fn switch_variant_if_needed(
         &mut self,
+        min_accuracy: Option<f64>,
         budget_per_hour: f64,
         demand_qps: f64,
     ) -> Option<(String, String, Vec<LatencyProfile>, f64)> {
         let runtime = self.variants.as_mut()?;
         let winner =
-            runtime.select_lane(&self.controller, &self.options, budget_per_hour, demand_qps);
+            runtime.select_lane(&self.controller, min_accuracy, budget_per_hour, demand_qps);
         if winner == runtime.active() {
             return None;
         }
@@ -567,7 +502,7 @@ impl ServingSystem {
     }
 
     /// The engine hot-swap a fresh run must apply before its first event
-    /// when the system is not on the reference lane (a previous run may
+    /// when the lane is not on the reference variant (a previous run may
     /// have left a cheaper variant live): `(profiles, accuracy)`.
     pub(crate) fn initial_variant_profiles(&self) -> Option<(Vec<LatencyProfile>, f64)> {
         let runtime = self.variants.as_ref()?;
@@ -578,89 +513,15 @@ impl ServingSystem {
         Some((lane.profiles.clone(), lane.variant.accuracy))
     }
 
-    /// Attaches a correlated-fault process: the engine materializes its zone
-    /// outages, capacity shortages and stragglers, and the loop becomes
-    /// resilient — fault events trigger [`ReplanTrigger::Fault`] replans,
-    /// rejected purchases back off exponentially across alternative
-    /// offerings, and (with [`ServingOptions::max_fraction_per_domain`]) the
-    /// planner spreads the deployment across failure domains.
-    #[must_use]
-    pub fn with_fault_process(mut self, process: FaultProcess) -> Self {
-        self.faults = Some(process);
-        self
-    }
-
-    /// The per-type failure-domain table (empty when domain-blind).
-    pub fn placements(&self) -> &[FailureDomain] {
-        &self.placements
-    }
-
-    /// Replaces the planning pool — how the serving loop pushes live market
-    /// prices and backoff penalties into every lane.
-    pub(crate) fn set_planning_pool(&mut self, pool: PoolSpec) {
-        self.controller.set_pool(pool.clone());
-        self.pool = pool;
-    }
-
-    /// The pool the planner currently enumerates.
-    pub(crate) fn pool(&self) -> &PoolSpec {
-        &self.pool
-    }
-
-    /// The plan cache: how many replans reused the previous scored space
-    /// versus recomputed it (diagnostics for the replanning hot path).
-    pub fn plan_cache(&self) -> &PlanCache {
-        &self.plan_cache
-    }
-
-    /// The controller driving the loop.
-    pub fn controller(&self) -> &KairosController {
-        &self.controller
-    }
-
-    /// Mutable access to the controller, e.g. to feed observations from an
-    /// external source before the first run.
-    pub fn controller_mut(&mut self) -> &mut KairosController {
-        &mut self.controller
-    }
-
-    /// Warm-starts the query monitor with `n` samples of a batch mix (a real
-    /// deployment inherits the previous window; a fresh simulation has to
-    /// seed it, or the first plans act on the conservative worst-case
-    /// sample).
-    pub fn warm_monitor(&mut self, mix: &BatchSizeDistribution, n: usize, seed: u64) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        for _ in 0..n {
-            self.controller.observe_query(mix.sample(&mut rng));
-        }
-    }
-
-    /// The loop tunables this system was configured with.
-    pub fn options(&self) -> &ServingOptions {
-        &self.options
-    }
-
-    /// Overrides the hourly budget cap for every subsequent plan.  The
-    /// sharded multi-model path uses this to freeze a shared-budget split
-    /// into each lane's own system before fanning the lanes out to workers.
-    pub fn set_budget(&mut self, budget_per_hour: f64) {
-        self.options.budget_per_hour = budget_per_hour;
-    }
-
-    /// Picks the cheapest configuration (within the budget cap) whose
+    /// Picks the cheapest configuration within `budget_per_hour` whose
     /// throughput upper bound covers `demand_qps × demand_headroom`, from
-    /// the controller's current knowledge.  Falls back to the planner's
-    /// full-budget choice when no cheaper configuration suffices, and to
-    /// `None` when the controller cannot plan yet.
-    pub fn plan_for_demand(&self, demand_qps: f64) -> Option<Config> {
-        self.plan_for_demand_with_budget(self.options.budget_per_hour, demand_qps)
-    }
-
-    /// [`Self::plan_for_demand`] under an explicit budget cap — the form a
-    /// multi-model facade uses after splitting a shared budget across its
-    /// per-model engine rooms.
-    pub fn plan_for_demand_with_budget(
+    /// the controller's current knowledge, under the domain `spread` (see
+    /// [`ServingOptions::spread`]).  Falls back to the planner's full-budget
+    /// choice when no cheaper configuration suffices, and to `None` when the
+    /// controller cannot plan yet.
+    pub(crate) fn plan_for_demand_with_budget(
         &self,
+        spread: Option<(f64, &[FailureDomain])>,
         budget_per_hour: f64,
         demand_qps: f64,
     ) -> Option<Config> {
@@ -668,18 +529,14 @@ impl ServingSystem {
         // The spread constraint binds from the very first deployment: a
         // fleet that only spreads after its first cadence replan spends the
         // opening interval fully concentrated.
-        let spread = self
-            .options
-            .max_fraction_per_domain
-            .zip((!self.placements.is_empty()).then_some(self.placements.as_slice()));
         let required = demand_qps * DEMAND_HEADROOM;
         Some(demand_candidate(&plan, required, None, spread).0)
     }
 
-    /// The next deployment target for this system's model given current
-    /// knowledge, observed demand, an explicit budget cap, and the
-    /// sub-cluster deployed right now.  Applies the scale-in hysteresis
-    /// described on `SHRINK_FACTOR` and goes through the
+    /// The next deployment target for this lane's model given current
+    /// knowledge, observed demand, an explicit budget cap, the domain
+    /// `spread`, and the sub-cluster deployed right now.  Applies the
+    /// scale-in hysteresis described on `SHRINK_FACTOR` and goes through the
     /// plan cache (keyed on the controller's knowledge signature *and* the
     /// budget), so a replan under unchanged knowledge and unchanged budget
     /// split skips the enumeration walk, and every question asked of the
@@ -688,14 +545,14 @@ impl ServingSystem {
     /// and loses to one that is.
     pub(crate) fn select_target(
         &mut self,
+        spread: Option<(f64, &[FailureDomain])>,
         budget_per_hour: f64,
         demand_qps: f64,
         current: &Config,
         blocked: Option<(&PurchaseBackoff, TimeUs)>,
     ) -> Option<Config> {
         let plan = self.plan_cache.plan(&self.controller, budget_per_hour)?;
-        let options = &self.options;
-        let pool = &self.pool;
+        let pool = self.controller.pool();
         let required = demand_qps * DEMAND_HEADROOM;
         // Realizability first: during an announced fault window the parked
         // offerings reject every purchase, so a target that *grows* a parked
@@ -716,8 +573,6 @@ impl ServingSystem {
         // the moment calls for (the constraint would otherwise veto the
         // failover), and the next fault replan after restore re-balances the
         // fleet.
-        let domains = (!self.placements.is_empty()).then_some(self.placements.as_slice());
-        let spread = options.max_fraction_per_domain.zip(domains);
         let (candidate, realized) = demand_candidate(
             &plan,
             required,
@@ -736,55 +591,126 @@ impl ServingSystem {
                 }));
         Some(if keep { current.clone() } else { candidate })
     }
+}
+
+/// The single-model serving system: a one-lane [`InferenceService`] that
+/// distributes with its lane's own [`KairosScheduler`](crate::KairosScheduler)
+/// instead of the facade's [`MultiScheduler`](crate::MultiScheduler).
+#[derive(Debug, Clone)]
+pub struct ServingSystem {
+    service: InferenceService,
+}
+
+impl ServingSystem {
+    /// Creates a serving system.  `priors` seeds the controller's latency
+    /// knowledge (without priors the first plan must wait for online fits).
+    pub fn new(
+        pool: PoolSpec,
+        model: ModelKind,
+        priors: Option<LatencyTable>,
+        options: ServingOptions,
+    ) -> Self {
+        Self {
+            service: InferenceService::new(pool, &[model], priors, options),
+        }
+    }
+
+    /// Creates a **market-aware** serving system over an offering catalog
+    /// (see [`InferenceService::with_market`]).
+    pub fn with_market(
+        catalog: OfferingCatalog,
+        market: Arc<dyn Market>,
+        model: ModelKind,
+        priors: Option<LatencyTable>,
+        options: ServingOptions,
+    ) -> Self {
+        Self {
+            service: InferenceService::with_market(catalog, market, &[model], priors, options),
+        }
+    }
+
+    /// Attaches a variant catalog (see [`InferenceService::with_variants`]).
+    ///
+    /// # Panics
+    /// Panics if the catalog has no variants for this system's model or if
+    /// `base` lacks a profile for some pool type.
+    #[must_use]
+    pub fn with_variants(self, catalog: &VariantCatalog, base: &LatencyTable) -> Self {
+        Self {
+            service: self.service.with_variants(catalog, base),
+        }
+    }
+
+    /// Attaches a correlated-fault process (see
+    /// [`InferenceService::with_fault_process`]).
+    #[must_use]
+    pub fn with_fault_process(self, process: FaultProcess) -> Self {
+        Self {
+            service: self.service.with_fault_process(process),
+        }
+    }
+
+    /// Warm-starts the query monitor with `n` samples of a batch mix (a real
+    /// deployment inherits the previous window; a fresh simulation has to
+    /// seed it, or the first plans act on the conservative worst-case
+    /// sample).
+    pub fn warm_monitor(&mut self, mix: &BatchSizeDistribution, n: usize, seed: u64) {
+        let mix = MixSpec::single(ModelId::DEFAULT, mix.clone());
+        self.service.warm_monitors(&mix, n, seed);
+    }
+
+    /// Picks the cheapest configuration (within the budget cap) whose
+    /// throughput upper bound covers `demand_qps × demand_headroom`, from
+    /// the controller's current knowledge.  Falls back to the planner's
+    /// full-budget choice when no cheaper configuration suffices, and to
+    /// `None` when the controller cannot plan yet.
+    pub fn plan_for_demand(&self, demand_qps: f64) -> Option<Config> {
+        let fleet = &self.service.fleet;
+        let spread = fleet.options.spread(&fleet.placements);
+        let lane = &self.service.lanes[0];
+        lane.plan_for_demand_with_budget(spread, fleet.options.budget_per_hour, demand_qps)
+    }
+
+    /// The controller driving the loop.
+    pub fn controller(&self) -> &KairosController {
+        self.service.lanes[0].controller()
+    }
+
+    /// The plan cache: how many replans reused the previous scored space
+    /// versus recomputed it (diagnostics for the replanning hot path).
+    pub fn plan_cache(&self) -> &PlanCache {
+        self.service.lanes[0].plan_cache()
+    }
+
+    /// Name of the variant the loop is currently serving (`None` without an
+    /// attached catalog).
+    pub fn active_variant(&self) -> Option<&str> {
+        self.service.lanes[0].active_variant()
+    }
 
     /// Runs the controller-in-the-loop simulation of `trace` on `service`,
-    /// starting from `initial`: the serving control loop with this system
-    /// as its only lane, distributing with the controller's own matching
-    /// scheduler and reconfiguring the cluster live.  With one lane, every
-    /// trigger restarts the replan cadence, even one that finds no fresh
-    /// rate to plan with.
+    /// starting from `initial`: the serving control loop over the one lane,
+    /// distributing with the controller's own matching scheduler and
+    /// reconfiguring the cluster live.  Every run starts with no drift
+    /// baseline.  With one lane, every trigger restarts the replan cadence,
+    /// even one that finds no fresh rate to plan with.
     pub fn run(
         &mut self,
         initial: &Config,
         service: &ServiceSpec,
         trace: &Trace,
     ) -> ServingOutcome {
-        let mut scheduler = self.controller.make_scheduler();
-        // This system is the loop's one lane; its fleet-wide attachments
-        // step out of it for the run so the loop can borrow both.
-        let mut market = self.market.take();
-        let faults = self.faults.take();
-        let fleet = Fleet {
-            options: self.options,
-            market: market.as_mut(),
-            faults: faults.as_ref(),
-            serverless: None,
-        };
-        let outcome = serve(
-            std::slice::from_mut(self),
+        let mut scheduler = self.controller().make_scheduler();
+        let InferenceService { lanes, fleet, .. } = &mut self.service;
+        ServingOutcome::one_lane(serve(
+            lanes,
             &mut [None],
             fleet,
             &ClusterSpec::single(initial.clone()),
             &[service],
             trace,
             &mut scheduler,
-        );
-        self.market = market;
-        self.faults = faults;
-        ServingOutcome {
-            report: outcome.report,
-            initial: initial.clone(),
-            final_active: outcome
-                .final_active
-                .pools
-                .into_iter()
-                .next()
-                .expect("one lane")
-                .config,
-            reconfigs: outcome.reconfigs,
-            replans: outcome.replans,
-            variant_switches: outcome.variant_switches,
-        }
+        ))
     }
 }
 
@@ -1357,7 +1283,7 @@ mod tests {
         // Billing reflects the discount: time-weighted spend stays below
         // the nominal budget.
         assert!(
-            outcome.report.billed_cost_per_hour() < system.options().budget_per_hour,
+            outcome.report.billed_cost_per_hour() < system.service.fleet.options.budget_per_hour,
             "billed {:.3} $/hr",
             outcome.report.billed_cost_per_hour()
         );
@@ -1367,7 +1293,7 @@ mod tests {
         // stormed offering at its ×40 penalty.
         for offering in 0..4 {
             assert!(
-                !system.market().unwrap().in_cooldown(offering, 0),
+                !system.service.market().unwrap().in_cooldown(offering, 0),
                 "cooldown leaked past the run for offering {offering}"
             );
         }

@@ -411,7 +411,8 @@ impl VariantRuntime {
     }
 
     /// Picks the lane the loop should serve on for the coming interval:
-    /// the highest-accuracy admissible lane whose scored plan covers
+    /// the highest-accuracy lane at or above the accuracy floor
+    /// `min_accuracy` (every lane when `None`) whose scored plan covers
     /// `demand_qps × DEMAND_HEADROOM` within the budget, else the admissible
     /// lane with the largest achievable bound (downgrade-under-pressure; the
     /// same rule re-promotes automatically once demand recedes).  The live
@@ -423,7 +424,7 @@ impl VariantRuntime {
     pub fn select_lane(
         &mut self,
         controller: &KairosController,
-        options: &crate::ServingOptions,
+        min_accuracy: Option<f64>,
         budget_per_hour: f64,
         demand_qps: f64,
     ) -> usize {
@@ -431,10 +432,7 @@ impl VariantRuntime {
         let mut fallback: Option<(usize, f64)> = None;
         for i in 0..self.lanes.len() {
             let lane = &self.lanes[i];
-            if options
-                .min_accuracy
-                .is_some_and(|floor| lane.variant.accuracy + 1e-9 < floor)
-            {
+            if min_accuracy.is_some_and(|floor| lane.variant.accuracy + 1e-9 < floor) {
                 continue;
             }
             let probe;

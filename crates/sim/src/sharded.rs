@@ -52,7 +52,8 @@ use kairos_workload::{ModelId, Trace};
 use rayon::prelude::*;
 
 /// A multi-model simulation partitioned into per-model-lane shards, each
-/// replayed on its own rayon worker and merged through [`SimReport::merge`].
+/// replayed on its own rayon worker and merged through
+/// [`SimReport::merge_many`].
 ///
 /// ```
 /// use kairos_models::{calibration::paper_calibration, ec2, Config, ModelKind, PoolSpec};
