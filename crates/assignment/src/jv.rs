@@ -19,6 +19,17 @@
 //! caller, [`solve_jv_into`] solves from a flat cost buffer in a reusable
 //! [`JvWorkspace`], so a round neither copies the costs nor allocates;
 //! [`solve_jv`] is the one-shot form of the same routine.
+//!
+//! There a matrix of `r` instances by `c` queued queries (`c` in the
+//! hundreds) takes `r` augmentations, each of which visits only a few rows.
+//! So an augmentation touches only what it visits.  It scans one contiguous
+//! list of the unscanned columns, in which each column carries its running
+//! shortest-path cost (the two are swap-removed together).  It records a
+//! column's final cost when the column leaves that list, and it updates the
+//! duals over the visited rows and columns alone.  The scan order, the tie
+//! rule (prefer an unassigned column) and every float expression are those
+//! of the textbook formulation, so the matching and the duals keep their
+//! bits.
 
 use crate::matrix::CostMatrix;
 use crate::solution::{Assignment, AssignmentError, AssignmentSolver};
@@ -54,21 +65,25 @@ pub fn solve_jv(matrix: &CostMatrix) -> Result<Assignment, AssignmentError> {
     Ok(Assignment::from_row_mapping(matrix, row_to_col.to_vec()))
 }
 
-/// Buffers of the shortest-augmenting-path solver (duals, matching state,
-/// path and scan marks), kept between calls to [`solve_jv_into`] so a caller
-/// that solves one matching per scheduling round allocates only when a round
-/// is larger than every round before it.
+/// Buffers of the shortest-augmenting-path solver, kept between calls to
+/// [`solve_jv_into`] so a caller that solves one matching per scheduling
+/// round allocates only when a round is larger than every round before it.
+///
+/// Per problem: the duals `u`/`v`, the matching in both directions and the
+/// shortest-path tree (`path`).  Per augmentation: the unscanned columns,
+/// each beside its running shortest-path cost (one contiguous list), and the
+/// columns scanned so far with their final costs.  The duals are updated
+/// over the scanned columns and the rows matched to them, so an augmentation
+/// resets only the unscanned list and sweeps no other buffer whole.
 #[derive(Debug, Default, Clone)]
 pub struct JvWorkspace {
     u: Vec<f64>,
     v: Vec<f64>,
     col4row: Vec<usize>,
     row4col: Vec<usize>,
-    shortest_path_costs: Vec<f64>,
     path: Vec<usize>,
-    sr: Vec<bool>,
-    sc: Vec<bool>,
-    remaining: Vec<usize>,
+    remaining: Vec<Unscanned>,
+    scanned: Vec<(usize, f64)>,
     row_to_col: Vec<Option<usize>>,
 }
 
@@ -119,6 +134,14 @@ pub fn solve_jv_into<'ws>(
     Ok(&ws.row_to_col)
 }
 
+/// A column not yet scanned in the current augmentation, with the shortest
+/// path cost found to it so far.
+#[derive(Debug, Clone, Copy)]
+struct Unscanned {
+    col: usize,
+    cost: f64,
+}
+
 /// "Unassigned" marker of the matching state.
 const UNASSIGNED: usize = usize::MAX;
 
@@ -135,13 +158,6 @@ impl JvWorkspace {
         cost: &[f64],
     ) -> Result<(), AssignmentError> {
         debug_assert!(nr <= nc);
-        let entry = |i: usize, j: usize| {
-            if TRANSPOSED {
-                cost[j * nr + i]
-            } else {
-                cost[i * nc + j]
-            }
-        };
 
         // Dual variables.
         let u = &mut self.u;
@@ -160,46 +176,50 @@ impl JvWorkspace {
         row4col.resize(nc, UNASSIGNED);
 
         // Scratch buffers reused across augmentations.
-        let shortest_path_costs = &mut self.shortest_path_costs;
         let path = &mut self.path;
-        let sr = &mut self.sr;
-        let sc = &mut self.sc;
         let remaining = &mut self.remaining;
+        let scanned = &mut self.scanned;
         path.clear();
         path.resize(nc, UNASSIGNED);
 
         for cur_row in 0..nr {
-            // Reset per-augmentation state.
-            shortest_path_costs.clear();
-            shortest_path_costs.resize(nc, f64::INFINITY);
-            sr.clear();
-            sr.resize(nr, false);
-            sc.clear();
-            sc.resize(nc, false);
+            // Reset per-augmentation state: every column is unscanned, at an
+            // infinite shortest-path cost, and nothing is scanned yet.
             remaining.clear();
-            remaining.extend(0..nc);
+            remaining.extend((0..nc).map(|col| Unscanned {
+                col,
+                cost: f64::INFINITY,
+            }));
+            scanned.clear();
 
             let mut min_val = 0.0f64;
             let mut i = cur_row;
             let mut sink = UNASSIGNED;
 
             while sink == UNASSIGNED {
-                sr[i] = true;
                 let mut index = UNASSIGNED;
                 let mut lowest = f64::INFINITY;
+                let ui = u[i];
+                // Row i's costs: entry j is `line[j * stride]`.  Every
+                // per-column slice has length `nc`, so one bounds check
+                // covers all of a column's reads.
+                let (line, stride) = if TRANSPOSED {
+                    (&cost[i..], nr)
+                } else {
+                    (&cost[i * nc..][..nc], 1)
+                };
+                let (v, row4col, path) = (&v[..nc], &row4col[..nc], &mut path[..nc]);
 
-                for (it, &j) in remaining.iter().enumerate() {
-                    let r = min_val + entry(i, j) - u[i] - v[j];
-                    if r < shortest_path_costs[j] {
-                        path[j] = i;
-                        shortest_path_costs[j] = r;
+                for (it, c) in remaining.iter_mut().enumerate() {
+                    let r = min_val + line[c.col * stride] - ui - v[c.col];
+                    if r < c.cost {
+                        path[c.col] = i;
+                        c.cost = r;
                     }
                     // Prefer unassigned columns on ties so the augmenting path
                     // terminates as early as possible.
-                    if shortest_path_costs[j] < lowest
-                        || (shortest_path_costs[j] == lowest && row4col[j] == UNASSIGNED)
-                    {
-                        lowest = shortest_path_costs[j];
+                    if c.cost < lowest || (c.cost == lowest && row4col[c.col] == UNASSIGNED) {
+                        lowest = c.cost;
                         index = it;
                     }
                 }
@@ -209,27 +229,26 @@ impl JvWorkspace {
                     // Cannot happen with finite costs, but guard anyway.
                     return Err(AssignmentError::Infeasible);
                 }
-                let j = remaining[index];
+                // A scanned column's cost is final: it is never scanned again.
+                let j = remaining.swap_remove(index).col;
+                scanned.push((j, lowest));
                 if row4col[j] == UNASSIGNED {
                     sink = j;
                 } else {
                     i = row4col[j];
                 }
-                sc[j] = true;
-                remaining.swap_remove(index);
             }
 
-            // Update dual variables.
+            // Update the duals of the visited rows and columns only.  The
+            // rows visited besides `cur_row` are the ones matched to the
+            // scanned columns other than the sink, each reached through its
+            // column.
             u[cur_row] += min_val;
-            for irow in 0..nr {
-                if irow != cur_row && sr[irow] {
-                    u[irow] += min_val - shortest_path_costs[col4row[irow]];
+            for &(j, cost) in scanned.iter() {
+                if j != sink {
+                    u[row4col[j]] += min_val - cost;
                 }
-            }
-            for jcol in 0..nc {
-                if sc[jcol] {
-                    v[jcol] -= min_val - shortest_path_costs[jcol];
-                }
+                v[j] -= min_val - cost;
             }
 
             // Augment along the alternating path ending at `sink`.

@@ -7,7 +7,16 @@
 //! matrix sizes.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use kairos_assignment::{greedy::solve_greedy, jv::solve_jv, CostMatrix};
+use kairos_assignment::{
+    greedy::solve_greedy,
+    jv::{solve_jv, solve_jv_into, JvWorkspace},
+    CostMatrix,
+};
+use kairos_core::{distribution::QOS_PENALTY_FACTOR, heterogeneity_coefficients, DEFAULT_XI};
+use kairos_models::{
+    calibration::paper_calibration, ec2, ModelKind, OnlinePredictor, MAX_BATCH_SIZE,
+};
+use kairos_workload::BatchSizeDistribution;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::hint::black_box;
@@ -52,6 +61,67 @@ fn bench_rectangular(c: &mut Criterion) {
             |b, m| b.iter(|| solve_jv(black_box(m)).unwrap()),
         );
     }
+    // The solve alone of the deep-queue Kairos round that
+    // `kairos_round/deep_queue_512x14` in the simulator bench times fill
+    // plus solve: the same WND context (512 production-mix queries, 14
+    // instances over three types, one type having seen a single batch size)
+    // and the round's cost formula, so the matrix is the round's cell for
+    // cell, instance-major, solved into a warm workspace as the round does.
+    let (rows, cols) = (14usize, 512usize);
+    let model = ModelKind::Wnd;
+    let latency = paper_calibration();
+    let pool = ec2::paper_pool();
+    // Predictors in the round's slot order (types 0, 2, 1): two fitted from
+    // the profile, one with a single observed batch size.
+    let predictors: Vec<OnlinePredictor> = [
+        (0usize, &[1u32, 64, 256, 1000][..]),
+        (2, &[1, 64, 256, 1000]),
+        (1, &[128]),
+    ]
+    .iter()
+    .map(|&(t, batches)| {
+        let profile = latency.get(model, &pool[t].name).unwrap();
+        let mut p = OnlinePredictor::new();
+        for &b in batches {
+            p.observe(b, profile.latency_ms(b));
+        }
+        p
+    })
+    .collect();
+    let reference: Vec<f64> = predictors
+        .iter()
+        .map(|p| p.predict(MAX_BATCH_SIZE).max(1e-6))
+        .collect();
+    let coefficient = heterogeneity_coefficients(&reference, 0);
+    let qos_ms = model.qos_us() as f64 / 1000.0;
+    let mut rng = StdRng::seed_from_u64(29);
+    let mix = BatchSizeDistribution::production_default();
+    let queries: Vec<(u32, f64)> = (0..cols)
+        .map(|_| {
+            let batch = mix.sample(&mut rng);
+            (batch, rng.gen_range(0..40_000u64) as f64 / 1000.0)
+        })
+        .collect();
+    let round = CostMatrix::from_fn(rows, cols, |instance, query| {
+        let slot = instance % 3;
+        let busy_us = if instance % 2 == 0 {
+            2_000 * instance as u64
+        } else {
+            0
+        };
+        let (batch, waited_ms) = queries[query];
+        let l = busy_us as f64 / 1000.0 + predictors[slot].predict(batch).max(1e-3);
+        let ok = !predictors[slot].has_fit() || l + waited_ms <= DEFAULT_XI * qos_ms;
+        coefficient[slot] * if ok { l } else { QOS_PENALTY_FACTOR * qos_ms }
+    })
+    .unwrap();
+    let mut ws = JvWorkspace::new();
+    group.bench_function(BenchmarkId::new("jonker_volgenant", "14x512"), |b| {
+        b.iter(|| {
+            let matched = solve_jv_into(&mut ws, rows, cols, black_box(round.as_slice())).unwrap();
+            black_box(matched.len())
+        })
+    });
     group.finish();
 }
 

@@ -15,29 +15,40 @@
 //!
 //! Under overload a round matches hundreds of queued queries against tens of
 //! instances of only a few types, so the round works per *type*: each
-//! distinct accepting type resolves its predictor once and fills one row of
-//! a `[type][query]` prediction table.  A single pass then writes the
-//! solver's cost buffer and the feasibility bitmap (Eq. 3 and 8 with the
-//! cold-start override), laid out so the Jonker–Volgenant solver scans it
-//! contiguously: query-major when queries do not outnumber instances,
-//! instance-major otherwise.  All buffers live in the scheduler and are
+//! distinct accepting type resolves its predictor once per round (the
+//! linear fit computed once, see [`kairos_models::ResolvedPredictor`]) and
+//! fills one row of a `[type][query]` prediction table, one lookup-table
+//! probe per query.  A single pass then writes the solver's cost buffer and
+//! the feasibility bitmap (Eq. 3 and 8 with the cold-start override), laid
+//! out so the Jonker–Volgenant solver scans it contiguously: query-major
+//! when queries do not outnumber instances, instance-major otherwise.  In
+//! the instance-major layout the solver runs one augmentation per instance,
+//! and each touches only the rows and columns it visits
+//! ([`kairos_assignment::jv`]).  All buffers live in the scheduler and are
 //! reused, so a steady-state round allocates nothing.  The round is
-//! bit-identical to assembling [`crate::lmatrix::build_matrices`] and solving
-//! it with [`kairos_assignment::jv::solve_jv`]; the `proptest_kairos_round`
-//! test keeps that reference.
+//! bit-identical to assembling the per-pair matrices the round was first
+//! written with and solving them with [`kairos_assignment::jv::solve_jv`];
+//! the `proptest_kairos_round` test keeps that assembly as its oracle
+//! (`tests/common/lmatrix.rs`).
 
 use crate::coefficient::heterogeneity_coefficients_into;
-use crate::lmatrix::{DEFAULT_XI, QOS_PENALTY_FACTOR};
 use kairos_assignment::jv::{solve_jv_into, JvWorkspace};
 use kairos_models::{
     latency::LatencyTable,
     mlmodel::ModelKind,
-    predictor::{default_latency_ms, PredictorBank},
+    predictor::{OnlinePredictor, PredictorBank},
     MAX_BATCH_SIZE,
 };
 use kairos_sim::{Dispatch, Scheduler, SchedulingContext};
 use kairos_workload::ModelId;
 use std::sync::Arc;
+
+/// Default noise-safeguard factor ξ: completion times predicted within 2 % of
+/// the QoS target are treated as violations (paper Sec. 5.1).
+pub const DEFAULT_XI: f64 = 0.98;
+
+/// Penalty multiplier applied to QoS-violating pairs (paper Eq. 8).
+pub const QOS_PENALTY_FACTOR: f64 = 10.0;
 
 /// The Kairos matching-based query distributor.
 #[derive(Debug, Clone)]
@@ -93,6 +104,37 @@ struct RoundScratch {
     cost: Vec<f64>,
     feasible: Vec<bool>,
     jv: JvWorkspace,
+}
+
+impl RoundScratch {
+    /// Writes the cost and feasibility of every (query, column) pair:
+    /// `[query][column]` when `QUERY_MAJOR`, `[column][query]` otherwise.
+    /// The layout is a const parameter so the stride of a column's cells is
+    /// known when compiling; column-major, the walk is a plain contiguous
+    /// loop.
+    fn fill<const QUERY_MAJOR: bool>(&mut self, bound_ms: f64, penalty_ms: f64) {
+        let (m, n) = (self.waited_ms.len(), self.columns.len());
+        // Every cell is written below, so the buffers are only sized.
+        self.cost.resize(m * n, 0.0);
+        self.feasible.resize(m * n, false);
+        for (j, col) in self.columns.iter().enumerate() {
+            let coefficient = self.coefficient[col.slot];
+            let fitted = self.fitted[col.slot];
+            let predicted = &self.predicted_ms[col.slot * m..(col.slot + 1) * m];
+            // The column's cells, in query order.
+            let (first, stride) = if QUERY_MAJOR { (j, n) } else { (j * m, 1) };
+            let cells = (self.cost[first..].iter_mut().step_by(stride))
+                .zip(self.feasible[first..].iter_mut().step_by(stride));
+            for ((cost, feasible), (&service_ms, &waited_ms)) in
+                cells.zip(predicted.iter().zip(&self.waited_ms))
+            {
+                let l_ij = col.remaining_ms + service_ms;
+                let ok = !fitted || l_ij + waited_ms <= bound_ms;
+                *cost = coefficient * if ok { l_ij } else { penalty_ms };
+                *feasible = ok;
+            }
+        }
+    }
 }
 
 impl Default for KairosScheduler {
@@ -221,20 +263,23 @@ impl Scheduler for KairosScheduler {
 
         // Kairos starts with a linear model but does not rely on its accuracy
         // (Sec. 5.1): predictions are resolved per type, once per round — the
-        // predictor lookup, its fit state, the reference-batch latency behind
+        // predictor lookup, its fit state, its linear fit (computed once per
+        // slot, not once per prediction), the reference-batch latency behind
         // `C_j`, and one prediction per queued query.
         r.reference_ms.clear();
         r.fitted.clear();
         r.predicted_ms.clear();
         for &view in &r.slot_view {
             let predictor = self.predictors.get(&ctx.instances[view].type_name);
-            let predict = |batch: u32| {
-                predictor.map_or_else(|| default_latency_ms(batch), |p| p.predict(batch))
-            };
-            r.reference_ms.push(predict(self.reference_batch).max(1e-6));
+            let resolved = predictor.map(OnlinePredictor::resolve).unwrap_or_default();
+            r.reference_ms
+                .push(resolved.predict(self.reference_batch).max(1e-6));
             r.fitted.push(predictor.is_some_and(|p| p.has_fit()));
-            r.predicted_ms
-                .extend(ctx.queued.iter().map(|q| predict(q.batch_size).max(1e-3)));
+            r.predicted_ms.extend(
+                ctx.queued
+                    .iter()
+                    .map(|q| resolved.predict(q.batch_size).max(1e-3)),
+            );
         }
         heterogeneity_coefficients_into(&r.reference_ms, base_slot, &mut r.coefficient);
 
@@ -251,21 +296,10 @@ impl Scheduler for KairosScheduler {
         let bound_ms = self.xi * qos_ms;
         let penalty_ms = QOS_PENALTY_FACTOR * qos_ms;
         let query_major = m <= n;
-        r.cost.clear();
-        r.cost.resize(m * n, 0.0);
-        r.feasible.clear();
-        r.feasible.resize(m * n, false);
-        for (j, col) in r.columns.iter().enumerate() {
-            let coefficient = r.coefficient[col.slot];
-            let fitted = r.fitted[col.slot];
-            let predicted = &r.predicted_ms[col.slot * m..(col.slot + 1) * m];
-            for (i, (&service_ms, &waited_ms)) in predicted.iter().zip(&r.waited_ms).enumerate() {
-                let l_ij = col.remaining_ms + service_ms;
-                let ok = !fitted || l_ij + waited_ms <= bound_ms;
-                let k = if query_major { i * n + j } else { j * m + i };
-                r.cost[k] = coefficient * if ok { l_ij } else { penalty_ms };
-                r.feasible[k] = ok;
-            }
+        if query_major {
+            r.fill::<true>(bound_ms, penalty_ms);
+        } else {
+            r.fill::<false>(bound_ms, penalty_ms);
         }
 
         // Dispatch feasible pairs immediately.  A pair predicted to violate

@@ -62,7 +62,6 @@ mod control_loop;
 pub mod controller;
 pub mod distribution;
 pub mod kairos_plus;
-pub mod lmatrix;
 pub mod planner;
 pub mod selection;
 pub mod serverless;
@@ -73,9 +72,8 @@ pub mod variants;
 
 pub use coefficient::heterogeneity_coefficients;
 pub use controller::KairosController;
-pub use distribution::KairosScheduler;
+pub use distribution::{KairosScheduler, DEFAULT_XI};
 pub use kairos_plus::{kairos_plus_search, SearchResult};
-pub use lmatrix::{build_matrices, InstanceColumn, LMatrices, QueryRow, DEFAULT_XI};
 pub use planner::{KairosPlanner, Plan, PlanCache, ScoredPlan};
 pub use selection::select_configuration;
 pub use serverless::ServerlessRuntime;

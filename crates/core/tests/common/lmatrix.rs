@@ -1,5 +1,6 @@
-//! Construction of the `L` matrix and the QoS-penalized cost matrix
-//! (paper Sec. 5.1, Eq. 2–8).
+//! The Kairos round's original matrix assembly, kept as a test-only oracle:
+//! construction of the `L` matrix and the QoS-penalized cost matrix (paper
+//! Sec. 5.1, Eq. 2–8), one entry per (query, instance) pair.
 //!
 //! `L[i][j]` is the time instance `j` would be occupied, measured from the
 //! scheduling instant `t0`, if it were chosen to serve query `i`: the
@@ -11,13 +12,7 @@
 //! `C_j · L[i][j]` (Eq. 2).
 
 use kairos_assignment::CostMatrix;
-
-/// Default noise-safeguard factor: completion times predicted within 2 % of
-/// the QoS target are treated as violations (paper Sec. 5.1).
-pub const DEFAULT_XI: f64 = 0.98;
-
-/// Penalty multiplier applied to QoS-violating pairs (paper Eq. 8).
-pub const QOS_PENALTY_FACTOR: f64 = 10.0;
+use kairos_core::distribution::QOS_PENALTY_FACTOR;
 
 /// Inputs describing one query row of the matrix.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -109,6 +104,7 @@ pub fn build_matrices(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use kairos_core::DEFAULT_XI;
 
     fn queries() -> Vec<QueryRow> {
         vec![

@@ -13,14 +13,15 @@
 //! (m > n) layouts.  Every case runs several rounds on one scheduler so its
 //! reused buffers see differently sized rounds.
 
+#[path = "common/lmatrix.rs"]
+mod lmatrix;
+
 use kairos_assignment::jv::solve_jv;
-use kairos_core::{
-    build_matrices, heterogeneity_coefficients, InstanceColumn, KairosScheduler, QueryRow,
-    DEFAULT_XI,
-};
+use kairos_core::{heterogeneity_coefficients, KairosScheduler, DEFAULT_XI};
 use kairos_models::{ec2, MAX_BATCH_SIZE};
 use kairos_sim::{idle_order, Dispatch, InstanceView, Scheduler, SchedulingContext};
 use kairos_workload::{BatchSizeDistribution, ModelId, Query, TimeUs};
+use lmatrix::{build_matrices, InstanceColumn, QueryRow};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

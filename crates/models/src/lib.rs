@@ -58,7 +58,7 @@ pub use market::{
     PreemptionProcess, PriceTrace, PurchaseOption, TraceMarket,
 };
 pub use mlmodel::{catalog, spec, ModelKind, ModelSpec, MAX_BATCH_SIZE};
-pub use predictor::{OnlinePredictor, PredictorBank};
+pub use predictor::{OnlinePredictor, PredictorBank, ResolvedPredictor};
 pub use serverless::{
     ColdStartCost, ColdStartProfile, IdleHistogram, KeepAlivePolicy, ServerlessError,
 };

@@ -13,10 +13,17 @@
 //! 3. falls back to an online least-squares linear fit for unseen batch sizes,
 //! 4. and, before it has seen at least two distinct batch sizes, falls back to
 //!    an optional prior profile (or a conservative default).
+//!
+//! A caller that predicts many batches against one unchanging predictor (the
+//! Kairos matching round predicts every queued query on every instance type)
+//! resolves it once with [`OnlinePredictor::resolve`]: the fit is computed
+//! once and each prediction is one lookup-table probe.  [`OnlinePredictor::predict`]
+//! is that same resolution, made for a single batch.
 
 use crate::latency::LatencyProfile;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Conservative latency (ms) assumed for a batch when nothing is known about
 /// the instance type: 1 ms plus 1 ms per request.
@@ -33,8 +40,9 @@ pub struct OnlinePredictor {
     sum_y: f64,
     sum_xx: f64,
     sum_xy: f64,
-    /// Mean observed latency per exact batch size (the lookup table).
-    observed: HashMap<u32, (f64, u32)>,
+    /// Mean observed latency per exact batch size (the lookup table, keyed
+    /// through [`BatchHasher`]).
+    observed: BatchTable,
     /// Optional prior used before enough observations are available.
     prior: Option<LatencyProfile>,
 }
@@ -48,7 +56,7 @@ impl OnlinePredictor {
             sum_y: 0.0,
             sum_xx: 0.0,
             sum_xy: 0.0,
-            observed: HashMap::new(),
+            observed: BatchTable::default(),
             prior: None,
         }
     }
@@ -109,25 +117,20 @@ impl OnlinePredictor {
         Some((intercept, slope))
     }
 
-    /// Predicts the latency (ms) of a query with the given batch size.
-    ///
-    /// Resolution order: exact lookup-table hit → linear fit → prior →
-    /// conservative default (1 ms + 1 ms per request) so the scheduler always
-    /// has *some* number to work with during the first few queries.
+    /// Predicts the latency (ms) of a query with the given batch size, in
+    /// the resolution order of [`ResolvedPredictor::predict`].
     pub fn predict(&self, batch: u32) -> f64 {
-        if let Some(&(mean, _)) = self.observed.get(&batch) {
-            return mean;
+        self.resolve().predict(batch)
+    }
+
+    /// Resolves the predictor for a run of predictions: borrows the lookup
+    /// table and computes the linear fit once.
+    pub fn resolve(&self) -> ResolvedPredictor<'_> {
+        ResolvedPredictor {
+            observed: Some(&self.observed),
+            fit: self.linear_fit(),
+            prior: self.prior,
         }
-        if let Some((intercept, slope)) = self.linear_fit() {
-            let estimate = intercept + slope * batch as f64;
-            if estimate > 0.0 {
-                return estimate;
-            }
-        }
-        if let Some(prior) = self.prior {
-            return prior.latency_ms(batch);
-        }
-        default_latency_ms(batch)
     }
 
     /// Mean absolute relative error of the predictor against a ground-truth
@@ -147,6 +150,75 @@ impl OnlinePredictor {
 impl Default for OnlinePredictor {
     fn default() -> Self {
         Self::new()
+    }
+}
+
+/// The lookup table: mean observed latency and observation count per exact
+/// batch size, hashed by [`BatchHasher`].
+type BatchTable = HashMap<u32, (f64, u32), BuildHasherDefault<BatchHasher>>;
+
+/// Hasher of the lookup table's batch-size keys: a multiply by the 64-bit
+/// golden-ratio constant (Fibonacci hashing), rotated so the product's high
+/// bits, which depend on every bit of the key, land in the low bits the
+/// table picks a bucket by.  Keys that share their low bits, such as
+/// multiples of 64, then spread as well as consecutive ones.  The keys are
+/// batch sizes the simulator itself produces, so SipHash's resistance to
+/// crafted collisions buys nothing here, at several times the cost per
+/// probe.
+#[derive(Debug, Default, Clone, Copy)]
+struct BatchHasher(u64);
+
+impl Hasher for BatchHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.write_u64(u64::from(byte));
+        }
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.write_u64(u64::from(n));
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
+    }
+}
+
+/// An [`OnlinePredictor`] resolved for a run of predictions: its lookup table
+/// borrowed and its linear fit computed once.  The default value stands for
+/// an instance type never observed, whose every prediction is the
+/// conservative default.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct ResolvedPredictor<'a> {
+    observed: Option<&'a BatchTable>,
+    fit: Option<(f64, f64)>,
+    prior: Option<LatencyProfile>,
+}
+
+impl ResolvedPredictor<'_> {
+    /// Predicts the latency (ms) of a query with the given batch size.
+    ///
+    /// Resolution order: exact lookup-table hit → linear fit → prior →
+    /// conservative default (1 ms + 1 ms per request) so the scheduler always
+    /// has *some* number to work with during the first few queries.
+    pub fn predict(&self, batch: u32) -> f64 {
+        if let Some(&(mean, _)) = self.observed.and_then(|table| table.get(&batch)) {
+            return mean;
+        }
+        if let Some((intercept, slope)) = self.fit {
+            let estimate = intercept + slope * batch as f64;
+            if estimate > 0.0 {
+                return estimate;
+            }
+        }
+        if let Some(prior) = self.prior {
+            return prior.latency_ms(batch);
+        }
+        default_latency_ms(batch)
     }
 }
 
@@ -182,7 +254,9 @@ impl PredictorBank {
     pub fn predict(&self, instance_name: &str, batch: u32) -> f64 {
         self.predictors
             .get(instance_name)
-            .map_or_else(|| default_latency_ms(batch), |p| p.predict(batch))
+            .map(OnlinePredictor::resolve)
+            .unwrap_or_default()
+            .predict(batch)
     }
 
     /// Access the predictor of one instance type, if it exists.
