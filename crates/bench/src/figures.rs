@@ -202,11 +202,12 @@ pub fn figure12_load_shift() {
             row.mean_cost_per_hour
         );
     }
+    let final_active = &outcome.final_active.pools[0].config;
     println!(
         "--> KAIROS reconfigured {} time(s); final active cluster {} ({:.3} $/hr)",
         outcome.reconfigs.len(),
-        outcome.final_active,
-        outcome.final_active.cost(&pool)
+        final_active,
+        final_active.cost(&pool)
     );
 
     // Record the outcome next to the other BENCH_* baselines.
@@ -552,7 +553,7 @@ pub fn figure_spot() {
             .filter(|r| r.trigger == ReplanTrigger::Market)
             .count(),
         market_outcome.report.preemption_notices,
-        market_outcome.final_active
+        market_outcome.final_active.pools[0].config
     );
 
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_spot.json");

@@ -25,19 +25,21 @@
 //!        └──────────────────────────────────────────────────────────┘
 //! ```
 //!
-//! The entry points differ only in their scheduler, their input checks and
-//! their outcome type.  The replan clock's rule follows from the lane count
-//! (see [`ReplanClock`]).
+//! [`serve`] builds the run's one query distributor, a [`MultiScheduler`]
+//! over the lanes, and every entry point returns its
+//! [`MultiServingOutcome`]; the entry points differ only in their input
+//! checks and their drift baseline.  The replan clock's rule follows from
+//! the lane count (see [`ReplanClock`]).
 
 use crate::serverless::ServerlessRuntime;
-use crate::service::{split_budget, MultiServingOutcome};
+use crate::service::{split_budget, MultiScheduler, MultiServingOutcome};
 use crate::serving::{
     estimate_rate_qps, fault_window_end, reconcile_model, MarketState, ModelLane, PurchaseBackoff,
     ReconfigEvent, ReplanTrigger, ServingOptions, VariantSwitch,
 };
 use kairos_models::{FailureDomain, FaultProcess, PoolSpec};
 use kairos_sim::{
-    BatchingOptions, ClusterSpec, EngineEvent, Scheduler, ServiceSpec, SimEngine, SimulationOptions,
+    BatchingOptions, ClusterSpec, EngineEvent, ServiceSpec, SimEngine, SimulationOptions,
 };
 use kairos_workload::{ModelId, TimeUs, Trace};
 use std::collections::VecDeque;
@@ -197,7 +199,8 @@ fn share_pool(lanes: &mut [ModelLane], pool: &PoolSpec) {
 }
 
 /// Serves `trace` from `initial` with one lane per entry of `lanes`
-/// (`lanes[m]` serves [`ModelId`] `m`), distributing with `scheduler`.
+/// (`lanes[m]` serves [`ModelId`] `m`), distributing with a
+/// [`MultiScheduler`] built from the lanes' current latency knowledge.
 /// `planned[m]` is lane `m`'s drift baseline going in (the rate its initial
 /// deployment was planned for, `None` to take it on faith) and its last
 /// planned rate coming out.  The market's cooldown book and every lane's
@@ -210,7 +213,6 @@ pub(crate) fn serve(
     initial: &ClusterSpec,
     services: &[&ServiceSpec],
     trace: &Trace,
-    scheduler: &mut dyn Scheduler,
 ) -> MultiServingOutcome {
     let options = fleet.options;
     let pool = &fleet.pool;
@@ -222,12 +224,13 @@ pub(crate) fn serve(
     // The engine borrows the market oracle for the whole run; this handle
     // outlives it.
     let oracle = market.as_deref().map(|m| m.market().clone());
+    let mut scheduler = MultiScheduler::for_lanes(lanes);
     let mut engine = SimEngine::new_multi(
         pool,
         initial,
         services,
         trace,
-        scheduler,
+        &mut scheduler,
         &SimulationOptions { seed: options.seed },
     );
     if let Some(oracle) = oracle.as_deref() {

@@ -29,8 +29,9 @@
 //!    API, sharing a single hourly budget by demand-weighted water-filling,
 //!    each replanning on its own knowledge signature.  The facade owns
 //!    every fleet-wide attachment; `ServingSystem` is its one-lane form, and
-//!    both drive the same control loop, whose replan clock follows from the
-//!    lane count.
+//!    both drive the same control loop through the same `MultiScheduler`,
+//!    returning the same `MultiServingOutcome`; the loop's replan clock
+//!    follows from the lane count.
 //! 7. **Serverless lane** ([`serverless::ServerlessRuntime`]) — scale-to-zero
 //!    for the sparse model tail: lanes planned below a QPS threshold drop
 //!    their always-on budget floor, receive one parkable base-instance
@@ -80,7 +81,7 @@ pub use serverless::ServerlessRuntime;
 pub use service::{InferenceService, MultiScheduler, MultiServingOutcome};
 pub use serving::{
     MarketState, ModelLane, PurchaseBackoff, ReconfigEvent, ReplanTrigger, ServingOptions,
-    ServingOutcome, ServingSystem, VariantSwitch,
+    ServingSystem, VariantSwitch,
 };
 pub use upper_bound::{
     upper_bound_general, upper_bound_single, AuxClass, ScoredSpace, SingleAuxInputs,

@@ -41,23 +41,22 @@
 //! * **Scheduling** ([`MultiScheduler`]) — queries are partitioned by model
 //!   each round and matched by per-model Kairos min-cost matchings against
 //!   the instances bound to that model; the engine enforces the binding.
+//!   With one lane the partition is the identity, and the round goes
+//!   straight to the lane's matching.
 //!
 //! [`InferenceService::run`] drives the serving control loop over every
 //! lane; [`ServingSystem`](crate::ServingSystem) is the facade's one-lane
-//! form.  The replan clock
+//! form, whose `run` is this `run` from no drift baseline.  The replan clock
 //! follows from the lane count: several lanes share one cadence clock that
 //! only its tick restarts, while a one-lane service restarts it on every
-//! trigger and so replays
-//! [`ServingSystem::run`](crate::ServingSystem::run) exactly.
+//! trigger.
 
 use crate::control_loop::{self, Fleet};
 use crate::controller::KairosController;
 use crate::distribution::KairosScheduler;
 use crate::planner::PlanCache;
 use crate::serverless::ServerlessRuntime;
-use crate::serving::{
-    MarketState, ModelLane, ReconfigEvent, ServingOptions, ServingOutcome, VariantSwitch,
-};
+use crate::serving::{MarketState, ModelLane, ReconfigEvent, ServingOptions, VariantSwitch};
 use crate::variants::{build_lanes, prune_dominated, VariantRuntime};
 use kairos_models::{
     latency::LatencyTable, mlmodel::ModelKind, Config, FaultProcess, Market, OfferingCatalog,
@@ -97,6 +96,16 @@ impl MultiScheduler {
             views: vec![Vec::new(); n],
         }
     }
+
+    /// Builds the policy from every lane's current latency knowledge.
+    pub(crate) fn for_lanes(lanes: &[ModelLane]) -> Self {
+        Self::new(
+            lanes
+                .iter()
+                .map(|l| l.controller.make_scheduler())
+                .collect(),
+        )
+    }
 }
 
 impl Scheduler for MultiScheduler {
@@ -129,6 +138,14 @@ impl Scheduler for MultiScheduler {
     }
 
     fn schedule_into(&mut self, ctx: &SchedulingContext<'_>, out: &mut Vec<Dispatch>) {
+        // One lane owns every query and instance, so the partition below is
+        // the identity: the Kairos round skips non-accepting views itself
+        // and never reads the idle index.
+        if let [only] = self.inner.as_mut_slice() {
+            let qos_us = ctx.qos_for(ModelId::DEFAULT);
+            only.schedule_into(&SchedulingContext { qos_us, ..*ctx }, out);
+            return;
+        }
         // Partition the round by model.  The per-model sub-context carries
         // filtered views (instance_index stays global, so inner dispatches
         // come back in cluster coordinates) and the model's own QoS target.
@@ -213,7 +230,7 @@ pub struct InferenceService {
     pub(crate) lanes: Vec<ModelLane>,
     /// Each lane's drift baseline: the demand its deployment was last
     /// planned for (`None` before the first plan).
-    planned: Vec<Option<f64>>,
+    pub(crate) planned: Vec<Option<f64>>,
     pub(crate) fleet: Fleet,
 }
 
@@ -466,12 +483,7 @@ impl InferenceService {
     /// Builds the multi-model query distributor from every lane's current
     /// latency knowledge.
     pub fn make_scheduler(&self) -> MultiScheduler {
-        MultiScheduler::new(
-            self.lanes
-                .iter()
-                .map(|l| l.controller.make_scheduler())
-                .collect(),
-        )
+        MultiScheduler::for_lanes(&self.lanes)
     }
 
     /// Runs the multi-model controller-in-the-loop simulation of `trace`
@@ -480,11 +492,9 @@ impl InferenceService {
     /// lane observes its own arrivals and completions and replans on the
     /// shared cadence or on its own drift signal; on each replan the global
     /// budget is re-split across lanes by current demand and each due lane's
-    /// sub-cluster is steered independently (graceful add/retire, exactly as
-    /// in single-model serving).  With several lanes, a lane's drift or
-    /// market replan leaves the shared cadence clock alone; a one-lane
-    /// service restarts it on every trigger, as
-    /// [`ServingSystem::run`](crate::ServingSystem::run) does.
+    /// sub-cluster is steered independently (graceful add/retire).  With
+    /// several lanes, a lane's drift or market replan leaves the shared
+    /// cadence clock alone; a one-lane service restarts it on every trigger.
     /// An attached fault process reaches every lane: outages and shortages
     /// replan each lane with [`ReplanTrigger::Fault`](crate::ReplanTrigger).
     ///
@@ -506,7 +516,6 @@ impl InferenceService {
                 stray.id, stray.model
             );
         }
-        let mut scheduler = self.make_scheduler();
         let service_refs: Vec<&ServiceSpec> = services.iter().collect();
         control_loop::serve(
             &mut self.lanes,
@@ -515,7 +524,6 @@ impl InferenceService {
             initial,
             &service_refs,
             trace,
-            &mut scheduler,
         )
     }
 
@@ -540,7 +548,7 @@ impl InferenceService {
     /// lane and runs every lane's full controller-in-the-loop serving
     /// simulation (its own engine, controller, plan cache, replanning) on
     /// its own rayon worker, then merges the per-lane outcomes through
-    /// [`SimReport::merge`].  The global budget is split **once**, up
+    /// [`SimReport::merge_many`].  The global budget is split **once**, up
     /// front, from each lane's offered load over the whole trace, and each
     /// lane's run serves under its frozen share.
     ///
@@ -625,7 +633,7 @@ impl InferenceService {
             })
             .collect();
 
-        let outcomes: Vec<ServingOutcome> = jobs
+        let outcomes: Vec<MultiServingOutcome> = jobs
             .par_iter_mut()
             .map(|job| {
                 // Each lane serves as a one-lane run with no drift baseline,
@@ -634,16 +642,14 @@ impl InferenceService {
                     options: self.fleet.options.budget(job.budget),
                     ..self.fleet.clone()
                 };
-                let mut scheduler = job.lane.controller.make_scheduler();
-                ServingOutcome::one_lane(control_loop::serve(
+                control_loop::serve(
                     std::slice::from_mut(job.lane),
                     &mut [None],
                     &mut fleet,
                     &ClusterSpec::single(job.config.clone()),
                     &[job.service],
                     &job.sub,
-                    &mut scheduler,
-                ))
+                )
             })
             .collect();
 
@@ -651,7 +657,7 @@ impl InferenceService {
         // coordinate space: model ids retagged, instance indices offset by
         // the lanes before it (a lane's index space is its initial size
         // grown by any instances added while serving).
-        let mut merged: Option<SimReport> = None;
+        let mut reports = Vec::with_capacity(n);
         let mut reconfigs: Vec<ReconfigEvent> = Vec::new();
         let mut variant_switches: Vec<VariantSwitch> = Vec::new();
         let mut replans = 0usize;
@@ -683,10 +689,7 @@ impl InferenceService {
             let mut accuracy_sum_by_model = vec![0.0; n];
             accuracy_sum_by_model[m] = lane_accuracy;
             report.accuracy_sum_by_model = accuracy_sum_by_model;
-            merged = Some(match merged {
-                None => report,
-                Some(acc) => acc.merge(report),
-            });
+            reports.push(report);
             for mut event in outcome.reconfigs {
                 event.model = model;
                 for idx in &mut event.retired_instances {
@@ -700,14 +703,14 @@ impl InferenceService {
                 variant_switches.push(switch);
             }
             replans += outcome.replans;
-            final_configs.push(outcome.final_active);
+            final_configs.extend(outcome.final_active.pools.into_iter().map(|p| p.config));
             offset += lane_size;
         }
         reconfigs.sort_by_key(|e| (e.at_us, e.model.index()));
         variant_switches.sort_by_key(|s| (s.at_us, s.model.index()));
 
         MultiServingOutcome {
-            report: merged.expect("a facade serves at least one model"),
+            report: SimReport::merge_many(reports).expect("a facade serves at least one model"),
             initial: initial.clone(),
             final_active: ClusterSpec::from_configs(final_configs),
             reconfigs,
@@ -1367,7 +1370,7 @@ mod tests {
         mut system: ServingSystem,
         mut service: InferenceService,
         trace: &Trace,
-    ) -> ServingOutcome {
+    ) -> MultiServingOutcome {
         let batches = BatchSizeDistribution::production_default();
         let latency = paper_calibration();
         system.warm_monitor(&batches, 2000, 99);
@@ -1475,8 +1478,14 @@ mod tests {
                 options,
             )
             .with_fault_process(outage.clone()),
-            InferenceService::with_market(zones.clone(), market(), &rm2, Some(latency), options)
-                .with_fault_process(outage),
+            InferenceService::with_market(
+                zones.clone(),
+                market(),
+                &rm2,
+                Some(latency.clone()),
+                options,
+            )
+            .with_fault_process(outage),
             &trace,
         );
         assert_eq!(single.report.outages.len(), 1);
@@ -1484,6 +1493,22 @@ mod tests {
             .reconfigs
             .iter()
             .any(|r| r.trigger == ReplanTrigger::Fault));
+
+        let catalog = VariantCatalog::paper_variants();
+        let options = ServingOptions::default()
+            .replan_every(500_000)
+            .provisioning_delay(200_000);
+        let single = assert_one_lane_replay(
+            ServingSystem::new(pool(), ModelKind::Rm2, Some(latency.clone()), options)
+                .with_variants(&catalog, &latency),
+            InferenceService::new(pool(), &rm2, Some(latency.clone()), options)
+                .with_variants(&catalog, &latency),
+            &trace,
+        );
+        assert!(
+            !single.variant_switches.is_empty(),
+            "the step change must switch variants"
+        );
     }
 
     #[test]

@@ -7,7 +7,9 @@
 //! every fleet-wide attachment (planning pool, options, failure-domain
 //! placements, market, fault process, serverless runtime) and drives the one
 //! serving control loop (see `control_loop.rs`).  [`ServingSystem`] is the
-//! service's one-lane form for single-model callers.
+//! service's one-lane form for single-model callers: its
+//! [`run`](ServingSystem::run) is [`InferenceService::run`] from no drift
+//! baseline, with the same scheduler and the same outcome type.
 //!
 //! Replanning is **demand-aware**: rather than always deploying the
 //! maximum-throughput configuration under the budget cap, the driver picks
@@ -17,7 +19,6 @@
 //! makes the loop elastic in both directions: it scales out on a rate spike
 //! and scales in — gracefully draining surplus instances — when load drops.
 
-use crate::control_loop::serve;
 use crate::controller::KairosController;
 use crate::planner::{PlanCache, ScoredPlan};
 use crate::service::{InferenceService, MultiServingOutcome};
@@ -28,7 +29,7 @@ use kairos_models::{
     Config, FailureDomain, FaultEvent, FaultProcess, Market, OfferingCatalog, PoolSpec,
     VariantCatalog,
 };
-use kairos_sim::{ClusterSpec, EngineEvent, ServiceSpec, SimEngine, SimReport};
+use kairos_sim::{ClusterSpec, EngineEvent, ServiceSpec, SimEngine};
 use kairos_workload::{BatchSizeDistribution, MixSpec, ModelId, TimeUs, Trace};
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -229,44 +230,6 @@ pub struct VariantSwitch {
     pub accuracy: f64,
     /// The replan that decided the switch.
     pub trigger: ReplanTrigger,
-}
-
-/// Result of one online serving run.
-#[derive(Debug, Clone)]
-pub struct ServingOutcome {
-    /// The per-query simulation report.
-    pub report: SimReport,
-    /// The configuration the run started from.
-    pub initial: Config,
-    /// Dispatch-accepting instance counts at the end of the run.
-    pub final_active: Config,
-    /// Every reconfiguration applied, in order.
-    pub reconfigs: Vec<ReconfigEvent>,
-    /// Total number of replanning passes (including no-op ones).
-    pub replans: usize,
-    /// Every model-variant switch applied, in order (empty without an
-    /// attached variant catalog).
-    pub variant_switches: Vec<VariantSwitch>,
-}
-
-impl ServingOutcome {
-    /// Convenience: whether the run ever changed the cluster.
-    pub fn reconfigured(&self) -> bool {
-        !self.reconfigs.is_empty()
-    }
-
-    /// The single-model view of a one-lane loop outcome.
-    pub(crate) fn one_lane(outcome: MultiServingOutcome) -> Self {
-        let config = |spec: ClusterSpec| spec.pools.into_iter().next().expect("one lane").config;
-        Self {
-            report: outcome.report,
-            initial: config(outcome.initial),
-            final_active: config(outcome.final_active),
-            reconfigs: outcome.reconfigs,
-            replans: outcome.replans,
-            variant_switches: outcome.variant_switches,
-        }
-    }
 }
 
 /// Price multiplier applied to an offering during its post-preemption
@@ -593,9 +556,8 @@ impl ModelLane {
     }
 }
 
-/// The single-model serving system: a one-lane [`InferenceService`] that
-/// distributes with its lane's own [`KairosScheduler`](crate::KairosScheduler)
-/// instead of the facade's [`MultiScheduler`](crate::MultiScheduler).
+/// The single-model serving system: a one-lane [`InferenceService`] whose
+/// runs start with no drift baseline.
 #[derive(Debug, Clone)]
 pub struct ServingSystem {
     service: InferenceService,
@@ -689,28 +651,26 @@ impl ServingSystem {
     }
 
     /// Runs the controller-in-the-loop simulation of `trace` on `service`,
-    /// starting from `initial`: the serving control loop over the one lane,
-    /// distributing with the controller's own matching scheduler and
+    /// starting from `initial`: [`InferenceService::run`] over the one lane,
     /// reconfiguring the cluster live.  Every run starts with no drift
     /// baseline.  With one lane, every trigger restarts the replan cadence,
     /// even one that finds no fresh rate to plan with.
+    ///
+    /// # Panics
+    /// Panics if `service` is not a spec of this system's model, or if the
+    /// trace contains a query for any model but [`ModelId::DEFAULT`].
     pub fn run(
         &mut self,
         initial: &Config,
         service: &ServiceSpec,
         trace: &Trace,
-    ) -> ServingOutcome {
-        let mut scheduler = self.controller().make_scheduler();
-        let InferenceService { lanes, fleet, .. } = &mut self.service;
-        ServingOutcome::one_lane(serve(
-            lanes,
-            &mut [None],
-            fleet,
+    ) -> MultiServingOutcome {
+        self.service.planned.fill(None);
+        self.service.run(
             &ClusterSpec::single(initial.clone()),
-            &[service],
+            std::slice::from_ref(service),
             trace,
-            &mut scheduler,
-        ))
+        )
     }
 }
 
@@ -944,7 +904,7 @@ mod tests {
         calibration::paper_calibration, ec2, mlmodel::ModelKind, Offering, OfferingCatalog,
         PreemptionProcess, PriceTrace, TraceMarket,
     };
-    use kairos_workload::{BatchSizeDistribution, PhasedArrival};
+    use kairos_workload::{BatchSizeDistribution, PhasedArrival, Query};
 
     fn pool() -> PoolSpec {
         PoolSpec::new(ec2::paper_pool())
@@ -985,6 +945,37 @@ mod tests {
         let large = s.plan_for_demand(200.0).unwrap();
         assert!(small.cost(&pool()) <= large.cost(&pool()));
         assert!(small.cost(&pool()) < 2.5, "light demand must not max out");
+    }
+
+    #[test]
+    #[should_panic(expected = "service spec 0 does not match lane model")]
+    fn run_refuses_a_service_spec_for_another_model() {
+        let mut s = system(ServingOptions::default());
+        warm(&mut s, 2000);
+        let initial = s.plan_for_demand(40.0).unwrap();
+        let trace = Trace::from_queries(vec![Query::new(0, 8, 0)]);
+        s.run(
+            &initial,
+            &ServiceSpec::new(ModelKind::Wnd, paper_calibration()),
+            &trace,
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "targets model m1 but only 1 models are served")]
+    fn run_refuses_a_query_for_an_unserved_model() {
+        let mut s = system(ServingOptions::default());
+        warm(&mut s, 2000);
+        let initial = s.plan_for_demand(40.0).unwrap();
+        let trace = Trace::from_queries(vec![
+            Query::new(0, 8, 0),
+            Query::for_model(1, ModelId::new(1), 8, 1_000),
+        ]);
+        s.run(
+            &initial,
+            &ServiceSpec::new(ModelKind::Rm2, paper_calibration()),
+            &trace,
+        );
     }
 
     #[test]
@@ -1172,7 +1163,10 @@ mod tests {
         let initial = s.plan_for_demand(40.0).unwrap();
         let service = ServiceSpec::new(ModelKind::Rm2, paper_calibration());
         let outcome = s.run(&initial, &service, &workload.generate());
-        assert!(outcome.reconfigured(), "the spike must trigger reconfig");
+        assert!(
+            !outcome.reconfigs.is_empty(),
+            "the spike must trigger reconfig"
+        );
         let grew = outcome.reconfigs.iter().any(|r| !r.added_types.is_empty());
         assert!(grew, "scale-out expected: {:?}", outcome.reconfigs);
         // The cluster was scaled past its initial size while the spike was

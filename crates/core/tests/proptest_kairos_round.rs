@@ -12,13 +12,20 @@
 //! observed — covering both the query-major (m <= n) and the instance-major
 //! (m > n) layouts.  Every case runs several rounds on one scheduler so its
 //! reused buffers see differently sized rounds.
+//!
+//! On the same random rounds, a one-lane [`MultiScheduler`] (which hands the
+//! round straight to its Kairos round) must dispatch exactly as the general
+//! per-model partition does: a two-lane one built from the same controller,
+//! whose second lane has no queries and no instances.
 
 #[path = "common/lmatrix.rs"]
 mod lmatrix;
 
 use kairos_assignment::jv::solve_jv;
-use kairos_core::{heterogeneity_coefficients, KairosScheduler, DEFAULT_XI};
-use kairos_models::{ec2, MAX_BATCH_SIZE};
+use kairos_core::{
+    heterogeneity_coefficients, KairosController, KairosScheduler, MultiScheduler, DEFAULT_XI,
+};
+use kairos_models::{calibration::paper_calibration, ec2, ModelKind, PoolSpec, MAX_BATCH_SIZE};
 use kairos_sim::{idle_order, Dispatch, InstanceView, Scheduler, SchedulingContext};
 use kairos_workload::{BatchSizeDistribution, ModelId, Query, TimeUs};
 use lmatrix::{build_matrices, InstanceColumn, QueryRow};
@@ -249,6 +256,69 @@ proptest! {
             kairos.schedule_into(&ctx, &mut out);
             prop_assert_eq!(out[0], marker);
             prop_assert_eq!(&out[1..], &expected[..]);
+        }
+    }
+
+    #[test]
+    fn a_one_lane_multi_scheduler_matches_the_partitioned_round(
+        seed in 0u64..u64::MAX,
+        queue in 0usize..=600,
+        instances in 1usize..=32,
+        priors in 0usize..2,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let pool: Vec<(Arc<str>, bool)> = ec2::paper_pool()
+            .iter()
+            .map(|t| (Arc::from(t.name.as_str()), t.is_base))
+            .collect();
+        let names: Vec<Arc<str>> = pool.iter().map(|(name, _)| name.clone()).collect();
+        let controller = |model| {
+            let pool = PoolSpec::new(ec2::paper_pool());
+            if priors == 1 {
+                KairosController::with_priors(pool, model, paper_calibration())
+            } else {
+                KairosController::new(pool, model)
+            }
+        };
+        let wnd = controller(ModelKind::Wnd);
+        let mut one = MultiScheduler::new(vec![wnd.make_scheduler()]);
+        let mut two = MultiScheduler::new(vec![
+            wnd.make_scheduler(),
+            controller(ModelKind::Ncf).make_scheduler(),
+        ]);
+        one.bind_types(&names);
+        two.bind_types(&names);
+
+        let shapes = [
+            (queue, instances),
+            (rng.gen_range(0..instances + 1), rng.gen_range(1..33usize)),
+            (rng.gen_range(0..601usize), rng.gen_range(1..33usize)),
+            (rng.gen_range(0..601usize), rng.gen_range(1..33usize)),
+        ];
+        for (m, n) in shapes {
+            let round = random_round(&mut rng, m, n, &pool);
+            let idle = idle_order(&round.views);
+            let qos_by_model = [round.qos_us, 1_000_000];
+            let ctx = SchedulingContext {
+                now_us: NOW_US,
+                queued: &round.queued,
+                instances: &round.views,
+                idle: &idle,
+                qos_us: round.qos_us,
+                qos_by_model: &qos_by_model,
+            };
+            let (mut passed, mut partitioned) = (Vec::new(), Vec::new());
+            one.schedule_into(&ctx, &mut passed);
+            two.schedule_into(&ctx, &mut partitioned);
+            prop_assert_eq!(&passed, &partitioned);
+            // Both learn the same completions before the next round.
+            for _ in 0..rng.gen_range(0..12usize) {
+                let type_index = rng.gen_range(0..pool.len());
+                let batch = PALETTE[rng.gen_range(0..PALETTE.len())];
+                let ms = rng.gen_range(0.5..40.0);
+                one.on_completion(type_index, ModelId::DEFAULT, batch, ms);
+                two.on_completion(type_index, ModelId::DEFAULT, batch, ms);
+            }
         }
     }
 }

@@ -1769,7 +1769,7 @@ impl<'a> SimEngine<'a> {
         }
         // Multi-model reports are finalized in the canonical total order
         // (completion key for records, arrival key for unfinished) so that
-        // a [`SimReport::merge`] of per-model-lane shards reproduces the
+        // a [`SimReport::merge_many`] of per-model-lane shards reproduces the
         // combined run's sequences bit-for-bit: completions are pushed in
         // clock order, so only same-microsecond ties across lanes are
         // permuted, and every aggregate is permutation-invariant.  The

@@ -298,8 +298,7 @@ impl<'a> ShardedEngine<'a> {
         }
 
         // Release the sliceless sub-traces before the merge allocates its
-        // output, then one k-way pass over every shard, bit-identical to
-        // the pairwise fold in the same order (see `SimReport::merge_many`).
+        // output, then one k-way pass over every shard.
         drop(subs);
         SimReport::merge_many(shards).expect("a cluster spec has at least one slice")
     }

@@ -200,7 +200,7 @@ pub struct SimReport {
     /// instances in settlement order.  Keeping the per-model partials (and
     /// deriving the total as their left fold) is what makes billing
     /// **order-independent across shards**: shards bill disjoint model
-    /// slots, so [`Self::merge`] adds exact zeros into every foreign slot
+    /// slots, so [`Self::merge_many`] adds exact zeros into every foreign slot
     /// and the merged fold reproduces the single-engine total bit-for-bit.
     /// May be empty on hand-built reports, in which case the whole bill is
     /// attributed to the primary model.
@@ -281,57 +281,11 @@ impl ModelReport {
     }
 }
 
-/// Merges two record lists under a total key.  Engine-produced reports are
-/// already canonically sorted, so the common case is a linear two-way merge
-/// (the key is total, so the merged sequence is exactly what re-sorting the
-/// concatenation would produce); unsorted hand-built inputs fall back to
-/// concatenate-and-sort.  This keeps a fold over many large shard reports
-/// O(total) per step instead of re-sorting the accumulated prefix.
-fn merge_by_key<T, K: Ord>(mut left: Vec<T>, mut right: Vec<T>, key: fn(&T) -> K) -> Vec<T> {
-    let sorted = |v: &[T]| v.windows(2).all(|w| key(&w[0]) <= key(&w[1]));
-    if !sorted(&left) || !sorted(&right) {
-        left.append(&mut right);
-        left.sort_unstable_by_key(key);
-        return left;
-    }
-    if left.is_empty() {
-        return right;
-    }
-    if right.is_empty() || key(left.last().expect("non-empty")) <= key(&right[0]) {
-        left.append(&mut right);
-        return left;
-    }
-    let mut out = Vec::with_capacity(left.len() + right.len());
-    let mut l = left.into_iter().peekable();
-    let mut r = right.into_iter().peekable();
-    loop {
-        match (l.peek(), r.peek()) {
-            (Some(a), Some(b)) => {
-                if key(a) <= key(b) {
-                    out.push(l.next().expect("peeked"));
-                } else {
-                    out.push(r.next().expect("peeked"));
-                }
-            }
-            (Some(_), None) => {
-                out.extend(l);
-                break;
-            }
-            (None, _) => {
-                out.extend(r);
-                break;
-            }
-        }
-    }
-    out
-}
-
 /// K-way linear merge of sorted runs under a total key: one output pass over
 /// the concatenation instead of the repeated prefix copies a pairwise fold
 /// pays.  Key ties break toward the earliest input, exactly as a left fold
-/// of [`merge_by_key`] orders them, so the output is bit-identical to the
-/// fold.  Callers guarantee every input is sorted (checked by
-/// [`SimReport::merge_many`], which falls back to the fold otherwise).
+/// of pairwise merges orders them.  Callers guarantee every input is sorted
+/// (see [`sorted_run`]).
 fn kway_merge_by_key<T: Copy, K: Ord>(inputs: &[Vec<T>], key: fn(&T) -> K) -> Vec<T> {
     let total = inputs.iter().map(Vec::len).sum();
     let mut out: Vec<T> = Vec::with_capacity(total);
@@ -355,6 +309,15 @@ fn kway_merge_by_key<T: Copy, K: Ord>(inputs: &[Vec<T>], key: fn(&T) -> K) -> Ve
         heads[s] = inputs[s].get(cursors[s]).map(key);
     }
     out
+}
+
+/// `run` in canonical order under `key`, sorted only when it is not already
+/// (multi-model engine reports are).
+fn sorted_run<T, K: Ord>(mut run: Vec<T>, key: fn(&T) -> K) -> Vec<T> {
+    if !run.is_sorted_by_key(key) {
+        run.sort_unstable_by_key(key);
+    }
+    run
 }
 
 /// Nearest-rank percentile over a **sorted** latency slice: the smallest
@@ -724,7 +687,7 @@ impl SimReport {
         sum / self.completed() as f64
     }
 
-    /// The canonical total order [`Self::merge`] (and the multi-model
+    /// The canonical total order [`Self::merge_many`] (and the multi-model
     /// engine's report finalization) sorts completion records by.  Query
     /// ids are unique within a run, so the key is total and the sorted
     /// sequence is independent of shard order and thread count.
@@ -738,143 +701,29 @@ impl SimReport {
         (u.arrival_us, u.id)
     }
 
-    /// Merges two shard reports into the report of the combined run.  The
-    /// merge is **commutative and associative** over any shard order —
-    /// every field either sums (counters), max-merges (horizons, QoS
-    /// tables), sorted-multiset-merges under a total key (records,
-    /// unfinished, scheduler names), or element-wise adds disjoint
-    /// per-model partials (billing) — so a fold over per-model-lane shard
-    /// reports is bit-identical regardless of thread count or fold shape.
-    /// This is the contract the sharded engine's proptests pin down.
+    /// Merges any number of shard reports into the report of the combined
+    /// run, writing each record exactly once.  The merge is **commutative
+    /// and associative** over any shard order — every field either sums
+    /// (counters), max-merges (horizons, QoS tables), sorted-multiset-merges
+    /// under a total key (records, unfinished, scheduler names), or
+    /// element-wise adds disjoint per-model partials (billing, accuracy) —
+    /// so the merge of per-model-lane shard reports is bit-identical
+    /// regardless of thread count or shard order, and bit-identical to the
+    /// left fold of pairwise merges over the same order.  This is the
+    /// contract the sharded engine's proptests pin down.
     ///
     /// Billing associativity holds exactly when shards bill disjoint model
     /// slots (the per-model-lane shard boundary guarantees it: adding an
     /// exact `0.0` into a non-negative slot is the f64 identity); merging
     /// hand-built reports that bill the *same* slot is still deterministic
-    /// per fold shape but subject to ordinary f64 rounding.
-    pub fn merge(mut self, mut other: SimReport) -> SimReport {
-        // Scheduler name: equal names collapse, different names become the
-        // sorted '+'-joined union of their parts.
-        let scheduler = if self.scheduler == other.scheduler {
-            std::mem::take(&mut self.scheduler)
-        } else {
-            let mut parts: Vec<&str> = self
-                .scheduler
-                .split('+')
-                .chain(other.scheduler.split('+'))
-                .collect();
-            parts.sort_unstable();
-            parts.dedup();
-            parts.join("+")
-        };
-
-        // Capture the accuracy tables before the record lists are taken:
-        // the empty-table fallback counts completions.
-        let self_accuracy = self.accuracy_table();
-        let other_accuracy = other.accuracy_table();
-
-        let records = merge_by_key(
-            std::mem::take(&mut self.records),
-            std::mem::take(&mut other.records),
-            Self::record_key,
-        );
-        let unfinished = merge_by_key(
-            std::mem::take(&mut self.unfinished),
-            std::mem::take(&mut other.unfinished),
-            Self::unfinished_key,
-        );
-
-        // Per-model QoS tables max-merge, extending to the longer table;
-        // per-model-lane shards carry identical full tables, so this is a
-        // no-op there.
-        let mut qos_by_model = std::mem::take(&mut self.qos_by_model);
-        if qos_by_model.len() < other.qos_by_model.len() {
-            qos_by_model.resize(other.qos_by_model.len(), 0);
-        }
-        for (slot, &q) in qos_by_model.iter_mut().zip(&other.qos_by_model) {
-            *slot = (*slot).max(q);
-        }
-
-        // Billing: element-wise sum of the per-model partials, total
-        // re-derived as their left fold.
-        let mut billed_by_model = self.billed_table();
-        let other_billed = other.billed_table();
-        if billed_by_model.len() < other_billed.len() {
-            billed_by_model.resize(other_billed.len(), 0.0);
-        }
-        for (slot, &b) in billed_by_model.iter_mut().zip(&other_billed) {
-            *slot += b;
-        }
-        let billed_dollars = billed_by_model.iter().fold(0.0, |acc, &b| acc + b);
-
-        // Delivered accuracy merges exactly like billing: element-wise sum
-        // of disjoint per-model partials.
-        let mut accuracy_sum_by_model = self_accuracy;
-        if accuracy_sum_by_model.len() < other_accuracy.len() {
-            accuracy_sum_by_model.resize(other_accuracy.len(), 0.0);
-        }
-        for (slot, &a) in accuracy_sum_by_model.iter_mut().zip(&other_accuracy) {
-            *slot += a;
-        }
-
-        // Outage records concatenate and re-sort under a total-enough key:
-        // a domain can only fail once per instant, so (start, domain) orders
-        // shard contributions independently of merge order.
-        let mut outages = std::mem::take(&mut self.outages);
-        outages.append(&mut other.outages);
-        outages.sort_by(|a, b| (a.start_us, &a.domain).cmp(&(b.start_us, &b.domain)));
-
-        SimReport {
-            scheduler,
-            records,
-            unfinished,
-            offered: self.offered + other.offered,
-            horizon_us: self.horizon_us.max(other.horizon_us),
-            qos_us: self.qos_us.max(other.qos_us),
-            qos_by_model,
-            billed_dollars,
-            billed_by_model,
-            accuracy_sum_by_model,
-            events_processed: self.events_processed + other.events_processed,
-            preemption_notices: self.preemption_notices + other.preemption_notices,
-            preempted_instances: self.preempted_instances + other.preempted_instances,
-            requeued_queries: self.requeued_queries + other.requeued_queries,
-            rejected_purchases: self.rejected_purchases + other.rejected_purchases,
-            straggler_onsets: self.straggler_onsets + other.straggler_onsets,
-            outages,
-            service: self.service.merged(other.service),
-        }
-    }
-
-    /// Merges any number of shard reports in one pass, **bit-identical** to
-    /// the left fold `r0.merge(r1).merge(r2)…` over the same order.  The
-    /// fold re-walks the accumulated prefix at every step — O(shards ×
-    /// records) copies on large fleets — while this k-way merge writes each
-    /// record exactly once.  Billing partials accumulate in input order
-    /// (slot-wise, exactly as the fold adds them) and the total re-derives
-    /// as the final table's left fold, so f64 bit-identity is preserved.
-    /// Returns `None` on an empty iterator.  Inputs whose records or
-    /// unfinished lists are not canonically sorted fall back to the pairwise
-    /// fold (which sorts), keeping the equivalence unconditional.
+    /// per shard order but subject to ordinary f64 rounding.  Records and
+    /// unfinished lists that are not canonically sorted are sorted first.
+    /// Returns `None` on an empty iterator.
     pub fn merge_many(reports: impl IntoIterator<Item = SimReport>) -> Option<SimReport> {
         let mut reports: Vec<SimReport> = reports.into_iter().collect();
         if reports.len() < 2 {
             return reports.pop();
         }
-        let sorted = |r: &SimReport| {
-            r.records
-                .windows(2)
-                .all(|w| Self::record_key(&w[0]) <= Self::record_key(&w[1]))
-                && r.unfinished
-                    .windows(2)
-                    .all(|w| Self::unfinished_key(&w[0]) <= Self::unfinished_key(&w[1]))
-        };
-        if !reports.iter().all(sorted) {
-            let mut iter = reports.drain(..);
-            let first = iter.next().expect("len checked above");
-            return Some(iter.fold(first, SimReport::merge));
-        }
-
         // Scheduler name: all-equal collapses, otherwise the sorted
         // '+'-joined union of every report's parts (the fold's fixpoint).
         let scheduler = if reports[1..]
@@ -898,11 +747,11 @@ impl SimReport {
 
         let record_runs: Vec<Vec<QueryRecord>> = reports
             .iter_mut()
-            .map(|r| std::mem::take(&mut r.records))
+            .map(|r| sorted_run(std::mem::take(&mut r.records), Self::record_key))
             .collect();
         let unfinished_runs: Vec<Vec<UnfinishedQuery>> = reports
             .iter_mut()
-            .map(|r| std::mem::take(&mut r.unfinished))
+            .map(|r| sorted_run(std::mem::take(&mut r.unfinished), Self::unfinished_key))
             .collect();
         let records = kway_merge_by_key(&record_runs, Self::record_key);
         let unfinished = kway_merge_by_key(&unfinished_runs, Self::unfinished_key);
@@ -978,6 +827,146 @@ impl SimReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Merges two record lists under a total key: a linear two-way merge of
+    /// sorted inputs, concatenate-and-sort otherwise.
+    fn merge_by_key<T, K: Ord>(mut left: Vec<T>, mut right: Vec<T>, key: fn(&T) -> K) -> Vec<T> {
+        let sorted = |v: &[T]| v.windows(2).all(|w| key(&w[0]) <= key(&w[1]));
+        if !sorted(&left) || !sorted(&right) {
+            left.append(&mut right);
+            left.sort_unstable_by_key(key);
+            return left;
+        }
+        if left.is_empty() {
+            return right;
+        }
+        if right.is_empty() || key(left.last().expect("non-empty")) <= key(&right[0]) {
+            left.append(&mut right);
+            return left;
+        }
+        let mut out = Vec::with_capacity(left.len() + right.len());
+        let mut l = left.into_iter().peekable();
+        let mut r = right.into_iter().peekable();
+        loop {
+            match (l.peek(), r.peek()) {
+                (Some(a), Some(b)) => {
+                    if key(a) <= key(b) {
+                        out.push(l.next().expect("peeked"));
+                    } else {
+                        out.push(r.next().expect("peeked"));
+                    }
+                }
+                (Some(_), None) => {
+                    out.extend(l);
+                    break;
+                }
+                (None, _) => {
+                    out.extend(r);
+                    break;
+                }
+            }
+        }
+        out
+    }
+
+    impl SimReport {
+        /// The pairwise merge [`SimReport::merge_many`] must reproduce bit
+        /// for bit: a left fold of it over the same shard order is the
+        /// k-way merge's oracle.
+        fn merge(mut self, mut other: SimReport) -> SimReport {
+            // Scheduler name: equal names collapse, different names become the
+            // sorted '+'-joined union of their parts.
+            let scheduler = if self.scheduler == other.scheduler {
+                std::mem::take(&mut self.scheduler)
+            } else {
+                let mut parts: Vec<&str> = self
+                    .scheduler
+                    .split('+')
+                    .chain(other.scheduler.split('+'))
+                    .collect();
+                parts.sort_unstable();
+                parts.dedup();
+                parts.join("+")
+            };
+
+            // Capture the accuracy tables before the record lists are taken:
+            // the empty-table fallback counts completions.
+            let self_accuracy = self.accuracy_table();
+            let other_accuracy = other.accuracy_table();
+
+            let records = merge_by_key(
+                std::mem::take(&mut self.records),
+                std::mem::take(&mut other.records),
+                Self::record_key,
+            );
+            let unfinished = merge_by_key(
+                std::mem::take(&mut self.unfinished),
+                std::mem::take(&mut other.unfinished),
+                Self::unfinished_key,
+            );
+
+            // Per-model QoS tables max-merge, extending to the longer table;
+            // per-model-lane shards carry identical full tables, so this is a
+            // no-op there.
+            let mut qos_by_model = std::mem::take(&mut self.qos_by_model);
+            if qos_by_model.len() < other.qos_by_model.len() {
+                qos_by_model.resize(other.qos_by_model.len(), 0);
+            }
+            for (slot, &q) in qos_by_model.iter_mut().zip(&other.qos_by_model) {
+                *slot = (*slot).max(q);
+            }
+
+            // Billing: element-wise sum of the per-model partials, total
+            // re-derived as their left fold.
+            let mut billed_by_model = self.billed_table();
+            let other_billed = other.billed_table();
+            if billed_by_model.len() < other_billed.len() {
+                billed_by_model.resize(other_billed.len(), 0.0);
+            }
+            for (slot, &b) in billed_by_model.iter_mut().zip(&other_billed) {
+                *slot += b;
+            }
+            let billed_dollars = billed_by_model.iter().fold(0.0, |acc, &b| acc + b);
+
+            // Delivered accuracy merges exactly like billing: element-wise sum
+            // of disjoint per-model partials.
+            let mut accuracy_sum_by_model = self_accuracy;
+            if accuracy_sum_by_model.len() < other_accuracy.len() {
+                accuracy_sum_by_model.resize(other_accuracy.len(), 0.0);
+            }
+            for (slot, &a) in accuracy_sum_by_model.iter_mut().zip(&other_accuracy) {
+                *slot += a;
+            }
+
+            // Outage records concatenate and re-sort under a total-enough key:
+            // a domain can only fail once per instant, so (start, domain) orders
+            // shard contributions independently of merge order.
+            let mut outages = std::mem::take(&mut self.outages);
+            outages.append(&mut other.outages);
+            outages.sort_by(|a, b| (a.start_us, &a.domain).cmp(&(b.start_us, &b.domain)));
+
+            SimReport {
+                scheduler,
+                records,
+                unfinished,
+                offered: self.offered + other.offered,
+                horizon_us: self.horizon_us.max(other.horizon_us),
+                qos_us: self.qos_us.max(other.qos_us),
+                qos_by_model,
+                billed_dollars,
+                billed_by_model,
+                accuracy_sum_by_model,
+                events_processed: self.events_processed + other.events_processed,
+                preemption_notices: self.preemption_notices + other.preemption_notices,
+                preempted_instances: self.preempted_instances + other.preempted_instances,
+                requeued_queries: self.requeued_queries + other.requeued_queries,
+                rejected_purchases: self.rejected_purchases + other.rejected_purchases,
+                straggler_onsets: self.straggler_onsets + other.straggler_onsets,
+                outages,
+                service: self.service.merged(other.service),
+            }
+        }
+    }
 
     fn record(id: u64, arrival: TimeUs, start: TimeUs, completion: TimeUs) -> QueryRecord {
         QueryRecord {
@@ -1491,7 +1480,7 @@ mod tests {
         assert_eq!(kway.scheduler, "drs+fcfs+kairos");
         assert_reports_identical(&kway, &fold);
 
-        // An unsorted input falls back to the fold (which sorts), so the
+        // An unsorted input is sorted first, as the fold sorts it, so the
         // equivalence holds unconditionally.
         let mut scrambled = shards.to_vec();
         scrambled[0].records.swap(0, 2);

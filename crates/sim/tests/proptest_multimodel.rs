@@ -15,9 +15,10 @@
 //!    multi-model redesign cannot perturb PR 3's reports.
 //! 3. **Shard transparency** — on the same random multi-model cases, the
 //!    [`ShardedEngine`] (one engine per model lane, merged through
-//!    [`SimReport::merge`](kairos_sim::SimReport::merge)) reproduces the
-//!    combined engine's report bit-for-bit — every field, f64s compared by
-//!    bit pattern — under rayon pools of 1, 2, 4 and 8 threads.
+//!    [`SimReport::merge_many`](kairos_sim::SimReport::merge_many))
+//!    reproduces the combined engine's report bit-for-bit — every field,
+//!    f64s compared by bit pattern — under rayon pools of 1, 2, 4 and 8
+//!    threads.
 
 use kairos_models::{calibration::paper_calibration, ec2, Config, ModelKind, PoolSpec};
 use kairos_sim::{

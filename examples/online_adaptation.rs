@@ -72,10 +72,11 @@ fn main() {
             r.retired_instances.len()
         );
     }
+    let final_active = &outcome.final_active.pools[0].config;
     println!(
         "  final active cluster: {} at {:.3} $/hr",
-        outcome.final_active,
-        outcome.final_active.cost(&pool)
+        final_active,
+        final_active.cost(&pool)
     );
 
     // The frozen initial plan on the same trace.
