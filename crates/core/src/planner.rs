@@ -15,9 +15,11 @@
 //! configuration as it reaches it):
 //!
 //! * [`ScoredPlan`] — the scored space in enumeration order plus the chosen
-//!   configuration, picked from a bounded top-k of the ranking.  Its scan
-//!   queries answer each of the loop's questions in one pass, with no sort
-//!   and no per-configuration allocation.  [`PlanCache`] holds these.
+//!   configuration, picked from a bounded top-k of the ranking.  The space
+//!   keeps the walk's runs: one bound (8 bytes) per configuration, its
+//!   counts and cost once per run.  Its scan queries answer each of the
+//!   loop's questions in one pass over the runs, with no sort and no
+//!   per-configuration allocation.  [`PlanCache`] holds these.
 //! * [`Plan`] — the same space ranked and materialized, one [`Config`] per
 //!   entry, for Kairos+ and the offline analyses.
 //!
@@ -180,10 +182,10 @@ impl KairosPlanner {
 /// carries depends only on those inputs, **not** on the observed arrival
 /// rate: the demand-aware selection happens downstream, as scans over the
 /// cached space, which is why cadence replans under drifting load still hit.
-/// A miss scores the space without ranking it, so it costs one walk, not a
-/// sort and one [`Config`] allocation per entry; the walk fills the buffers
-/// of the plan it replaces.  Plans are shared out as [`Arc`]s, so a hit
-/// costs a pointer clone.
+/// A miss scores the space without ranking it, so it costs the estimator
+/// and one walk, not a sort and one [`Config`] allocation per entry; the
+/// walk fills the buffers of the plan it replaces.  Plans are shared out
+/// as [`Arc`]s, so a hit costs a pointer clone.
 #[derive(Debug, Clone, Default)]
 pub struct PlanCache {
     entry: Option<(u64, u64, Arc<ScoredPlan>)>,
@@ -337,7 +339,7 @@ mod tests {
             assert_eq!(cached.chosen, fresh.chosen);
             assert_eq!(cached.space.len(), fresh.space.len());
             for i in 0..fresh.space.len() {
-                assert_eq!(cached.space.counts(i), fresh.space.counts(i));
+                assert_eq!(cached.space.config(i), fresh.space.config(i));
                 assert_eq!(
                     cached.space.bound(i).to_bits(),
                     fresh.space.bound(i).to_bits()

@@ -12,6 +12,11 @@
 //! With multiple auxiliary types, the bound optimistically assumes every
 //! auxiliary type shares the largest cutoff (`f' = max f_i`), which keeps the
 //! estimate an upper bound (Sec. 5.2).
+//!
+//! [`ThroughputEstimator::score_affordable`] bounds the whole affordable
+//! space in one walk into a [`ScoredSpace`], which keeps the walk's runs
+//! (configurations that differ only in the last type's count): one bound
+//! per configuration, counts and cost once per run.
 
 use crate::selection::TOP_CANDIDATES;
 use kairos_models::{
@@ -435,18 +440,22 @@ impl ThroughputEstimator {
     }
 
     /// Every configuration `options` admits on this estimator's pool, scored
-    /// but not ranked: counts, bound and cost in flat buffers in enumeration
-    /// order.  Each bound has the bits [`Self::estimate_counts`] gives the
-    /// configuration and each cost the bits of [`Config::cost`].  Empty when
-    /// the budget affords nothing.
+    /// but not ranked, in enumeration order: one bound per configuration,
+    /// its counts and cost kept once per run of the walk (see
+    /// [`ScoredSpace`]).  Each bound has the bits [`Self::estimate_counts`]
+    /// gives the configuration and each cost the bits of [`Config::cost`].
+    /// Empty when the budget affords nothing.
     ///
     /// One [`for_each_affordable`] walk carries the bound's state down the
-    /// recursion instead of rebuilding it per leaf: per prefix, the largest
-    /// auxiliary cutoff slot present and, per cutoff slot, the partial sum
-    /// `Σ v_i·Q_a^i` over the prefix's auxiliary types, added in pool
-    /// order (so the leaf's `Σ` has the bits of `estimate_counts`' sum).
-    /// A leaf adds the last type's term to one partial sum and evaluates
-    /// the bound's closed form: O(1) in the pool's width.
+    /// recursion instead of rebuilding it per configuration: per prefix, the
+    /// largest auxiliary cutoff slot present and, per cutoff slot, the
+    /// partial sum `Σ v_i·Q_a^i` over the prefix's auxiliary types, added
+    /// in pool order (so a configuration's `Σ` has the bits of
+    /// `estimate_counts`' sum).  A run scores its last-type count 0 on its
+    /// own; every count from 1 up shares one cutoff slot, so the run checks
+    /// that slot once and fills the rest of its bounds in one straight
+    /// loop, each adding the last type's term to one partial sum and
+    /// evaluating the bound's closed form.
     ///
     /// # Panics
     /// With `estimate_counts`' input-check messages at the first
@@ -467,16 +476,16 @@ impl ThroughputEstimator {
     ) -> ScoredSpace {
         let types = self.pool.num_types();
         let ScoredSpace {
-            mut counts,
+            mut prefixes,
+            mut runs,
             mut bounds,
-            mut costs,
             ..
         } = spare;
-        counts.clear();
+        prefixes.clear();
+        runs.clear();
         bounds.clear();
-        costs.clear();
         // A slot is clean when no configuration sharing its cutoff can fail
-        // an input check; a leaf on an unclean slot re-runs the checks.
+        // an input check; a run on an unclean slot re-runs the checks.
         let clean: Vec<bool> = self
             .cutoff_stats
             .iter()
@@ -491,6 +500,8 @@ impl ThroughputEstimator {
             .collect();
         let last = types - 1;
         let last_slot = self.stats_index[last];
+        // Scratch for the panic path: a run's configuration as a count vector.
+        let mut leaf = vec![0; types];
         let root = Prefix {
             shared: None,
             aux_sums: vec![std::iter::empty::<f64>().sum(); self.cutoff_stats.len()],
@@ -509,37 +520,75 @@ impl ThroughputEstimator {
                     }
                 }
             },
-            |leaf, cost, prefix| {
-                let u = leaf[self.base_index];
-                let own = last_slot.filter(|_| leaf[last] > 0);
-                let bound = match prefix.shared.max(own) {
-                    None => u as f64 * self.q_base,
-                    Some(shared) => {
-                        if !clean[shared] {
-                            // Panics with the message the leaf's bound
-                            // raises, if it raises one.
-                            self.estimate_counts(leaf);
-                        }
-                        let stats = &self.cutoff_stats[shared];
-                        let mut aux_total = prefix.aux_sums[shared];
-                        if own.is_some() {
-                            aux_total += leaf[last] as f64 * stats.aux_qps[last];
-                        }
-                        upper_bound_from_aux_total(
-                            u,
-                            self.q_base,
-                            stats.q_base_splus,
-                            aux_total,
-                            stats.fraction_small,
-                        )
+            |prefix_counts, spent, lasts, prefix| {
+                prefixes.extend_from_slice(prefix_counts);
+                runs.push(Run {
+                    start: bounds.len(),
+                    first: lasts.start,
+                    spent,
+                });
+                // Panics with the message the configuration's bound raises,
+                // if it raises one, when its cutoff slot is unclean.
+                let mut check = |shared: usize, count: usize| {
+                    if !clean[shared] {
+                        leaf[..last].copy_from_slice(prefix_counts);
+                        leaf[last] = count;
+                        self.estimate_counts(&leaf);
                     }
                 };
-                bounds.push(bound);
-                costs.push(cost);
-                counts.extend_from_slice(leaf);
+                // The base count, when the base type is in the prefix.
+                let prefix_u = prefix_counts.get(self.base_index).copied();
+                let mut from = lasts.start;
+                if from == 0 {
+                    // No last-type instance: the prefix's own slot and sum.
+                    let u = prefix_u.expect("the base type is in the prefix");
+                    bounds.push(match prefix.shared {
+                        None => u as f64 * self.q_base,
+                        Some(shared) => {
+                            check(shared, 0);
+                            let stats = &self.cutoff_stats[shared];
+                            upper_bound_from_aux_total(
+                                u,
+                                self.q_base,
+                                stats.q_base_splus,
+                                prefix.aux_sums[shared],
+                                stats.fraction_small,
+                            )
+                        }
+                    });
+                    from = 1;
+                }
+                if from == lasts.end {
+                    return;
+                }
+                // From one last-type instance up, every configuration of the
+                // run shares one cutoff slot and one set of present types,
+                // which is all the input checks read: they pass or fail
+                // together, so the run's first one stands for them all.
+                let u_of = |count: usize| prefix_u.unwrap_or(count);
+                let Some(shared) = prefix.shared.max(last_slot) else {
+                    bounds.extend((from..lasts.end).map(|count| u_of(count) as f64 * self.q_base));
+                    return;
+                };
+                check(shared, from);
+                let stats = &self.cutoff_stats[shared];
+                let sum = prefix.aux_sums[shared];
+                let term = |count: usize| match last_slot {
+                    Some(_) => sum + count as f64 * stats.aux_qps[last],
+                    None => sum,
+                };
+                bounds.extend((from..lasts.end).map(|count| {
+                    upper_bound_from_aux_total(
+                        u_of(count),
+                        self.q_base,
+                        stats.q_base_splus,
+                        term(count),
+                        stats.fraction_small,
+                    )
+                }));
             },
         );
-        ScoredSpace::new(types, counts, bounds, costs)
+        ScoredSpace::new(types, self.pool.price(last), prefixes, runs, bounds)
     }
 
     /// Every configuration `options` admits on this estimator's pool, ranked
@@ -565,30 +614,59 @@ struct Prefix {
     aux_sums: Vec<f64>,
 }
 
+/// One run of the walk: a prefix (a count for every type but the last) and
+/// the consecutive entries that extend it by ascending last-type counts.
+#[derive(Debug, Clone, Copy)]
+struct Run {
+    /// Index of the run's first entry.
+    start: usize,
+    /// Last-type count of the run's first entry.
+    first: usize,
+    /// The prefix's running cost, as the walk summed it.
+    spent: f64,
+}
+
 /// The affordable configuration space of one pool, budget and estimator,
-/// scored in enumeration order: per entry its counts, its upper bound and
-/// its hourly cost (bit-identical to [`Config::cost`]).  It is never sorted.
+/// scored in enumeration order.  It is never sorted.
+///
+/// The space is stored as the walk hands it over, in runs: per run the
+/// prefix counts, the first last-type count and the prefix's running cost;
+/// per entry only the upper bound, so an entry costs 8 bytes.  Entry `i`
+/// of a run is the prefix extended by `first + (i - start)` instances of
+/// the last type, and its hourly cost `spent + price_last·c` is the walk's
+/// own expression, bit-identical to [`Config::cost`].
+///
 /// The serving loop's questions (the cheapest covering entry, the top entry
-/// passing a filter, the bound of a given deployment) are each one scan,
-/// and each resolves ties exactly as the same question over the ranked list
-/// does: the ranked order is `(bound descending, enumeration index)`, so
-/// among equal bounds the ranked order *is* the enumeration order.  The
-/// ranked prefix selection reads ([`TOP_CANDIDATES`] entries) is kept from
-/// a bounded top-k at build time.  The default space is empty.
+/// passing a filter, the bound of a given deployment) are each one scan
+/// over the runs, and each resolves ties exactly as the same question over
+/// the ranked list does: the ranked order is `(bound descending,
+/// enumeration index)`, so among equal bounds the ranked order *is* the
+/// enumeration order.  The ranked prefix selection reads
+/// ([`TOP_CANDIDATES`] entries) is kept from a bounded top-k at build time.
+/// The default space is empty.
 #[derive(Debug, Clone, Default)]
 pub struct ScoredSpace {
-    /// Pool types per entry.
+    /// Pool types per configuration.
     types: usize,
-    /// Entry `i`'s counts are `counts[i * types..(i + 1) * types]`.
-    counts: Vec<usize>,
+    /// Hourly price of one instance of the last type.
+    price_last: f64,
+    /// The runs' prefix counts, `types - 1` per run, in run order.
+    prefixes: Vec<usize>,
+    runs: Vec<Run>,
+    /// One upper bound per entry, in enumeration order.
     bounds: Vec<f64>,
-    costs: Vec<f64>,
     /// The first [`TOP_CANDIDATES`] entries in ranked order.
     top: Vec<usize>,
 }
 
 impl ScoredSpace {
-    fn new(types: usize, counts: Vec<usize>, bounds: Vec<f64>, costs: Vec<f64>) -> Self {
+    fn new(
+        types: usize,
+        price_last: f64,
+        prefixes: Vec<usize>,
+        runs: Vec<Run>,
+        bounds: Vec<f64>,
+    ) -> Self {
         assert!(
             bounds.len() < 2 || !bounds.iter().any(|b| b.is_nan()),
             "finite bounds"
@@ -596,9 +674,10 @@ impl ScoredSpace {
         let top = top_ranked(&bounds, TOP_CANDIDATES);
         Self {
             types,
-            counts,
+            price_last,
+            prefixes,
+            runs,
             bounds,
-            costs,
             top,
         }
     }
@@ -613,11 +692,6 @@ impl ScoredSpace {
         self.bounds.is_empty()
     }
 
-    /// Entry `i`'s per-type counts.
-    pub fn counts(&self, i: usize) -> &[usize] {
-        &self.counts[i * self.types..(i + 1) * self.types]
-    }
-
     /// Entry `i`'s throughput upper bound.
     pub fn bound(&self, i: usize) -> f64 {
         self.bounds[i]
@@ -625,12 +699,17 @@ impl ScoredSpace {
 
     /// Entry `i`'s hourly cost.
     pub fn cost(&self, i: usize) -> f64 {
-        self.costs[i]
+        let (r, last) = self.locate(i);
+        self.runs[r].spent + self.price_last * last as f64
     }
 
     /// Entry `i` as a [`Config`].
     pub fn config(&self, i: usize) -> Config {
-        Config::new(self.counts(i).to_vec())
+        let (r, last) = self.locate(i);
+        let mut counts = Vec::with_capacity(self.types);
+        counts.extend_from_slice(self.prefix(r));
+        counts.push(last);
+        Config::new(counts)
     }
 
     /// The first (up to) [`TOP_CANDIDATES`] entries in ranked order.
@@ -656,24 +735,39 @@ impl ScoredSpace {
     }
 
     /// The upper bound of `config` if it is in the space, else `0.0`.
+    /// One comparison per run.
     pub fn bound_of(&self, config: &Config) -> f64 {
         let target = config.counts();
         if target.len() != self.types {
             return 0.0;
         }
-        self.counts
-            .chunks_exact(self.types)
-            .position(|counts| counts == target)
-            .map_or(0.0, |i| self.bounds[i])
+        let (&last, prefix) = target.split_last().expect("a configuration is non-empty");
+        (0..self.runs.len())
+            .find(|&r| self.prefix(r) == prefix)
+            .and_then(|r| {
+                let run = self.runs[r];
+                let entries = run.start..self.run_end(r);
+                let i = run.start + last.checked_sub(run.first)?;
+                entries.contains(&i).then(|| self.bounds[i])
+            })
+            .unwrap_or(0.0)
     }
 
     /// The first entry in ranked order whose counts pass `filter`.
     pub fn best(&self, filter: impl Fn(&[usize]) -> bool) -> Option<usize> {
         let mut best: Option<(u64, usize)> = None;
-        for i in 0..self.len() {
-            let key = descending_key(self.bounds[i]);
-            if best.is_none_or(|(best_key, _)| key < best_key) && filter(self.counts(i)) {
-                best = Some((key, i));
+        let mut counts = vec![0; self.types];
+        for r in 0..self.runs.len() {
+            let run = self.runs[r];
+            counts[..self.types - 1].copy_from_slice(self.prefix(r));
+            for i in run.start..self.run_end(r) {
+                let key = descending_key(self.bounds[i]);
+                if best.is_none_or(|(best_key, _)| key < best_key) {
+                    counts[self.types - 1] = run.first + (i - run.start);
+                    if filter(&counts) {
+                        best = Some((key, i));
+                    }
+                }
             }
         }
         best.map(|(_, i)| i)
@@ -696,50 +790,94 @@ impl ScoredSpace {
         required: f64,
         filter: impl Fn(&[usize]) -> bool,
     ) -> Option<usize> {
-        let mut best: Option<usize> = None;
-        for i in 0..self.len() {
-            if !(self.bounds[i] >= required && filter(self.counts(i))) {
-                continue;
-            }
-            let Some(b) = best else {
-                best = Some(i);
-                continue;
-            };
-            let order = self.costs[b]
-                .partial_cmp(&self.costs[i])
-                .expect("finite costs")
-                .then(
-                    self.bounds[i]
-                        .partial_cmp(&self.bounds[b])
-                        .expect("finite bounds"),
-                );
-            if order == std::cmp::Ordering::Greater {
-                best = Some(i);
+        // The incumbent: its index, cost and bound.
+        let mut best: Option<(usize, f64, f64)> = None;
+        let mut counts = vec![0; self.types];
+        for r in 0..self.runs.len() {
+            let run = self.runs[r];
+            counts[..self.types - 1].copy_from_slice(self.prefix(r));
+            for i in run.start..self.run_end(r) {
+                let bound = self.bounds[i];
+                let covers = bound >= required;
+                if !covers {
+                    continue;
+                }
+                let last = run.first + (i - run.start);
+                counts[self.types - 1] = last;
+                if !filter(&counts) {
+                    continue;
+                }
+                let cost = run.spent + self.price_last * last as f64;
+                let Some((_, best_cost, best_bound)) = best else {
+                    best = Some((i, cost, bound));
+                    continue;
+                };
+                let order = best_cost
+                    .partial_cmp(&cost)
+                    .expect("finite costs")
+                    .then(bound.partial_cmp(&best_bound).expect("finite bounds"));
+                if order == std::cmp::Ordering::Greater {
+                    best = Some((i, cost, bound));
+                }
             }
         }
-        best
+        best.map(|(i, _, _)| i)
     }
 
     /// The whole space ranked by bound (descending, ties in enumeration
     /// order), each [`Config`] built once in ranked order.
+    ///
+    /// Each entry's run is found by one linear pass over the runs in
+    /// enumeration order, not by a search per entry.
     pub fn ranked(self) -> Vec<(Config, f64)> {
         let Self {
             types,
-            counts,
+            prefixes,
+            runs,
             bounds,
-            costs,
             top,
+            ..
         } = self;
         // Free what the ranking does not read before it allocates.
-        drop((costs, top));
+        drop(top);
+        // Each entry's run, filled linearly in enumeration order.
+        let mut run_of: Vec<u32> = Vec::with_capacity(bounds.len());
+        for r in 0..runs.len() {
+            let end = runs.get(r + 1).map_or(bounds.len(), |next| next.start);
+            run_of.resize(end, u32::try_from(r).expect("fewer than 2^32 runs"));
+        }
+        let width = types - 1;
         ranked_order(&bounds)
             .map(|i| {
-                (
-                    Config::new(counts[i * types..(i + 1) * types].to_vec()),
-                    bounds[i],
-                )
+                let r = run_of[i] as usize;
+                let run = runs[r];
+                let mut counts = Vec::with_capacity(types);
+                counts.extend_from_slice(&prefixes[r * width..(r + 1) * width]);
+                counts.push(run.first + (i - run.start));
+                (Config::new(counts), bounds[i])
             })
             .collect()
+    }
+
+    /// Run `r`'s prefix counts.
+    fn prefix(&self, r: usize) -> &[usize] {
+        let width = self.types - 1;
+        &self.prefixes[r * width..(r + 1) * width]
+    }
+
+    /// One past run `r`'s last entry.
+    fn run_end(&self, r: usize) -> usize {
+        self.runs
+            .get(r + 1)
+            .map_or(self.bounds.len(), |next| next.start)
+    }
+
+    /// Entry `i`'s run and last-type count.
+    fn locate(&self, i: usize) -> (usize, usize) {
+        assert!(i < self.len(), "entry {i} of a space of {}", self.len());
+        let r = self.runs.partition_point(|run| run.start <= i) - 1;
+        let run = self.runs[r];
+        (r, run.first + (i - run.start))
     }
 }
 
@@ -794,9 +932,15 @@ fn descending_key(bound: f64) -> u64 {
 }
 
 #[cfg(test)]
+#[path = "../tests/common/flat_space.rs"]
+mod flat_space;
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use kairos_models::{calibration::paper_calibration, ec2};
+    use kairos_workload::BatchSizeDistribution;
+    use rand::{rngs::StdRng, Rng, SeedableRng};
 
     /// Fig. 7, Scenario 1: the base instance is the bottleneck.
     #[test]
@@ -966,9 +1110,6 @@ mod tests {
 
     #[test]
     fn one_pass_cutoff_stats_equal_per_filter_means_bit_for_bit() {
-        use kairos_workload::BatchSizeDistribution;
-        use rand::{rngs::StdRng, SeedableRng};
-
         let pool = PoolSpec::new(ec2::paper_pool());
         let table = paper_calibration();
         let base = pool.base_index();
@@ -1075,16 +1216,20 @@ mod tests {
         }
     }
 
-    /// The message `f` panics with, if it panics.
-    fn panic_message(f: impl FnOnce()) -> Option<String> {
-        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).err()?;
-        Some(
+    /// `f`'s value, or the message it panics with.
+    fn caught<T>(f: impl FnOnce() -> T) -> Result<T, String> {
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).map_err(|payload| {
             payload
                 .downcast_ref::<String>()
                 .cloned()
                 .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
-                .unwrap_or_default(),
-        )
+                .unwrap_or_default()
+        })
+    }
+
+    /// The message `f` panics with, if it panics.
+    fn panic_message(f: impl FnOnce()) -> Option<String> {
+        caught(f).err()
     }
 
     #[test]
@@ -1129,10 +1274,199 @@ mod tests {
         );
     }
 
+    /// A random pool of 1–6 types: the paper's base type re-priced, then
+    /// auxiliary types from the paper's three (some repeated verbatim, some
+    /// re-priced to an earlier type's price), with the base type moved to a
+    /// random index, last included.
+    fn random_pool(rng: &mut StdRng, types: usize) -> PoolSpec {
+        let mut base = ec2::g4dn_xlarge();
+        base.price_per_hour *= rng.gen_range(0.6..1.4);
+        let palette = [ec2::c5n_2xlarge(), ec2::r5n_large(), ec2::t3_xlarge()];
+        let mut pool = vec![base];
+        while pool.len() < types {
+            let roll = rng.gen_range(0..10u32);
+            let next = if roll < 2 && pool.len() > 1 {
+                pool[rng.gen_range(1..pool.len())].clone()
+            } else {
+                let mut t = palette[rng.gen_range(0..palette.len())].clone();
+                t.price_per_hour = if roll < 4 {
+                    pool[rng.gen_range(0..pool.len())].price_per_hour
+                } else {
+                    t.price_per_hour * rng.gen_range(0.7..1.3)
+                };
+                t
+            };
+            pool.push(next);
+        }
+        let base = pool.remove(0);
+        pool.insert(rng.gen_range(0..=pool.len()), base);
+        PoolSpec::new(pool)
+    }
+
+    /// Number of configurations `budget` affords on `pool`.
+    fn affordable(pool: &PoolSpec, budget: f64) -> usize {
+        let mut count = 0;
+        for_each_affordable(
+            pool,
+            &EnumerationOptions::with_budget(budget),
+            (),
+            |_, _, _, _| {},
+            |_, _, lasts, _| count += lasts.len(),
+        );
+        count
+    }
+
+    /// `est` with one cutoff statistic replaced by a value an input check
+    /// rejects, which makes that slot unclean.
+    fn corrupt(rng: &mut StdRng, est: &mut ThroughputEstimator) {
+        if est.cutoff_stats.is_empty() {
+            return;
+        }
+        let slot = rng.gen_range(0..est.cutoff_stats.len());
+        let bad = if rng.gen_bool(0.5) { -1.0 } else { f64::NAN };
+        let aux: Vec<usize> = (0..est.pool.num_types())
+            .filter(|&i| est.stats_index[i].is_some())
+            .collect();
+        let stats = &mut est.cutoff_stats[slot];
+        match rng.gen_range(0..3u32) {
+            0 => stats.q_base_splus = bad,
+            1 => stats.fraction_small = 1.5,
+            _ => stats.aux_qps[aux[rng.gen_range(0..aux.len())]] = bad,
+        }
+    }
+
+    /// `(config, bound bits, cost bits)` of an entry of either space.
+    type Entry = (Config, u64, u64);
+
+    /// A filter over per-type counts, as the serving loop applies them.
+    type Filter<'a> = dyn Fn(&[usize]) -> bool + 'a;
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(96))]
+
+        /// The run-length space against the flat one (each bound from
+        /// `estimate_counts`, per leaf): the same entries, top, scans and
+        /// panics, on random 1–6-type pools with the base type anywhere,
+        /// budgets a few ulps under a price multiple, and unclean slots.
+        #[test]
+        fn run_length_space_matches_the_flat_space(
+            seed in 0u64..u64::MAX,
+            types in 1usize..=6,
+            log_factor in 0.0f64..2.0,
+            budget_shape in 0u32..3,
+            shape in 0u32..4,
+        ) {
+            use crate::upper_bound::flat_space::FlatSpace;
+            use proptest::prelude::*;
+
+            let mut rng = StdRng::seed_from_u64(seed);
+            let pool = random_pool(&mut rng, types);
+            let model = ModelKind::ALL[rng.gen_range(0..ModelKind::ALL.len())];
+            let sample: Vec<u32> = match shape {
+                0 => BatchSizeDistribution::production_default().sample_many(&mut rng, 300),
+                1 => vec![rng.gen_range(1..=1000); 50],
+                2 => (0..50).map(|_| rng.gen_range(990..=1000)).collect(),
+                _ => (0..50).map(|_| rng.gen_range(1..=2)).collect(),
+            };
+            let mut est = ThroughputEstimator::new(pool.clone(), model, paper_calibration(), sample);
+            if rng.gen_bool(0.3) {
+                corrupt(&mut rng, &mut est);
+            }
+            let mut budget = pool.base_type().price_per_hour * log_factor.exp();
+            while affordable(&pool, budget) > 20_000 {
+                budget *= 0.85;
+            }
+            if budget_shape > 0 {
+                // `k` instances of one type's price, a few ulps under.
+                let price = pool.price(rng.gen_range(0..types));
+                let k = ((budget / price).floor() as u64).max(1);
+                budget = f64::from_bits((k as f64 * price).to_bits() - rng.gen_range(0..4u64));
+            }
+            let options = EnumerationOptions::with_budget(budget);
+
+            let runs = caught(|| est.score_affordable(&options));
+            let flat = caught(|| {
+                FlatSpace::score(&pool, &options, |c| est.estimate_counts(c), TOP_CANDIDATES)
+            });
+            let (space, flat) = match (runs, flat) {
+                (Ok(space), Ok(flat)) => (space, flat),
+                (runs, flat) => {
+                    prop_assert_eq!(runs.err(), flat.err());
+                    return Ok(());
+                }
+            };
+
+            let entry = |i: usize| -> Entry {
+                (space.config(i), space.bound(i).to_bits(), space.cost(i).to_bits())
+            };
+            let flat_entry = |i: usize| -> Entry {
+                (flat.config(i), flat.bound(i).to_bits(), flat.cost(i).to_bits())
+            };
+            prop_assert_eq!(space.len(), flat.len());
+            for i in 0..flat.len() {
+                prop_assert_eq!(entry(i), flat_entry(i));
+            }
+            prop_assert_eq!(space.top(), flat.top());
+
+            let caps: Vec<usize> = (0..types).map(|_| rng.gen_range(0..4)).collect();
+            let filters: [&Filter<'_>; 3] = [
+                &|_| true,
+                &|counts| counts.iter().zip(&caps).all(|(&n, &cap)| n <= cap),
+                &|_| false,
+            ];
+            let mut demands = vec![-1.0, 0.0, f64::INFINITY];
+            if flat.len() > 0 {
+                for _ in 0..8 {
+                    let a = flat.bound(rng.gen_range(0..flat.len()));
+                    let b = flat.bound(rng.gen_range(0..flat.len()));
+                    demands.extend([a, 0.5 * (a + b)]);
+                }
+            }
+            for filter in filters {
+                prop_assert_eq!(space.best(filter).map(entry), flat.best(filter).map(flat_entry));
+                for &required in &demands {
+                    prop_assert_eq!(
+                        space.cheapest_covering(required, filter).map(entry),
+                        flat.cheapest_covering(required, filter).map(flat_entry)
+                    );
+                }
+            }
+
+            // The wrong width, and the all-zero configuration.
+            let mut configs = vec![Config::new(vec![1; types + 1]), Config::zeros(types)];
+            if flat.len() > 0 {
+                for _ in 0..4 {
+                    let inside = flat.config(rng.gen_range(0..flat.len()));
+                    // Every price is above 0.05 $/hr: over the budget.
+                    let mut outside = inside.counts().to_vec();
+                    outside[rng.gen_range(0..types)] += (budget / 0.05) as usize;
+                    configs.extend([inside.clone(), Config::new(outside)]);
+                    // The entry's prefix with other last-type counts:
+                    // none (below a run that starts at one when the base
+                    // type is last), and one or two more (inside the run
+                    // or past its end).
+                    for last in [0, inside.count(types - 1) + 1, inside.count(types - 1) + 2] {
+                        let mut near = inside.counts().to_vec();
+                        near[types - 1] = last;
+                        configs.push(Config::new(near));
+                    }
+                }
+            }
+            for config in &configs {
+                prop_assert_eq!(space.bound_of(config).to_bits(), flat.bound_of(config).to_bits());
+            }
+        }
+    }
+
     #[test]
     #[should_panic(expected = "finite bounds")]
     fn scored_space_rejects_nan() {
-        let _ = ScoredSpace::new(1, vec![1, 2], vec![1.0, f64::NAN], vec![1.0, 2.0]);
+        let run = Run {
+            start: 0,
+            first: 1,
+            spent: 0.0,
+        };
+        let _ = ScoredSpace::new(1, 1.0, vec![], vec![run], vec![1.0, f64::NAN]);
     }
 
     #[test]

@@ -99,7 +99,7 @@ pub fn affordable(pool: &PoolSpec, budget: f64) -> usize {
         &EnumerationOptions::with_budget(budget),
         (),
         |_, _, _, _| {},
-        |_, _, _| count += 1,
+        |_, _, lasts, _| count += lasts.len(),
     );
     count
 }

@@ -207,7 +207,7 @@ proptest! {
         let configs = enumerate_configs(&pool, &EnumerationOptions::with_budget(budget));
         prop_assert_eq!(space.len(), configs.len());
         for (i, config) in configs.iter().enumerate() {
-            prop_assert_eq!(space.counts(i), config.counts());
+            prop_assert_eq!(&space.config(i), config);
             prop_assert_eq!(space.cost(i).to_bits(), config.cost(&pool).to_bits());
         }
 

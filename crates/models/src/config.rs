@@ -8,11 +8,18 @@
 //! puts the paper's search space on the order of 1000 configurations; the
 //! space grows steeply with the budget (on the paper pool, 331
 //! configurations at 2.5 $/hr and about 86k at 10.3 $/hr).
+//!
+//! [`for_each_affordable`] is the one walk over that space.  It hands the
+//! configurations over in *runs*: one per choice of counts for every type
+//! but the last, with the range of last-type counts that fit after it (16
+//! per run on average on the paper pool at 10.3 $/hr), so a scorer's
+//! innermost loop is a straight loop over one count.
 
 use crate::instance::InstanceType;
 use crate::market::Market;
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::ops::Range;
 
 /// An ordered set of instance types forming the heterogeneous pool.
 ///
@@ -237,8 +244,8 @@ impl EnumerationOptions {
 /// The enumeration is exhaustive over the axis-aligned box bounded by
 /// `floor(budget / price_i)` per type, filtered by total cost; this is the
 /// same search space the paper's exhaustive offline search covers.  A
-/// collect over [`for_each_affordable`], so the order is its lexicographic
-/// walk order.
+/// collect over [`for_each_affordable`]'s runs, each expanded in place, so
+/// the order is its lexicographic walk order.
 pub fn enumerate_configs(pool: &PoolSpec, options: &EnumerationOptions) -> Vec<Config> {
     let mut out = Vec::new();
     for_each_affordable(
@@ -246,33 +253,46 @@ pub fn enumerate_configs(pool: &PoolSpec, options: &EnumerationOptions) -> Vec<C
         options,
         (),
         |_, _, _, _| {},
-        |counts, _, _| out.push(Config::new(counts.to_vec())),
+        |prefix, _, lasts, _| {
+            out.extend(lasts.map(|last| {
+                let mut counts = Vec::with_capacity(prefix.len() + 1);
+                counts.extend_from_slice(prefix);
+                counts.push(last);
+                Config::new(counts)
+            }))
+        },
     );
     out
 }
 
 /// Visits every configuration [`enumerate_configs`] returns, in the same
-/// (lexicographic) order, as a borrowed count vector with its hourly cost,
-/// carrying a caller-defined state down the walk.  This is the one place
-/// the affordable space is defined; every enumerator and scorer walks it.
+/// (lexicographic) order, one *run* at a time, carrying a caller-defined
+/// state down the walk.  This is the one place the affordable space is
+/// defined; every enumerator and scorer walks it.
 ///
 /// The walk recurses over the types in pool order.  Type `i`'s count runs
 /// upwards to its cap `floor(budget / price_i)` and breaks as soon as the
 /// running cost `spent + price_i·count` exceeds the budget (`+1e-9`
 /// slack).  The base type's count starts at one, so the walk never enters
-/// a subtree without a base instance.  The cost handed to `visit` is that
-/// running cost: pool order, one multiply per type, so it has the bits of
-/// [`Config::cost`].
+/// a subtree without a base instance.
 ///
-/// The state is the caller's fold over a prefix of the configuration.
-/// Every type but the last extends it: before the walk descends past type
-/// `i` at count `c`, `fold(parent, child, i, c)` writes into `child` the
-/// state of the prefix `parent` describes extended by `c` instances of
-/// type `i` (the walk keeps one state per level, so `child` is scratch it
-/// overwrites).  `visit(counts, cost, prefix)` then receives the state of
-/// every type but the last; a leaf reads the last count off `counts`, so
-/// per-leaf work stays independent of the pool's width.  `root` is the
-/// empty prefix's state.
+/// A run is one *prefix* (a fixed count for every type but the last) with
+/// every last-type count the same cap and break admit after it.
+/// `visit(prefix, spent, lasts, state)` receives the prefix's counts (one
+/// per type but the last), its running cost `spent`, and the non-empty,
+/// ascending range `lasts` of last-type counts; the range starts at one
+/// when the base type is last, else at zero.  A prefix that admits no
+/// last-type count is not visited.  The configuration `(prefix, c)` for
+/// `c` in `lasts` costs `spent + price_last·c`: pool order, one multiply
+/// per type, so it has the bits of [`Config::cost`].
+///
+/// The state is the caller's fold over the prefix.  Before the walk
+/// descends past type `i` at count `c`, `fold(parent, child, i, c)` writes
+/// into `child` the state of the prefix `parent` describes extended by `c`
+/// instances of type `i` (the walk keeps one state per level, so `child`
+/// is scratch it overwrites).  `visit` receives the state of the whole
+/// prefix; per-configuration work reads only the last count, so it stays
+/// independent of the pool's width.  `root` is the empty prefix's state.
 ///
 /// # Panics
 /// Panics with "price must be positive" when a type's price is zero,
@@ -282,13 +302,14 @@ pub fn for_each_affordable<S: Clone>(
     options: &EnumerationOptions,
     root: S,
     fold: impl FnMut(&S, &mut S, usize, usize),
-    visit: impl FnMut(&[usize], f64, &S),
+    visit: impl FnMut(&[usize], f64, Range<usize>, &S),
 ) {
     struct Walk<S, Fold, Visit> {
         prices: Vec<f64>,
         caps: Vec<usize>,
         base: usize,
         limit: f64,
+        /// The prefix's counts, one per type but the last.
         counts: Vec<usize>,
         /// `states[i]` is the fold over types `0..i` of `counts`.
         states: Vec<S>,
@@ -299,25 +320,34 @@ pub fn for_each_affordable<S: Clone>(
     impl<S, Fold, Visit> Walk<S, Fold, Visit>
     where
         Fold: FnMut(&S, &mut S, usize, usize),
-        Visit: FnMut(&[usize], f64, &S),
+        Visit: FnMut(&[usize], f64, Range<usize>, &S),
     {
         fn recurse(&mut self, dim: usize, spent: f64) {
             let price = self.prices[dim];
             let first = usize::from(dim == self.base);
-            let last = dim + 1 == self.prices.len();
+            if dim == self.counts.len() {
+                // The last type: the counts the cap and the break admit.
+                let mut end = first;
+                while end <= self.caps[dim] {
+                    if spent + price * end as f64 > self.limit {
+                        break;
+                    }
+                    end += 1;
+                }
+                if end > first {
+                    (self.visit)(&self.counts, spent, first..end, &self.states[dim]);
+                }
+                return;
+            }
             for count in first..=self.caps[dim] {
                 let cost = spent + price * count as f64;
                 if cost > self.limit {
                     break;
                 }
                 self.counts[dim] = count;
-                if last {
-                    (self.visit)(&self.counts, cost, &self.states[dim]);
-                } else {
-                    let (prefix, rest) = self.states.split_at_mut(dim + 1);
-                    (self.fold)(&prefix[dim], &mut rest[0], dim, count);
-                    self.recurse(dim + 1, cost);
-                }
+                let (prefix, rest) = self.states.split_at_mut(dim + 1);
+                (self.fold)(&prefix[dim], &mut rest[0], dim, count);
+                self.recurse(dim + 1, cost);
             }
             self.counts[dim] = 0;
         }
@@ -338,7 +368,7 @@ pub fn for_each_affordable<S: Clone>(
         prices,
         base: pool.base_index(),
         limit: budget + 1e-9,
-        counts: vec![0; n],
+        counts: vec![0; n - 1],
         states: vec![root; n],
         fold,
         visit,

@@ -9,6 +9,11 @@ use kairos_models::{
     predictor::OnlinePredictor,
 };
 use proptest::prelude::*;
+use std::ops::Range;
+
+/// A run as the walk hands it over: prefix, fold state, prefix cost and
+/// last-type counts.
+type WalkRun = (Vec<usize>, Vec<usize>, f64, Range<usize>);
 
 fn paper_pool() -> PoolSpec {
     PoolSpec::new(ec2::paper_pool())
@@ -135,7 +140,7 @@ proptest! {
             factor
         };
 
-        let mut walked: Vec<(Vec<usize>, u64)> = Vec::new();
+        let mut runs: Vec<WalkRun> = Vec::new();
         for_each_affordable(
             &pool,
             &EnumerationOptions::with_budget(budget),
@@ -145,17 +150,42 @@ proptest! {
                 child.clone_from(parent);
                 child.push(count);
             },
-            |counts, cost, prefix| {
-                assert_eq!(prefix.as_slice(), &counts[..counts.len() - 1]);
-                walked.push((counts.to_vec(), cost.to_bits()));
+            |prefix, spent, lasts, state| {
+                runs.push((prefix.to_vec(), state.clone(), spent, lasts));
             },
         );
+        let last = prices.len() - 1;
+        let first = usize::from(base == last);
+        for (prefix, state, _, lasts) in &runs {
+            prop_assert_eq!(prefix.len(), last);
+            prop_assert_eq!(state, prefix);
+            prop_assert!(!lasts.is_empty(), "a run is never empty");
+            prop_assert_eq!(lasts.start, first);
+        }
+        prop_assert!(
+            runs.windows(2).all(|w| w[0].0 < w[1].0),
+            "one run per prefix, in lexicographic order"
+        );
+        let price_last = prices[last];
+        let walked: Vec<(Vec<usize>, u64)> = runs
+            .iter()
+            .flat_map(|(prefix, _, spent, lasts)| {
+                lasts.clone().map(move |c| {
+                    let mut counts = prefix.clone();
+                    counts.push(c);
+                    (counts, (spent + price_last * c as f64).to_bits())
+                })
+            })
+            .collect();
         let expected: Vec<(Vec<usize>, u64)> = box_filter(&pool, budget)
             .into_iter()
             .map(|c| (c.counts().to_vec(), c.cost(&pool).to_bits()))
             .collect();
         prop_assert_eq!(&walked, &expected);
-        prop_assert!(walked.windows(2).all(|w| w[0].0 < w[1].0));
+        prop_assert_eq!(
+            enumerate_configs(&pool, &EnumerationOptions::with_budget(budget)),
+            box_filter(&pool, budget)
+        );
     }
 
     #[test]
