@@ -426,6 +426,11 @@ fn bench_rank_configs_variants(c: &mut Criterion) {
 /// `rm2_budget_10_replan` times the serving loop's miss: the same walk into
 /// the unsorted scored space, selection from its bounded top-k, then the
 /// cheapest-covering scan at a mid-space demand and the bound lookup of the
+/// deployed configuration.  `planner_warm/rm2_budget_10_miss` times that
+/// walk into warm buffers through a `PlanCache`, and
+/// `planner_warm/rm2_budget_10_scans` the scans alone on the scored space:
+/// the cheapest covering entry at a mid-space demand, the top entry under a
+/// count filter (as when nothing realizable covers) and the bound of the
 /// deployed configuration.
 fn bench_planner_cold(c: &mut Criterion) {
     use kairos_core::{KairosController, PlanCache};
@@ -453,10 +458,8 @@ fn bench_planner_cold(c: &mut Criterion) {
     // The serving loop's miss: the scored space (no ranking), the cheapest
     // configuration covering a mid-space demand, and the bound of the
     // deployment it would replace.
-    let (required, current) = {
-        let scored = controller.scored_plan(10.3).expect("priors allow a plan");
-        (scored.space.best_bound() / 2.0, scored.chosen)
-    };
+    let scored = controller.scored_plan(10.3).expect("priors allow a plan");
+    let (required, current) = (scored.space.best_bound() / 2.0, scored.chosen.clone());
 
     let mut group = c.benchmark_group("planner_cold");
     group.sample_size(10);
@@ -490,6 +493,14 @@ fn bench_planner_cold(c: &mut Criterion) {
                 .plan(&controller, black_box(budgets[turn]))
                 .expect("priors allow a plan");
             black_box(plan.space.len())
+        })
+    });
+    let space = &scored.space;
+    group.bench_function("rm2_budget_10_scans", |b| {
+        b.iter(|| {
+            let covering = space.cheapest_covering(black_box(required), |_| true);
+            let capped = space.best(|counts| counts[0] <= black_box(2));
+            black_box((covering, capped, space.bound_of(black_box(&current))))
         })
     });
     group.finish();
@@ -576,7 +587,9 @@ fn bench_allowable_throughput_probe(c: &mut Criterion) {
 /// types, one of which has a single observed batch size (no latency fit, so
 /// its pairs take the cold-start override).  This is the round that
 /// dominates an overload burst, where queries outnumber instances and the
-/// cost buffer is laid out instance-major.
+/// cost buffer is laid out instance-major.  `three_lane_fleet_mix` is the
+/// multi-model round of the `fleet_mix` benchmark: three lanes over one
+/// fleet's views, a short mixed queue.
 fn bench_kairos_round(c: &mut Criterion) {
     use kairos_core::KairosScheduler;
     use kairos_sim::{idle_order, Dispatch, InstanceView, SchedulingContext};
@@ -662,6 +675,68 @@ fn bench_kairos_round(c: &mut Criterion) {
         b.iter(|| {
             out.clear();
             kairos.schedule_into(black_box(&ctx), &mut out);
+            black_box(out.len())
+        })
+    });
+
+    // A `fleet_mix` round: NCF / RM2 / WND lanes with paper priors over 26
+    // instances of the paper pool, the lanes' instances interleaved and
+    // two of them draining, and the few queued queries that round sees
+    // (its median queue is one, its 99th percentile four).
+    let models = [ModelKind::Ncf, ModelKind::Rm2, ModelKind::Wnd];
+    let mut multi = kairos_core::MultiScheduler::new(
+        models
+            .iter()
+            .map(|&m| KairosScheduler::with_priors(m, &latency))
+            .collect(),
+    );
+    multi.bind_types(&names);
+    let views: Vec<InstanceView> = (0..26usize)
+        .map(|instance_index| {
+            let type_index = [0, 2, 1, 3, 2][instance_index % 5];
+            let busy = instance_index % 3 == 0;
+            InstanceView {
+                instance_index,
+                type_index,
+                type_name: names[type_index].clone(),
+                model: ModelId::new([0, 2, 1, 0, 2, 1, 2][instance_index % 7]),
+                is_base: type_index == 0,
+                accepting: instance_index % 11 != 7,
+                free_at_us: if busy {
+                    now_us + 1_500 * instance_index as u64
+                } else {
+                    now_us
+                },
+                backlog: usize::from(busy),
+            }
+        })
+        .collect();
+    let queued: Vec<Query> = [0usize, 2, 1, 0]
+        .iter()
+        .enumerate()
+        .map(|(id, &m)| {
+            Query::for_model(
+                id as u64,
+                ModelId::new(m),
+                mix.sample(&mut rng),
+                now_us - rng.gen_range(0..4_000u64),
+            )
+        })
+        .collect();
+    let qos_by_model: Vec<u64> = models.iter().map(|m| m.qos_us()).collect();
+    let idle = idle_order(&views);
+    let ctx = SchedulingContext {
+        now_us,
+        queued: &queued,
+        instances: &views,
+        idle: &idle,
+        qos_us: model.qos_us(),
+        qos_by_model: &qos_by_model,
+    };
+    group.bench_function("three_lane_fleet_mix", |b| {
+        b.iter(|| {
+            out.clear();
+            multi.schedule_into(black_box(&ctx), &mut out);
             black_box(out.len())
         })
     });

@@ -9,7 +9,10 @@
 //!
 //! This module implements that policy against the [`kairos_sim::Scheduler`]
 //! interface so it can be dropped into the discrete-event engine alongside the
-//! baselines.
+//! baselines.  A scheduler matches the instances of one model, its lane: in
+//! a multi-model cluster every lane of a
+//! [`MultiScheduler`](crate::MultiScheduler) reads the same views and
+//! passes over the other models' instances.
 //!
 //! # The round's hot path
 //!
@@ -25,7 +28,8 @@
 //! the instance-major layout the solver runs one augmentation per instance,
 //! and each touches only the rows and columns it visits
 //! ([`kairos_assignment::jv`]).  All buffers live in the scheduler and are
-//! reused, so a steady-state round allocates nothing.  The round is
+//! reused, so a steady-state round allocates nothing; they are sized by the
+//! lane's own queue and columns, not by the fleet.  The round is
 //! bit-identical to assembling the per-pair matrices the round was first
 //! written with and solving them with [`kairos_assignment::jv::solve_jv`];
 //! the `proptest_kairos_round` test keeps that assembly as its oracle
@@ -51,8 +55,15 @@ pub const DEFAULT_XI: f64 = 0.98;
 pub const QOS_PENALTY_FACTOR: f64 = 10.0;
 
 /// The Kairos matching-based query distributor.
+///
+/// A scheduler serves one model, its *lane* ([`ModelId::DEFAULT`] unless a
+/// [`MultiScheduler`](crate::MultiScheduler) assigns another): a round
+/// matches the queued queries against the accepting instances bound to
+/// that model and passes over every other view.
 #[derive(Debug, Clone)]
 pub struct KairosScheduler {
+    /// The model whose instances this scheduler matches against.
+    model: ModelId,
     /// Online latency predictors, one per instance type.
     predictors: PredictorBank,
     /// Interned pool type names indexed by type index (from
@@ -107,6 +118,16 @@ struct RoundScratch {
 }
 
 impl RoundScratch {
+    /// Drops every buffer the round sizes by its queue, keeping the
+    /// columns just collected.
+    fn release_matrices(&mut self) {
+        *self = Self {
+            slot_view: std::mem::take(&mut self.slot_view),
+            columns: std::mem::take(&mut self.columns),
+            ..Self::default()
+        };
+    }
+
     /// Writes the cost and feasibility of every (query, column) pair:
     /// `[query][column]` when `QUERY_MAJOR`, `[column][query]` otherwise.
     /// The layout is a const parameter so the stride of a column's cells is
@@ -148,6 +169,7 @@ impl KairosScheduler {
     /// entirely online, as in the paper's evaluation.
     pub fn new() -> Self {
         Self {
+            model: ModelId::DEFAULT,
             predictors: PredictorBank::new(),
             type_names: Vec::new(),
             xi: DEFAULT_XI,
@@ -185,6 +207,12 @@ impl KairosScheduler {
         self
     }
 
+    /// This scheduler as the lane of `model` in a multi-model cluster.
+    pub(crate) fn for_lane(mut self, model: ModelId) -> Self {
+        self.model = model;
+        self
+    }
+
     /// Number of matching rounds performed so far.
     pub fn rounds(&self) -> u64 {
         self.rounds
@@ -212,22 +240,18 @@ impl Scheduler for KairosScheduler {
             return;
         }
         let r = &mut self.round;
-        // Buffers grown for a burst are dropped once a round needs under a
-        // quarter of them, so the scheduler does not keep memory sized for
-        // its deepest queue; between such drops rounds allocate nothing.
-        if r.cost.capacity() > 4 * ctx.queued.len() * ctx.instances.len() {
-            *r = RoundScratch::default();
-        }
 
-        // Columns: the accepting instances.  Draining and retired instances
-        // take no new work and stay out of the matching entirely (the engine
-        // would reject such dispatches).  The base type's slot anchors the
-        // coefficients; without it the first type present does.
+        // Columns: the lane's accepting instances, in view order.  Other
+        // models' instances are not this lane's to match; draining and
+        // retired instances take no new work and stay out of the matching
+        // entirely (the engine would reject such dispatches).  The base
+        // type's slot anchors the coefficients; without it the first type
+        // present does.
         r.columns.clear();
         r.slot_view.clear();
         let mut base_slot = 0;
         for (view, inst) in ctx.instances.iter().enumerate() {
-            if !inst.accepting {
+            if inst.model != self.model || !inst.accepting {
                 continue;
             }
             let known = r
@@ -253,6 +277,14 @@ impl Scheduler for KairosScheduler {
         self.rounds += 1;
         let qos_ms = ctx.qos_us as f64 / 1000.0;
         let (m, n) = (ctx.queued.len(), r.columns.len());
+        // Buffers grown for a burst are dropped once a round needs under a
+        // quarter of them, so the scheduler does not keep memory sized for
+        // its deepest queue; between such drops rounds allocate nothing.
+        // The round's size is its own queue by its own columns, however
+        // many views the fleet holds.
+        if r.cost.capacity() > 4 * m * n {
+            r.release_matrices();
+        }
 
         r.waited_ms.clear();
         r.waited_ms.extend(

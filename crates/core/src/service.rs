@@ -41,8 +41,10 @@
 //! * **Scheduling** ([`MultiScheduler`]) — queries are partitioned by model
 //!   each round and matched by per-model Kairos min-cost matchings against
 //!   the instances bound to that model; the engine enforces the binding.
-//!   With one lane the partition is the identity, and the round goes
-//!   straight to the lane's matching.
+//!   Every lane reads the round's one view list and passes over other
+//!   models' views itself, so no view is copied per lane.  With one lane
+//!   the partition is the identity, and the round goes straight to the
+//!   lane's matching.
 //!
 //! [`InferenceService::run`] drives the serving control loop over every
 //! lane; [`ServingSystem`](crate::ServingSystem) is the facade's one-lane
@@ -63,8 +65,7 @@ use kairos_models::{
     PoolSpec, VariantCatalog,
 };
 use kairos_sim::{
-    ClusterSpec, Dispatch, InstanceView, ModelReport, Scheduler, SchedulingContext, ServiceSpec,
-    SimReport,
+    ClusterSpec, Dispatch, ModelReport, Scheduler, SchedulingContext, ServiceSpec, SimReport,
 };
 use kairos_workload::{MixSpec, ModelId, Query, Trace};
 use rand::rngs::StdRng;
@@ -77,23 +78,26 @@ use std::sync::Arc;
 /// instances.  Completions are routed to the owning model's predictors via
 /// the `(type, model)` indices — no string hashing.
 pub struct MultiScheduler {
+    /// One scheduler per model, each the lane of its [`ModelId`].
     inner: Vec<KairosScheduler>,
-    /// Reusable per-model scratch: sub-queue, global-index map, sub-views.
+    /// Reusable per-model scratch: sub-queue, global-index map.
     queued: Vec<Vec<Query>>,
     qmap: Vec<Vec<usize>>,
-    views: Vec<Vec<InstanceView>>,
 }
 
 impl MultiScheduler {
     /// Builds the policy from one per-model scheduler, indexed by
-    /// [`ModelId`].
+    /// [`ModelId`]: scheduler `m` becomes the lane of model `m`.
     pub fn new(inner: Vec<KairosScheduler>) -> Self {
         let n = inner.len();
         Self {
-            inner,
+            inner: inner
+                .into_iter()
+                .enumerate()
+                .map(|(m, s)| s.for_lane(ModelId::new(m)))
+                .collect(),
             queued: vec![Vec::new(); n],
             qmap: vec![Vec::new(); n],
-            views: vec![Vec::new(); n],
         }
     }
 
@@ -139,20 +143,19 @@ impl Scheduler for MultiScheduler {
 
     fn schedule_into(&mut self, ctx: &SchedulingContext<'_>, out: &mut Vec<Dispatch>) {
         // One lane owns every query and instance, so the partition below is
-        // the identity: the Kairos round skips non-accepting views itself
-        // and never reads the idle index.
+        // the identity.
         if let [only] = self.inner.as_mut_slice() {
             let qos_us = ctx.qos_for(ModelId::DEFAULT);
             only.schedule_into(&SchedulingContext { qos_us, ..*ctx }, out);
             return;
         }
-        // Partition the round by model.  The per-model sub-context carries
-        // filtered views (instance_index stays global, so inner dispatches
-        // come back in cluster coordinates) and the model's own QoS target.
+        // Partition the queue by model.  Every lane reads the caller's views
+        // and matches only those bound to its model, so no view is copied
+        // and dispatches name instances in cluster coordinates; each lane
+        // gets its model's own QoS target.
         for m in 0..self.inner.len() {
             self.queued[m].clear();
             self.qmap[m].clear();
-            self.views[m].clear();
         }
         for (qi, q) in ctx.queued.iter().enumerate() {
             if let Some(sub) = self.queued.get_mut(q.model.index()) {
@@ -160,27 +163,11 @@ impl Scheduler for MultiScheduler {
                 self.qmap[q.model.index()].push(qi);
             }
         }
-        for view in ctx.instances {
-            if let Some(sub) = self.views.get_mut(view.model.index()) {
-                if view.accepting {
-                    sub.push(view.clone());
-                }
-            }
-        }
         for (m, inner) in self.inner.iter_mut().enumerate() {
-            if self.queued[m].is_empty() || self.views[m].is_empty() {
-                continue;
-            }
-            let qos = ctx.qos_for(ModelId::new(m));
             let sub_ctx = SchedulingContext {
-                now_us: ctx.now_us,
                 queued: &self.queued[m],
-                instances: &self.views[m],
-                // The Kairos matching reads the full view set, not the idle
-                // index; an empty index is valid for it.
-                idle: &[],
-                qos_us: qos,
-                qos_by_model: ctx.qos_by_model,
+                qos_us: ctx.qos_for(ModelId::new(m)),
+                ..*ctx
             };
             // The inner round appends in sub-queue coordinates; remap its
             // dispatches to the caller's queue in place.

@@ -16,7 +16,12 @@
 //! [`ThroughputEstimator::score_affordable`] bounds the whole affordable
 //! space in one walk into a [`ScoredSpace`], which keeps the walk's runs
 //! (configurations that differ only in the last type's count): one bound
-//! per configuration, counts and cost once per run.
+//! per configuration, counts and cost once per run.  Work that is fixed
+//! along a run is done once per run: once a run's base side saturates,
+//! the rest of the run shares one bound; the bounded top-k passes over an
+//! entry below its last kept bound on one comparison; and the cost scans
+//! skip the rest of a run (or a whole run) that already costs more than
+//! their incumbent.
 
 use crate::selection::TOP_CANDIDATES;
 use kairos_models::{
@@ -154,23 +159,44 @@ fn upper_bound_from_aux_total(
         return aux_total + u * q_base;
     }
 
-    // Offload pressure the auxiliary side pushes onto the base side (Eq. 14).
-    let offload = aux_total * (1.0 - f) / f;
+    let offload = offload(aux_total, f);
     let base_capacity = u * q_base_splus;
-
     if base_capacity <= offload {
-        // Base instances are the bottleneck (Eq. 9 / Eq. 12).
-        base_capacity / (1.0 - f)
+        base_limited(base_capacity, f)
     } else {
-        // Auxiliary instances are the bottleneck; the base side has slack to
-        // absorb additional (small) queries (Eq. 11 / Eq. 13 / Eq. 15).
-        let slack_ratio = if base_capacity > 0.0 {
-            (base_capacity - offload) / base_capacity
-        } else {
-            0.0
-        };
-        aux_total / f + slack_ratio * u * q_base
+        aux_limited(u, q_base, aux_total, f, base_capacity, offload)
     }
+}
+
+/// Offload pressure the auxiliary side pushes onto the base side (Eq. 14),
+/// for `f` strictly inside the degenerate bounds.
+fn offload(aux_total: f64, f: f64) -> f64 {
+    aux_total * (1.0 - f) / f
+}
+
+/// The bound when the base instances are the bottleneck (Eq. 9 / Eq. 12):
+/// their capacity `u·Q_b^{s+}` does not exceed the offload.
+fn base_limited(base_capacity: f64, f: f64) -> f64 {
+    base_capacity / (1.0 - f)
+}
+
+/// The bound when the auxiliary instances are the bottleneck; the base side
+/// has slack to absorb additional (small) queries (Eq. 11 / Eq. 13 /
+/// Eq. 15).
+fn aux_limited(
+    u: f64,
+    q_base: f64,
+    aux_total: f64,
+    f: f64,
+    base_capacity: f64,
+    offload: f64,
+) -> f64 {
+    let slack_ratio = if base_capacity > 0.0 {
+        (base_capacity - offload) / base_capacity
+    } else {
+        0.0
+    };
+    aux_total / f + slack_ratio * u * q_base
 }
 
 /// The sample statistics of one candidate shared cutoff `s`: everything in
@@ -455,7 +481,11 @@ impl ThroughputEstimator {
     /// own; every count from 1 up shares one cutoff slot, so the run checks
     /// that slot once and fills the rest of its bounds in one straight
     /// loop, each adding the last type's term to one partial sum and
-    /// evaluating the bound's closed form.
+    /// evaluating the bound's closed form.  When the base type is in the
+    /// prefix and the mix is not degenerate, the offload only grows along
+    /// the run: from the first entry whose base side saturates, the rest
+    /// of the run takes that entry's bound, `u·Q_b^{s+}/(1−f)`, computed
+    /// once.
     ///
     /// # Panics
     /// With `estimate_counts`' input-check messages at the first
@@ -577,15 +607,47 @@ impl ThroughputEstimator {
                     Some(_) => sum + count as f64 * stats.aux_qps[last],
                     None => sum,
                 };
-                bounds.extend((from..lasts.end).map(|count| {
-                    upper_bound_from_aux_total(
-                        u_of(count),
+                let f = stats.fraction_small;
+                let (Some(u), false) = (prefix_u, f <= F_EPS || f >= 1.0 - F_EPS) else {
+                    // The base type is last (`u` grows along the run), or
+                    // the mix is degenerate: the closed form per entry.
+                    bounds.extend((from..lasts.end).map(|count| {
+                        upper_bound_from_aux_total(
+                            u_of(count),
+                            self.q_base,
+                            stats.q_base_splus,
+                            term(count),
+                            f,
+                        )
+                    }));
+                    return;
+                };
+                // `u` is fixed and the offload never falls as the last-type
+                // count grows (the check passed, so `Q_a ≥ 0`, and every
+                // operation in `term` and `offload` is monotone).  Once the
+                // base side saturates it stays saturated, and the rest of
+                // the run shares one bound.
+                let u = u as f64;
+                let base_capacity = u * stats.q_base_splus;
+                let mut count = from;
+                while count < lasts.end {
+                    let total = term(count);
+                    let offload = offload(total, f);
+                    if base_capacity <= offload {
+                        break;
+                    }
+                    bounds.push(aux_limited(
+                        u,
                         self.q_base,
-                        stats.q_base_splus,
-                        term(count),
-                        stats.fraction_small,
-                    )
-                }));
+                        total,
+                        f,
+                        base_capacity,
+                        offload,
+                    ));
+                    count += 1;
+                }
+                let saturated = base_limited(base_capacity, f);
+                bounds.resize(bounds.len() + (lasts.end - count), saturated);
             },
         );
         ScoredSpace::new(types, self.pool.price(last), prefixes, runs, bounds)
@@ -667,10 +729,6 @@ impl ScoredSpace {
         runs: Vec<Run>,
         bounds: Vec<f64>,
     ) -> Self {
-        assert!(
-            bounds.len() < 2 || !bounds.iter().any(|b| b.is_nan()),
-            "finite bounds"
-        );
         let top = top_ranked(&bounds, TOP_CANDIDATES);
         Self {
             types,
@@ -754,18 +812,23 @@ impl ScoredSpace {
     }
 
     /// The first entry in ranked order whose counts pass `filter`.
+    ///
+    /// Only an entry whose bound is strictly above the incumbent's can
+    /// displace it (a later entry with an equal bound ranks after it), so
+    /// the filter runs only on those.  Bounds are never NaN in a space of
+    /// two or more entries, where `>` is the ranked order's comparison.
     pub fn best(&self, filter: impl Fn(&[usize]) -> bool) -> Option<usize> {
-        let mut best: Option<(u64, usize)> = None;
+        let mut best: Option<(f64, usize)> = None;
         let mut counts = vec![0; self.types];
         for r in 0..self.runs.len() {
             let run = self.runs[r];
             counts[..self.types - 1].copy_from_slice(self.prefix(r));
             for i in run.start..self.run_end(r) {
-                let key = descending_key(self.bounds[i]);
-                if best.is_none_or(|(best_key, _)| key < best_key) {
+                let bound = self.bounds[i];
+                if best.is_none_or(|(best_bound, _)| bound > best_bound) {
                     counts[self.types - 1] = run.first + (i - run.start);
                     if filter(&counts) {
-                        best = Some((key, i));
+                        best = Some((bound, i));
                     }
                 }
             }
@@ -782,6 +845,12 @@ impl ScoredSpace {
     /// in ranked order: entries equal on both cost and bound share one
     /// ranking key, and ranked order among them is enumeration order.
     ///
+    /// Within a run the cost `spent + price_last·c` never falls as `c`
+    /// grows (the price is positive and both operations are monotone), so
+    /// an entry costing more than the incumbent ends its run's scan, and a
+    /// run whose first entry does is skipped whole.  Entries of equal cost
+    /// are still compared, so the tie rules hold.
+    ///
     /// # Panics
     /// Panics with "finite costs" when two covering entries pass and a cost
     /// is NaN, as the same minimum over the ranked list does.
@@ -790,26 +859,35 @@ impl ScoredSpace {
         required: f64,
         filter: impl Fn(&[usize]) -> bool,
     ) -> Option<usize> {
-        // The incumbent: its index, cost and bound.
-        let mut best: Option<(usize, f64, f64)> = None;
+        // The incumbent: its index and bound, and its cost (no cost
+        // exceeds it while there is no incumbent).
+        let mut best: Option<(usize, f64)> = None;
+        let mut best_cost = f64::INFINITY;
         let mut counts = vec![0; self.types];
         for r in 0..self.runs.len() {
             let run = self.runs[r];
+            if run.spent + self.price_last * run.first as f64 > best_cost {
+                continue;
+            }
             counts[..self.types - 1].copy_from_slice(self.prefix(r));
             for i in run.start..self.run_end(r) {
+                let last = run.first + (i - run.start);
+                let cost = run.spent + self.price_last * last as f64;
+                if cost > best_cost {
+                    break;
+                }
                 let bound = self.bounds[i];
                 let covers = bound >= required;
                 if !covers {
                     continue;
                 }
-                let last = run.first + (i - run.start);
                 counts[self.types - 1] = last;
                 if !filter(&counts) {
                     continue;
                 }
-                let cost = run.spent + self.price_last * last as f64;
-                let Some((_, best_cost, best_bound)) = best else {
-                    best = Some((i, cost, bound));
+                let Some((_, best_bound)) = best else {
+                    best = Some((i, bound));
+                    best_cost = cost;
                     continue;
                 };
                 let order = best_cost
@@ -817,11 +895,12 @@ impl ScoredSpace {
                     .expect("finite costs")
                     .then(bound.partial_cmp(&best_bound).expect("finite bounds"));
                 if order == std::cmp::Ordering::Greater {
-                    best = Some((i, cost, bound));
+                    best = Some((i, bound));
+                    best_cost = cost;
                 }
             }
         }
-        best.map(|(i, _, _)| i)
+        best.map(|(i, _)| i)
     }
 
     /// The whole space ranked by bound (descending, ties in enumeration
@@ -884,9 +963,24 @@ impl ScoredSpace {
 /// The first `k` indices of [`ranked_order`]`(bounds)`, without sorting
 /// the whole list: a bounded insertion over the same compact
 /// `(key, index)` integers.
+///
+/// Once `k` entries are kept, an entry whose bound is strictly below the
+/// `k`-th kept bound ranks after all of them and is passed over on one
+/// comparison; an equal bound takes the key path, where ties and `±0`
+/// resolve by key.  The same pass rejects NaN as [`ranked_order`] does.
+///
+/// # Panics
+/// With "finite bounds" when `bounds` holds two or more entries and one
+/// is NaN.
 fn top_ranked(bounds: &[f64], k: usize) -> Vec<usize> {
     let mut top: Vec<u128> = Vec::with_capacity(k + 1);
+    // The `k`-th kept bound, once `k` entries are kept.
+    let mut floor = f64::NEG_INFINITY;
     for (i, &bound) in bounds.iter().enumerate() {
+        if bound < floor {
+            continue;
+        }
+        assert!(bounds.len() < 2 || !bound.is_nan(), "finite bounds");
         let key = (u128::from(descending_key(bound)) << 64) | i as u128;
         if top.len() == k && top.last().is_some_and(|&last| key > last) {
             continue;
@@ -894,6 +988,11 @@ fn top_ranked(bounds: &[f64], k: usize) -> Vec<usize> {
         let at = top.partition_point(|&kept| kept < key);
         top.insert(at, key);
         top.truncate(k);
+        if top.len() == k {
+            if let Some(&last) = top.last() {
+                floor = bounds[last as u64 as usize];
+            }
+        }
     }
     top.into_iter().map(|key| key as u64 as usize).collect()
 }
@@ -1335,6 +1434,71 @@ mod tests {
         }
     }
 
+    /// Replaces every cutoff slot's statistics with round values under
+    /// which a few auxiliary instances saturate the base side: `f` strictly
+    /// inside the degenerate bounds, a slow base side past the cutoff, fast
+    /// auxiliary types.  Few distinct values make equal bounds common.
+    fn saturate(rng: &mut StdRng, est: &mut ThroughputEstimator) {
+        for stats in &mut est.cutoff_stats {
+            stats.fraction_small = [0.25, 0.5, 0.7, 0.9][rng.gen_range(0..4usize)];
+            stats.q_base_splus = [8.0, 20.0, 45.0][rng.gen_range(0..3usize)];
+            for qps in &mut stats.aux_qps {
+                *qps = [0.0, 30.0, 100.0, 250.0][rng.gen_range(0..4usize)];
+            }
+        }
+    }
+
+    /// Moves one slot's `f` off the round values and its `Q_b^{s+}` so that
+    /// a random affordable configuration (base type not last, a
+    /// power-of-two base count, at least one last-type instance, an
+    /// auxiliary type present) sits exactly at the saturation point:
+    /// `u·Q_b^{s+}` equals its offload.  There the two closed-form branches
+    /// often differ in the last bit.
+    fn tie_at_saturation(
+        rng: &mut StdRng,
+        est: &mut ThroughputEstimator,
+        options: &EnumerationOptions,
+    ) {
+        let (types, base) = (est.pool.num_types(), est.base_index);
+        let shared = |counts: &[usize]| {
+            counts
+                .iter()
+                .zip(&est.stats_index)
+                .filter(|&(&count, _)| count > 0)
+                .filter_map(|(_, &slot)| slot)
+                .max()
+        };
+        let candidates: Vec<Config> = kairos_models::enumerate_configs(&est.pool, options)
+            .into_iter()
+            .filter(|c| {
+                let counts = c.counts();
+                base + 1 < types
+                    && counts[base].is_power_of_two()
+                    && counts[types - 1] > 0
+                    && shared(counts).is_some()
+            })
+            .collect();
+        if candidates.is_empty() {
+            return;
+        }
+        let counts = candidates[rng.gen_range(0..candidates.len())]
+            .counts()
+            .to_vec();
+        let slot = shared(&counts).expect("an auxiliary type is present");
+        let stats = &mut est.cutoff_stats[slot];
+        stats.fraction_small = rng.gen_range(0.05..0.95);
+        // `estimate_counts`' sum, in its order.
+        let aux_total: f64 = counts
+            .iter()
+            .zip(&est.stats_index)
+            .zip(&stats.aux_qps)
+            .filter(|&((&count, slot), _)| count > 0 && slot.is_some())
+            .map(|((&count, _), &qps)| count as f64 * qps)
+            .sum();
+        // A power-of-two `u` divides and multiplies back exactly.
+        stats.q_base_splus = offload(aux_total, stats.fraction_small) / counts[base] as f64;
+    }
+
     /// `(config, bound bits, cost bits)` of an entry of either space.
     type Entry = (Config, u64, u64);
 
@@ -1342,12 +1506,16 @@ mod tests {
     type Filter<'a> = dyn Fn(&[usize]) -> bool + 'a;
 
     proptest::proptest! {
-        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(96))]
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(192))]
 
         /// The run-length space against the flat one (each bound from
         /// `estimate_counts`, per leaf): the same entries, top, scans and
         /// panics, on random 1–6-type pools with the base type anywhere,
         /// budgets a few ulps under a price multiple, and unclean slots.
+        /// A third of the cases saturate the base side within a few
+        /// auxiliary instances, over few distinct statistics (long equal
+        /// tails, ties at the top-k's last bound and in the scans); half of
+        /// those put one configuration exactly at the saturation point.
         #[test]
         fn run_length_space_matches_the_flat_space(
             seed in 0u64..u64::MAX,
@@ -1355,6 +1523,7 @@ mod tests {
             log_factor in 0.0f64..2.0,
             budget_shape in 0u32..3,
             shape in 0u32..4,
+            saturating in 0u32..6,
         ) {
             use crate::upper_bound::flat_space::FlatSpace;
             use proptest::prelude::*;
@@ -1369,8 +1538,8 @@ mod tests {
                 _ => (0..50).map(|_| rng.gen_range(1..=2)).collect(),
             };
             let mut est = ThroughputEstimator::new(pool.clone(), model, paper_calibration(), sample);
-            if rng.gen_bool(0.3) {
-                corrupt(&mut rng, &mut est);
+            if saturating < 2 {
+                saturate(&mut rng, &mut est);
             }
             let mut budget = pool.base_type().price_per_hour * log_factor.exp();
             while affordable(&pool, budget) > 20_000 {
@@ -1383,6 +1552,12 @@ mod tests {
                 budget = f64::from_bits((k as f64 * price).to_bits() - rng.gen_range(0..4u64));
             }
             let options = EnumerationOptions::with_budget(budget);
+            if saturating == 0 {
+                tie_at_saturation(&mut rng, &mut est, &options);
+            }
+            if rng.gen_bool(0.3) {
+                corrupt(&mut rng, &mut est);
+            }
 
             let runs = caught(|| est.score_affordable(&options));
             let flat = caught(|| {

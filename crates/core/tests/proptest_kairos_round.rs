@@ -17,9 +17,16 @@
 //! round straight to its Kairos round) must dispatch exactly as the general
 //! per-model partition does: a two-lane one built from the same controller,
 //! whose second lane has no queries and no instances.
+//!
+//! A 2–4-lane [`MultiScheduler`], whose lanes all read the caller's views,
+//! must dispatch exactly as [`partitioned_round`] does over per-lane copies
+//! of the views, on rounds with the lanes' instances interleaved, some
+//! draining, and lanes with no queries or no instances.
 
 #[path = "common/lmatrix.rs"]
 mod lmatrix;
+#[path = "common/partitioned_round.rs"]
+mod partitioned_round;
 
 use kairos_assignment::jv::solve_jv;
 use kairos_core::{
@@ -29,6 +36,7 @@ use kairos_models::{calibration::paper_calibration, ec2, ModelKind, PoolSpec, MA
 use kairos_sim::{idle_order, Dispatch, InstanceView, Scheduler, SchedulingContext};
 use kairos_workload::{BatchSizeDistribution, ModelId, Query, TimeUs};
 use lmatrix::{build_matrices, InstanceColumn, QueryRow};
+use partitioned_round::partitioned_round;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -318,6 +326,90 @@ proptest! {
                 let ms = rng.gen_range(0.5..40.0);
                 one.on_completion(type_index, ModelId::DEFAULT, batch, ms);
                 two.on_completion(type_index, ModelId::DEFAULT, batch, ms);
+            }
+        }
+    }
+
+    #[test]
+    fn lanes_over_the_shared_views_match_the_partitioned_round(
+        seed in 0u64..u64::MAX,
+        lanes in 2usize..=4,
+        queue in 0usize..=300,
+        instances in 1usize..=32,
+        priors in 0usize..2,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let pool: Vec<(Arc<str>, bool)> = ec2::paper_pool()
+            .iter()
+            .map(|t| (Arc::from(t.name.as_str()), t.is_base))
+            .collect();
+        let names: Vec<Arc<str>> = pool.iter().map(|(name, _)| name.clone()).collect();
+        let schedulers: Vec<KairosScheduler> = (0..lanes)
+            .map(|_| {
+                let model = ModelKind::ALL[rng.gen_range(0..ModelKind::ALL.len())];
+                let pool = PoolSpec::new(ec2::paper_pool());
+                let controller = if priors == 1 {
+                    KairosController::with_priors(pool, model, paper_calibration())
+                } else {
+                    KairosController::new(pool, model)
+                };
+                controller.make_scheduler()
+            })
+            .collect();
+        let mut oracle = schedulers.clone();
+        let mut multi = MultiScheduler::new(schedulers);
+        multi.bind_types(&names);
+        for lane in &mut oracle {
+            lane.bind_types(&names);
+        }
+
+        let shapes = [
+            (queue, instances),
+            (rng.gen_range(0..instances + 1), rng.gen_range(1..33usize)),
+            (rng.gen_range(0..301usize), rng.gen_range(1..33usize)),
+            (rng.gen_range(0..301usize), rng.gen_range(1..33usize)),
+        ];
+        for (m, n) in shapes {
+            let mut round = random_round(&mut rng, m, n, &pool);
+            // Each lane may get no queries or no instances this round; the
+            // rest interleave over the queue and the views.  With no lane
+            // left, they go to a model no lane serves.
+            let mut owners = || -> Vec<usize> {
+                let some: Vec<usize> = (0..lanes).filter(|_| rng.gen_bool(0.75)).collect();
+                if some.is_empty() { vec![lanes] } else { some }
+            };
+            let (query_owners, view_owners) = (owners(), owners());
+            for q in &mut round.queued {
+                q.model = ModelId::new(query_owners[rng.gen_range(0..query_owners.len())]);
+            }
+            for view in &mut round.views {
+                view.model = ModelId::new(view_owners[rng.gen_range(0..view_owners.len())]);
+            }
+            let qos_by_model: Vec<u64> = (0..lanes)
+                .map(|_| [10_000u64, 25_000, 50_000][rng.gen_range(0..3usize)])
+                .collect();
+            let idle = idle_order(&round.views);
+            let ctx = SchedulingContext {
+                now_us: NOW_US,
+                queued: &round.queued,
+                instances: &round.views,
+                idle: &idle,
+                qos_us: round.qos_us,
+                qos_by_model: &qos_by_model,
+            };
+            let marker = Dispatch { query_index: usize::MAX, instance_index: usize::MAX };
+            let (mut shared, mut copied) = (vec![marker], vec![marker]);
+            multi.schedule_into(&ctx, &mut shared);
+            partitioned_round(&mut oracle, &ctx, &mut copied);
+            prop_assert_eq!(&shared, &copied);
+            // Both learn the same completions before the next round.
+            for _ in 0..rng.gen_range(0..24usize) {
+                let lane = rng.gen_range(0..lanes);
+                let type_index = rng.gen_range(0..pool.len());
+                let batch = PALETTE[rng.gen_range(0..PALETTE.len())];
+                let ms = rng.gen_range(0.5..40.0);
+                multi.on_completion(type_index, ModelId::new(lane), batch, ms);
+                oracle[lane].on_completion(type_index, ModelId::new(lane), batch, ms);
             }
         }
     }
