@@ -4,32 +4,14 @@
 //! matrices in tests and property-based checks.
 
 use crate::matrix::CostMatrix;
-use crate::solution::{Assignment, AssignmentError, AssignmentSolver};
-
-/// Exhaustive reference solver; panics on matrices larger than 10 on the
-/// smaller side to avoid accidental exponential blow-ups in benchmarks.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct BruteForceSolver;
-
-impl BruteForceSolver {
-    /// Creates a new solver.
-    pub fn new() -> Self {
-        Self
-    }
-}
-
-impl AssignmentSolver for BruteForceSolver {
-    fn solve(&self, matrix: &CostMatrix) -> Result<Assignment, AssignmentError> {
-        solve_brute_force(matrix)
-    }
-
-    fn name(&self) -> &'static str {
-        "brute-force"
-    }
-}
+use crate::solution::{Assignment, AssignmentError};
 
 /// Finds the optimal rectangular assignment by trying every injective mapping
 /// from the smaller side into the larger side.
+///
+/// # Panics
+/// Panics on matrices larger than 10 on the smaller side, to avoid
+/// accidental exponential blow-ups in benchmarks.
 pub fn solve_brute_force(matrix: &CostMatrix) -> Result<Assignment, AssignmentError> {
     let rows = matrix.rows();
     let cols = matrix.cols();

@@ -7,28 +7,7 @@
 //! upon (paper Fig. 5).
 
 use crate::matrix::CostMatrix;
-use crate::solution::{Assignment, AssignmentError, AssignmentSolver};
-
-/// Greedy cheapest-edge-first heuristic solver.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct GreedySolver;
-
-impl GreedySolver {
-    /// Creates a new solver.
-    pub fn new() -> Self {
-        Self
-    }
-}
-
-impl AssignmentSolver for GreedySolver {
-    fn solve(&self, matrix: &CostMatrix) -> Result<Assignment, AssignmentError> {
-        solve_greedy(matrix)
-    }
-
-    fn name(&self) -> &'static str {
-        "greedy"
-    }
-}
+use crate::solution::{Assignment, AssignmentError};
 
 /// Solves the assignment greedily: sort all edges by cost and take each edge
 /// whose endpoints are both still free, until `min(rows, cols)` pairs are

@@ -32,28 +32,7 @@
 //! bits.
 
 use crate::matrix::CostMatrix;
-use crate::solution::{Assignment, AssignmentError, AssignmentSolver};
-
-/// Exact rectangular LAP solver (shortest augmenting paths with dual updates).
-#[derive(Debug, Default, Clone, Copy)]
-pub struct JonkerVolgenantSolver;
-
-impl JonkerVolgenantSolver {
-    /// Creates a new solver.
-    pub fn new() -> Self {
-        Self
-    }
-}
-
-impl AssignmentSolver for JonkerVolgenantSolver {
-    fn solve(&self, matrix: &CostMatrix) -> Result<Assignment, AssignmentError> {
-        solve_jv(matrix)
-    }
-
-    fn name(&self) -> &'static str {
-        "jonker-volgenant"
-    }
-}
+use crate::solution::{Assignment, AssignmentError};
 
 /// Solves the rectangular min-cost assignment problem and returns an optimal
 /// matching of size `min(rows, cols)`.

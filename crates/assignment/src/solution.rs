@@ -111,19 +111,6 @@ impl From<crate::matrix::MatrixError> for AssignmentError {
     }
 }
 
-/// Trait implemented by every min-cost assignment solver in this crate.
-///
-/// Implementations must return an optimal (for exact solvers) or feasible
-/// (for heuristics such as [`crate::greedy::GreedySolver`]) rectangular
-/// matching of size `min(rows, cols)`.
-pub trait AssignmentSolver {
-    /// Solves the min-cost rectangular assignment problem for `matrix`.
-    fn solve(&self, matrix: &CostMatrix) -> Result<Assignment, AssignmentError>;
-
-    /// Human-readable solver name (used in benchmark output).
-    fn name(&self) -> &'static str;
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

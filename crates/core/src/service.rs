@@ -70,7 +70,6 @@ use kairos_sim::{
 use kairos_workload::{MixSpec, ModelId, Query, Trace};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use rayon::prelude::*;
 use std::sync::Arc;
 
 /// A query-distribution policy for multi-model clusters: one Kairos
@@ -530,182 +529,6 @@ impl InferenceService {
             );
         }
     }
-
-    /// The scale-out sibling of [`Self::run`]: shards the trace by model
-    /// lane and runs every lane's full controller-in-the-loop serving
-    /// simulation (its own engine, controller, plan cache, replanning) on
-    /// its own rayon worker, then merges the per-lane outcomes through
-    /// [`SimReport::merge_many`].  The global budget is split **once**, up
-    /// front, from each lane's offered load over the whole trace, and each
-    /// lane's run serves under its frozen share.
-    ///
-    /// This is deliberately *not* bit-equal to [`Self::run`]: the combined
-    /// loop re-splits the budget at every replan from live demand and
-    /// attributes the shared backlog across lanes, coupling the lanes
-    /// through the one global event stream.  Sharding trades that coupling
-    /// away for lane parallelism — each lane replans against its own
-    /// traffic under its frozen budget share — which is the right trade
-    /// exactly when the trace is long and stationary enough that the
-    /// demand-weighted split would not move anyway.  The result is still
-    /// deterministic for a given input and identical at every thread count
-    /// (each lane is a sequential simulation; the merge is canonical).
-    ///
-    /// # Panics
-    /// Panics if a market, a fault process or a serverless runtime is
-    /// attached (each acts on every lane at once — serve those through
-    /// [`Self::run`]), if `services` does not cover every lane, if the trace
-    /// targets an unserved model, or if `initial` lacks a lane's
-    /// sub-cluster.
-    pub fn run_sharded(
-        &mut self,
-        initial: &ClusterSpec,
-        services: &[ServiceSpec],
-        trace: &Trace,
-    ) -> MultiServingOutcome {
-        let n = self.lanes.len();
-        let fleet = &self.fleet;
-        let refused = [
-            (fleet.market.is_some(), "markets"),
-            (fleet.faults.is_some(), "fault processes"),
-            (fleet.serverless.is_some(), "serverless runtimes"),
-        ];
-        for (attached, what) in refused {
-            assert!(
-                !attached,
-                "sharded serving does not support {what}: they act on every lane at once; \
-                 use InferenceService::run"
-            );
-        }
-        self.check_services(services);
-        let subs = trace.split_by_model(n);
-        let demands: Vec<f64> = subs.iter().map(|s| s.offered_qps()).collect();
-        let budgets = self.split_budget(&demands);
-        let configs: Vec<Config> = (0..n)
-            .map(|m| {
-                initial
-                    .pools
-                    .iter()
-                    .find(|p| p.model.index() == m)
-                    .unwrap_or_else(|| panic!("initial spec has no sub-cluster for model {m}"))
-                    .config
-                    .clone()
-            })
-            .collect();
-
-        struct LaneJob<'j> {
-            lane: &'j mut ModelLane,
-            service: &'j ServiceSpec,
-            config: Config,
-            budget: f64,
-            sub: Trace,
-        }
-        let mut jobs: Vec<LaneJob<'_>> = self
-            .lanes
-            .iter_mut()
-            .zip(subs)
-            .zip(configs.iter().zip(services).zip(&budgets))
-            .map(|((lane, sub), ((config, service), &budget))| LaneJob {
-                lane,
-                service,
-                config: config.clone(),
-                budget,
-                // Each lane replays as a single-model run: retag its
-                // queries to the default id (ids/arrivals untouched).
-                sub: Trace::from_queries(
-                    sub.queries
-                        .iter()
-                        .map(|q| Query::new(q.id, q.batch_size, q.arrival_us))
-                        .collect(),
-                ),
-            })
-            .collect();
-
-        let outcomes: Vec<MultiServingOutcome> = jobs
-            .par_iter_mut()
-            .map(|job| {
-                // Each lane serves as a one-lane run with no drift baseline,
-                // under its frozen budget share.
-                let mut fleet = Fleet {
-                    options: self.fleet.options.budget(job.budget),
-                    ..self.fleet.clone()
-                };
-                control_loop::serve(
-                    std::slice::from_mut(job.lane),
-                    &mut [None],
-                    &mut fleet,
-                    &ClusterSpec::single(job.config.clone()),
-                    &[job.service],
-                    &job.sub,
-                )
-            })
-            .collect();
-
-        // Lift each lane's single-model outcome into the combined
-        // coordinate space: model ids retagged, instance indices offset by
-        // the lanes before it (a lane's index space is its initial size
-        // grown by any instances added while serving).
-        let mut reports = Vec::with_capacity(n);
-        let mut reconfigs: Vec<ReconfigEvent> = Vec::new();
-        let mut variant_switches: Vec<VariantSwitch> = Vec::new();
-        let mut replans = 0usize;
-        let mut final_configs = Vec::with_capacity(n);
-        let mut offset = 0usize;
-        for (m, outcome) in outcomes.into_iter().enumerate() {
-            let model = ModelId::new(m);
-            let mut report = outcome.report;
-            let mut lane_size = configs[m].total_instances();
-            for r in &mut report.records {
-                lane_size = lane_size.max(r.instance_index + 1);
-                r.instance_index += offset;
-                r.model = model;
-            }
-            for u in &mut report.unfinished {
-                u.model = model;
-            }
-            report.qos_us = services[0].qos_us();
-            report.qos_by_model = services.iter().map(|s| s.qos_us()).collect();
-            let lane_billed: f64 = report.billed_by_model.iter().fold(0.0, |acc, &b| acc + b);
-            let mut billed_by_model = vec![0.0; n];
-            billed_by_model[m] = lane_billed;
-            report.billed_by_model = billed_by_model;
-            report.billed_dollars = lane_billed;
-            let lane_accuracy: f64 = report
-                .accuracy_sum_by_model
-                .iter()
-                .fold(0.0, |acc, &a| acc + a);
-            let mut accuracy_sum_by_model = vec![0.0; n];
-            accuracy_sum_by_model[m] = lane_accuracy;
-            report.accuracy_sum_by_model = accuracy_sum_by_model;
-            reports.push(report);
-            for mut event in outcome.reconfigs {
-                event.model = model;
-                for idx in &mut event.retired_instances {
-                    lane_size = lane_size.max(*idx + 1);
-                    *idx += offset;
-                }
-                reconfigs.push(event);
-            }
-            for mut switch in outcome.variant_switches {
-                switch.model = model;
-                variant_switches.push(switch);
-            }
-            replans += outcome.replans;
-            final_configs.extend(outcome.final_active.pools.into_iter().map(|p| p.config));
-            offset += lane_size;
-        }
-        reconfigs.sort_by_key(|e| (e.at_us, e.model.index()));
-        variant_switches.sort_by_key(|s| (s.at_us, s.model.index()));
-
-        MultiServingOutcome {
-            report: SimReport::merge_many(reports).expect("a facade serves at least one model"),
-            initial: initial.clone(),
-            final_active: ClusterSpec::from_configs(final_configs),
-            reconfigs,
-            replans,
-            last_budget_split: budgets,
-            variant_switches,
-        }
-    }
 }
 
 /// Demand-weighted water-filling of `budget` across `lanes` (see
@@ -928,6 +751,25 @@ mod tests {
             spec_models,
             vec![ModelId::new(0), ModelId::new(1), ModelId::new(2)]
         );
+        // Billing lands in per-model slots whose left fold is the total.
+        let billed = &outcome.report.billed_by_model;
+        assert_eq!(billed.len(), 3);
+        assert_eq!(
+            billed.iter().fold(0.0, |acc, &b| acc + b).to_bits(),
+            outcome.report.billed_dollars.to_bits()
+        );
+        assert!(outcome.report.billed_dollars > 0.0);
+        // Every lane serves its reference model, so each per-model mean
+        // accuracy is that model's spec accuracy.
+        assert_eq!(outcome.report.accuracy_sum_by_model.len(), 3);
+        for (m, &kind) in three_models().iter().enumerate() {
+            let expected = kairos_models::mlmodel::spec(kind).accuracy;
+            assert!(
+                (per[m].mean_accuracy - expected).abs() < 1e-9,
+                "model {m}: {} != {expected}",
+                per[m].mean_accuracy
+            );
+        }
     }
 
     #[test]
@@ -1050,80 +892,6 @@ mod tests {
             "cadence is disabled: {:?}",
             outcome.reconfigs
         );
-    }
-
-    #[test]
-    fn sharded_serving_runs_every_lane_and_accounts_like_the_combined_facade() {
-        let options = ServingOptions::default()
-            .budget(6.0)
-            .replan_every(500_000)
-            .provisioning_delay(200_000);
-        let mut s = service(options);
-        s.warm_monitors(&mix(), 3000, 7);
-        let spec = s.plan_initial(&[60.0, 45.0, 45.0]).unwrap();
-        let services = s.service_specs(&paper_calibration());
-        let trace = MixedTraceSpec {
-            arrival: ArrivalProcess::Poisson { rate_qps: 150.0 },
-            mix: mix(),
-            duration_s: 4.0,
-            seed: 31,
-        }
-        .generate();
-        let offered = trace.len();
-        let outcome = s.run_sharded(&spec, &services, &trace);
-        // Conservation and per-model accounting hold exactly, as in run().
-        assert_eq!(outcome.report.offered, offered);
-        assert_eq!(
-            outcome.report.completed() + outcome.report.unfinished.len(),
-            offered
-        );
-        let per = outcome.per_model();
-        assert_eq!(per.len(), 3);
-        assert!(per.iter().all(|m| m.offered > 0));
-        assert_eq!(
-            per.iter().map(|m| m.offered).sum::<usize>(),
-            outcome.report.offered
-        );
-        // Each lane's records were lifted back into the combined model ids
-        // and QoS table.
-        assert_eq!(outcome.report.qos_for(ModelId::new(0)), 5_000);
-        assert_eq!(outcome.report.qos_for(ModelId::new(1)), 350_000);
-        assert_eq!(outcome.report.qos_for(ModelId::new(2)), 25_000);
-        // The frozen split covers every lane within the global budget.
-        assert_eq!(outcome.last_budget_split.len(), 3);
-        assert!(outcome.last_budget_split.iter().sum::<f64>() <= 6.0 + 1e-9);
-        assert_eq!(outcome.final_active.pools.len(), 3);
-        // Billing was lifted into per-model slots whose fold is the total.
-        assert_eq!(outcome.report.billed_by_model.len(), 3);
-        assert!(outcome.report.billed_dollars > 0.0);
-        // Delivered accuracy was lifted into per-model slots too: every
-        // lane served its reference model, so each per-model mean is that
-        // model's spec accuracy.
-        assert_eq!(outcome.report.accuracy_sum_by_model.len(), 3);
-        for (m, &kind) in three_models().iter().enumerate() {
-            let expected = kairos_models::mlmodel::spec(kind).accuracy;
-            assert!(
-                (per[m].mean_accuracy - expected).abs() < 1e-9,
-                "model {m}: {} != {expected}",
-                per[m].mean_accuracy
-            );
-        }
-        // Deterministic: a fresh facade re-running the same inputs under a
-        // different worker count reproduces the report bit-for-bit.
-        let mut again = service(options);
-        again.warm_monitors(&mix(), 3000, 7);
-        let workers = rayon::ThreadPoolBuilder::new()
-            .num_threads(4)
-            .build()
-            .unwrap();
-        let outcome2 = workers.install(|| again.run_sharded(&spec, &services, &trace));
-        assert_eq!(outcome.report.records, outcome2.report.records);
-        assert_eq!(outcome.report.unfinished, outcome2.report.unfinished);
-        assert_eq!(
-            outcome.report.billed_dollars.to_bits(),
-            outcome2.report.billed_dollars.to_bits()
-        );
-        assert_eq!(outcome.replans, outcome2.replans);
     }
 
     #[test]
@@ -1577,49 +1345,5 @@ mod tests {
                 slice.config
             );
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "does not support markets")]
-    fn sharded_serving_rejects_markets() {
-        use kairos_models::market::ConstantMarket;
-        run_sharded_briefly(InferenceService::with_market(
-            OfferingCatalog::on_demand(&pool()),
-            Arc::new(ConstantMarket::from_pool(&pool())),
-            &three_models(),
-            Some(paper_calibration()),
-            ServingOptions::default().budget(6.0),
-        ));
-    }
-
-    /// Runs `s` sharded over a short three-model trace.
-    fn run_sharded_briefly(mut s: InferenceService) {
-        let services = s.service_specs(&paper_calibration());
-        let spec = s.plan_initial(&[10.0, 10.0, 10.0]).unwrap();
-        let trace = MixedTraceSpec {
-            arrival: ArrivalProcess::Poisson { rate_qps: 30.0 },
-            mix: mix(),
-            duration_s: 1.0,
-            seed: 1,
-        }
-        .generate();
-        s.run_sharded(&spec, &services, &trace);
-    }
-
-    #[test]
-    #[should_panic(expected = "does not support fault processes")]
-    fn sharded_serving_rejects_fault_processes() {
-        run_sharded_briefly(
-            service(ServingOptions::default().budget(6.0))
-                .with_fault_process(zone_a_outage(500_000, 200_000)),
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "does not support serverless runtimes")]
-    fn sharded_serving_rejects_serverless_runtimes() {
-        run_sharded_briefly(
-            service(ServingOptions::default().budget(6.0)).with_serverless(tail_runtime(5.0)),
-        );
     }
 }

@@ -14,7 +14,7 @@
 //! * **Early-exit probes** ([`CapacityOptions::early_exit`], on by default):
 //!   a probe replay aborts as soon as the accumulated violations provably
 //!   exceed the QoS budget — or provably can no longer exceed it — instead
-//!   of draining the whole backlog (see [`SimEngine::run_qos_probe`](crate::SimEngine::run_qos_probe) for the
+//!   of draining the whole backlog (see [`SimEngine::run_qos_probe`] for the
 //!   bound).
 //! * **Memoized ramps** ([`CapacityProber`]): a per-`(pool, config)` memo,
 //!   keyed by a fingerprint of the pool's interned type names plus the
@@ -24,8 +24,7 @@
 //!   re-simulating them.
 
 use crate::cluster::ServiceSpec;
-use crate::context::SimContext;
-use crate::engine::SimulationOptions;
+use crate::engine::{SimEngine, SimulationOptions};
 use crate::scheduler::Scheduler;
 use kairos_models::{Config, PoolSpec};
 use kairos_workload::{ArrivalProcess, BatchSizeDistribution, TraceSpec};
@@ -117,18 +116,19 @@ where
     if trace.is_empty() {
         return true;
     }
-    let ctx = SimContext::with_options(
+    let mut scheduler = make_scheduler();
+    let engine = SimEngine::new(
         pool,
+        config,
         service,
         &trace,
-        SimulationOptions { seed: options.seed },
+        scheduler.as_mut(),
+        &SimulationOptions { seed: options.seed },
     );
-    let mut scheduler = make_scheduler();
     if options.early_exit {
-        ctx.probe_qos(config, scheduler.as_mut(), options.violation_tolerance)
+        engine.run_qos_probe(options.violation_tolerance)
     } else {
-        let report = ctx.run(config, scheduler.as_mut());
-        report.meets_qos(options.violation_tolerance)
+        engine.run().meets_qos(options.violation_tolerance)
     }
 }
 

@@ -503,14 +503,6 @@ pub struct SimEngine<'a> {
     /// (forming batches plus admission queues) — the instances' share of
     /// [`Self::queued_backlog`].
     flex_waiting: usize,
-    /// Fused invocations fired by the dynamic batcher so far.
-    batches_fired: u64,
-    /// Member queries across all fired invocations.
-    batched_queries: u64,
-    /// Sum of member counts per fired invocation (mean fill numerator).
-    batch_fill_sum: u64,
-    /// Sum over fired members of their forming-buffer wait, in µs.
-    batch_wait_us_sum: u64,
     /// Serverless-lane configuration (keep-alive policies + cold-start
     /// costs).  `None` keeps every instance on the always-billed
     /// path, bit-for-bit (`tests/proptest_serverless.rs` pins that
@@ -522,13 +514,9 @@ pub struct SimEngine<'a> {
     /// Per-model observed idle-gap histograms feeding the hybrid keep-alive
     /// policy; empty unless [`Self::serverless`] is set.
     idle_histograms: Vec<IdleHistogram>,
-    /// Dispatches that found their target parked and paid a cold start.
-    cold_starts: u64,
-    /// Total cold-start latency paid before service, in µs.
-    cold_start_wait_us_sum: u64,
-    /// Total unbilled parked time accrued so far, in µs (still-parked
-    /// instances accrue their open interval at report time).
-    parked_us_sum: u64,
+    /// Batcher, serverless and parking counters of the run; the three
+    /// calendar counts are filled in from the calendar at report time.
+    service: ServiceStats,
 }
 
 impl<'a> SimEngine<'a> {
@@ -698,16 +686,10 @@ impl<'a> SimEngine<'a> {
             flex: FlexConfig::default(),
             flex_states,
             flex_waiting: 0,
-            batches_fired: 0,
-            batched_queries: 0,
-            batch_fill_sum: 0,
-            batch_wait_us_sum: 0,
             serverless: None,
             serverless_states: Vec::new(),
             idle_histograms: Vec::new(),
-            cold_starts: 0,
-            cold_start_wait_us_sum: 0,
-            parked_us_sum: 0,
+            service: ServiceStats::default(),
         };
         engine.views = engine.recompute_views();
         engine
@@ -1758,7 +1740,7 @@ impl<'a> SimEngine<'a> {
         for st in &mut self.serverless_states {
             if st.parked {
                 st.parked = false;
-                self.parked_us_sum += horizon_us.saturating_sub(st.parked_since_us);
+                self.service.parked_us_sum += horizon_us.saturating_sub(st.parked_since_us);
             }
         }
         // Instances still renting at the horizon settle their bill here, in
@@ -1805,13 +1787,7 @@ impl<'a> SimEngine<'a> {
                 calendar_scheduled: self.calendar.scheduled(),
                 calendar_cancelled: self.calendar.cancelled(),
                 calendar_stale_popped: self.calendar.stale_popped(),
-                batches_fired: self.batches_fired,
-                batched_queries: self.batched_queries,
-                batch_fill_sum: self.batch_fill_sum,
-                batch_wait_us_sum: self.batch_wait_us_sum,
-                cold_starts: self.cold_starts,
-                cold_start_wait_us_sum: self.cold_start_wait_us_sum,
-                parked_us_sum: self.parked_us_sum,
+                ..self.service
             },
         }
     }
@@ -2089,10 +2065,10 @@ impl<'a> SimEngine<'a> {
         };
         st.forming_fused = 0;
         let members = unit.members();
-        self.batches_fired += 1;
-        self.batched_queries += members as u64;
-        self.batch_fill_sum += members as u64;
-        self.batch_wait_us_sum += wait_us;
+        self.service.batches_fired += 1;
+        self.service.batched_queries += members as u64;
+        self.service.batch_fill_sum += members as u64;
+        self.service.batch_wait_us_sum += wait_us;
         self.flex_enqueue(i, unit);
         members
     }
@@ -2486,10 +2462,10 @@ impl<'a> SimEngine<'a> {
         }
         if st.parked {
             st.parked = false;
-            self.parked_us_sum += self.now - st.parked_since_us;
+            self.service.parked_us_sum += self.now - st.parked_since_us;
             self.billed_start_us[i] = self.now;
-            self.cold_starts += 1;
-            self.cold_start_wait_us_sum += cold_us;
+            self.service.cold_starts += 1;
+            self.service.cold_start_wait_us_sum += cold_us;
             let inst = &mut self.cluster.instances_mut()[i];
             inst.lifecycle = InstanceLifecycle::Active;
             inst.available_from_us = self.now + cold_us;
@@ -2510,7 +2486,7 @@ impl<'a> SimEngine<'a> {
         }
         if st.parked {
             st.parked = false;
-            self.parked_us_sum += self.now - st.parked_since_us;
+            self.service.parked_us_sum += self.now - st.parked_since_us;
         }
     }
 }

@@ -21,8 +21,9 @@
 //!   views, online reconfiguration ([`EngineEvent`] stepping and
 //!   [`EngineHook`]s), the [`engine::run_trace`] convenience wrapper, and the
 //!   preserved [`engine::run_trace_naive`] reference.
-//! * [`context`] — [`SimContext`], the shared-input bundle for parallel
-//!   configuration sweeps.
+//! * [`sharded`] — [`ShardedEngine`], which replays each model lane of a
+//!   multi-model trace on its own worker and merges one report, bit-identical
+//!   to the combined engine's.
 //! * [`stats`] — per-query records and QoS/throughput metrics.
 //! * [`capacity`] — the allowable-throughput ramp of Sec. 7.
 //!
@@ -51,7 +52,6 @@
 pub mod calendar;
 pub mod capacity;
 pub mod cluster;
-pub mod context;
 pub mod engine;
 pub mod flex;
 pub mod scheduler;
@@ -64,7 +64,6 @@ pub use capacity::{
     CapacityResult,
 };
 pub use cluster::{Cluster, ClusterSpec, InstanceLifecycle, ModelPool, ServiceSpec, SimInstance};
-pub use context::SimContext;
 pub use engine::{
     run_trace, run_trace_naive, ClusterAction, EngineEvent, EngineHook, SimEngine,
     SimulationOptions,

@@ -148,16 +148,6 @@ impl MixSpec {
         self.components.len()
     }
 
-    /// One past the largest model index in the mix — the length a dense
-    /// per-model table must have to cover every component.
-    pub fn model_table_len(&self) -> usize {
-        self.components
-            .iter()
-            .map(|c| c.model.index() + 1)
-            .max()
-            .unwrap_or(0)
-    }
-
     /// Total (unnormalized) share mass of the mix.
     fn total_share(&self) -> f64 {
         *self
@@ -253,16 +243,6 @@ impl MixedTraceSpec {
             queries,
         }
     }
-
-    /// Generates the trace and partitions it into per-model shard traces
-    /// (see [`Trace::split_by_model`]).  A **single** sequential RNG stream
-    /// draws the combined trace exactly as [`Self::generate`] does — the
-    /// per-model streams are projections of it, not independent generators —
-    /// so the shard union is bit-identical to the unsharded trace and every
-    /// query keeps its global id and arrival time.
-    pub fn generate_sharded(&self) -> Vec<Trace> {
-        self.generate().split_by_model(self.mix.model_table_len())
-    }
 }
 
 #[cfg(test)]
@@ -285,7 +265,6 @@ mod tests {
     fn shares_normalize_and_sampling_respects_them() {
         let mix = three_way();
         assert_eq!(mix.num_models(), 3);
-        assert_eq!(mix.model_table_len(), 3);
         assert!((mix.rate_share(ModelId::new(0)) - 0.5).abs() < 1e-12);
         assert_eq!(mix.rate_share(ModelId::new(9)), 0.0);
         let mut rng = StdRng::seed_from_u64(5);
@@ -349,7 +328,7 @@ mod tests {
     fn sharded_generation_projects_the_single_rng_stream() {
         let spec = MixedTraceSpec::poisson(300.0, three_way(), 2.0, 3);
         let combined = spec.generate();
-        let shards = spec.generate_sharded();
+        let shards = combined.split_by_model(3);
         assert_eq!(shards.len(), 3);
         for (m, shard) in shards.iter().enumerate() {
             assert!(shard.queries.iter().all(|q| q.model.index() == m));

@@ -60,7 +60,7 @@ pub mod prelude {
         allowable_throughput, allowable_throughput_many, run_trace, BatchingOptions,
         CapacityOptions, ClusterAction, ClusterSpec, EngineEvent, EngineHook, FcfsScheduler,
         Scheduler, ServerlessConfig, ServiceSpec, ShardedEngine, SharingMode, SharingOptions,
-        SimContext, SimEngine, SimulationOptions,
+        SimEngine, SimulationOptions,
     };
     pub use kairos_workload::{
         ArrivalProcess, BatchSizeDistribution, MixSpec, MixedTraceSpec, ModelId, Phase,
