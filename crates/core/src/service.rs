@@ -751,6 +751,32 @@ mod tests {
             spec_models,
             vec![ModelId::new(0), ModelId::new(1), ModelId::new(2)]
         );
+    }
+
+    /// Every lane of the one serving path lands its billing and delivered
+    /// accuracy in per-model slots that add up to the combined report, and
+    /// a fresh facade re-running the same inputs reproduces it bit-for-bit.
+    #[test]
+    fn sharded_serving_runs_every_lane_and_accounts_like_the_combined_facade() {
+        let options = ServingOptions::default()
+            .budget(6.0)
+            .replan_every(500_000)
+            .provisioning_delay(200_000);
+        let mut s = service(options);
+        s.warm_monitors(&mix(), 3000, 7);
+        let spec = s.plan_initial(&[60.0, 45.0, 45.0]).unwrap();
+        let services = s.service_specs(&paper_calibration());
+        let trace = MixedTraceSpec {
+            arrival: ArrivalProcess::Poisson { rate_qps: 150.0 },
+            mix: mix(),
+            duration_s: 4.0,
+            seed: 31,
+        }
+        .generate();
+        let outcome = s.run(&spec, &services, &trace);
+        let per = outcome.per_model();
+        assert_eq!(per.len(), 3);
+        assert!(per.iter().all(|m| m.offered > 0));
         // Billing lands in per-model slots whose left fold is the total.
         let billed = &outcome.report.billed_by_model;
         assert_eq!(billed.len(), 3);
@@ -770,6 +796,18 @@ mod tests {
                 per[m].mean_accuracy
             );
         }
+        // Deterministic: a fresh facade re-running the same inputs
+        // reproduces the report bit-for-bit.
+        let mut again = service(options);
+        again.warm_monitors(&mix(), 3000, 7);
+        let outcome2 = again.run(&spec, &services, &trace);
+        assert_eq!(outcome.report.records, outcome2.report.records);
+        assert_eq!(outcome.report.unfinished, outcome2.report.unfinished);
+        assert_eq!(
+            outcome.report.billed_dollars.to_bits(),
+            outcome2.report.billed_dollars.to_bits()
+        );
+        assert_eq!(outcome.replans, outcome2.replans);
     }
 
     #[test]
