@@ -51,10 +51,6 @@ impl Scheduler for RibbonScheduler {
         "ribbon"
     }
 
-    fn schedule(&mut self, ctx: &SchedulingContext<'_>) -> Vec<Dispatch> {
-        self.inner.schedule(ctx)
-    }
-
     fn schedule_into(&mut self, ctx: &SchedulingContext<'_>, out: &mut Vec<Dispatch>) {
         self.inner.schedule_into(ctx, out);
     }
@@ -108,12 +104,6 @@ fn take_next(
 impl Scheduler for DrsScheduler {
     fn name(&self) -> &'static str {
         "drs"
-    }
-
-    fn schedule(&mut self, ctx: &SchedulingContext<'_>) -> Vec<Dispatch> {
-        let mut out = Vec::new();
-        self.schedule_into(ctx, &mut out);
-        out
     }
 
     fn schedule_into(&mut self, ctx: &SchedulingContext<'_>, out: &mut Vec<Dispatch>) {
@@ -317,12 +307,6 @@ impl Scheduler for ClockworkScheduler {
     fn bind_models(&mut self, models: &[ModelKind]) {
         self.models = models.to_vec();
         self.rebind_profiles();
-    }
-
-    fn schedule(&mut self, ctx: &SchedulingContext<'_>) -> Vec<Dispatch> {
-        let mut out = Vec::new();
-        self.schedule_into(ctx, &mut out);
-        out
     }
 
     fn schedule_into(&mut self, ctx: &SchedulingContext<'_>, out: &mut Vec<Dispatch>) {

@@ -1,58 +1,32 @@
 //! The experiment-fleet driver.
 //!
 //! ```text
-//! fleet figures [ids...]   regenerate the BENCH_*.json figures
-//!                          (default: fig12_shift fig_multimodel fig_spot fig_scale
-//!                          fig_batching fig_outage fig_variants fig_serverless)
+//! fleet figures [ids...]   run registered figures (default: every one)
 //! fleet matrix [out_dir]   run the default 24-scenario sweep (default: fleet-results/)
 //! fleet smoke  [out_dir]   run the 4-scenario CI sweep (default: target/fleet-smoke/)
 //! ```
 //!
-//! Figures run through `kairos_bench::figures` — the exact code the
-//! `figures` bench target executes — so one fleet invocation regenerates
-//! every checked-in `BENCH_*.json` bit-for-bit.  Matrix sweeps fan their
+//! Figures run through [`kairos_bench::registry`] — the table the `figures`
+//! bench target runs — so one fleet invocation regenerates every
+//! checked-in `BENCH_*.json` bit-for-bit; an unknown id runs nothing and
+//! exits non-zero.  Run it through `cargo run`, which sets the
+//! `CARGO_MANIFEST_DIR` the figures record under.  Matrix sweeps fan their
 //! scenarios out over rayon workers and write one JSON result file per
 //! scenario.  `KAIROS_FIG_FAST=1` shrinks the figures for CI.
 
-use kairos_bench::figures;
 use kairos_bench::fleet::{run_matrix, ScenarioMatrix};
+use kairos_bench::registry;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-const FIGURE_IDS: [&str; 8] = [
-    "fig12_shift",
-    "fig_multimodel",
-    "fig_spot",
-    "fig_scale",
-    "fig_batching",
-    "fig_outage",
-    "fig_variants",
-    "fig_serverless",
-];
-
 fn run_figures(ids: &[String]) -> ExitCode {
-    let selected: Vec<&str> = if ids.is_empty() {
-        FIGURE_IDS.to_vec()
-    } else {
-        ids.iter().map(String::as_str).collect()
-    };
-    for id in &selected {
-        match *id {
-            "fig12_shift" => figures::figure12_load_shift(),
-            "fig_multimodel" => figures::figure_multimodel(),
-            "fig_spot" => figures::figure_spot(),
-            "fig_scale" => figures::figure_scale(),
-            "fig_batching" => figures::figure_batching(),
-            "fig_outage" => figures::figure_outage(),
-            "fig_variants" => figures::figure_variants(),
-            "fig_serverless" => figures::figure_serverless(),
-            other => {
-                eprintln!("unknown figure {other}; known: {FIGURE_IDS:?}");
-                return ExitCode::from(2);
-            }
+    match registry::run(ids) {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("{e}");
+            ExitCode::from(2)
         }
     }
-    ExitCode::SUCCESS
 }
 
 fn run_sweep(matrix: &ScenarioMatrix, out_dir: PathBuf) -> ExitCode {

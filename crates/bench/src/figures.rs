@@ -1,13 +1,15 @@
-//! Library implementations of the BENCH_*-producing figures.
+//! The serving figures this reproduction adds to the paper's evaluation,
+//! each recording a `BENCH_*.json` at the workspace root through
+//! [`record`].
 //!
-//! These figures used to live only inside the `figures` bench target; they
-//! are library functions so the `fleet` experiment harness and the bench
-//! target regenerate each figure through the **same code path** — a fleet
-//! run reproduces the checked-in `BENCH_*.json` files bit-for-bit because
-//! it *is* the figure, not a reimplementation of it.  All of them honour
-//! `KAIROS_FIG_FAST=1` (shorter traces for CI smoke runs) and write their
-//! JSON next to the workspace root.
+//! They are library functions so the `figures` bench target and
+//! `fleet figures` run the **same code** through [`crate::registry`] — a
+//! fleet run reproduces the checked-in `BENCH_*.json` files bit-for-bit
+//! because it *is* the figure, not a reimplementation of it.  All of them
+//! honour `KAIROS_FIG_FAST=1`: shorter traces for CI smoke runs, which
+//! record nothing.
 
+use crate::harness::fast_mode;
 use kairos_baselines::{static_overprovision, AutoscalerOptions, ReactiveAutoscaler};
 use kairos_core::{
     paper_variant_planner, InferenceService, KairosScheduler, ReplanTrigger, ServingOptions,
@@ -26,6 +28,7 @@ use kairos_workload::{
     ArrivalProcess, BatchSizeDistribution, MixSpec, MixedTraceSpec, PhasedArrival, Query, TimeUs,
     Trace,
 };
+use std::path::Path;
 
 /// Prints a figure section banner (shared by every experiment driver).
 pub fn section(title: &str) {
@@ -34,11 +37,29 @@ pub fn section(title: &str) {
     println!("==================================================================");
 }
 
-/// Whether the fast (CI smoke) figure mode is requested.
-fn fast_mode() -> bool {
-    std::env::var("KAIROS_FIG_FAST")
-        .map(|v| v == "1")
-        .unwrap_or(false)
+/// Writes `lines`, one JSON object each, to `file` at the workspace root,
+/// found from the `CARGO_MANIFEST_DIR` cargo sets when it runs this package
+/// (so a copied tree records into itself, even with a copied `target/`).
+/// Fast mode records nothing: the checked-in files are full-fidelity.
+///
+/// # Panics
+/// Panics when `CARGO_MANIFEST_DIR` is unset or the file cannot be written.
+pub fn record(file: &str, lines: &[String]) {
+    if fast_mode() {
+        println!("--> fast mode: {file} not recorded");
+        return;
+    }
+    let Some(dir) = std::env::var_os("CARGO_MANIFEST_DIR") else {
+        panic!(
+            "cannot record {file}: CARGO_MANIFEST_DIR is not set; \
+             run the figures through `cargo bench` or `cargo run`"
+        );
+    };
+    let path = Path::new(&dir).join("../..").join(file);
+    if let Err(e) = std::fs::write(&path, lines.join("\n") + "\n") {
+        panic!("could not write {}: {e}", path.display());
+    }
+    println!("--> recorded {file}");
 }
 
 /// Integrates a piecewise-constant `(time, cost)` step function over
@@ -211,7 +232,6 @@ pub fn figure12_load_shift() {
     );
 
     // Record the outcome next to the other BENCH_* baselines.
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_load_shift.json");
     let json: Vec<String> = rows
         .iter()
         .map(|row| {
@@ -227,10 +247,7 @@ pub fn figure12_load_shift() {
             )
         })
         .collect();
-    match std::fs::write(path, json.join("\n") + "\n") {
-        Ok(()) => println!("--> recorded BENCH_load_shift.json"),
-        Err(e) => println!("--> could not write BENCH_load_shift.json: {e}"),
-    }
+    record("BENCH_load_shift.json", &json);
 }
 
 /// Multi-model serving — a 3-model mix (NCF + RM2 + WND) through the
@@ -375,7 +392,6 @@ pub fn figure_multimodel() {
         outcome.reconfigs.len()
     );
 
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_multimodel.json");
     let mut json = vec![
         format!(
             "{{\"name\":\"fig_multimodel/SHARED(facade)\",\"violation_fraction\":{shared_viol:.4},\
@@ -401,10 +417,7 @@ pub fn figure_multimodel() {
                 )
             }),
     );
-    match std::fs::write(path, json.join("\n") + "\n") {
-        Ok(()) => println!("--> recorded BENCH_multimodel.json"),
-        Err(e) => println!("--> could not write BENCH_multimodel.json: {e}"),
-    }
+    record("BENCH_multimodel.json", &json);
 }
 
 /// One scheme's outcome of the spot-market experiment.
@@ -556,7 +569,6 @@ pub fn figure_spot() {
         market_outcome.final_active.pools[0].config
     );
 
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_spot.json");
     let json: Vec<String> = rows
         .iter()
         .map(|row| {
@@ -572,10 +584,7 @@ pub fn figure_spot() {
             )
         })
         .collect();
-    match std::fs::write(path, json.join("\n") + "\n") {
-        Ok(()) => println!("--> recorded BENCH_spot.json"),
-        Err(e) => println!("--> could not write BENCH_spot.json: {e}"),
-    }
+    record("BENCH_spot.json", &json);
 }
 
 /// One scheme's outcome of the zone-outage experiment.
@@ -813,7 +822,6 @@ pub fn figure_outage() {
             .count(),
     );
 
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_outage.json");
     let json: Vec<String> = rows
         .iter()
         .map(|row| {
@@ -834,10 +842,7 @@ pub fn figure_outage() {
             )
         })
         .collect();
-    match std::fs::write(path, json.join("\n") + "\n") {
-        Ok(()) => println!("--> recorded BENCH_outage.json"),
-        Err(e) => println!("--> could not write BENCH_outage.json: {e}"),
-    }
+    record("BENCH_outage.json", &json);
 }
 
 /// One scheme's outcome of the online leg of the variants experiment.
@@ -1002,7 +1007,6 @@ pub fn figure_variants() {
         (1.0 - rows[2].violation_fraction / rows[0].violation_fraction.max(1e-9)) * 100.0
     );
 
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_variants.json");
     let mut json: Vec<String> = frontier
         .iter()
         .map(|(label, choice)| {
@@ -1030,10 +1034,7 @@ pub fn figure_variants() {
             row.final_variant
         )
     }));
-    match std::fs::write(path, json.join("\n") + "\n") {
-        Ok(()) => println!("--> recorded BENCH_variants.json"),
-        Err(e) => println!("--> could not write BENCH_variants.json: {e}"),
-    }
+    record("BENCH_variants.json", &json);
 }
 
 /// The scale experiment's five-model workload: the paper pool, one service
@@ -1236,7 +1237,6 @@ pub fn figure_scale() {
         }
     );
 
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_scale.json");
     let json: Vec<String> = rows
         .iter()
         .map(|row| {
@@ -1255,10 +1255,7 @@ pub fn figure_scale() {
             )
         })
         .collect();
-    match std::fs::write(path, json.join("\n") + "\n") {
-        Ok(()) => println!("--> recorded BENCH_scale.json"),
-        Err(e) => println!("--> could not write BENCH_scale.json: {e}"),
-    }
+    record("BENCH_scale.json", &json);
 }
 
 /// One batcher-timeout setting's outcome of the dynamic-batching sweep.
@@ -1420,7 +1417,6 @@ pub fn figure_batching() {
         );
     }
 
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_batching.json");
     let json: Vec<String> = rows
         .iter()
         .map(|row| {
@@ -1442,10 +1438,7 @@ pub fn figure_batching() {
             )
         })
         .collect();
-    match std::fs::write(path, json.join("\n") + "\n") {
-        Ok(()) => println!("--> recorded BENCH_batching.json"),
-        Err(e) => println!("--> could not write BENCH_batching.json: {e}"),
-    }
+    record("BENCH_batching.json", &json);
 }
 
 /// One keep-alive policy's outcome of the serverless experiment.
@@ -1620,7 +1613,6 @@ pub fn figure_serverless() {
         );
     }
 
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_serverless.json");
     let json: Vec<String> = rows
         .iter()
         .map(|row| {
@@ -1638,8 +1630,5 @@ pub fn figure_serverless() {
             )
         })
         .collect();
-    match std::fs::write(path, json.join("\n") + "\n") {
-        Ok(()) => println!("--> recorded BENCH_serverless.json"),
-        Err(e) => println!("--> could not write BENCH_serverless.json: {e}"),
-    }
+    record("BENCH_serverless.json", &json);
 }

@@ -20,6 +20,11 @@ use kairos_workload::BatchSizeDistribution;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+/// Whether `KAIROS_FIG_FAST=1` asks for the fast (CI smoke) figure mode.
+pub(crate) fn fast_mode() -> bool {
+    std::env::var("KAIROS_FIG_FAST").is_ok_and(|v| v == "1")
+}
+
 /// Tunes the process allocator for multi-gigabyte replay sweeps (the fleet
 /// and figure harnesses), so repeated passes reuse heap pages instead of
 /// re-faulting them.
@@ -159,9 +164,7 @@ impl ExperimentContext {
     /// Default context for a model: paper pool, calibration, 2.5 $/hr budget,
     /// production-like log-normal batch mix.
     pub fn new(model: ModelKind) -> Self {
-        let fast = std::env::var("KAIROS_FIG_FAST")
-            .map(|v| v == "1")
-            .unwrap_or(false);
+        let fast = fast_mode();
         let mut capacity = CapacityOptions::with_seed(97);
         capacity.duration_s = if fast { 1.0 } else { 2.0 };
         capacity.refine_steps = if fast { 3 } else { 4 };

@@ -7,15 +7,17 @@
 //! The heavy lifting lives in [`harness`]: it wires the simulator, the Kairos
 //! planner/scheduler and the baselines together and measures *allowable
 //! throughput* for arbitrary (model, configuration, scheduler) combinations.
-//! Each figure is regenerated by the `figures` bench target
-//! (`cargo bench -p kairos-bench --bench figures`), which prints paper-style
-//! rows; see EXPERIMENTS.md for the mapping and the recorded results.
+//! Every figure has one id in [`registry`]; the `figures` bench target
+//! (`cargo bench -p kairos-bench --bench figures -- fig8`) and
+//! `fleet figures fig8` both run it from there.
 
 #![warn(missing_docs)]
 
 pub mod figures;
 pub mod fleet;
 pub mod harness;
+pub mod paper;
+pub mod registry;
 
 pub use fleet::{run_matrix, run_scenario, Scenario, ScenarioMatrix, ScenarioResult};
 pub use harness::{

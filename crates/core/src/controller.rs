@@ -19,7 +19,7 @@ use kairos_models::{
     latency::{LatencyProfile, LatencyTable},
     mlmodel::ModelKind,
     predictor::PredictorBank,
-    Config, KeepAlivePolicy, PoolSpec, MAX_BATCH_SIZE,
+    KeepAlivePolicy, PoolSpec, MAX_BATCH_SIZE,
 };
 use kairos_workload::QueryMonitor;
 
@@ -293,25 +293,6 @@ impl KairosController {
         hash
     }
 
-    /// POP-style sharded planning: split the budget into `shards` equal parts,
-    /// plan each independently, and merge the shard configurations by summing
-    /// instance counts.  Useful when the configuration space under the full
-    /// budget would be too large to enumerate.
-    ///
-    /// Every shard gets the same budget and sees the same batch sample, so
-    /// the shard plans are identical: the planner runs **once** and the shard
-    /// configuration is multiplied by the shard count.
-    pub fn plan_sharded(&self, budget_per_hour: f64, shards: usize) -> Option<Config> {
-        assert!(shards >= 1, "need at least one shard");
-        let chosen = self.scored_plan(budget_per_hour / shards as f64)?.chosen;
-        let merged = chosen
-            .counts()
-            .iter()
-            .map(|&c| c * shards)
-            .collect::<Vec<_>>();
-        Some(Config::new(merged))
-    }
-
     /// Builds a query-distribution scheduler seeded with the controller's
     /// current latency knowledge.
     pub fn make_scheduler(&self) -> KairosScheduler {
@@ -387,30 +368,6 @@ mod tests {
         // the planner cannot credit auxiliary instances with anything.
         let plan = c.plan(2.5).unwrap();
         assert!(plan.chosen.count(0) >= 1);
-    }
-
-    #[test]
-    fn sharded_plan_costs_at_most_the_budget() {
-        let mut c = KairosController::with_priors(pool(), ModelKind::Rm2, paper_calibration());
-        for i in 0..1000u32 {
-            c.observe_query(5 + i % 300);
-        }
-        let merged = c.plan_sharded(5.0, 2).unwrap();
-        assert!(merged.cost(&pool()) <= 5.0 + 1e-9);
-        assert!(merged.total_instances() >= 2);
-    }
-
-    #[test]
-    fn sharded_plan_is_the_shard_plan_scaled() {
-        let mut c = KairosController::with_priors(pool(), ModelKind::Rm2, paper_calibration());
-        for i in 0..1000u32 {
-            c.observe_query(5 + i % 300);
-        }
-        let shards = 3usize;
-        let merged = c.plan_sharded(7.5, shards).unwrap();
-        let single = c.plan(7.5 / shards as f64).unwrap().chosen;
-        let expected: Vec<usize> = single.counts().iter().map(|&n| n * shards).collect();
-        assert_eq!(merged.counts(), &expected[..]);
     }
 
     #[test]
@@ -508,12 +465,5 @@ mod tests {
     fn set_pool_rejects_shape_changes() {
         let mut c = KairosController::with_priors(pool(), ModelKind::Rm2, paper_calibration());
         c.set_pool(PoolSpec::new(ec2::figure1_pool()));
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one shard")]
-    fn zero_shards_rejected() {
-        let c = KairosController::with_priors(pool(), ModelKind::Rm2, paper_calibration());
-        let _ = c.plan_sharded(2.5, 0);
     }
 }

@@ -229,12 +229,6 @@ impl Scheduler for KairosScheduler {
         "kairos"
     }
 
-    fn schedule(&mut self, ctx: &SchedulingContext<'_>) -> Vec<Dispatch> {
-        let mut out = Vec::new();
-        self.schedule_into(ctx, &mut out);
-        out
-    }
-
     fn schedule_into(&mut self, ctx: &SchedulingContext<'_>, out: &mut Vec<Dispatch>) {
         if ctx.queued.is_empty() {
             return;

@@ -134,12 +134,6 @@ impl Scheduler for MultiScheduler {
         }
     }
 
-    fn schedule(&mut self, ctx: &SchedulingContext<'_>) -> Vec<Dispatch> {
-        let mut out = Vec::new();
-        self.schedule_into(ctx, &mut out);
-        out
-    }
-
     fn schedule_into(&mut self, ctx: &SchedulingContext<'_>, out: &mut Vec<Dispatch>) {
         // One lane owns every query and instance, so the partition below is
         // the identity.

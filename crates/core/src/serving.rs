@@ -1038,19 +1038,20 @@ mod tests {
             "last-instance"
         }
 
-        fn schedule(
+        fn schedule_into(
             &mut self,
             ctx: &kairos_sim::SchedulingContext<'_>,
-        ) -> Vec<kairos_sim::Dispatch> {
+            out: &mut Vec<kairos_sim::Dispatch>,
+        ) {
             let Some(last) = ctx.instances.iter().rposition(|v| v.accepting) else {
-                return Vec::new();
+                return;
             };
-            (0..ctx.queued.len())
-                .map(|query_index| kairos_sim::Dispatch {
+            out.extend(
+                (0..ctx.queued.len()).map(|query_index| kairos_sim::Dispatch {
                     query_index,
                     instance_index: last,
-                })
-                .collect()
+                }),
+            );
         }
     }
 

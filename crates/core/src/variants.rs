@@ -20,7 +20,7 @@
 //!    each surviving lane above the accuracy floor ranks the affordable
 //!    configuration space under its own latency table; the per-lane lists
 //!    merge into one (upper bound, accuracy)-ordered frontier.
-//! 3. **Admissible selection** ([`VariantPlanner::plan_for_demand`]) — the
+//! 3. **Admissible selection** ([`VariantRuntime::select_lane`]) — the
 //!    highest-accuracy admissible lane with a demand-covering configuration
 //!    in budget wins; when no lane covers, the one with the largest
 //!    achievable bound serves degraded (downgrade-under-pressure), and the
@@ -266,66 +266,11 @@ impl VariantPlanner {
         ThroughputEstimator::from_sample(self.pool.clone(), self.model, &lane.priors, batch_sample)
     }
 
-    /// The accuracy-aware analogue of the serving loop's demand planner:
-    /// among admissible lanes, the **highest-accuracy** lane with a
-    /// configuration in budget whose upper bound covers
-    /// `demand_qps × headroom` wins (with the *cheapest* such configuration,
-    /// as in single-variant serving); when no lane covers, the admissible
-    /// lane with the largest achievable bound serves degraded.  Returns
-    /// `None` when no lane meets the floor.
-    pub fn plan_for_demand(
-        &self,
-        budget_per_hour: f64,
-        batch_sample: &[u32],
-        demand_qps: f64,
-        headroom: f64,
-        min_accuracy: Option<f64>,
-    ) -> Option<VariantChoice> {
-        let admissible = self.admissible(min_accuracy);
-        let required = demand_qps * headroom;
-        let options = EnumerationOptions::with_budget(budget_per_hour);
-        let mut fallback: Option<VariantChoice> = None;
-        let mut best: Option<VariantChoice> = None;
-        for &i in &admissible {
-            let lane = &self.lanes[i];
-            let space = self
-                .estimator(lane, batch_sample)
-                .score_affordable(&options);
-            let choice = |entry: usize| VariantChoice {
-                lane: i,
-                variant: lane.variant.name.clone(),
-                accuracy: lane.variant.accuracy,
-                config: space.config(entry),
-                upper_bound: space.bound(entry),
-            };
-            if let Some(found) = space.cheapest_covering(required, |_| true) {
-                let found = choice(found);
-                // Lanes iterate accuracy-descending: the first covering
-                // lane is the most accurate one.
-                if best
-                    .as_ref()
-                    .is_none_or(|b| found.accuracy > b.accuracy + 1e-12)
-                {
-                    best = Some(found);
-                }
-            } else if let Some(&top) = space.top().first() {
-                let top = choice(top);
-                if fallback
-                    .as_ref()
-                    .is_none_or(|f| top.upper_bound > f.upper_bound)
-                {
-                    fallback = Some(top);
-                }
-            }
-        }
-        best.or(fallback)
-    }
-
     /// The frontier query: among admissible lanes, the globally **cheapest**
     /// configuration in budget whose upper bound covers
     /// `demand_qps × headroom` (at equal cost the higher-accuracy lane
-    /// wins).  Where [`Self::plan_for_demand`] answers the serving loop's
-    /// question — the most accurate service that still meets demand — this
+    /// wins).  Where [`VariantRuntime::select_lane`] answers the serving
+    /// loop's question — the most accurate service that still meets demand — this
     /// answers the capacity planner's: what does meeting demand *cost* at a
     /// given accuracy floor.  Sweeping the floor traces the accuracy-vs-cost
     /// frontier; the strictest floor (reference only) is exactly what
@@ -561,31 +506,6 @@ mod tests {
             .find(|c| c.lane == 0)
             .expect("reference entries present");
         assert!(all[0].upper_bound > best_ref.upper_bound);
-    }
-
-    #[test]
-    fn demand_planner_downgrades_under_pressure_and_repromotes() {
-        let planner = paper_variant_planner(&pool(), ModelKind::Rm2, &paper_calibration());
-        let sample = sample();
-        // Light demand: the reference covers it, highest accuracy wins.
-        let light = planner
-            .plan_for_demand(2.5, &sample, 20.0, 1.35, None)
-            .unwrap();
-        assert_eq!(light.variant, "fp32");
-        // Heavy demand the reference cannot cover in budget: a cheaper
-        // variant that *can* cover is preferred over serving degraded.
-        let ref_best = planner.rank_configs_variants(2.5, &sample, Some(0.98))[0].upper_bound;
-        let heavy = planner
-            .plan_for_demand(2.5, &sample, ref_best * 1.2, 1.0, None)
-            .unwrap();
-        assert_ne!(heavy.variant, "fp32", "pressure must downgrade");
-        assert!(heavy.upper_bound >= ref_best * 1.2);
-        // Floors bind: under the same pressure with a strict floor the
-        // planner stays on the reference (degraded but admissible).
-        let floored = planner
-            .plan_for_demand(2.5, &sample, ref_best * 1.2, 1.0, Some(0.98))
-            .unwrap();
-        assert_eq!(floored.variant, "fp32");
     }
 
     #[test]

@@ -490,11 +490,6 @@ impl Cluster {
         counts
     }
 
-    /// The currently dispatch-accepting instances as a [`Config`].
-    pub fn active_config(&self) -> Config {
-        Config::new(self.active_counts())
-    }
-
     /// The currently dispatch-accepting instances bound to `model` as a
     /// [`Config`].
     pub fn active_config_for(&self, model: ModelId) -> Config {
@@ -511,14 +506,6 @@ impl Cluster {
     /// [`crate::Scheduler::bind_types`].
     pub fn type_names(&self) -> &[Arc<str>] {
         &self.type_names
-    }
-
-    /// The configuration of the *first* model slice the cluster was
-    /// initially instantiated with (the whole cluster for single-model
-    /// deployments).  The live population may have diverged through
-    /// reconfiguration; see [`Cluster::active_config`].
-    pub fn config(&self) -> &Config {
-        &self.spec.pools[0].config
     }
 
     /// The full multi-model spec the cluster was instantiated from.

@@ -2958,23 +2958,24 @@ mod tests {
             "reversing"
         }
 
-        fn schedule(&mut self, ctx: &SchedulingContext<'_>) -> Vec<Dispatch> {
+        fn schedule_into(&mut self, ctx: &SchedulingContext<'_>, out: &mut Vec<Dispatch>) {
             // Wait until the whole burst is visible, then dispatch the newest
             // two queries (in that order) to instance 0, leaving the rest in
             // the central queue.
             if ctx.queued.len() < 5 {
-                return Vec::new();
+                return;
             }
-            ctx.queued
-                .iter()
-                .enumerate()
-                .rev()
-                .take(2)
-                .map(|(query_index, _)| Dispatch {
-                    query_index,
-                    instance_index: 0,
-                })
-                .collect()
+            out.extend(
+                ctx.queued
+                    .iter()
+                    .enumerate()
+                    .rev()
+                    .take(2)
+                    .map(|(query_index, _)| Dispatch {
+                        query_index,
+                        instance_index: 0,
+                    }),
+            );
         }
     }
 
@@ -3018,17 +3019,18 @@ mod tests {
             "alternating"
         }
 
-        fn schedule(&mut self, ctx: &SchedulingContext<'_>) -> Vec<Dispatch> {
+        fn schedule_into(&mut self, ctx: &SchedulingContext<'_>, out: &mut Vec<Dispatch>) {
             if ctx.queued.len() < 6 {
-                return Vec::new();
+                return;
             }
-            (0..ctx.queued.len())
-                .step_by(2)
-                .map(|query_index| Dispatch {
-                    query_index,
-                    instance_index: 0,
-                })
-                .collect()
+            out.extend(
+                (0..ctx.queued.len())
+                    .step_by(2)
+                    .map(|query_index| Dispatch {
+                        query_index,
+                        instance_index: 0,
+                    }),
+            );
         }
     }
 
@@ -3066,13 +3068,11 @@ mod tests {
             "first-instance"
         }
 
-        fn schedule(&mut self, ctx: &SchedulingContext<'_>) -> Vec<Dispatch> {
-            (0..ctx.queued.len())
-                .map(|query_index| Dispatch {
-                    query_index,
-                    instance_index: 0,
-                })
-                .collect()
+        fn schedule_into(&mut self, ctx: &SchedulingContext<'_>, out: &mut Vec<Dispatch>) {
+            out.extend((0..ctx.queued.len()).map(|query_index| Dispatch {
+                query_index,
+                instance_index: 0,
+            }));
         }
     }
 

@@ -190,7 +190,10 @@ pub trait Scheduler {
     /// Policy name used in reports and benchmark output.
     fn name(&self) -> &'static str;
 
-    /// Decides which queued queries to dispatch to which instances.
+    /// Decides which queued queries to dispatch to which instances, and
+    /// appends the decisions to `out` (cleared by the caller), which the
+    /// engine reuses across rounds so steady-state scheduling performs no
+    /// allocation.
     ///
     /// Constraints (validated by the engine):
     /// * each `query_index` appears at most once,
@@ -199,16 +202,13 @@ pub trait Scheduler {
     /// A query may be dispatched to a busy instance, in which case it waits in
     /// that instance's local queue.  Queries left undecided stay in the
     /// central queue and are offered again at the next invocation.
-    fn schedule(&mut self, ctx: &SchedulingContext<'_>) -> Vec<Dispatch>;
+    fn schedule_into(&mut self, ctx: &SchedulingContext<'_>, out: &mut Vec<Dispatch>);
 
-    /// Scratch-aware variant of [`Self::schedule`]: appends the dispatch
-    /// decisions to `out` (cleared by the caller), which the engine reuses
-    /// across rounds so steady-state scheduling performs no allocation.
-    ///
-    /// The default delegates to `schedule`; hot-path policies should override
-    /// this and implement `schedule` in terms of it.
-    fn schedule_into(&mut self, ctx: &SchedulingContext<'_>, out: &mut Vec<Dispatch>) {
-        out.extend(self.schedule(ctx));
+    /// [`Self::schedule_into`] into a fresh vector.
+    fn schedule(&mut self, ctx: &SchedulingContext<'_>) -> Vec<Dispatch> {
+        let mut out = Vec::new();
+        self.schedule_into(ctx, &mut out);
+        out
     }
 
     /// Hands the policy the pool's interned type names, indexed by the type
@@ -265,12 +265,6 @@ impl FcfsScheduler {
 impl Scheduler for FcfsScheduler {
     fn name(&self) -> &'static str {
         "fcfs"
-    }
-
-    fn schedule(&mut self, ctx: &SchedulingContext<'_>) -> Vec<Dispatch> {
-        let mut out = Vec::new();
-        self.schedule_into(ctx, &mut out);
-        out
     }
 
     fn schedule_into(&mut self, ctx: &SchedulingContext<'_>, out: &mut Vec<Dispatch>) {

@@ -39,7 +39,7 @@ impl Scheduler for EarliestFreeScheduler {
         "earliest-free"
     }
 
-    fn schedule(&mut self, ctx: &SchedulingContext<'_>) -> Vec<Dispatch> {
+    fn schedule_into(&mut self, ctx: &SchedulingContext<'_>, out: &mut Vec<Dispatch>) {
         // Idle views keep the time they went idle; the scheduler contract is
         // to read availability clamped to now (`remaining_us` semantics).
         let mut free_at: Vec<u64> = ctx
@@ -47,24 +47,20 @@ impl Scheduler for EarliestFreeScheduler {
             .iter()
             .map(|i| i.free_at_us.max(ctx.now_us))
             .collect();
-        ctx.queued
-            .iter()
-            .enumerate()
-            .map(|(query_index, _)| {
-                let slot = free_at
-                    .iter()
-                    .enumerate()
-                    .min_by_key(|&(_, &t)| t)
-                    .map(|(slot, _)| slot)
-                    .expect("non-empty cluster");
-                // Rough occupancy charge so consecutive picks spread out.
-                free_at[slot] += 10_000;
-                Dispatch {
-                    query_index,
-                    instance_index: ctx.instances[slot].instance_index,
-                }
-            })
-            .collect()
+        out.extend(ctx.queued.iter().enumerate().map(|(query_index, _)| {
+            let slot = free_at
+                .iter()
+                .enumerate()
+                .min_by_key(|&(_, &t)| t)
+                .map(|(slot, _)| slot)
+                .expect("non-empty cluster");
+            // Rough occupancy charge so consecutive picks spread out.
+            free_at[slot] += 10_000;
+            Dispatch {
+                query_index,
+                instance_index: ctx.instances[slot].instance_index,
+            }
+        }));
     }
 }
 

@@ -33,12 +33,6 @@ impl Scheduler for SortedFcfs {
         "fcfs-sorted"
     }
 
-    fn schedule(&mut self, ctx: &SchedulingContext<'_>) -> Vec<Dispatch> {
-        let mut out = Vec::new();
-        self.schedule_into(ctx, &mut out);
-        out
-    }
-
     fn schedule_into(&mut self, ctx: &SchedulingContext<'_>, out: &mut Vec<Dispatch>) {
         self.order.clear();
         self.order.extend_from_slice(ctx.idle_now());

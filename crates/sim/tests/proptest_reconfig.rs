@@ -81,7 +81,7 @@ impl Scheduler for EarliestFreeScheduler {
         "earliest-free"
     }
 
-    fn schedule(&mut self, ctx: &SchedulingContext<'_>) -> Vec<Dispatch> {
+    fn schedule_into(&mut self, ctx: &SchedulingContext<'_>, out: &mut Vec<Dispatch>) {
         // Idle views keep the time they went idle; the scheduler contract is
         // to read availability clamped to now (`remaining_us` semantics).
         let mut free_at: Vec<Option<u64>> = ctx
@@ -89,23 +89,24 @@ impl Scheduler for EarliestFreeScheduler {
             .iter()
             .map(|i| i.accepting.then_some(i.free_at_us.max(ctx.now_us)))
             .collect();
-        ctx.queued
-            .iter()
-            .enumerate()
-            .filter_map(|(query_index, _)| {
-                let slot = free_at
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(slot, t)| t.map(|t| (slot, t)))
-                    .min_by_key(|&(_, t)| t)
-                    .map(|(slot, _)| slot)?;
-                *free_at.get_mut(slot).unwrap() = free_at[slot].map(|t| t + 10_000);
-                Some(Dispatch {
-                    query_index,
-                    instance_index: ctx.instances[slot].instance_index,
-                })
-            })
-            .collect()
+        out.extend(
+            ctx.queued
+                .iter()
+                .enumerate()
+                .filter_map(|(query_index, _)| {
+                    let slot = free_at
+                        .iter()
+                        .enumerate()
+                        .filter_map(|(slot, t)| t.map(|t| (slot, t)))
+                        .min_by_key(|&(_, t)| t)
+                        .map(|(slot, _)| slot)?;
+                    *free_at.get_mut(slot).unwrap() = free_at[slot].map(|t| t + 10_000);
+                    Some(Dispatch {
+                        query_index,
+                        instance_index: ctx.instances[slot].instance_index,
+                    })
+                }),
+        );
     }
 }
 
@@ -122,7 +123,7 @@ impl Scheduler for ThresholdScheduler {
         "threshold"
     }
 
-    fn schedule(&mut self, ctx: &SchedulingContext<'_>) -> Vec<Dispatch> {
+    fn schedule_into(&mut self, ctx: &SchedulingContext<'_>, out: &mut Vec<Dispatch>) {
         let mut idle_base: Vec<u32> = Vec::new();
         let mut idle_aux: Vec<u32> = Vec::new();
         for &i in ctx.idle_now() {
@@ -132,7 +133,6 @@ impl Scheduler for ThresholdScheduler {
                 idle_aux.push(i);
             }
         }
-        let mut plan = Vec::new();
         for (query_index, query) in ctx.queued.iter().enumerate() {
             let pool = if query.batch_size > self.threshold {
                 &mut idle_base
@@ -140,13 +140,12 @@ impl Scheduler for ThresholdScheduler {
                 &mut idle_aux
             };
             if let Some(instance_index) = pool.pop() {
-                plan.push(Dispatch {
+                out.push(Dispatch {
                     query_index,
                     instance_index: instance_index as usize,
                 });
             }
         }
-        plan
     }
 }
 
