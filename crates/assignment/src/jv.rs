@@ -17,8 +17,7 @@
 //! Under overload the serving shapes are hundreds of queued queries by tens of
 //! instances, and the matching runs at every scheduling instant.  For that
 //! caller, [`solve_jv_into`] solves from a flat cost buffer in a reusable
-//! [`JvWorkspace`], so a round neither copies the costs nor allocates;
-//! [`solve_jv`] is the one-shot form of the same routine.
+//! [`JvWorkspace`], so a round neither copies the costs nor allocates.
 //!
 //! There a matrix of `r` instances by `c` queued queries (`c` in the
 //! hundreds) takes `r` augmentations, each of which visits only a few rows.
@@ -31,18 +30,7 @@
 //! of the textbook formulation, so the matching and the duals keep their
 //! bits.
 
-use crate::matrix::CostMatrix;
-use crate::solution::{Assignment, AssignmentError};
-
-/// Solves the rectangular min-cost assignment problem and returns an optimal
-/// matching of size `min(rows, cols)`.
-///
-/// A one-shot wrapper over [`solve_jv_into`] with a fresh workspace.
-pub fn solve_jv(matrix: &CostMatrix) -> Result<Assignment, AssignmentError> {
-    let mut ws = JvWorkspace::new();
-    let row_to_col = solve_jv_into(&mut ws, matrix.rows(), matrix.cols(), matrix.as_slice())?;
-    Ok(Assignment::from_row_mapping(matrix, row_to_col.to_vec()))
-}
+use std::fmt;
 
 /// Buffers of the shortest-augmenting-path solver, kept between calls to
 /// [`solve_jv_into`] so a caller that solves one matching per scheduling
@@ -81,8 +69,9 @@ impl JvWorkspace {
 /// Either orientation is solved without copying the costs: when `rows >
 /// cols` the solver walks the buffer column-wise as the transposed problem.
 /// Callers that choose the layout themselves should pass the orientation
-/// with `rows <= cols`, whose scans are contiguous.  Entries must be finite
-/// (see [`CostMatrix`]).
+/// with `rows <= cols`, whose scans are contiguous.  Entries must be
+/// finite: an infeasible pair carries a large finite penalty (the paper's
+/// `10 * T_qos`, Eq. 8), so a complete matching always exists.
 ///
 /// # Panics
 /// Panics if `cost.len() != rows * cols`.
@@ -112,6 +101,24 @@ pub fn solve_jv_into<'ws>(
     }
     Ok(&ws.row_to_col)
 }
+
+/// Errors produced by the assignment solver.
+#[derive(Debug, Clone, PartialEq)]
+pub enum AssignmentError {
+    /// No complete matching was found: only possible when a cost is not
+    /// finite.
+    Infeasible,
+}
+
+impl fmt::Display for AssignmentError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            AssignmentError::Infeasible => write!(f, "no complete matching exists"),
+        }
+    }
+}
+
+impl std::error::Error for AssignmentError {}
 
 /// A column not yet scanned in the current augmentation, with the shortest
 /// path cost found to it so far.
@@ -243,99 +250,5 @@ impl JvWorkspace {
         }
 
         Ok(())
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::brute::solve_brute_force;
-
-    fn solve(rows: usize, cols: usize, data: Vec<f64>) -> Assignment {
-        let m = CostMatrix::from_vec(rows, cols, data).unwrap();
-        solve_jv(&m).unwrap()
-    }
-
-    #[test]
-    fn square_3x3_known_optimum() {
-        // Classic example: optimal cost is 5 (0->1, 1->0, 2->2) -> 1 + 2 + 2.
-        let a = solve(3, 3, vec![4.0, 1.0, 3.0, 2.0, 0.0, 5.0, 3.0, 2.0, 2.0]);
-        assert_eq!(a.matched_count(), 3);
-        assert!((a.total_cost - 5.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn identity_preference() {
-        // Diagonal is cheapest: the solver must pick it.
-        let a = solve(3, 3, vec![0.0, 9.0, 9.0, 9.0, 0.0, 9.0, 9.0, 9.0, 0.0]);
-        assert_eq!(a.row_to_col, vec![Some(0), Some(1), Some(2)]);
-        assert_eq!(a.total_cost, 0.0);
-    }
-
-    #[test]
-    fn wide_matrix_fewer_rows_than_cols() {
-        // 2 queries, 4 instances: both queries must be matched.
-        let a = solve(2, 4, vec![10.0, 2.0, 8.0, 7.0, 3.0, 9.0, 9.0, 9.0]);
-        assert_eq!(a.matched_count(), 2);
-        assert!((a.total_cost - 5.0).abs() < 1e-9);
-        assert_eq!(a.row_to_col, vec![Some(1), Some(0)]);
-    }
-
-    #[test]
-    fn tall_matrix_fewer_cols_than_rows() {
-        // 4 queries, 2 instances: exactly two queries get served.
-        let a = solve(4, 2, vec![5.0, 6.0, 1.0, 9.0, 9.0, 1.0, 4.0, 4.0]);
-        assert_eq!(a.matched_count(), 2);
-        assert!((a.total_cost - 2.0).abs() < 1e-9);
-        assert!(a.is_valid_for(4, 2));
-    }
-
-    #[test]
-    fn single_cell() {
-        let a = solve(1, 1, vec![42.0]);
-        assert_eq!(a.row_to_col, vec![Some(0)]);
-        assert_eq!(a.total_cost, 42.0);
-    }
-
-    #[test]
-    fn negative_costs_supported() {
-        let a = solve(2, 2, vec![-5.0, 0.0, 0.0, -5.0]);
-        assert!((a.total_cost - -10.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn matches_brute_force_on_small_matrices() {
-        // Deterministic pseudo-random matrices via a simple LCG, so this test
-        // does not need the rand crate.
-        let mut state = 0x9E3779B97F4A7C15u64;
-        let mut next = move || {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            ((state >> 33) as f64) / (u32::MAX as f64) * 100.0
-        };
-        for rows in 1..=5usize {
-            for cols in 1..=5usize {
-                let data: Vec<f64> = (0..rows * cols).map(|_| next()).collect();
-                let m = CostMatrix::from_vec(rows, cols, data).unwrap();
-                let jv = solve_jv(&m).unwrap();
-                let brute = solve_brute_force(&m).unwrap();
-                assert!(
-                    (jv.total_cost - brute.total_cost).abs() < 1e-6,
-                    "JV {} vs brute {} on {rows}x{cols}",
-                    jv.total_cost,
-                    brute.total_cost
-                );
-                assert!(jv.is_valid_for(rows, cols));
-            }
-        }
-    }
-
-    #[test]
-    fn ties_resolve_to_a_valid_matching() {
-        let a = solve(3, 3, vec![1.0; 9]);
-        assert_eq!(a.matched_count(), 3);
-        assert!((a.total_cost - 3.0).abs() < 1e-9);
-        assert!(a.is_valid_for(3, 3));
     }
 }

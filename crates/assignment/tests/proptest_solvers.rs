@@ -11,12 +11,8 @@
 //!   is handed a matrix or its transpose and however many differently sized
 //!   problems its workspace solved before.
 
-use kairos_assignment::{
-    brute::solve_brute_force,
-    greedy::solve_greedy,
-    jv::{solve_jv, solve_jv_into, JvWorkspace},
-    CostMatrix,
-};
+use kairos_assignment::jv::{solve_jv_into, JvWorkspace};
+use kairos_testkit::{brute::solve_brute_force, greedy::solve_greedy, jv::solve_jv, CostMatrix};
 use proptest::prelude::*;
 
 /// Strategy producing small rectangular matrices with bounded finite costs.

@@ -365,7 +365,8 @@ impl Scheduler for ClockworkScheduler {
 mod tests {
     use super::*;
     use kairos_models::calibration::paper_calibration;
-    use kairos_sim::{idle_order, InstanceView};
+    use kairos_sim::InstanceView;
+    use kairos_testkit::idle_order;
     use kairos_workload::ModelId;
     use kairos_workload::Query;
 

@@ -10,10 +10,11 @@ use kairos_models::{
     ModelKind, PoolSpec,
 };
 use kairos_sim::{
-    allowable_throughput, run_trace, run_trace_naive, BatchingOptions, CapacityOptions,
-    CapacityProber, ClusterSpec, FcfsScheduler, Scheduler, ServiceSpec, ShardedEngine, SharingMode,
-    SharingOptions, SimulationOptions,
+    allowable_throughput, run_trace, BatchingOptions, CapacityOptions, CapacityProber, ClusterSpec,
+    FcfsScheduler, Scheduler, ServiceSpec, ShardedEngine, SharingMode, SharingOptions,
+    SimulationOptions,
 };
+use kairos_testkit::run_trace_naive;
 use kairos_workload::{BatchSizeDistribution, MixSpec, MixedTraceSpec, TraceSpec};
 use std::hint::black_box;
 
@@ -60,7 +61,7 @@ fn bench_trace_replay(c: &mut Criterion) {
 /// output.
 ///
 /// Clockwork is the showcase scheduler because it queues queries at busy
-/// instances, so the naive path recomputes `nominal_latency_ms` over every
+/// instances, so the naive path recomputes the nominal latency of every
 /// local queue entry on every event (O(events × instances × queue-depth));
 /// the incremental engine keeps per-instance `free_at_us` as a running value.
 /// The trace rate (2.5 kQPS on a ~2.2 kQPS configuration) mildly overloads
@@ -592,7 +593,8 @@ fn bench_allowable_throughput_probe(c: &mut Criterion) {
 /// fleet's views, a short mixed queue.
 fn bench_kairos_round(c: &mut Criterion) {
     use kairos_core::KairosScheduler;
-    use kairos_sim::{idle_order, Dispatch, InstanceView, SchedulingContext};
+    use kairos_sim::{Dispatch, InstanceView, SchedulingContext};
+    use kairos_testkit::idle_order;
     use kairos_workload::{ModelId, Query};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};

@@ -7,15 +7,12 @@
 //! matrix sizes.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use kairos_assignment::{
-    greedy::solve_greedy,
-    jv::{solve_jv, solve_jv_into, JvWorkspace},
-    CostMatrix,
-};
+use kairos_assignment::jv::{solve_jv_into, JvWorkspace};
 use kairos_core::{distribution::QOS_PENALTY_FACTOR, heterogeneity_coefficients, DEFAULT_XI};
 use kairos_models::{
     calibration::paper_calibration, ec2, ModelKind, OnlinePredictor, MAX_BATCH_SIZE,
 };
+use kairos_testkit::{greedy::solve_greedy, jv::solve_jv, CostMatrix};
 use kairos_workload::BatchSizeDistribution;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

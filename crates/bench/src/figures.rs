@@ -1,6 +1,6 @@
 //! The serving figures this reproduction adds to the paper's evaluation,
-//! each recording a `BENCH_*.json` at the workspace root through
-//! [`record`].
+//! each recording a `BENCH_*.json` at the workspace root through the
+//! [`Recorder`] the registry hands it.
 //!
 //! They are library functions so the `figures` bench target and
 //! `fleet figures` run the **same code** through [`crate::registry`] — a
@@ -28,7 +28,7 @@ use kairos_workload::{
     ArrivalProcess, BatchSizeDistribution, MixSpec, MixedTraceSpec, PhasedArrival, Query, TimeUs,
     Trace,
 };
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 /// Prints a figure section banner (shared by every experiment driver).
 pub fn section(title: &str) {
@@ -37,29 +37,44 @@ pub fn section(title: &str) {
     println!("==================================================================");
 }
 
-/// Writes `lines`, one JSON object each, to `file` at the workspace root,
-/// found from the `CARGO_MANIFEST_DIR` cargo sets when it runs this package
-/// (so a copied tree records into itself, even with a copied `target/`).
-/// Fast mode records nothing: the checked-in files are full-fidelity.
-///
-/// # Panics
-/// Panics when `CARGO_MANIFEST_DIR` is unset or the file cannot be written.
-pub fn record(file: &str, lines: &[String]) {
-    if fast_mode() {
-        println!("--> fast mode: {file} not recorded");
-        return;
+/// Where the serving figures record their `BENCH_*.json` files: the
+/// workspace root, or nowhere (fast mode: the checked-in files are
+/// full-fidelity).
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Recorder {
+    root: Option<PathBuf>,
+}
+
+impl Recorder {
+    /// This process's recorder: one that records nothing in fast mode;
+    /// otherwise the workspace root, found from the `CARGO_MANIFEST_DIR`
+    /// cargo sets when it runs this package (so a copied tree records into
+    /// itself, even with a copied `target/`).  `None` when that variable is
+    /// unset.
+    pub fn from_env() -> Option<Self> {
+        if fast_mode() {
+            return Some(Self::default());
+        }
+        let dir = std::env::var_os("CARGO_MANIFEST_DIR")?;
+        let root = Some(Path::new(&dir).join("../.."));
+        Some(Self { root })
     }
-    let Some(dir) = std::env::var_os("CARGO_MANIFEST_DIR") else {
-        panic!(
-            "cannot record {file}: CARGO_MANIFEST_DIR is not set; \
-             run the figures through `cargo bench` or `cargo run`"
-        );
-    };
-    let path = Path::new(&dir).join("../..").join(file);
-    if let Err(e) = std::fs::write(&path, lines.join("\n") + "\n") {
-        panic!("could not write {}: {e}", path.display());
+
+    /// Writes `lines`, one JSON object each, to `file` under the root.
+    ///
+    /// # Panics
+    /// Panics when the file cannot be written.
+    pub fn record(&self, file: &str, lines: &[String]) {
+        let Some(root) = &self.root else {
+            println!("--> fast mode: {file} not recorded");
+            return;
+        };
+        let path = root.join(file);
+        if let Err(e) = std::fs::write(&path, lines.join("\n") + "\n") {
+            panic!("could not write {}: {e}", path.display());
+        }
+        println!("--> recorded {file}");
     }
-    println!("--> recorded {file}");
 }
 
 /// Integrates a piecewise-constant `(time, cost)` step function over
@@ -94,7 +109,7 @@ struct LoadShiftRow {
 /// autoscaler.  Records the QoS-violation rate, the time-to-recover across
 /// the phase boundary, and the time-weighted cluster cost, and writes them
 /// to `BENCH_load_shift.json` at the workspace root.
-pub fn figure12_load_shift() {
+pub fn figure12_load_shift(recorder: &Recorder) {
     let fast = fast_mode();
     let phase_s = if fast { 3.0 } else { 5.0 };
     let (low_qps, high_qps, budget) = (40.0, 100.0, 2.5);
@@ -247,7 +262,7 @@ pub fn figure12_load_shift() {
             )
         })
         .collect();
-    record("BENCH_load_shift.json", &json);
+    recorder.record("BENCH_load_shift.json", &json);
 }
 
 /// Multi-model serving — a 3-model mix (NCF + RM2 + WND) through the
@@ -255,7 +270,7 @@ pub fn figure12_load_shift() {
 /// single-model deployments at the same total budget (each frozen at an
 /// equal share).  Records per-scheme QoS-violation rate and time-weighted
 /// target-cluster cost to `BENCH_multimodel.json`.
-pub fn figure_multimodel() {
+pub fn figure_multimodel(recorder: &Recorder) {
     let fast = fast_mode();
     let duration_s = if fast { 4.0 } else { 8.0 };
     let budget = 6.0;
@@ -417,7 +432,7 @@ pub fn figure_multimodel() {
                 )
             }),
     );
-    record("BENCH_multimodel.json", &json);
+    recorder.record("BENCH_multimodel.json", &json);
 }
 
 /// One scheme's outcome of the spot-market experiment.
@@ -435,7 +450,7 @@ struct SpotRow {
 /// the same loop restricted to on-demand capacity and reactive autoscalers
 /// on either purchase option.  Records time-weighted billed $/hr, violation
 /// percentage and preemption counts to `BENCH_spot.json`.
-pub fn figure_spot() {
+pub fn figure_spot(recorder: &Recorder) {
     let fast = fast_mode();
     let duration_s = if fast { 6.0 } else { 12.0 };
     let (rate_qps, budget) = (60.0, 2.5);
@@ -584,7 +599,7 @@ pub fn figure_spot() {
             )
         })
         .collect();
-    record("BENCH_spot.json", &json);
+    recorder.record("BENCH_spot.json", &json);
 }
 
 /// One scheme's outcome of the zone-outage experiment.
@@ -615,7 +630,7 @@ struct OutageRow {
 /// cadence until the outage lifts).  Records violation %, time-weighted
 /// billed $/hr, time-to-recover from the outage onset, queries lost to the
 /// outage and rejected purchases to `BENCH_outage.json`.
-pub fn figure_outage() {
+pub fn figure_outage(recorder: &Recorder) {
     let fast = fast_mode();
     let duration_s = if fast { 6.0 } else { 12.0 };
     let (rate_qps, budget) = (60.0, 2.6);
@@ -760,22 +775,6 @@ pub fn figure_outage() {
     );
     let reactive_row = row_of("REACTIVE(homo)", &reactive.report);
 
-    if std::env::var("KAIROS_FIG_DEBUG").is_ok() {
-        println!("aware initial {:?}", aware_initial);
-        println!("blind initial {:?}", blind_initial);
-        for (name, outcome) in [("aware", &aware_outcome), ("blind", &blind_outcome)] {
-            for r in &outcome.reconfigs {
-                println!("{name} reconfig {:?}", r);
-            }
-            let tl = outcome.report.violation_timeline(500_000);
-            println!(
-                "{name} timeline {:?}",
-                tl.iter()
-                    .map(|(t, v)| (*t / 1000, (v * 100.0) as u32))
-                    .collect::<Vec<_>>()
-            );
-        }
-    }
     let rows = [aware_row, blind_row, reactive_row];
     println!(
         "\n{:<22}{:>14}{:>10}{:>14}{:>14}{:>9}{:>8}{:>10}",
@@ -842,7 +841,7 @@ pub fn figure_outage() {
             )
         })
         .collect();
-    record("BENCH_outage.json", &json);
+    recorder.record("BENCH_outage.json", &json);
 }
 
 /// One scheme's outcome of the online leg of the variants experiment.
@@ -876,7 +875,7 @@ struct VariantRow {
 ///
 /// Writes `BENCH_variants.json` at the workspace root; `KAIROS_FIG_FAST=1`
 /// shrinks the online trace for CI smoke runs.
-pub fn figure_variants() {
+pub fn figure_variants(recorder: &Recorder) {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -1034,7 +1033,7 @@ pub fn figure_variants() {
             row.final_variant
         )
     }));
-    record("BENCH_variants.json", &json);
+    recorder.record("BENCH_variants.json", &json);
 }
 
 /// The scale experiment's five-model workload: the paper pool, one service
@@ -1119,7 +1118,7 @@ struct ScaleRow {
 /// one, reports engine events/sec and the wall-clock vs simulated-time
 /// speedup per pass, and writes `BENCH_scale.json`.  `KAIROS_FIG_FAST=1`
 /// shrinks the trace for CI smoke runs.
-pub fn figure_scale() {
+pub fn figure_scale(recorder: &Recorder) {
     let fast = fast_mode();
     let (total_qps, duration_s) = if fast {
         (40_000.0, 0.5)
@@ -1255,7 +1254,7 @@ pub fn figure_scale() {
             )
         })
         .collect();
-    record("BENCH_scale.json", &json);
+    recorder.record("BENCH_scale.json", &json);
 }
 
 /// One batcher-timeout setting's outcome of the dynamic-batching sweep.
@@ -1286,7 +1285,7 @@ struct BatchingRow {
 /// constant.
 /// Writes `BENCH_batching.json` at the workspace root;
 /// `KAIROS_FIG_FAST=1` shrinks the trace for CI smoke runs.
-pub fn figure_batching() {
+pub fn figure_batching(recorder: &Recorder) {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -1367,11 +1366,7 @@ pub fn figure_batching() {
             violation_fraction: report.violation_fraction(),
             p99_ms: report.p99_latency_us() as f64 / 1000.0,
             batches_fired: s.batches_fired,
-            mean_fill: if s.batches_fired > 0 {
-                s.batch_fill_sum as f64 / s.batches_fired as f64
-            } else {
-                0.0
-            },
+            mean_fill: s.mean_batch_fill(),
             mean_wait_ms: if s.batches_fired > 0 {
                 s.batch_wait_us_sum as f64 / s.batches_fired as f64 / 1000.0
             } else {
@@ -1438,7 +1433,7 @@ pub fn figure_batching() {
             )
         })
         .collect();
-    record("BENCH_batching.json", &json);
+    recorder.record("BENCH_batching.json", &json);
 }
 
 /// One keep-alive policy's outcome of the serverless experiment.
@@ -1460,7 +1455,7 @@ struct ServerlessRow {
 /// the figure is a cost-per-request vs tail-p99 frontier; the headline is
 /// scale-to-zero matching the always-on p99 within RM2's QoS at a fraction
 /// of the $/hr.  Writes `BENCH_serverless.json`.
-pub fn figure_serverless() {
+pub fn figure_serverless(recorder: &Recorder) {
     use kairos_models::{ColdStartCost, ColdStartProfile, KeepAlivePolicy};
     use kairos_sim::ServerlessConfig;
 
@@ -1630,5 +1625,5 @@ pub fn figure_serverless() {
             )
         })
         .collect();
-    record("BENCH_serverless.json", &json);
+    recorder.record("BENCH_serverless.json", &json);
 }

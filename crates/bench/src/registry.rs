@@ -3,75 +3,105 @@
 //!
 //! It holds the paper's evaluation ([`crate::paper`], Figs. 1–16) and the
 //! serving figures this reproduction adds ([`crate::figures`], each of which
-//! records a `BENCH_*.json` through [`crate::figures::record`]).  [`run`]
+//! records a `BENCH_*.json` through the [`Recorder`] it is handed).  [`run`]
 //! takes the shell's command-line arguments:
 //!
 //! * no ids runs every entry, in table order;
 //! * ids run in argument order, space- or comma-separated
 //!   (`fig7 fig8` or `fig7,fig8`);
-//! * an unknown id runs nothing and returns [`UnknownId`], which names the
-//!   known ids;
+//! * an unknown id runs nothing and returns [`RunError::UnknownId`], which
+//!   names the known ids;
+//! * a selection with a serving figure resolves the recording root first,
+//!   and runs nothing ([`RunError::NoRecordRoot`]) when it is unknown;
 //! * `--bench`, which `cargo bench` appends for every bench target, is not
 //!   an id.
 
-use crate::{figures, paper};
+use crate::figures::{self, Recorder};
+use crate::paper;
 use std::fmt;
+use Figure::{Prints, Records};
 
-/// One registered run: its id and the function that runs it.
-pub type Entry = (&'static str, fn());
+/// What a registered entry runs.
+#[derive(Debug, Clone, Copy)]
+pub enum Figure {
+    /// A figure that only prints its tables.
+    Prints(fn()),
+    /// A figure that prints its table and records a `BENCH_*.json`.
+    Records(fn(&Recorder)),
+}
+
+/// One registered run: its id and the figure it runs.
+pub type Entry = (&'static str, Figure);
 
 /// Every figure, in the order a run with no ids executes them.
 pub const FIGURES: &[Entry] = &[
-    ("fig1", paper::figure1),
-    ("fig2", paper::figure2),
-    ("fig3", paper::figure3),
-    ("fig7", paper::figure7),
-    ("fig8", paper::figure8),
-    ("fig9", paper::figure9),
-    ("fig10_11", paper::figure10_11),
-    ("fig12", paper::figure12),
-    ("fig12_shift", figures::figure12_load_shift),
-    ("fig_multimodel", figures::figure_multimodel),
-    ("fig_spot", figures::figure_spot),
-    ("fig_scale", figures::figure_scale),
-    ("fig_batching", figures::figure_batching),
-    ("fig_outage", figures::figure_outage),
-    ("fig_variants", figures::figure_variants),
-    ("fig_serverless", figures::figure_serverless),
-    ("fig13", paper::figure13),
-    ("fig14", paper::figure14),
-    ("fig15", paper::figure15),
-    ("fig16", paper::figure16),
+    ("fig1", Prints(paper::figure1)),
+    ("fig2", Prints(paper::figure2)),
+    ("fig3", Prints(paper::figure3)),
+    ("fig7", Prints(paper::figure7)),
+    ("fig8", Prints(paper::figure8)),
+    ("fig9", Prints(paper::figure9)),
+    ("fig10_11", Prints(paper::figure10_11)),
+    ("fig12", Prints(paper::figure12)),
+    ("fig12_shift", Records(figures::figure12_load_shift)),
+    ("fig_multimodel", Records(figures::figure_multimodel)),
+    ("fig_spot", Records(figures::figure_spot)),
+    ("fig_scale", Records(figures::figure_scale)),
+    ("fig_batching", Records(figures::figure_batching)),
+    ("fig_outage", Records(figures::figure_outage)),
+    ("fig_variants", Records(figures::figure_variants)),
+    ("fig_serverless", Records(figures::figure_serverless)),
+    ("fig13", Prints(paper::figure13)),
+    ("fig14", Prints(paper::figure14)),
+    ("fig15", Prints(paper::figure15)),
+    ("fig16", Prints(paper::figure16)),
 ];
 
-/// An id that names no entry of the table it was looked up in.
+/// Why a run executed no figure.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct UnknownId {
-    /// The id as given.
-    pub id: String,
-    /// The table's ids, in table order.
-    pub known: Vec<&'static str>,
+pub enum RunError {
+    /// An id that names no entry of the table it was looked up in.
+    UnknownId {
+        /// The id as given.
+        id: String,
+        /// The table's ids, in table order.
+        known: Vec<&'static str>,
+    },
+    /// A selected figure records, and the workspace root it records under
+    /// is unknown (`CARGO_MANIFEST_DIR` unset outside fast mode).
+    NoRecordRoot,
 }
 
-impl fmt::Display for UnknownId {
+impl fmt::Display for RunError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let (id, known) = (&self.id, self.known.join(" "));
-        write!(f, "unknown figure id `{id}`; known ids: {known}")
+        match self {
+            RunError::UnknownId { id, known } => {
+                let known = known.join(" ");
+                write!(f, "unknown figure id `{id}`; known ids: {known}")
+            }
+            RunError::NoRecordRoot => write!(
+                f,
+                "cannot record BENCH_*.json: CARGO_MANIFEST_DIR is not set; run the \
+                 figures through `cargo bench` or `cargo run`, or set KAIROS_FIG_FAST=1"
+            ),
+        }
     }
 }
 
-impl std::error::Error for UnknownId {}
+impl std::error::Error for RunError {}
 
-/// Runs the figures `args` name (see the module doc); every id is checked
-/// before any figure runs.
-pub fn run<S: AsRef<str>>(args: impl IntoIterator<Item = S>) -> Result<(), UnknownId> {
-    run_in(FIGURES, args)
+/// Runs the figures `args` name (see the module doc); every id, and the
+/// recording root when a selected figure records, is checked before any
+/// figure runs.
+pub fn run<S: AsRef<str>>(args: impl IntoIterator<Item = S>) -> Result<(), RunError> {
+    run_in(FIGURES, args, Recorder::from_env)
 }
 
 fn run_in<S: AsRef<str>>(
     table: &[Entry],
     args: impl IntoIterator<Item = S>,
-) -> Result<(), UnknownId> {
+    recorder: impl FnOnce() -> Option<Recorder>,
+) -> Result<(), RunError> {
     let mut selected = Vec::new();
     for arg in args {
         if arg.as_ref() == "--bench" {
@@ -80,7 +110,7 @@ fn run_in<S: AsRef<str>>(
         for id in arg.as_ref().split(',').filter(|id| !id.is_empty()) {
             let Some(&(_, f)) = table.iter().find(|&&(known, _)| known == id) else {
                 let (id, known) = (id.to_owned(), table.iter().map(|e| e.0).collect());
-                return Err(UnknownId { id, known });
+                return Err(RunError::UnknownId { id, known });
             };
             selected.push(f);
         }
@@ -88,8 +118,16 @@ fn run_in<S: AsRef<str>>(
     if selected.is_empty() {
         selected = table.iter().map(|&(_, f)| f).collect();
     }
+    let recorder = if selected.iter().any(|f| matches!(f, Records(_))) {
+        recorder().ok_or(RunError::NoRecordRoot)?
+    } else {
+        Recorder::default()
+    };
     for f in selected {
-        f();
+        match f {
+            Prints(f) => f(),
+            Records(f) => f(&recorder),
+        }
     }
     Ok(())
 }
@@ -111,13 +149,27 @@ mod tests {
         RAN.with(|r| r.borrow_mut().push("b"));
     }
 
-    const TABLE: &[Entry] = &[("a", a), ("b", b)];
+    fn r(_: &Recorder) {
+        RAN.with(|r| r.borrow_mut().push("r"));
+    }
+
+    const TABLE: &[Entry] = &[("a", Prints(a)), ("b", Prints(b))];
+
+    /// Runs `args` against `table`, with `root` as the recording root's
+    /// lookup, and returns which entries ran.
+    fn ran_in(
+        table: &[Entry],
+        args: &[&str],
+        root: Option<Recorder>,
+    ) -> (Result<(), RunError>, Vec<&'static str>) {
+        RAN.with(|r| r.borrow_mut().clear());
+        let result = run_in(table, args, || root);
+        (result, RAN.with(|r| r.borrow().clone()))
+    }
 
     /// Runs `args` against the two-entry table and returns which entries ran.
-    fn ran(args: &[&str]) -> (Result<(), UnknownId>, Vec<&'static str>) {
-        RAN.with(|r| r.borrow_mut().clear());
-        let result = run_in(TABLE, args);
-        (result, RAN.with(|r| r.borrow().clone()))
+    fn ran(args: &[&str]) -> (Result<(), RunError>, Vec<&'static str>) {
+        ran_in(TABLE, args, None)
     }
 
     #[test]
@@ -134,12 +186,32 @@ mod tests {
         let (result, ran) = ran(&["a", "figzz"]);
         assert!(ran.is_empty(), "ran {ran:?} despite an unknown id");
         let err = result.unwrap_err();
-        assert_eq!(err.id, "figzz");
-        assert_eq!(err.known, ["a", "b"]);
         assert_eq!(err.to_string(), "unknown figure id `figzz`; known ids: a b");
+        assert_eq!(
+            err,
+            RunError::UnknownId {
+                id: "figzz".to_owned(),
+                known: vec!["a", "b"],
+            }
+        );
         // The real table reports its own ids.
-        let err = run(["figzz"]).unwrap_err();
-        assert_eq!(err.known.len(), FIGURES.len());
+        let Err(RunError::UnknownId { known, .. }) = run(["figzz"]) else {
+            panic!("figzz must be an unknown id");
+        };
+        assert_eq!(known.len(), FIGURES.len());
+    }
+
+    #[test]
+    fn a_missing_record_root_runs_nothing() {
+        const RECORDING: &[Entry] = &[("a", Prints(a)), ("r", Records(r))];
+        let (result, ran) = ran_in(RECORDING, &["a", "r"], None);
+        assert_eq!(result, Err(RunError::NoRecordRoot));
+        assert!(ran.is_empty(), "ran {ran:?} without a recording root");
+        // A selection that records nothing needs no root.
+        assert_eq!(ran_in(RECORDING, &["a"], None), (Ok(()), vec!["a"]));
+        // With a root, every selected entry runs.
+        let root = Some(Recorder::default());
+        assert_eq!(ran_in(RECORDING, &[], root), (Ok(()), vec!["a", "r"]));
     }
 
     #[test]

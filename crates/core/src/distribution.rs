@@ -31,8 +31,8 @@
 //! reused, so a steady-state round allocates nothing; they are sized by the
 //! lane's own queue and columns, not by the fleet.  The round is
 //! bit-identical to assembling the per-pair matrices the round was first
-//! written with and solving them with [`kairos_assignment::jv::solve_jv`];
-//! the `proptest_kairos_round` test keeps that assembly as its oracle
+//! written with and solving them with `kairos_testkit::jv::solve_jv`; the
+//! `proptest_kairos_round` test keeps that assembly as its oracle
 //! (`tests/common/lmatrix.rs`).
 
 use crate::coefficient::heterogeneity_coefficients_into;
@@ -70,8 +70,6 @@ pub struct KairosScheduler {
     /// [`Scheduler::bind_types`]), so completion-time learning resolves the
     /// predictor without receiving a string from the engine.
     type_names: Vec<Arc<str>>,
-    /// Noise-safeguard factor ξ applied to the QoS target (default 0.98).
-    xi: f64,
     /// Largest batch size used to compute heterogeneity coefficients.
     reference_batch: u32,
     /// Number of matching rounds performed (exposed for tests/diagnostics).
@@ -172,7 +170,6 @@ impl KairosScheduler {
             model: ModelId::DEFAULT,
             predictors: PredictorBank::new(),
             type_names: Vec::new(),
-            xi: DEFAULT_XI,
             reference_batch: MAX_BATCH_SIZE,
             rounds: 0,
             round: RoundScratch::default(),
@@ -198,13 +195,6 @@ impl KairosScheduler {
             }
         }
         scheduler
-    }
-
-    /// Overrides the ξ noise-safeguard factor.
-    pub fn with_xi(mut self, xi: f64) -> Self {
-        assert!(xi > 0.0 && xi <= 1.0, "xi must lie in (0, 1]");
-        self.xi = xi;
-        self
     }
 
     /// This scheduler as the lane of `model` in a multi-model cluster.
@@ -319,7 +309,7 @@ impl Scheduler for KairosScheduler {
         // That lets queries flow immediately, which is what makes the online
         // learning converge within the first few queries instead of stalling
         // the queue.
-        let bound_ms = self.xi * qos_ms;
+        let bound_ms = DEFAULT_XI * qos_ms;
         let penalty_ms = QOS_PENALTY_FACTOR * qos_ms;
         let query_major = m <= n;
         if query_major {
@@ -381,7 +371,8 @@ impl Scheduler for KairosScheduler {
 mod tests {
     use super::*;
     use kairos_models::{calibration::paper_calibration, ec2, Config, PoolSpec};
-    use kairos_sim::{engine::run_trace, idle_order, InstanceView, SimulationOptions};
+    use kairos_sim::{engine::run_trace, InstanceView, SimulationOptions};
+    use kairos_testkit::idle_order;
     use kairos_workload::{Query, TraceSpec};
 
     fn view(
@@ -559,11 +550,5 @@ mod tests {
             kairos_report.goodput_qps(),
             fcfs_report.goodput_qps()
         );
-    }
-
-    #[test]
-    #[should_panic(expected = "xi")]
-    fn with_xi_rejects_out_of_range() {
-        let _ = KairosScheduler::new().with_xi(0.0);
     }
 }

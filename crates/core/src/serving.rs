@@ -1019,10 +1019,7 @@ mod tests {
             with.report.service.batches_fired > 0,
             "the batching knob must reach the engine"
         );
-        assert_eq!(
-            with.report.service.batched_queries,
-            with.report.service.batch_fill_sum
-        );
+        assert!(with.report.service.batched_queries as usize >= with.report.records.len());
         // Batching must not lose queries.
         assert_eq!(
             with.report.records.len() + with.report.unfinished.len(),

@@ -11,8 +11,8 @@
 //! problem is a plain min-cost bipartite matching with edge cost
 //! `C_j · L[i][j]` (Eq. 2).
 
-use kairos_assignment::CostMatrix;
 use kairos_core::distribution::QOS_PENALTY_FACTOR;
+use kairos_testkit::CostMatrix;
 
 /// Inputs describing one query row of the matrix.
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -28,12 +28,12 @@ mod lmatrix;
 #[path = "common/partitioned_round.rs"]
 mod partitioned_round;
 
-use kairos_assignment::jv::solve_jv;
 use kairos_core::{
     heterogeneity_coefficients, KairosController, KairosScheduler, MultiScheduler, DEFAULT_XI,
 };
 use kairos_models::{calibration::paper_calibration, ec2, ModelKind, PoolSpec, MAX_BATCH_SIZE};
-use kairos_sim::{idle_order, Dispatch, InstanceView, Scheduler, SchedulingContext};
+use kairos_sim::{Dispatch, InstanceView, Scheduler, SchedulingContext};
+use kairos_testkit::{idle_order, jv::solve_jv};
 use kairos_workload::{BatchSizeDistribution, ModelId, Query, TimeUs};
 use lmatrix::{build_matrices, InstanceColumn, QueryRow};
 use partitioned_round::partitioned_round;

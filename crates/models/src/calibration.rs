@@ -83,16 +83,6 @@ pub fn paper_calibration() -> LatencyTable {
     table
 }
 
-/// Builds the calibration restricted to a single model (convenience for the
-/// benchmark harnesses).
-pub fn calibration_for(model: ModelKind) -> LatencyTable {
-    let mut table = LatencyTable::new();
-    for (name, intercept, slope) in rows(model) {
-        table.insert(model, name, LatencyProfile::new(intercept, slope));
-    }
-    table
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -190,12 +180,5 @@ mod tests {
                 / (gpu.throughput_qps(64) / pool[0].price_per_hour)
         };
         assert!(advantage(ModelKind::Rm2) > advantage(ModelKind::MtWnd));
-    }
-
-    #[test]
-    fn calibration_for_single_model_has_four_rows() {
-        let t = calibration_for(ModelKind::Wnd);
-        assert_eq!(t.len(), 4);
-        assert!(t.get(ModelKind::Rm2, "g4dn.xlarge").is_none());
     }
 }

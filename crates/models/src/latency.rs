@@ -195,17 +195,6 @@ impl BatchLatencyGrid {
         Ok(Self { points })
     }
 
-    /// Samples a linear profile at the given batch sizes — the bridge from
-    /// the paper's calibrated lines to an explicit grid.
-    pub fn from_profile(profile: &LatencyProfile, batches: &[u32]) -> Result<Self, LatencyError> {
-        Self::try_new(
-            batches
-                .iter()
-                .map(|&b| (b, profile.latency_ms(b)))
-                .collect(),
-        )
-    }
-
     /// The validated `(batch size, latency in ms)` knots.
     pub fn points(&self) -> &[(u32, f64)] {
         &self.points
@@ -407,17 +396,6 @@ mod tests {
         assert_eq!(grid.latency_ms(1), 4.0);
         assert_eq!(grid.latency_ms(1000), 40.0);
         assert_eq!(grid.latency_us(1000), 40_000);
-    }
-
-    #[test]
-    fn batch_grid_from_profile_matches_the_line_on_its_knots() {
-        let p = LatencyProfile::new(2.0, 0.5);
-        let grid = BatchLatencyGrid::from_profile(&p, &[1, 10, 100]).unwrap();
-        assert_eq!(grid.latency_ms(10), p.latency_ms(10));
-        assert_eq!(grid.latency_ms(100), p.latency_ms(100));
-        // Beyond the sampled grid the grid clamps while the line keeps
-        // climbing.
-        assert!(grid.latency_ms(500) < p.latency_ms(500));
     }
 
     #[test]

@@ -481,15 +481,6 @@ impl ConstantMarket {
             prices: pool.types().iter().map(|t| t.price_per_hour).collect(),
         }
     }
-
-    /// A constant market from explicit per-offering prices.
-    pub fn from_prices(prices: Vec<f64>) -> Self {
-        assert!(
-            prices.iter().all(|p| p.is_finite() && *p > 0.0),
-            "prices must be positive"
-        );
-        Self { prices }
-    }
 }
 
 impl Market for ConstantMarket {

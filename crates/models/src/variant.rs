@@ -220,20 +220,6 @@ impl ModelVariant {
         }
     }
 
-    /// Adds (or replaces) a per-type latency override.
-    ///
-    /// # Panics
-    /// Panics if called on a reference variant — references must keep the
-    /// base latency (use a derived variant for compiled artifacts).
-    pub fn with_override(mut self, instance_name: &str, profile: LatencyProfile) -> Self {
-        assert!(
-            !self.reference,
-            "the reference variant must keep the base latency"
-        );
-        self.overrides.insert(instance_name.to_string(), profile);
-        self
-    }
-
     /// The `model/variant` lane label used in figures and switch logs.
     pub fn lane_name(&self) -> String {
         format!("{}/{}", self.base, self.name)
@@ -634,9 +620,11 @@ mod tests {
     #[test]
     fn effective_models_scale_derived_lanes_and_apply_overrides() {
         let table = paper_calibration();
-        let compiled = ModelVariant::try_new("compiled", ModelKind::Wnd, 0.95, 128, 2.0)
-            .unwrap()
-            .with_override("g4dn.xlarge", LatencyProfile::new(0.125, 0.001));
+        let mut compiled =
+            ModelVariant::try_new("compiled", ModelKind::Wnd, 0.95, 128, 2.0).unwrap();
+        compiled
+            .overrides
+            .insert("g4dn.xlarge".into(), LatencyProfile::new(0.125, 0.001));
         let catalog =
             VariantCatalog::try_new(vec![ModelVariant::reference(ModelKind::Wnd), compiled])
                 .unwrap();

@@ -71,13 +71,6 @@ impl ServiceSpec {
         }
     }
 
-    /// Nominal (noise-free) latency of a batch on an instance type, in ms.
-    pub fn nominal_latency_ms(&self, instance_name: &str, batch: u32) -> f64 {
-        self.latency
-            .expect(self.model.kind, instance_name)
-            .latency_ms(batch)
-    }
-
     /// The ground-truth latency profile for an instance type.  Hot-path
     /// callers resolve each type once and keep the returned profile, so
     /// steady-state service-time math involves no table lookup.
@@ -124,7 +117,7 @@ impl ServiceSpec {
 /// between the optimized engine and the naive reference depends on there
 /// being exactly one copy of this formula.
 #[inline]
-pub(crate) fn quantize_service_ms(latency_ms: f64) -> TimeUs {
+pub fn quantize_service_ms(latency_ms: f64) -> TimeUs {
     (latency_ms * 1000.0).round().max(1.0) as TimeUs
 }
 
@@ -299,12 +292,6 @@ impl SimInstance {
         )
     }
 
-    /// Whether the instance is parked (serverless scale-to-zero: unbilled
-    /// but still dispatchable).
-    pub fn is_parked(&self) -> bool {
-        self.lifecycle == InstanceLifecycle::Parked
-    }
-
     /// Whether the instance has fully left service gracefully.
     pub fn is_retired(&self) -> bool {
         self.lifecycle == InstanceLifecycle::Retired
@@ -464,20 +451,6 @@ impl Cluster {
         }
     }
 
-    /// Instance counts per pool type over dispatch-accepting instances
-    /// (active, including those still provisioning), across every model.
-    /// This is what a single-model reconfiguration driver diffs a target
-    /// [`Config`] against.
-    pub fn active_counts(&self) -> Vec<usize> {
-        let mut counts = vec![0usize; self.pool.num_types()];
-        for inst in &self.instances {
-            if inst.accepts_dispatches() {
-                counts[inst.type_index] += 1;
-            }
-        }
-        counts
-    }
-
     /// Instance counts per pool type over dispatch-accepting instances bound
     /// to `model` — the per-model diff target of a multi-model driver.
     pub fn active_counts_for(&self, model: ModelId) -> Vec<usize> {
@@ -532,20 +505,6 @@ impl Cluster {
     pub fn instances_mut(&mut self) -> &mut [SimInstance] {
         &mut self.instances
     }
-
-    /// Hourly cost of the cluster at the pool's listed prices: every
-    /// instance that has not terminally left service (active, provisioning,
-    /// draining or awaiting its preemption deadline) is billed.  Parked
-    /// (serverless scale-to-zero) instances bill nothing.  Time- and
-    /// market-aware dollar accounting lives in
-    /// [`SimReport::billed_dollars`](crate::SimReport::billed_dollars).
-    pub fn hourly_cost(&self) -> f64 {
-        self.instances
-            .iter()
-            .filter(|inst| !inst.is_terminated() && !inst.is_parked())
-            .map(|inst| self.pool.price(inst.type_index))
-            .sum()
-    }
 }
 
 #[cfg(test)]
@@ -568,7 +527,6 @@ mod tests {
         assert_eq!(&*cluster.instances()[2].type_name, "c5n.2xlarge");
         assert_eq!(&*cluster.instances()[5].type_name, "t3.xlarge");
         assert!(cluster.instances().iter().all(|i| i.accepts_dispatches()));
-        assert!((cluster.hourly_cost() - (2.0 * 0.526 + 0.432 + 3.0 * 0.1664)).abs() < 1e-9);
     }
 
     #[test]
@@ -582,15 +540,16 @@ mod tests {
     #[test]
     fn add_instance_appends_with_provisioning_boundary() {
         let mut cluster = Cluster::new(pool(), Config::new(vec![1, 0, 0, 0]));
-        let cost_before = cluster.hourly_cost();
         let idx = cluster.add_instance(2, 500_000);
         assert_eq!(idx, 1);
         let inst = &cluster.instances()[idx];
         assert_eq!(&*inst.type_name, "r5n.large");
         assert_eq!(inst.available_from_us, 500_000);
         assert!(inst.accepts_dispatches());
-        assert!(cluster.hourly_cost() > cost_before);
-        assert_eq!(cluster.active_counts(), vec![1, 0, 1, 0]);
+        assert_eq!(
+            cluster.active_counts_for(ModelId::DEFAULT),
+            vec![1, 0, 1, 0]
+        );
     }
 
     #[test]
@@ -598,8 +557,10 @@ mod tests {
         let mut cluster = Cluster::new(pool(), Config::new(vec![2, 0, 0, 0]));
         assert!(cluster.retire_instance(1, true));
         assert!(cluster.instances()[1].is_retired());
-        assert_eq!(cluster.active_counts(), vec![1, 0, 0, 0]);
-        assert!((cluster.hourly_cost() - 0.526).abs() < 1e-9);
+        assert_eq!(
+            cluster.active_counts_for(ModelId::DEFAULT),
+            vec![1, 0, 0, 0]
+        );
         // Retiring again is a no-op.
         assert!(cluster.retire_instance(1, false));
     }
@@ -613,11 +574,10 @@ mod tests {
         assert!(!inst.accepts_dispatches());
         assert!(!inst.is_retired());
         // Still billed while draining.
-        assert!((cluster.hourly_cost() - 0.526).abs() < 1e-9);
-        // Drained: settling retires it.
+        assert!(!inst.is_terminated());
+        // Drained: settling retires it, which stops its billing.
         assert!(cluster.settle_drained(0));
         assert!(cluster.instances()[0].is_retired());
-        assert_eq!(cluster.hourly_cost(), 0.0);
     }
 
     #[test]
@@ -630,7 +590,7 @@ mod tests {
     fn service_spec_latency_and_qos() {
         let svc = ServiceSpec::new(ModelKind::Rm2, paper_calibration());
         assert_eq!(svc.qos_us(), 350_000);
-        let lat = svc.nominal_latency_ms("g4dn.xlarge", 100);
+        let lat = svc.profile("g4dn.xlarge").latency_ms(100);
         assert!((lat - (60.0 + 0.24 * 100.0)).abs() < 1e-9);
         let mut rng = StdRng::seed_from_u64(1);
         assert_eq!(svc.service_time_us("g4dn.xlarge", 100, &mut rng), 84_000);
@@ -669,8 +629,6 @@ mod tests {
         assert_eq!(models, vec![0, 0, 0, 1, 1]);
         assert_eq!(cluster.active_counts_for(ModelId::new(0)), vec![1, 0, 2, 0]);
         assert_eq!(cluster.active_counts_for(ModelId::new(1)), vec![1, 1, 0, 0]);
-        assert_eq!(cluster.active_counts(), vec![2, 1, 2, 0]);
-        assert!((spec.cost(&pool()) - cluster.hourly_cost()).abs() < 1e-9);
         // A per-model addition lands on the right binding.
         let mut cluster = cluster;
         let idx = cluster.add_instance_for(ModelId::new(1), 3, 1_000);

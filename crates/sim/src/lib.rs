@@ -19,8 +19,9 @@
 //!   baseline.
 //! * [`engine`] — the event loop: [`SimEngine`] with incremental scheduler
 //!   views, online reconfiguration ([`EngineEvent`] stepping and
-//!   [`EngineHook`]s), the [`engine::run_trace`] convenience wrapper, and the
-//!   preserved [`engine::run_trace_naive`] reference.
+//!   [`EngineHook`]s), and the [`engine::run_trace`] convenience wrapper.
+//!   The naive event loop it is checked against lives in the dev-only
+//!   `kairos-testkit` crate.
 //! * [`sharded`] — [`ShardedEngine`], which replays each model lane of a
 //!   multi-model trace on its own worker and merges one report, bit-identical
 //!   to the combined engine's.
@@ -64,14 +65,9 @@ pub use capacity::{
     CapacityResult,
 };
 pub use cluster::{Cluster, ClusterSpec, InstanceLifecycle, ModelPool, ServiceSpec, SimInstance};
-pub use engine::{
-    run_trace, run_trace_naive, ClusterAction, EngineEvent, EngineHook, SimEngine,
-    SimulationOptions,
-};
+pub use engine::{run_trace, ClusterAction, EngineEvent, EngineHook, SimEngine, SimulationOptions};
 pub use flex::{BatchingOptions, SharingMode, SharingOptions};
-pub use scheduler::{
-    idle_order, Dispatch, FcfsScheduler, InstanceView, Scheduler, SchedulingContext,
-};
+pub use scheduler::{Dispatch, FcfsScheduler, InstanceView, Scheduler, SchedulingContext};
 pub use serverless::ServerlessConfig;
 pub use sharded::ShardedEngine;
 pub use stats::{ModelReport, OutageRecord, QueryRecord, ServiceStats, SimReport, UnfinishedQuery};

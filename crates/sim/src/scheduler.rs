@@ -147,34 +147,6 @@ impl SchedulingContext<'_> {
     }
 }
 
-/// Reference computation of [`SchedulingContext::idle`] from a view array
-/// under serial service: the accepting backlog-free instances sorted by
-/// `(free_at_us, instance_index)`.  The ordering is purely view-derived —
-/// the clock enters only later, through [`SchedulingContext::idle_now`]'s
-/// usable-prefix cut.
-///
-/// The usable prefix meets the [`SchedulingContext::idle`] contract
-/// (instance-index order) only when every usable idle view carries
-/// `free_at_us == now_us`, i.e. idle views are clamped to the clock, as
-/// [`crate::engine::run_trace_naive`] and
-/// [`SimEngine::scheduler_views`](crate::SimEngine::scheduler_views) do.
-/// Unclamped idle views with different past `free_at_us` come out sorted
-/// by idle time instead, which the FCFS-family rounds reject.
-///
-/// This is what `run_trace_naive` rebuilds every round and what
-/// [`SimEngine::recompute_idle`](crate::SimEngine::recompute_idle) equals
-/// under serial service; tests that hand-construct a [`SchedulingContext`]
-/// should use it too, with their idle views clamped to `now_us`.
-pub fn idle_order(views: &[InstanceView]) -> Vec<u32> {
-    let mut idle: Vec<u32> = views
-        .iter()
-        .filter(|v| v.accepting && v.backlog == 0)
-        .map(|v| v.instance_index as u32)
-        .collect();
-    idle.sort_by_key(|&i| (views[i as usize].free_at_us, i));
-    idle
-}
-
 /// A dispatch decision: send `queued[query_index]` to `instances[instance_index]`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Dispatch {
@@ -355,28 +327,11 @@ mod tests {
     }
 
     #[test]
-    fn idle_order_filters_and_sorts() {
-        let mut views = vec![view(0, false, 700), view(1, true, 0), view(2, false, 0)];
-        views[0].backlog = 0; // provisioning: idle but not usable yet
-        let idle = idle_order(&views);
-        // Usable instances by index first, then the provisioning one.
-        assert_eq!(idle, vec![1, 2, 0]);
-        let ctx = SchedulingContext {
-            now_us: 10,
-            queued: &[],
-            instances: &views,
-            idle: &idle,
-            qos_us: 1_000_000,
-            qos_by_model: &[],
-        };
-        assert_eq!(ctx.idle_now(), &[1, 2]);
-    }
-
-    #[test]
     fn fcfs_prefers_base_instances() {
         let queued = vec![Query::new(0, 10, 0), Query::new(1, 20, 0)];
         let instances = vec![view(0, false, 0), view(1, true, 0), view(2, false, 500)];
-        let idle = idle_order(&instances);
+        // The idle index: accepting, backlog-free instances by free time.
+        let idle = [0, 1];
         let ctx = SchedulingContext {
             now_us: 0,
             queued: &queued,
@@ -409,7 +364,7 @@ mod tests {
     fn fcfs_ignores_busy_instances() {
         let queued = vec![Query::new(0, 10, 0)];
         let instances = vec![view(0, true, 900)];
-        let idle = idle_order(&instances);
+        let idle = [];
         let ctx = SchedulingContext {
             now_us: 100,
             queued: &queued,

@@ -41,12 +41,6 @@ impl ServerlessConfig {
             cold_start,
         }
     }
-
-    /// Whether at least one lane carries a keep-alive policy (i.e. the
-    /// configuration actually changes engine behaviour).
-    pub fn any_enabled(&self) -> bool {
-        self.policies.iter().any(|p| p.is_some())
-    }
 }
 
 /// Per-instance serverless state, maintained by the engine alongside the
@@ -85,16 +79,6 @@ mod tests {
             ColdStartProfile::uniform(ColdStartCost::new(500_000, 1_500_000)),
         );
         assert_eq!(config.policies.len(), 3);
-        assert!(config.any_enabled());
         assert!(config.policies.iter().all(|p| p.is_some()));
-    }
-
-    #[test]
-    fn all_none_config_reports_disabled() {
-        let config = ServerlessConfig {
-            policies: vec![None, None],
-            cold_start: ColdStartProfile::uniform(ColdStartCost::new(0, 0)),
-        };
-        assert!(!config.any_enabled());
     }
 }

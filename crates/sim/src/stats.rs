@@ -81,11 +81,9 @@ pub struct ServiceStats {
     pub calendar_stale_popped: u64,
     /// Batches fired by the dynamic batcher (singleton batches included).
     pub batches_fired: u64,
-    /// Queries that went through the batcher (members of fired batches).
+    /// Queries that went through the batcher (members of fired batches);
+    /// `batched_queries / batches_fired` is the mean occupancy.
     pub batched_queries: u64,
-    /// Sum of fused batch sizes (member batch sizes added up) over fired
-    /// batches; `batch_fill_sum / batches_fired` is the mean occupancy.
-    pub batch_fill_sum: u64,
     /// Total time members spent in forming windows before their batch
     /// fired, in microseconds.
     pub batch_wait_us_sum: u64,
@@ -110,7 +108,6 @@ impl ServiceStats {
             calendar_stale_popped: self.calendar_stale_popped + other.calendar_stale_popped,
             batches_fired: self.batches_fired + other.batches_fired,
             batched_queries: self.batched_queries + other.batched_queries,
-            batch_fill_sum: self.batch_fill_sum + other.batch_fill_sum,
             batch_wait_us_sum: self.batch_wait_us_sum + other.batch_wait_us_sum,
             cold_starts: self.cold_starts + other.cold_starts,
             cold_start_wait_us_sum: self.cold_start_wait_us_sum + other.cold_start_wait_us_sum,
@@ -118,30 +115,12 @@ impl ServiceStats {
         }
     }
 
-    /// Mean cold-start latency paid per cold dispatch, in microseconds (0
-    /// when nothing ever started cold).
-    pub fn mean_cold_start_wait_us(&self) -> f64 {
-        if self.cold_starts == 0 {
-            return 0.0;
-        }
-        self.cold_start_wait_us_sum as f64 / self.cold_starts as f64
-    }
-
-    /// Mean fused batch size over fired batches (0 when nothing batched).
+    /// Mean members per fired batch (0 when nothing batched).
     pub fn mean_batch_fill(&self) -> f64 {
         if self.batches_fired == 0 {
             return 0.0;
         }
-        self.batch_fill_sum as f64 / self.batches_fired as f64
-    }
-
-    /// Mean time a batched query waited in its forming window, in
-    /// microseconds (0 when nothing batched).
-    pub fn mean_batch_wait_us(&self) -> f64 {
-        if self.batched_queries == 0 {
-            return 0.0;
-        }
-        self.batch_wait_us_sum as f64 / self.batched_queries as f64
+        self.batched_queries as f64 / self.batches_fired as f64
     }
 }
 
@@ -628,17 +607,6 @@ impl SimReport {
                 )
             })
             .collect()
-    }
-
-    /// Number of completed queries served by each instance-type index.
-    pub fn per_type_completions(&self, num_types: usize) -> Vec<usize> {
-        let mut counts = vec![0usize; num_types];
-        for r in &self.records {
-            if r.type_index < num_types {
-                counts[r.type_index] += 1;
-            }
-        }
-        counts
     }
 
     /// Engine events processed per wall-clock second: the scaling metric of
@@ -1214,39 +1182,24 @@ mod tests {
     fn service_stats_means_handle_empty_and_populated_counters() {
         let empty = ServiceStats::default();
         assert_eq!(empty.mean_batch_fill(), 0.0);
-        assert_eq!(empty.mean_batch_wait_us(), 0.0);
-        assert_eq!(empty.mean_cold_start_wait_us(), 0.0);
         let stats = ServiceStats {
             calendar_scheduled: 10,
             calendar_cancelled: 4,
             calendar_stale_popped: 3,
             batches_fired: 4,
-            batched_queries: 10,
-            batch_fill_sum: 100,
+            batched_queries: 100,
             batch_wait_us_sum: 5_000,
             cold_starts: 5,
             cold_start_wait_us_sum: 2_500_000,
             parked_us_sum: 9_000_000,
         };
         assert_eq!(stats.mean_batch_fill(), 25.0);
-        assert_eq!(stats.mean_batch_wait_us(), 500.0);
-        assert_eq!(stats.mean_cold_start_wait_us(), 500_000.0);
         let doubled = stats.merged(stats);
-        assert_eq!(doubled.batch_fill_sum, 200);
+        assert_eq!(doubled.batched_queries, 200);
         assert_eq!(doubled.mean_batch_fill(), 25.0);
         assert_eq!(doubled.cold_starts, 10);
         assert_eq!(doubled.cold_start_wait_us_sum, 5_000_000);
         assert_eq!(doubled.parked_us_sum, 18_000_000);
-    }
-
-    #[test]
-    fn per_type_breakdown() {
-        let mut r1 = record(1, 0, 0, 10);
-        r1.type_index = 0;
-        let mut r2 = record(2, 0, 0, 10);
-        r2.type_index = 2;
-        let rep = report(vec![r1, r2], vec![], 1000);
-        assert_eq!(rep.per_type_completions(4), vec![1, 0, 1, 0]);
     }
 
     /// A shard-shaped report: model `m` of `n`, with its records/unfinished
@@ -1303,7 +1256,6 @@ mod tests {
                 calendar_stale_popped: 8 + m as u64,
                 batches_fired: 4 + m as u64,
                 batched_queries: 9 + m as u64,
-                batch_fill_sum: 40 + m as u64,
                 batch_wait_us_sum: 1_000 + m as u64,
                 cold_starts: 2 + m as u64,
                 cold_start_wait_us_sum: 500_000 * (m as u64 + 1),

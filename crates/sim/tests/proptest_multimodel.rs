@@ -22,9 +22,10 @@
 
 use kairos_models::{calibration::paper_calibration, ec2, Config, ModelKind, PoolSpec};
 use kairos_sim::{
-    run_trace, run_trace_naive, ClusterSpec, FcfsScheduler, Scheduler, ServiceSpec, ShardedEngine,
-    SimEngine, SimulationOptions,
+    run_trace, ClusterSpec, FcfsScheduler, Scheduler, ServiceSpec, ShardedEngine, SimEngine,
+    SimulationOptions,
 };
+use kairos_testkit::run_trace_naive;
 use kairos_workload::{ModelId, Query, Trace, TraceSpec};
 use proptest::prelude::*;
 

@@ -27,9 +27,10 @@ use kairos_models::{
     PreemptionProcess, PriceTrace, ThroughputDegradation, TraceMarket,
 };
 use kairos_sim::{
-    idle_order, run_trace, run_trace_naive, BatchingOptions, Dispatch, EngineEvent, Scheduler,
-    SchedulingContext, ServiceSpec, SharingMode, SharingOptions, SimEngine, SimulationOptions,
+    run_trace, BatchingOptions, Dispatch, EngineEvent, Scheduler, SchedulingContext, ServiceSpec,
+    SharingMode, SharingOptions, SimEngine, SimulationOptions,
 };
+use kairos_testkit::{idle_order, run_trace_naive};
 use kairos_workload::TraceSpec;
 use proptest::prelude::*;
 use std::collections::{HashMap, HashSet};

@@ -4,7 +4,8 @@
 //! matrices in tests and property-based checks.
 
 use crate::matrix::CostMatrix;
-use crate::solution::{Assignment, AssignmentError};
+use crate::solution::Assignment;
+use kairos_assignment::AssignmentError;
 
 /// Finds the optimal rectangular assignment by trying every injective mapping
 /// from the smaller side into the larger side.

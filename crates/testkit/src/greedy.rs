@@ -7,7 +7,8 @@
 //! upon (paper Fig. 5).
 
 use crate::matrix::CostMatrix;
-use crate::solution::{Assignment, AssignmentError};
+use crate::solution::Assignment;
+use kairos_assignment::AssignmentError;
 
 /// Solves the assignment greedily: sort all edges by cost and take each edge
 /// whose endpoints are both still free, until `min(rows, cols)` pairs are

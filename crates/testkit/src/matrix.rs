@@ -1,4 +1,5 @@
-//! Dense rectangular cost matrices used as input to the assignment solvers.
+//! Dense rectangular cost matrices: the checked input of the reference
+//! solvers.
 //!
 //! The Kairos query-distribution problem (paper Sec. 5.1) builds an `m x n`
 //! matrix whose entry `(i, j)` is the heterogeneity-weighted completion time
@@ -168,16 +169,6 @@ impl CostMatrix {
             data,
         }
     }
-
-    /// Returns the smallest entry of the matrix.
-    pub fn min_entry(&self) -> f64 {
-        self.data.iter().copied().fold(f64::INFINITY, f64::min)
-    }
-
-    /// Returns the largest entry of the matrix.
-    pub fn max_entry(&self) -> f64 {
-        self.data.iter().copied().fold(f64::NEG_INFINITY, f64::max)
-    }
 }
 
 impl fmt::Debug for CostMatrix {
@@ -259,13 +250,6 @@ mod tests {
             }
         }
         assert_eq!(t.transposed(), m);
-    }
-
-    #[test]
-    fn min_max_entries() {
-        let m = CostMatrix::from_vec(2, 2, vec![4.0, -1.0, 7.5, 0.0]).unwrap();
-        assert_eq!(m.min_entry(), -1.0);
-        assert_eq!(m.max_entry(), 7.5);
     }
 
     #[test]

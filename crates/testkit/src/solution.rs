@@ -1,7 +1,6 @@
-//! Common result and error types shared by all assignment solvers.
+//! The result type of the reference solvers.
 
 use crate::matrix::CostMatrix;
-use std::fmt;
 
 /// The outcome of a rectangular min-cost assignment.
 ///
@@ -80,34 +79,6 @@ impl Assignment {
             }
         }
         true
-    }
-}
-
-/// Errors produced by the assignment solvers.
-#[derive(Debug, Clone, PartialEq)]
-pub enum AssignmentError {
-    /// The cost matrix was malformed.
-    Matrix(crate::matrix::MatrixError),
-    /// The solver could not find a complete matching (only possible when
-    /// forbidden edges are modelled with infinite costs, which [`CostMatrix`]
-    /// disallows; kept for future sparse solvers).
-    Infeasible,
-}
-
-impl fmt::Display for AssignmentError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            AssignmentError::Matrix(e) => write!(f, "invalid cost matrix: {e}"),
-            AssignmentError::Infeasible => write!(f, "no complete matching exists"),
-        }
-    }
-}
-
-impl std::error::Error for AssignmentError {}
-
-impl From<crate::matrix::MatrixError> for AssignmentError {
-    fn from(e: crate::matrix::MatrixError) -> Self {
-        AssignmentError::Matrix(e)
     }
 }
 

@@ -71,24 +71,6 @@ impl ArrivalProcess {
             ArrivalProcess::Burst => 0,
         }
     }
-
-    /// Generates the arrival timestamps of `n` queries starting at `start_us`.
-    pub fn arrival_times<R: Rng + ?Sized>(
-        &self,
-        rng: &mut R,
-        n: usize,
-        start_us: TimeUs,
-    ) -> Vec<TimeUs> {
-        let mut out = Vec::with_capacity(n);
-        let mut t = start_us;
-        for i in 0..n {
-            if i > 0 || !matches!(self, ArrivalProcess::Burst) {
-                t += self.next_gap_us(rng);
-            }
-            out.push(t);
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -117,17 +99,10 @@ mod tests {
     #[test]
     fn burst_arrives_at_once() {
         let mut rng = StdRng::seed_from_u64(2);
-        let times = ArrivalProcess::Burst.arrival_times(&mut rng, 5, 123);
-        assert_eq!(times, vec![123; 5]);
-    }
-
-    #[test]
-    fn arrival_times_are_monotone() {
-        let mut rng = StdRng::seed_from_u64(9);
-        let p = ArrivalProcess::Poisson { rate_qps: 500.0 };
-        let times = p.arrival_times(&mut rng, 1000, 0);
-        assert!(times.windows(2).all(|w| w[0] <= w[1]));
-        assert_eq!(times.len(), 1000);
+        let gaps: Vec<TimeUs> = (0..5)
+            .map(|_| ArrivalProcess::Burst.next_gap_us(&mut rng))
+            .collect();
+        assert_eq!(gaps, vec![0; 5]);
     }
 
     #[test]

@@ -156,15 +156,6 @@ impl MixSpec {
             .expect("a mix has at least one component")
     }
 
-    /// Normalized rate share of a model (0 when absent from the mix).
-    pub fn rate_share(&self, model: ModelId) -> f64 {
-        self.components
-            .iter()
-            .find(|c| c.model == model)
-            .map(|c| c.share / self.total_share())
-            .unwrap_or(0.0)
-    }
-
     /// Draws one query's `(model, batch size)`.  Single-entry mixes skip the
     /// model draw entirely, preserving the single-model RNG stream.
     ///
@@ -265,8 +256,6 @@ mod tests {
     fn shares_normalize_and_sampling_respects_them() {
         let mix = three_way();
         assert_eq!(mix.num_models(), 3);
-        assert!((mix.rate_share(ModelId::new(0)) - 0.5).abs() < 1e-12);
-        assert_eq!(mix.rate_share(ModelId::new(9)), 0.0);
         let mut rng = StdRng::seed_from_u64(5);
         let mut counts = [0usize; 3];
         for _ in 0..30_000 {

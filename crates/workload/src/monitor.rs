@@ -101,13 +101,6 @@ impl QueryMonitor {
         self.window.push_back((model, batch_size));
     }
 
-    /// Records a whole slice of single-model batch sizes.
-    pub fn observe_all(&mut self, batch_sizes: &[u32]) {
-        for &b in batch_sizes {
-            self.observe(b);
-        }
-    }
-
     /// Number of queries currently in the window.
     pub fn len(&self) -> usize {
         self.window.len()
@@ -146,11 +139,6 @@ impl QueryMonitor {
         &self.active
     }
 
-    /// Number of window entries targeting `model` (O(1)).
-    pub fn model_count(&self, model: ModelId) -> usize {
-        self.model_counts.get(model.index()).copied().unwrap_or(0)
-    }
-
     /// Fraction `f` of observed queries with batch size at most `threshold`
     /// (returns 0 when the window is empty).
     pub fn fraction_at_most(&self, threshold: u32) -> f64 {
@@ -159,30 +147,6 @@ impl QueryMonitor {
         }
         self.window.iter().filter(|&&(_, b)| b <= threshold).count() as f64
             / self.window.len() as f64
-    }
-
-    /// Mean batch size of queries in the window at most `threshold` (None if
-    /// no such query exists).  Used to derive the representative "small query"
-    /// an auxiliary instance serves.
-    pub fn mean_at_most(&self, threshold: u32) -> Option<f64> {
-        let (sum, count) = self
-            .window
-            .iter()
-            .filter(|&&(_, b)| b <= threshold)
-            .fold((0.0f64, 0usize), |(s, n), &(_, b)| (s + b as f64, n + 1));
-        (count > 0).then(|| sum / count as f64)
-    }
-
-    /// Mean batch size of queries in the window strictly above `threshold`
-    /// (None if no such query exists).  This is the representative `s+` query
-    /// of the upper-bound analysis.
-    pub fn mean_above(&self, threshold: u32) -> Option<f64> {
-        let (sum, count) = self
-            .window
-            .iter()
-            .filter(|&&(_, b)| b > threshold)
-            .fold((0.0f64, 0usize), |(s, n), &(_, b)| (s + b as f64, n + 1));
-        (count > 0).then(|| sum / count as f64)
     }
 
     /// Mean batch size over the whole window (None when empty).
@@ -202,12 +166,6 @@ impl QueryMonitor {
     /// copying them out — used by cheap fingerprints of the window contents.
     pub fn iter(&self) -> impl Iterator<Item = u32> + '_ {
         self.window.iter().map(|&(_, b)| b)
-    }
-
-    /// Iterates over the `(model, batch size)` pairs in the window (oldest
-    /// first).
-    pub fn iter_tagged(&self) -> impl Iterator<Item = (ModelId, u32)> + '_ {
-        self.window.iter().copied()
     }
 
     /// A copy of the batch sizes currently in the window (oldest first).
@@ -241,7 +199,9 @@ mod tests {
     #[test]
     fn window_evicts_oldest() {
         let mut m = QueryMonitor::with_capacity(3);
-        m.observe_all(&[1, 2, 3, 4]);
+        for b in [1, 2, 3, 4] {
+            m.observe(b);
+        }
         assert_eq!(m.len(), 3);
         // 1 was evicted, so the fraction at most 1 is now zero.
         assert_eq!(m.fraction_at_most(1), 0.0);
@@ -251,10 +211,10 @@ mod tests {
     #[test]
     fn fraction_and_means() {
         let mut m = QueryMonitor::with_capacity(100);
-        m.observe_all(&[10, 20, 30, 400, 600]);
+        for b in [10, 20, 30, 400, 600] {
+            m.observe(b);
+        }
         assert!((m.fraction_at_most(30) - 0.6).abs() < 1e-12);
-        assert_eq!(m.mean_at_most(30), Some(20.0));
-        assert_eq!(m.mean_above(30), Some(500.0));
         assert_eq!(m.max_batch(), Some(600));
         assert_eq!(m.mean(), Some((10.0 + 20.0 + 30.0 + 400.0 + 600.0) / 5.0));
     }
@@ -264,8 +224,6 @@ mod tests {
         let m = QueryMonitor::new();
         assert!(m.is_empty());
         assert_eq!(m.fraction_at_most(100), 0.0);
-        assert_eq!(m.mean_at_most(100), None);
-        assert_eq!(m.mean_above(100), None);
         assert_eq!(m.max_batch(), None);
         assert!(m.mix().is_empty());
     }
@@ -287,19 +245,20 @@ mod tests {
         );
         // Evicting the only model-0 entry drops it from the mix entirely.
         m.observe_tagged(ModelId::new(2), 50);
-        assert_eq!(m.model_count(ModelId::new(0)), 0);
+        assert!(m.snapshot_for(ModelId::new(0)).is_empty());
         assert_eq!(
             m.mix(),
             vec![(ModelId::new(1), 0.5), (ModelId::new(2), 0.5)]
         );
         assert_eq!(m.snapshot_for(ModelId::new(1)), vec![20, 30]);
-        assert_eq!(m.iter_tagged().count(), 4);
+        assert_eq!(m.len(), 4);
     }
 
     #[test]
     fn untagged_observations_count_towards_the_default_model() {
         let mut m = QueryMonitor::new();
-        m.observe_all(&[5, 6]);
+        m.observe(5);
+        m.observe(6);
         assert_eq!(m.mix(), vec![(ModelId::DEFAULT, 1.0)]);
         assert_eq!(m.snapshot(), vec![5, 6]);
         assert_eq!(m.iter().collect::<Vec<_>>(), vec![5, 6]);
@@ -326,14 +285,22 @@ mod tests {
         m.observe_tagged(ModelId::new(400), 9); // evicts (999, 3)
         m.observe_tagged(ModelId::new(400), 10); // evicts (400, 4)
         m.observe_tagged(ModelId::new(400), 11); // evicts (7, 5)
-        assert_eq!(m.model_count(ModelId::new(7)), 0);
         assert_eq!(m.active_models(), &[400, 999]);
-        // Every sparse view still agrees with the ground-truth window.
+        // Every sparse view still agrees with the ground-truth window, the
+        // last six observations.
+        let window = [
+            (999, 6u32),
+            (400, 7),
+            (400, 8),
+            (400, 9),
+            (400, 10),
+            (400, 11),
+        ];
         for lane in [7usize, 400, 999] {
-            let expected: Vec<u32> = m
-                .iter_tagged()
-                .filter(|(model, _)| model.index() == lane)
-                .map(|(_, b)| b)
+            let expected: Vec<u32> = window
+                .iter()
+                .filter(|&&(model, _)| model == lane)
+                .map(|&(_, b)| b)
                 .collect();
             assert_eq!(m.snapshot_for(ModelId::new(lane)), expected, "lane {lane}");
         }

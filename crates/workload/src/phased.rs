@@ -100,26 +100,6 @@ impl PhasedArrival {
         )
     }
 
-    /// A step change in the batch mix at a constant rate: the Fig. 12
-    /// scenario, where the query *composition* shifts (e.g. log-normal to
-    /// Gaussian) and the optimal heterogeneous configuration moves with it.
-    pub fn mix_shift(
-        rate_qps: f64,
-        before: BatchSizeDistribution,
-        after: BatchSizeDistribution,
-        before_s: f64,
-        after_s: f64,
-        seed: u64,
-    ) -> Self {
-        Self::new(
-            vec![
-                Phase::poisson(rate_qps, before, before_s),
-                Phase::poisson(rate_qps, after, after_s),
-            ],
-            seed,
-        )
-    }
-
     /// A transient burst: `base_qps` everywhere except a `burst_s`-second
     /// window at `burst_qps` starting after `lead_s` seconds.
     pub fn burst(
@@ -189,16 +169,6 @@ impl PhasedArrival {
             .iter()
             .map(|p| (p.duration_s * 1e6) as TimeUs)
             .sum()
-    }
-
-    /// Mean offered rate across the whole workload, in queries per second.
-    pub fn mean_rate_qps(&self) -> f64 {
-        let total_s: f64 = self.phases.iter().map(|p| p.duration_s).sum();
-        self.phases
-            .iter()
-            .map(|p| p.arrival.rate_qps() * p.duration_s)
-            .sum::<f64>()
-            / total_s
     }
 
     /// Generates the trace: each phase's queries are drawn from its own
@@ -275,7 +245,6 @@ mod tests {
             / 4.0;
         assert!((before - 50.0).abs() < 15.0, "before {before}");
         assert!((after - 400.0).abs() < 50.0, "after {after}");
-        assert!((p.mean_rate_qps() - 225.0).abs() < 1e-9);
     }
 
     #[test]
@@ -333,12 +302,12 @@ mod tests {
 
     #[test]
     fn mix_shift_changes_batch_composition() {
-        let p = PhasedArrival::mix_shift(
-            100.0,
-            BatchSizeDistribution::production_default(),
-            BatchSizeDistribution::gaussian_default(),
-            3.0,
-            3.0,
+        // The Fig. 12 scenario: the batch mix shifts at a constant rate.
+        let p = PhasedArrival::new(
+            vec![
+                Phase::poisson(100.0, BatchSizeDistribution::production_default(), 3.0),
+                Phase::poisson(100.0, BatchSizeDistribution::gaussian_default(), 3.0),
+            ],
             21,
         );
         let trace = p.generate();

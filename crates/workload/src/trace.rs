@@ -108,18 +108,6 @@ impl Trace {
         self.queries.len() as f64 / (self.duration_us() as f64 / 1e6)
     }
 
-    /// Mean batch size across the trace.
-    pub fn mean_batch_size(&self) -> f64 {
-        if self.queries.is_empty() {
-            return 0.0;
-        }
-        self.queries
-            .iter()
-            .map(|q| q.batch_size as f64)
-            .sum::<f64>()
-            / self.queries.len() as f64
-    }
-
     /// Fraction of queries with batch size at most `threshold`.
     pub fn fraction_at_most(&self, threshold: u32) -> f64 {
         if self.queries.is_empty() {
@@ -222,7 +210,6 @@ mod tests {
     fn from_queries_sorts_by_arrival() {
         let trace = Trace::from_queries(vec![Query::new(2, 10, 500), Query::new(1, 20, 100)]);
         assert_eq!(trace.queries[0].id, 1);
-        assert_eq!(trace.mean_batch_size(), 15.0);
         assert_eq!(trace.fraction_at_most(10), 0.5);
     }
 
@@ -266,7 +253,6 @@ mod tests {
         let t = Trace::from_queries(vec![]);
         assert!(t.is_empty());
         assert_eq!(t.offered_qps(), 0.0);
-        assert_eq!(t.mean_batch_size(), 0.0);
         assert_eq!(t.duration_us(), 0);
     }
 }

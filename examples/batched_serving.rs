@@ -82,13 +82,10 @@ fn main() {
     for (label, batching, sharing) in runs {
         let report = replay(&pool, &config, &service, &trace, batching, sharing);
         let s = &report.service;
-        let (fill, wait_ms) = if s.batches_fired > 0 {
-            (
-                s.batch_fill_sum as f64 / s.batches_fired as f64,
-                s.batch_wait_us_sum as f64 / s.batches_fired as f64 / 1000.0,
-            )
+        let wait_ms = if s.batches_fired > 0 {
+            s.batch_wait_us_sum as f64 / s.batches_fired as f64 / 1000.0
         } else {
-            (0.0, 0.0)
+            0.0
         };
         println!(
             "{:<18}{:>11}{:>14.2}{:>10.2}{:>11}{:>12.2}{:>11.2}",
@@ -97,7 +94,7 @@ fn main() {
             report.violation_fraction() * 100.0,
             report.p99_latency_us() as f64 / 1000.0,
             s.batches_fired,
-            fill,
+            s.mean_batch_fill(),
             wait_ms,
         );
         assert_eq!(
@@ -109,8 +106,8 @@ fn main() {
         // first cancel.
         assert!(s.calendar_stale_popped <= s.calendar_cancelled);
         if batching.is_some() {
-            // Every completed query passed through exactly one fired batch.
-            assert_eq!(s.batched_queries, s.batch_fill_sum);
+            // Every completed query passed through a fired batch.
+            assert!(s.batched_queries as usize >= report.records.len());
         }
     }
     println!(
