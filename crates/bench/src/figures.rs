@@ -1367,8 +1367,9 @@ pub fn figure_batching(recorder: &Recorder) {
             p99_ms: report.p99_latency_us() as f64 / 1000.0,
             batches_fired: s.batches_fired,
             mean_fill: s.mean_batch_fill(),
-            mean_wait_ms: if s.batches_fired > 0 {
-                s.batch_wait_us_sum as f64 / s.batches_fired as f64 / 1000.0
+            // Summed member wait over the members: the per-query mean.
+            mean_wait_ms: if s.batched_queries > 0 {
+                s.batch_wait_us_sum as f64 / s.batched_queries as f64 / 1000.0
             } else {
                 0.0
             },

@@ -125,11 +125,23 @@ const NUM_BUCKETS: usize = 1024;
 
 impl EventCalendar {
     /// Creates a calendar whose bucket width is the smallest power of two at
-    /// least `granularity_us` microseconds, clamped to a sane range.  Callers
-    /// pass the mean inter-arrival gap of the driving trace so that cursor
-    /// advancement costs O(1) amortized per event.
+    /// least `granularity_us` microseconds, clamped to `[1, 16_384]` µs.
+    /// Callers pass the mean inter-arrival gap of the driving trace.
+    ///
+    /// The width follows the gap because both costs of a pop scale with it:
+    /// the cursor steps over about `gap / width` empty buckets per event,
+    /// and `locate_min` scans every event in the cursor's bucket — about
+    /// `width / gap` live ones, since completions land at the arrival rate.
+    /// A width near the gap keeps both near one, so the width has no floor
+    /// above 1 µs: a floor above a dense lane's gap leaves many pending
+    /// completions in each bucket for every pop after a push to rescan.
+    /// Down to 1 µs nothing else grows: events more than a lap
+    /// (`1024 × width`) ahead wait in their physical bucket and are
+    /// skipped, and a fruitless lap jumps the cursor straight to the
+    /// earliest event.  Pop order is the total `(time, seq)` order at every
+    /// width.
     pub fn with_granularity(granularity_us: TimeUs) -> Self {
-        let clamped = granularity_us.clamp(64, 16_384);
+        let clamped = granularity_us.clamp(1, 16_384);
         let shift = 64 - (clamped - 1).leading_zeros();
         Self {
             buckets: (0..NUM_BUCKETS).map(|_| Vec::new()).collect(),
@@ -330,6 +342,45 @@ mod tests {
         assert_eq!(cal.stale_popped(), 1);
         assert!(cal.stale_popped() <= cal.cancelled());
         assert_eq!(cal.pop().unwrap().time, 20);
+    }
+
+    #[test]
+    fn fine_buckets_pop_dense_ties_and_far_laps_in_time_then_seq_order() {
+        // 2 µs buckets: one lap covers ~2 ms.  Dense same-bucket ties (times
+        // 4 and 5 share bucket 2) pushed in scrambled seq order, plus events
+        // one, several and thousands of laps ahead that share physical
+        // buckets with the near ones.
+        let mut cal = EventCalendar::with_granularity(2);
+        assert_eq!(cal.shift, 1);
+        let lap = 2 * NUM_BUCKETS as u64;
+        let mut pushed = Vec::new();
+        for (i, &t) in [5u64, 4, 5, 4, 4, 5].iter().enumerate() {
+            pushed.push((t, 10 - i as u64));
+        }
+        for k in [1u64, 3, 5_000] {
+            pushed.push((4 + k * lap, 7));
+            pushed.push((5 + k * lap, 2));
+            pushed.push((4 + k * lap, 1));
+        }
+        pushed.push((0, 99));
+        pushed.push((lap - 1, 0));
+        for &(t, s) in &pushed {
+            cal.push(event(t, s));
+        }
+        let mut expected = pushed.clone();
+        expected.sort_unstable();
+        let mut order = Vec::new();
+        while let Some(e) = cal.pop() {
+            order.push((e.time, e.seq));
+            // Interleave a push behind the cursor's lap: same bucket as the
+            // event just popped, one lap on.
+            if order.len() == 3 {
+                cal.push(event(e.time + lap, 50));
+                expected.push((e.time + lap, 50));
+                expected.sort_unstable();
+            }
+        }
+        assert_eq!(order, expected);
     }
 
     #[test]

@@ -85,7 +85,10 @@ pub struct ServiceStats {
     /// `batched_queries / batches_fired` is the mean occupancy.
     pub batched_queries: u64,
     /// Total time members spent in forming windows before their batch
-    /// fired, in microseconds.
+    /// fired, in microseconds, summed over every member.  Divided by
+    /// `batched_queries` it is the mean forming wait per query; divided by
+    /// `batches_fired` it would be the members' summed wait per batch, which
+    /// grows with the fill and can exceed the batcher timeout.
     pub batch_wait_us_sum: u64,
     /// Dispatches that found their target container parked and paid a cold
     /// start (serverless lane only).
@@ -1442,6 +1445,18 @@ mod tests {
             .reduce(SimReport::merge)
             .expect("non-empty");
         let kway = SimReport::merge_many(scrambled.iter().cloned()).expect("non-empty");
+        assert_reports_identical(&kway, &fold);
+
+        // A disorder deep in a record run, and one in an unfinished list.
+        let mut late = shards.to_vec();
+        late[2].records.swap(1, 2);
+        late[1].unfinished.swap(0, 1);
+        let fold = late
+            .iter()
+            .cloned()
+            .reduce(SimReport::merge)
+            .expect("non-empty");
+        let kway = SimReport::merge_many(late.iter().cloned()).expect("non-empty");
         assert_reports_identical(&kway, &fold);
 
         // Degenerate arities.

@@ -82,8 +82,9 @@ fn main() {
     for (label, batching, sharing) in runs {
         let report = replay(&pool, &config, &service, &trace, batching, sharing);
         let s = &report.service;
-        let wait_ms = if s.batches_fired > 0 {
-            s.batch_wait_us_sum as f64 / s.batches_fired as f64 / 1000.0
+        // Mean forming wait per batched query.
+        let wait_ms = if s.batched_queries > 0 {
+            s.batch_wait_us_sum as f64 / s.batched_queries as f64 / 1000.0
         } else {
             0.0
         };

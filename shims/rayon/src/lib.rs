@@ -1,19 +1,24 @@
 //! Minimal in-workspace shim of `rayon`.
 //!
 //! Provides order-preserving parallel `map`/`for_each` over slices using
-//! `std::thread::scope` with one chunk per available core.  This is the API
-//! surface the kairos sweeps use (`slice.par_iter().map(f).collect()`); it
-//! degrades gracefully to a sequential loop on single-core machines or tiny
-//! inputs.
+//! `std::thread::scope` with one worker per available core.  Workers pull
+//! items one at a time from a shared cursor rather than taking a contiguous
+//! chunk each, so an expensive item delays only the worker running it: the
+//! rest of the slice flows to the other workers.  Each result lands in its
+//! input slot, so output order is input order.  This is the API surface the
+//! kairos sweeps use (`slice.par_iter().map(f).collect()`); it degrades
+//! gracefully to a sequential loop on single-core machines or tiny inputs.
 
 use std::cell::Cell;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 use std::thread;
 
 thread_local! {
     /// Worker-count override installed by [`ThreadPool::install`] on the
-    /// calling thread.  Chunking decisions are made on the calling thread
-    /// (see [`parallel_map`]), so scoping the override thread-locally is
-    /// enough to make `pool.install(|| ...)` deterministic per pool size.
+    /// calling thread.  The worker count is read on the calling thread
+    /// (see [`effective_workers`]), so scoping the override thread-locally
+    /// is enough to make `pool.install(|| ...)` deterministic per pool size.
     static POOL_THREADS: Cell<Option<usize>> = const { Cell::new(None) };
 }
 
@@ -103,8 +108,8 @@ impl ThreadPool {
 /// clamped to the machine's available parallelism.  The shim's fan-outs
 /// are CPU-bound, so spawning more runnable threads than cores buys no
 /// concurrency — it only adds timeslice churn and cache refills — and the
-/// mapped results are chunking-invariant either way.  This is what makes
-/// oversized pools "degrade gracefully to a sequential loop on
+/// mapped results do not depend on the worker count either way.  This is
+/// what makes oversized pools "degrade gracefully to a sequential loop on
 /// single-core machines" as documented above.
 fn effective_workers() -> usize {
     current_num_threads().min(
@@ -116,59 +121,74 @@ fn effective_workers() -> usize {
 
 /// Order-preserving parallel map over a slice.
 ///
-/// The heart of the shim: splits `items` into one contiguous chunk per
-/// worker, maps each chunk on its own scoped thread, and concatenates the
-/// results in order.
-fn parallel_map<'a, T, R, F>(items: &'a [T], f: &F) -> Vec<R>
+/// The heart of the shim: each of `workers` scoped threads pulls the next
+/// unclaimed index from one shared atomic cursor, maps that item, and pulls
+/// again until the slice is exhausted.  A slow item therefore holds back only
+/// its own worker; the items after it flow to whichever worker frees up
+/// first.  Each result lands in its input slot, so the output keeps input
+/// order whichever worker ran which item.
+fn parallel_map<'a, T, R, F>(items: &'a [T], workers: usize, f: &F) -> Vec<R>
 where
     T: Sync,
     R: Send,
     F: Fn(&'a T) -> R + Sync,
 {
-    let workers = effective_workers();
     if workers <= 1 || items.len() <= 1 {
         return items.iter().map(f).collect();
     }
-    let chunk_size = items.len().div_ceil(workers);
-    thread::scope(|scope| {
-        let handles: Vec<_> = items
-            .chunks(chunk_size)
-            .map(|chunk| scope.spawn(move || chunk.iter().map(f).collect::<Vec<R>>()))
-            .collect();
-        let mut out = Vec::with_capacity(items.len());
-        for handle in handles {
-            out.extend(handle.join().expect("rayon-shim worker panicked"));
-        }
-        out
+    let cursor = AtomicUsize::new(0);
+    fan_out(items.len(), workers, || {
+        let index = cursor.fetch_add(1, Ordering::Relaxed);
+        items.get(index).map(|item| (index, f(item)))
     })
 }
 
 /// Order-preserving parallel map over a mutable slice (the `&mut`
-/// counterpart of [`parallel_map`]): one contiguous chunk per worker via
-/// `chunks_mut`, results concatenated in order.
-fn parallel_map_mut<'a, T, R, F>(items: &'a mut [T], f: &F) -> Vec<R>
+/// counterpart of [`parallel_map`]): workers pull the next `(index, item)`
+/// from one `iter_mut().enumerate()` behind a mutex, which hands each
+/// exclusive borrow out exactly once, and map it outside the lock.
+fn parallel_map_mut<'a, T, R, F>(items: &'a mut [T], workers: usize, f: &F) -> Vec<R>
 where
     T: Send,
     R: Send,
     F: Fn(&'a mut T) -> R + Sync,
 {
-    let workers = effective_workers();
     if workers <= 1 || items.len() <= 1 {
         return items.iter_mut().map(f).collect();
     }
-    let chunk_size = items.len().div_ceil(workers);
     let total = items.len();
-    thread::scope(|scope| {
-        let handles: Vec<_> = items
-            .chunks_mut(chunk_size)
-            .map(|chunk| scope.spawn(move || chunk.iter_mut().map(f).collect::<Vec<R>>()))
-            .collect();
-        let mut out = Vec::with_capacity(total);
-        for handle in handles {
-            out.extend(handle.join().expect("rayon-shim worker panicked"));
-        }
-        out
+    let cursor = Mutex::new(items.iter_mut().enumerate());
+    fan_out(total, workers, || {
+        let next = cursor.lock().expect("rayon-shim cursor poisoned").next();
+        next.map(|(index, item)| (index, f(item)))
     })
+}
+
+/// Runs `min(workers, total)` scoped threads, each calling `pull` until it
+/// returns `None`, and writes every pulled `(index, result)` into slot
+/// `index` of the output.  `pull` must yield each index in `0..total`
+/// exactly once across all threads.
+fn fan_out<R, P>(total: usize, workers: usize, pull: P) -> Vec<R>
+where
+    R: Send,
+    P: Fn() -> Option<(usize, R)> + Sync,
+{
+    let pull = &pull;
+    let mut slots: Vec<Option<R>> = (0..total).map(|_| None).collect();
+    thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers.min(total))
+            .map(|_| scope.spawn(move || std::iter::from_fn(pull).collect::<Vec<_>>()))
+            .collect();
+        for handle in handles {
+            for (index, result) in handle.join().expect("rayon-shim worker panicked") {
+                slots[index] = Some(result);
+            }
+        }
+    });
+    slots
+        .into_iter()
+        .map(|slot| slot.expect("every index is pulled exactly once"))
+        .collect()
 }
 
 /// Parallel iterator over `&[T]`.
@@ -205,7 +225,7 @@ impl<'a, T: Send> ParIterMut<'a, T> {
     where
         F: Fn(&'a mut T) + Sync,
     {
-        parallel_map_mut(self.items, &|item| f(item));
+        parallel_map_mut(self.items, effective_workers(), &|item| f(item));
     }
 }
 
@@ -217,7 +237,9 @@ where
 {
     /// Executes the parallel map and collects the results in input order.
     pub fn collect<C: FromIterator<R>>(self) -> C {
-        parallel_map_mut(self.items, &self.f).into_iter().collect()
+        parallel_map_mut(self.items, effective_workers(), &self.f)
+            .into_iter()
+            .collect()
     }
 }
 
@@ -245,7 +267,7 @@ impl<'a, T: Sync> ParIter<'a, T> {
     where
         F: Fn(&'a T) + Sync,
     {
-        parallel_map(self.items, &|item| f(item));
+        parallel_map(self.items, effective_workers(), &|item| f(item));
     }
 }
 
@@ -257,7 +279,9 @@ where
 {
     /// Executes the parallel map and collects the results in input order.
     pub fn collect<C: FromIterator<R>>(self) -> C {
-        parallel_map(self.items, &self.f).into_iter().collect()
+        parallel_map(self.items, effective_workers(), &self.f)
+            .into_iter()
+            .collect()
     }
 }
 
@@ -328,6 +352,9 @@ pub mod prelude {
 #[cfg(test)]
 mod tests {
     use super::prelude::*;
+    use super::{parallel_map, parallel_map_mut};
+    use std::sync::{Condvar, Mutex};
+    use std::time::Duration;
 
     #[test]
     fn map_preserves_order() {
@@ -390,5 +417,91 @@ mod tests {
         // num_threads(0) keeps the machine default, as in rayon.
         let default_pool = ThreadPoolBuilder::new().num_threads(0).build().unwrap();
         assert_eq!(default_pool.current_num_threads(), outside);
+    }
+
+    /// A gate item 0 waits on until every other item has run.  Under a
+    /// contiguous-chunk split item 0's worker also owns items 1.., which
+    /// cannot run while it waits, so the wait times out.
+    struct Gate {
+        others_done: Mutex<usize>,
+        all_done: Condvar,
+        finish_order: Mutex<Vec<usize>>,
+    }
+
+    impl Gate {
+        const TIMEOUT: Duration = Duration::from_secs(10);
+
+        fn new() -> Self {
+            Self {
+                others_done: Mutex::new(0),
+                all_done: Condvar::new(),
+                finish_order: Mutex::new(Vec::new()),
+            }
+        }
+
+        /// Runs item `index` of `total`; returns whether item 0's wait for
+        /// the others succeeded (always `true` for the others).
+        fn run(&self, index: usize, total: usize) -> bool {
+            let released = if index == 0 {
+                let done = self.others_done.lock().unwrap();
+                let (_done, wait) = self
+                    .all_done
+                    .wait_timeout_while(done, Self::TIMEOUT, |done| *done < total - 1)
+                    .unwrap();
+                !wait.timed_out()
+            } else {
+                *self.others_done.lock().unwrap() += 1;
+                self.all_done.notify_all();
+                true
+            };
+            self.finish_order.lock().unwrap().push(index);
+            released
+        }
+    }
+
+    #[test]
+    fn a_blocked_item_does_not_hold_back_the_items_after_it() {
+        let items: Vec<usize> = (0..8).collect();
+        let gate = Gate::new();
+        let released = parallel_map(&items, 2, &|&i| gate.run(i, items.len()));
+        assert!(
+            released[0],
+            "item 0 timed out: items after it were stuck behind it"
+        );
+        assert_eq!(gate.finish_order.lock().unwrap().len(), items.len());
+
+        let mut items: Vec<usize> = (0..8).collect();
+        let total = items.len();
+        let gate = Gate::new();
+        let released = parallel_map_mut(&mut items, 2, &|i| gate.run(*i, total));
+        assert!(
+            released[0],
+            "item 0 timed out: items after it were stuck behind it"
+        );
+    }
+
+    #[test]
+    fn results_keep_input_order_when_items_finish_out_of_order() {
+        let items: Vec<usize> = (0..16).collect();
+        let gate = Gate::new();
+        let out = parallel_map(&items, 2, &|&i| {
+            assert!(gate.run(i, items.len()));
+            i * 10
+        });
+        // Item 0 finished last, yet its result heads the output.
+        assert_eq!(gate.finish_order.lock().unwrap().last(), Some(&0));
+        assert_eq!(out, (0..16).map(|i| i * 10).collect::<Vec<_>>());
+
+        let mut items: Vec<usize> = (0..16).collect();
+        let total = items.len();
+        let gate = Gate::new();
+        let out = parallel_map_mut(&mut items, 2, &|i| {
+            assert!(gate.run(*i, total));
+            *i += 1;
+            *i * 10
+        });
+        assert_eq!(gate.finish_order.lock().unwrap().last(), Some(&0));
+        assert_eq!(out, (1..17).map(|i| i * 10).collect::<Vec<_>>());
+        assert_eq!(items, (1..17).collect::<Vec<_>>());
     }
 }
