@@ -25,11 +25,24 @@
 //! list of the unscanned columns, in which each column carries its running
 //! shortest-path cost (the two are swap-removed together).  It records a
 //! column's final cost when the column leaves that list, and it updates the
-//! duals over the visited rows and columns alone.  The scan order, the tie
-//! rule (prefer an unassigned column) and every float expression are those
-//! of the textbook formulation, so the matching and the duals keep their
-//! bits.
+//! duals over the visited rows and columns alone.  The tie rule (prefer an
+//! unassigned column) and every float expression are the textbook
+//! formulation's, so the matching and the duals keep their bits.
+//!
+//! The scan order is not SciPy's.  Each augmentation lists the unscanned
+//! columns in ascending order, `0..c`, while SciPy fills that list in
+//! reverse (`remaining[it] = nc - it - 1`) so that a constant matrix gives
+//! the identity.  Among tied columns the scan keeps the first one at the
+//! minimum, unless an unassigned column ties with it, in which case the last
+//! unassigned one wins.  So here a constant 3 x 5 matrix matches rows 0, 1
+//! and 2 to columns 4, 3 and 2.  In a deep Kairos round with no feasible
+//! pair, the instances therefore take the newest queued queries.
+//!
+//! [`crate::background::solve_background_into`] solves the same problem
+//! when each row is one background cost plus a few listed cells, and returns
+//! the same matching.
 
+use crate::background::{Mark, Special};
 use std::fmt;
 
 /// Buffers of the shortest-augmenting-path solver, kept between calls to
@@ -42,16 +55,23 @@ use std::fmt;
 /// columns scanned so far with their final costs.  The duals are updated
 /// over the scanned columns and the rows matched to them, so an augmentation
 /// resets only the unscanned list and sweeps no other buffer whole.
+///
+/// [`solve_background_into`](crate::background::solve_background_into)
+/// shares the per-problem buffers and keeps its own column records in place
+/// of the unscanned list.  Each solver drops the other's own buffers, so a
+/// workspace that serves both holds one set at a time.
 #[derive(Debug, Default, Clone)]
 pub struct JvWorkspace {
-    u: Vec<f64>,
-    v: Vec<f64>,
-    col4row: Vec<usize>,
-    row4col: Vec<usize>,
-    path: Vec<usize>,
-    remaining: Vec<Unscanned>,
-    scanned: Vec<(usize, f64)>,
-    row_to_col: Vec<Option<usize>>,
+    pub(crate) u: Vec<f64>,
+    pub(crate) v: Vec<f64>,
+    pub(crate) col4row: Vec<usize>,
+    pub(crate) row4col: Vec<usize>,
+    pub(crate) path: Vec<usize>,
+    pub(crate) remaining: Vec<Unscanned>,
+    pub(crate) scanned: Vec<(usize, f64)>,
+    pub(crate) row_to_col: Vec<Option<usize>>,
+    pub(crate) special: Vec<Special>,
+    pub(crate) marks: Vec<Mark>,
 }
 
 impl JvWorkspace {
@@ -86,6 +106,8 @@ pub fn solve_jv_into<'ws>(
         rows * cols,
         "cost buffer must hold rows x cols entries"
     );
+    ws.special = Vec::new();
+    ws.marks = Vec::new();
     ws.row_to_col.clear();
     if rows <= cols {
         ws.augment_all::<false>(rows, cols, cost)?;
@@ -123,13 +145,13 @@ impl std::error::Error for AssignmentError {}
 /// A column not yet scanned in the current augmentation, with the shortest
 /// path cost found to it so far.
 #[derive(Debug, Clone, Copy)]
-struct Unscanned {
+pub(crate) struct Unscanned {
     col: usize,
     cost: f64,
 }
 
 /// "Unassigned" marker of the matching state.
-const UNASSIGNED: usize = usize::MAX;
+pub(crate) const UNASSIGNED: usize = usize::MAX;
 
 impl JvWorkspace {
     /// Core shortest-augmenting-path loop over an `nr x nc` problem with
@@ -225,30 +247,65 @@ impl JvWorkspace {
                 }
             }
 
-            // Update the duals of the visited rows and columns only.  The
-            // rows visited besides `cur_row` are the ones matched to the
-            // scanned columns other than the sink, each reached through its
-            // column.
-            u[cur_row] += min_val;
-            for &(j, cost) in scanned.iter() {
-                if j != sink {
-                    u[row4col[j]] += min_val - cost;
-                }
-                v[j] -= min_val - cost;
-            }
-
-            // Augment along the alternating path ending at `sink`.
-            let mut j = sink;
-            loop {
-                let i = path[j];
-                row4col[j] = i;
-                std::mem::swap(&mut col4row[i], &mut j);
-                if i == cur_row {
-                    break;
-                }
-            }
+            finish_augmentation(
+                cur_row, sink, min_val, scanned, path, u, v, col4row, row4col,
+            );
         }
 
         Ok(())
+    }
+}
+
+/// Ends the augmentation of `cur_row` whose shortest path reached the
+/// unassigned column `sink` at cost `min_val`: updates the duals of the
+/// visited rows and columns only, then augments along the alternating path.
+/// `scanned` holds the columns the augmentation scanned, each with its final
+/// shortest-path cost, and `path[j]` the row a scanned column was reached
+/// from.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn finish_augmentation(
+    cur_row: usize,
+    sink: usize,
+    min_val: f64,
+    scanned: &[(usize, f64)],
+    path: &[usize],
+    u: &mut [f64],
+    v: &mut [f64],
+    col4row: &mut [usize],
+    row4col: &mut [usize],
+) {
+    // The rows visited besides `cur_row` are the ones matched to the
+    // scanned columns other than the sink, each reached through its column.
+    u[cur_row] += min_val;
+    for &(j, cost) in scanned {
+        if j != sink {
+            u[row4col[j]] += min_val - cost;
+        }
+        v[j] -= min_val - cost;
+    }
+
+    let mut j = sink;
+    loop {
+        let i = path[j];
+        row4col[j] = i;
+        std::mem::swap(&mut col4row[i], &mut j);
+        if i == cur_row {
+            break;
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Pins the scan order: ascending columns, the last tied unassigned one
+    /// winning.  SciPy, which lists the columns in reverse, gives the
+    /// identity `[0, 1, 2]` here.
+    #[test]
+    fn a_constant_matrix_matches_rows_to_the_last_columns() {
+        let mut ws = JvWorkspace::new();
+        let matched = solve_jv_into(&mut ws, 3, 5, &[1.0; 15]).unwrap();
+        assert_eq!(matched, &[Some(4), Some(3), Some(2)]);
     }
 }

@@ -10,8 +10,11 @@
 //! `linear_sum_assignment`; this crate provides the equivalent,
 //! dependency-free Rust solver, [`jv::solve_jv_into`]: shortest augmenting
 //! paths (the algorithm the paper names), exact and `O(r^2 c)`, solving from
-//! a flat row-major cost buffer in a reusable [`jv::JvWorkspace`].  The
-//! Kairos query distributor calls it once per scheduling round.
+//! a flat row-major cost buffer in a reusable [`jv::JvWorkspace`].
+//! [`background::solve_background_into`] returns the same matching when
+//! each row is one background cost plus a few listed cells, the shape of a
+//! deep round whose pairs are mostly penalized.  The Kairos query
+//! distributor calls one of the two once per scheduling round.
 //!
 //! The test oracles the solver is checked against (a brute-force optimum, a
 //! greedy strawman and a checked cost-matrix type) live in the dev-only
@@ -33,6 +36,7 @@
 
 #![warn(missing_docs)]
 
+pub mod background;
 pub mod jv;
 
 pub use jv::AssignmentError;

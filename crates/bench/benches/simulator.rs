@@ -588,7 +588,10 @@ fn bench_allowable_throughput_probe(c: &mut Criterion) {
 /// types, one of which has a single observed batch size (no latency fit, so
 /// its pairs take the cold-start override).  This is the round that
 /// dominates an overload burst, where queries outnumber instances and the
-/// cost buffer is laid out instance-major.  `three_lane_fleet_mix` is the
+/// cost buffer is laid out instance-major.  `deep_queue_512x14_fitted` is
+/// the same context with that type fitted too, so the round takes the
+/// background form: one penalty cost per instance plus its feasible pairs.
+/// `three_lane_fleet_mix` is the
 /// multi-model round of the `fleet_mix` benchmark: three lanes over one
 /// fleet's views, a short mixed queue.
 fn bench_kairos_round(c: &mut Criterion) {
@@ -606,27 +609,33 @@ fn bench_kairos_round(c: &mut Criterion) {
         .iter()
         .map(|t| Arc::from(t.name.as_str()))
         .collect();
-    let mut kairos = KairosScheduler::new();
-    kairos.bind_types(&names);
-    // Types 0 and 2 are fitted from their profiles; type 1 has seen only
-    // one batch size.
-    for (type_index, batches) in [
-        (0usize, &[1u32, 64, 256, 1000][..]),
-        (2, &[1, 64, 256, 1000]),
-        (1, &[128]),
-    ] {
-        let profile = latency
-            .get(model, &names[type_index])
-            .expect("the paper calibration covers every paper type");
-        for &batch in batches {
-            kairos.on_completion(
-                type_index,
-                ModelId::DEFAULT,
-                batch,
-                profile.latency_ms(batch),
-            );
+    let fitted_batches = &[1u32, 64, 256, 1000][..];
+    let learned = |type_batches: &[(usize, &[u32])]| {
+        let mut kairos = KairosScheduler::new();
+        kairos.bind_types(&names);
+        for &(type_index, batches) in type_batches {
+            let profile = latency
+                .get(model, &names[type_index])
+                .expect("the paper calibration covers every paper type");
+            for &batch in batches {
+                kairos.on_completion(
+                    type_index,
+                    ModelId::DEFAULT,
+                    batch,
+                    profile.latency_ms(batch),
+                );
+            }
         }
-    }
+        kairos
+    };
+    // Types 0 and 2 are fitted from their profiles; type 1 has seen only
+    // one batch size, or is fitted too.
+    let mut kairos = learned(&[(0, fitted_batches), (2, fitted_batches), (1, &[128])]);
+    let mut fitted = learned(&[
+        (0, fitted_batches),
+        (2, fitted_batches),
+        (1, fitted_batches),
+    ]);
 
     let now_us = 1_000_000;
     let mix = BatchSizeDistribution::production_default();
@@ -677,6 +686,13 @@ fn bench_kairos_round(c: &mut Criterion) {
         b.iter(|| {
             out.clear();
             kairos.schedule_into(black_box(&ctx), &mut out);
+            black_box(out.len())
+        })
+    });
+    group.bench_function("deep_queue_512x14_fitted", |b| {
+        b.iter(|| {
+            out.clear();
+            fitted.schedule_into(black_box(&ctx), &mut out);
             black_box(out.len())
         })
     });

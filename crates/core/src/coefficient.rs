@@ -22,20 +22,19 @@
 /// Panics if the slice is empty, the base index is out of range, or any
 /// latency is not strictly positive.
 pub fn heterogeneity_coefficients(largest_query_latency_ms: &[f64], base_index: usize) -> Vec<f64> {
-    let mut coefficients = Vec::with_capacity(largest_query_latency_ms.len());
-    heterogeneity_coefficients_into(largest_query_latency_ms, base_index, &mut coefficients);
+    let mut coefficients = largest_query_latency_ms.to_vec();
+    heterogeneity_coefficients_in_place(&mut coefficients, base_index);
     coefficients
 }
 
-/// [`heterogeneity_coefficients`] written into a caller-owned buffer
-/// (cleared first), for the per-round matching path.
+/// [`heterogeneity_coefficients`] computed in place: each type's latency is
+/// replaced by its coefficient, for the per-round matching path.
 ///
 /// # Panics
 /// As [`heterogeneity_coefficients`].
-pub(crate) fn heterogeneity_coefficients_into(
-    largest_query_latency_ms: &[f64],
+pub(crate) fn heterogeneity_coefficients_in_place(
+    largest_query_latency_ms: &mut [f64],
     base_index: usize,
-    out: &mut Vec<f64>,
 ) {
     assert!(
         !largest_query_latency_ms.is_empty(),
@@ -52,14 +51,13 @@ pub(crate) fn heterogeneity_coefficients_into(
         );
     }
     let base = largest_query_latency_ms[base_index];
-    out.clear();
-    out.extend(largest_query_latency_ms.iter().enumerate().map(|(i, &l)| {
-        if i == base_index {
+    for (i, l) in largest_query_latency_ms.iter_mut().enumerate() {
+        *l = if i == base_index {
             1.0
         } else {
-            (base / l).clamp(f64::MIN_POSITIVE, 1.0)
-        }
-    }));
+            (base / *l).clamp(f64::MIN_POSITIVE, 1.0)
+        };
+    }
 }
 
 #[cfg(test)]

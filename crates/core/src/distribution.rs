@@ -21,22 +21,33 @@
 //! distinct accepting type resolves its predictor once per round (the
 //! linear fit computed once, see [`kairos_models::ResolvedPredictor`]) and
 //! fills one row of a `[type][query]` prediction table, one lookup-table
-//! probe per query.  A single pass then writes the solver's cost buffer and
-//! the feasibility bitmap (Eq. 3 and 8 with the cold-start override), laid
-//! out so the Jonker–Volgenant solver scans it contiguously: query-major
-//! when queries do not outnumber instances, instance-major otherwise.  In
-//! the instance-major layout the solver runs one augmentation per instance,
-//! and each touches only the rows and columns it visits
-//! ([`kairos_assignment::jv`]).  All buffers live in the scheduler and are
-//! reused, so a steady-state round allocates nothing; they are sized by the
-//! lane's own queue and columns, not by the fleet.  The round is
+//! probe per query.  A single pass then writes the solver's costs (Eq. 3
+//! and 8 with the cold-start override), laid out so the Jonker–Volgenant
+//! solver scans them contiguously: query-major when queries do not
+//! outnumber instances, instance-major otherwise.  In the instance-major
+//! layout the solver runs one augmentation per instance, and each touches
+//! only the rows and columns it visits ([`kairos_assignment::jv`]).
+//!
+//! An instance-major round in which every type has a latency fit is mostly
+//! penalized pairs, and every penalized pair of instance `j` costs the same
+//! `C_j · 10 T_qos`.  Such a round writes no matrix: per instance it keeps
+//! that penalty as a background cost plus its feasible pairs, and
+//! [`kairos_assignment::background`] returns the dense solver's matching
+//! from that form.  A matched pair's feasibility is recomputed from the
+//! prediction table, by the expression that priced it.  All buffers live in
+//! the scheduler and are reused, so a steady-state round allocates nothing;
+//! they are sized by the lane's own queue and columns, not by the fleet, and
+//! a round keeps only the buffers of its own form.  The round is
 //! bit-identical to assembling the per-pair matrices the round was first
 //! written with and solving them with `kairos_testkit::jv::solve_jv`; the
 //! `proptest_kairos_round` test keeps that assembly as its oracle
 //! (`tests/common/lmatrix.rs`).
 
-use crate::coefficient::heterogeneity_coefficients_into;
-use kairos_assignment::jv::{solve_jv_into, JvWorkspace};
+use crate::coefficient::heterogeneity_coefficients_in_place;
+use kairos_assignment::{
+    background::{solve_background_into, BackgroundRow},
+    jv::{solve_jv_into, JvWorkspace},
+};
 use kairos_models::{
     latency::LatencyTable,
     mlmodel::ModelKind,
@@ -76,6 +87,8 @@ pub struct KairosScheduler {
     rounds: u64,
     /// Buffers reused by every matching round.
     round: RoundScratch,
+    /// The solver's buffers, sized and released with `round`'s.
+    jv: JvWorkspace,
 }
 
 /// One matrix column: an accepting instance.
@@ -89,30 +102,40 @@ struct Column {
     remaining_ms: f64,
 }
 
+/// One distinct accepting type of a round.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    /// Position of the view that introduced the type.
+    view: usize,
+    /// Whether the type's predictor has a linear fit.
+    fitted: bool,
+}
+
 /// Buffers of one matching round.  A *slot* is one distinct type among the
 /// accepting instances, numbered in order of first appearance in the views.
 #[derive(Debug, Clone, Default)]
 struct RoundScratch {
-    /// Per slot: position of the view that introduced the type.
-    slot_view: Vec<usize>,
-    /// Per slot: predicted latency of the reference batch, in ms.
-    reference_ms: Vec<f64>,
-    /// Per slot: heterogeneity coefficient `C_j`.
+    /// Per slot: the view that introduced the type, and its fit state.
+    slots: Vec<Slot>,
+    /// Per slot: predicted latency of the reference batch, in ms, turned
+    /// in place into the heterogeneity coefficient `C_j`.
     coefficient: Vec<f64>,
-    /// Per slot: whether the type's predictor has a linear fit.
-    fitted: Vec<bool>,
     /// Predicted service latency (ms), `[slot][query]`.
     predicted_ms: Vec<f64>,
     /// The accepting instances, in view order.
     columns: Vec<Column>,
     /// Per queued query: accumulated wait `W_i`, in ms.
     waited_ms: Vec<f64>,
-    /// Solver costs and pair feasibility, in the same layout: query-major
-    /// (`[query][column]`) when queries do not outnumber columns,
-    /// column-major (`[column][query]`) otherwise.
+    /// Solver costs: query-major (`[query][column]`) when queries do not
+    /// outnumber columns, column-major (`[column][query]`) otherwise.
     cost: Vec<f64>,
-    feasible: Vec<bool>,
-    jv: JvWorkspace,
+    /// The background form of a column-major round whose every type has a
+    /// latency fit.  Per column: the cost `C_j · 10 T_qos` of every pair
+    /// that violates QoS, and the end of its feasible pairs in `cells`.
+    background_rows: Vec<BackgroundRow>,
+    /// The feasible pairs, column by column, each `(query, C_j · L_ij)`
+    /// in query order.
+    cells: Vec<(usize, f64)>,
 }
 
 impl RoundScratch {
@@ -120,40 +143,86 @@ impl RoundScratch {
     /// columns just collected.
     fn release_matrices(&mut self) {
         *self = Self {
-            slot_view: std::mem::take(&mut self.slot_view),
+            slots: std::mem::take(&mut self.slots),
             columns: std::mem::take(&mut self.columns),
             ..Self::default()
         };
     }
 
-    /// Writes the cost and feasibility of every (query, column) pair:
-    /// `[query][column]` when `QUERY_MAJOR`, `[column][query]` otherwise.
-    /// The layout is a const parameter so the stride of a column's cells is
-    /// known when compiling; column-major, the walk is a plain contiguous
-    /// loop.
+    /// Writes the cost of every (query, column) pair: `[query][column]`
+    /// when `QUERY_MAJOR`, `[column][query]` otherwise.  The layout is a
+    /// const parameter so the stride of a column's cells is known when
+    /// compiling; column-major, the walk is a plain contiguous loop.
     fn fill<const QUERY_MAJOR: bool>(&mut self, bound_ms: f64, penalty_ms: f64) {
         let (m, n) = (self.waited_ms.len(), self.columns.len());
-        // Every cell is written below, so the buffers are only sized.
+        // Every cell is written below, so the buffer is only sized.
         self.cost.resize(m * n, 0.0);
-        self.feasible.resize(m * n, false);
         for (j, col) in self.columns.iter().enumerate() {
             let coefficient = self.coefficient[col.slot];
-            let fitted = self.fitted[col.slot];
+            let fitted = self.slots[col.slot].fitted;
             let predicted = &self.predicted_ms[col.slot * m..(col.slot + 1) * m];
             // The column's cells, in query order.
             let (first, stride) = if QUERY_MAJOR { (j, n) } else { (j * m, 1) };
-            let cells = (self.cost[first..].iter_mut().step_by(stride))
-                .zip(self.feasible[first..].iter_mut().step_by(stride));
-            for ((cost, feasible), (&service_ms, &waited_ms)) in
+            let cells = self.cost[first..].iter_mut().step_by(stride);
+            for (cost, (&service_ms, &waited_ms)) in
                 cells.zip(predicted.iter().zip(&self.waited_ms))
             {
                 let l_ij = col.remaining_ms + service_ms;
-                let ok = !fitted || l_ij + waited_ms <= bound_ms;
-                *cost = coefficient * if ok { l_ij } else { penalty_ms };
-                *feasible = ok;
+                *cost = coefficient
+                    * if feasible(fitted, l_ij, waited_ms, bound_ms) {
+                        l_ij
+                    } else {
+                        penalty_ms
+                    };
             }
         }
     }
+
+    /// Writes the background form of a column-major round in which every
+    /// type has a latency fit: the same costs as [`Self::fill`], with each
+    /// column's penalized pairs folded into one background cost.
+    fn fill_background(&mut self, bound_ms: f64, penalty_ms: f64) {
+        let m = self.waited_ms.len();
+        self.background_rows.clear();
+        self.cells.clear();
+        for col in &self.columns {
+            let coefficient = self.coefficient[col.slot];
+            let predicted = &self.predicted_ms[col.slot * m..(col.slot + 1) * m];
+            for (query, (&service_ms, &waited_ms)) in
+                predicted.iter().zip(&self.waited_ms).enumerate()
+            {
+                let l_ij = col.remaining_ms + service_ms;
+                if feasible(true, l_ij, waited_ms, bound_ms) {
+                    self.cells.push((query, coefficient * l_ij));
+                }
+            }
+            self.background_rows.push(BackgroundRow {
+                background: coefficient * penalty_ms,
+                cells_end: self.cells.len(),
+            });
+        }
+    }
+
+    /// Whether query `i` on column `j` is feasible, as the fill decided it.
+    fn pair_feasible(&self, i: usize, j: usize, bound_ms: f64) -> bool {
+        let col = &self.columns[j];
+        let service_ms = self.predicted_ms[col.slot * self.waited_ms.len() + i];
+        let l_ij = col.remaining_ms + service_ms;
+        feasible(
+            self.slots[col.slot].fitted,
+            l_ij,
+            self.waited_ms[i],
+            bound_ms,
+        )
+    }
+}
+
+/// Eq. 3 with the ξ safeguard folded into `bound_ms`, and the cold-start
+/// override: whether a pair whose predicted completion time is `l_ij`, for a
+/// query that has waited `waited_ms`, counts as feasible on a type whose
+/// predictor is `fitted` or not.
+fn feasible(fitted: bool, l_ij: f64, waited_ms: f64, bound_ms: f64) -> bool {
+    !fitted || l_ij + waited_ms <= bound_ms
 }
 
 impl Default for KairosScheduler {
@@ -173,6 +242,7 @@ impl KairosScheduler {
             reference_batch: MAX_BATCH_SIZE,
             rounds: 0,
             round: RoundScratch::default(),
+            jv: JvWorkspace::new(),
         }
     }
 
@@ -232,22 +302,25 @@ impl Scheduler for KairosScheduler {
         // type's slot anchors the coefficients; without it the first type
         // present does.
         r.columns.clear();
-        r.slot_view.clear();
+        r.slots.clear();
         let mut base_slot = 0;
         for (view, inst) in ctx.instances.iter().enumerate() {
             if inst.model != self.model || !inst.accepting {
                 continue;
             }
             let known = r
-                .slot_view
+                .slots
                 .iter()
-                .position(|&v| ctx.instances[v].type_index == inst.type_index);
+                .position(|s| ctx.instances[s.view].type_index == inst.type_index);
             let slot = known.unwrap_or_else(|| {
                 if inst.is_base {
-                    base_slot = r.slot_view.len();
+                    base_slot = r.slots.len();
                 }
-                r.slot_view.push(view);
-                r.slot_view.len() - 1
+                r.slots.push(Slot {
+                    view,
+                    fitted: false,
+                });
+                r.slots.len() - 1
             });
             r.columns.push(Column {
                 view,
@@ -265,9 +338,11 @@ impl Scheduler for KairosScheduler {
         // quarter of them, so the scheduler does not keep memory sized for
         // its deepest queue; between such drops rounds allocate nothing.
         // The round's size is its own queue by its own columns, however
-        // many views the fleet holds.
-        if r.cost.capacity() > 4 * m * n {
+        // many views the fleet holds.  The queue-sized buffers (the waits,
+        // and every buffer of a background round) follow the queue alone.
+        if r.cost.capacity() > 4 * m * n || r.waited_ms.capacity() > 4 * m {
             r.release_matrices();
+            self.jv = JvWorkspace::new();
         }
 
         r.waited_ms.clear();
@@ -282,56 +357,72 @@ impl Scheduler for KairosScheduler {
         // predictor lookup, its fit state, its linear fit (computed once per
         // slot, not once per prediction), the reference-batch latency behind
         // `C_j`, and one prediction per queued query.
-        r.reference_ms.clear();
-        r.fitted.clear();
+        r.coefficient.clear();
         r.predicted_ms.clear();
-        for &view in &r.slot_view {
-            let predictor = self.predictors.get(&ctx.instances[view].type_name);
+        for slot in &mut r.slots {
+            let predictor = self.predictors.get(&ctx.instances[slot.view].type_name);
             let resolved = predictor.map(OnlinePredictor::resolve).unwrap_or_default();
-            r.reference_ms
+            r.coefficient
                 .push(resolved.predict(self.reference_batch).max(1e-6));
-            r.fitted.push(predictor.is_some_and(|p| p.has_fit()));
+            slot.fitted = predictor.is_some_and(|p| p.has_fit());
             r.predicted_ms.extend(
                 ctx.queued
                     .iter()
                     .map(|q| resolved.predict(q.batch_size).max(1e-3)),
             );
         }
-        heterogeneity_coefficients_into(&r.reference_ms, base_slot, &mut r.coefficient);
+        heterogeneity_coefficients_in_place(&mut r.coefficient, base_slot);
 
-        // One pass writes the costs `C_j · L~_ij` and the feasibility of
-        // every pair.  `L_ij` is the instance's remaining busy time plus the
-        // query's predicted service time; a pair violating Eq. 3 (with the ξ
-        // safeguard) costs `C_j · 10 T_qos` (Eq. 8).  Cold-start optimism:
-        // while a type has not produced enough completions for a latency fit,
-        // its predictions are placeholders and a "predicted violation" there
-        // carries no information, so such pairs are treated as feasible.
-        // That lets queries flow immediately, which is what makes the online
-        // learning converge within the first few queries instead of stalling
-        // the queue.
+        // One pass writes the cost `C_j · L~_ij` of every pair.  `L_ij` is
+        // the instance's remaining busy time plus the query's predicted
+        // service time; a pair violating Eq. 3 (with the ξ safeguard) costs
+        // `C_j · 10 T_qos` (Eq. 8).  Cold-start optimism: while a type has
+        // not produced enough completions for a latency fit, its predictions
+        // are placeholders and a "predicted violation" there carries no
+        // information, so such pairs are treated as feasible.  That lets
+        // queries flow immediately, which is what makes the online learning
+        // converge within the first few queries instead of stalling the
+        // queue.
+        //
+        // A column-major round whose every type is fitted takes the
+        // background form instead: most of its pairs are penalized, so an
+        // instance's row is one penalty cost plus its feasible pairs, and
+        // `solve_background_into` returns the dense solver's matching from
+        // that form without scanning the penalized cells.
         let bound_ms = DEFAULT_XI * qos_ms;
         let penalty_ms = QOS_PENALTY_FACTOR * qos_ms;
         let query_major = m <= n;
-        if query_major {
-            r.fill::<true>(bound_ms, penalty_ms);
+        let background = !query_major && r.slots.iter().all(|s| s.fitted);
+        // A round holds the buffers of its own form only.
+        let matched = if background {
+            r.cost = Vec::new();
+            r.fill_background(bound_ms, penalty_ms);
+            solve_background_into(&mut self.jv, m, &r.background_rows, &r.cells)
         } else {
-            r.fill::<false>(bound_ms, penalty_ms);
-        }
+            r.background_rows = Vec::new();
+            r.cells = Vec::new();
+            if query_major {
+                r.fill::<true>(bound_ms, penalty_ms);
+                solve_jv_into(&mut self.jv, m, n, &r.cost)
+            } else {
+                r.fill::<false>(bound_ms, penalty_ms);
+                solve_jv_into(&mut self.jv, n, m, &r.cost)
+            }
+        };
 
         // Dispatch feasible pairs immediately.  A pair predicted to violate
         // QoS is held back for the next round while the query still has a
         // chance of meeting its target elsewhere; once the query is doomed
         // anyway (its wait alone exceeds the target) it is dispatched
         // regardless so the queue cannot grow without bound.
-        let (rows, cols) = if query_major { (m, n) } else { (n, m) };
-        let Ok(matched) = solve_jv_into(&mut r.jv, rows, cols, &r.cost) else {
+        let Ok(matched) = matched else {
             return;
         };
         let start = out.len();
         for (row, col) in matched.iter().enumerate() {
             let Some(col) = *col else { continue };
             let (i, j) = if query_major { (row, col) } else { (col, row) };
-            if r.feasible[row * cols + col] || r.waited_ms[i] >= qos_ms {
+            if r.pair_feasible(i, j, bound_ms) || r.waited_ms[i] >= qos_ms {
                 out.push(Dispatch {
                     query_index: i,
                     instance_index: ctx.instances[r.columns[j].view].instance_index,

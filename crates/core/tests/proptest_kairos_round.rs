@@ -13,6 +13,14 @@
 //! (m > n) layouts.  Every case runs several rounds on one scheduler so its
 //! reused buffers see differently sized rounds.
 //!
+//! A second property drives the background form of the round: queries
+//! outnumber instances, every type is fitted, and at least three queries in
+//! four have waited past the QoS target, so most pairs are penalized.  It
+//! asserts that each such round has that shape (instance-major, every type
+//! fitted, at least three pairs in four infeasible in the oracle's
+//! matrices) and dispatches as the reference does, with general rounds in
+//! between on the same scheduler.
+//!
 //! On the same random rounds, a one-lane [`MultiScheduler`] (which hands the
 //! round straight to its Kairos round) must dispatch exactly as the general
 //! per-model partition does: a two-lane one built from the same controller,
@@ -46,12 +54,13 @@ use std::sync::Arc;
 /// Batch sizes drawn often on both sides, so lookup-table hits are common.
 const PALETTE: [u32; 4] = [1, 32, 120, 500];
 
-/// The round as it was computed before the per-type rewrite.
-fn reference_round(kairos: &KairosScheduler, ctx: &SchedulingContext<'_>) -> Vec<Dispatch> {
+/// The round as it was computed before the per-type rewrite: its dispatches,
+/// and the share of its pairs that violate QoS (0 when there is no round).
+fn reference_round(kairos: &KairosScheduler, ctx: &SchedulingContext<'_>) -> (Vec<Dispatch>, f64) {
     let predictors = kairos.predictors();
     let instances: Vec<&InstanceView> = ctx.instances.iter().filter(|i| i.accepting).collect();
     if ctx.queued.is_empty() || instances.is_empty() {
-        return Vec::new();
+        return (Vec::new(), 0.0);
     }
     let qos_ms = ctx.qos_us as f64 / 1000.0;
 
@@ -94,6 +103,14 @@ fn reference_round(kairos: &KairosScheduler, ctx: &SchedulingContext<'_>) -> Vec
         })
         .collect();
     let mut matrices = build_matrices(&rows, &columns, qos_ms, DEFAULT_XI);
+    let pairs = rows.len() * columns.len();
+    let infeasible = matrices
+        .feasible
+        .iter()
+        .flatten()
+        .filter(|&&ok| !ok)
+        .count();
+    let infeasible_share = infeasible as f64 / pairs as f64;
 
     // Cold-start optimism: pairs on a type without a latency fit count as
     // feasible, at their weighted completion time.
@@ -112,16 +129,17 @@ fn reference_round(kairos: &KairosScheduler, ctx: &SchedulingContext<'_>) -> Vec
     }
 
     let Ok(assignment) = solve_jv(&matrices.cost) else {
-        return Vec::new();
+        return (Vec::new(), infeasible_share);
     };
-    assignment
+    let dispatches = assignment
         .pairs()
         .filter(|&(i, j)| matrices.feasible[i][j] || rows[i].waited_ms >= qos_ms)
         .map(|(query_index, j)| Dispatch {
             query_index,
             instance_index: instances[j].instance_index,
         })
-        .collect()
+        .collect();
+    (dispatches, infeasible_share)
 }
 
 /// Teaches the scheduler one pool type's latency through completions:
@@ -155,6 +173,36 @@ fn observe_type(kairos: &mut KairosScheduler, type_index: usize, state: u64, rng
         }
         _ => {}
     }
+}
+
+/// A round in the background form's shape: `queue > instances`, every
+/// instance accepting, and a random three queries in four (at least) waited
+/// past the QoS target, so every pair of theirs violates it.  The rest
+/// waited less than the target.
+fn penalized_round(
+    rng: &mut StdRng,
+    queue: usize,
+    instances: usize,
+    pool: &[(Arc<str>, bool)],
+) -> Round {
+    let mut round = random_round(rng, queue, instances, pool);
+    for view in &mut round.views {
+        view.accepting = true;
+    }
+    let mut order: Vec<usize> = (0..queue).collect();
+    for k in (1..queue).rev() {
+        order.swap(k, rng.gen_range(0..k + 1));
+    }
+    let doomed = (3 * queue).div_ceil(4);
+    for (k, &q) in order.iter().enumerate() {
+        let waited = if k < doomed {
+            rng.gen_range(round.qos_us..round.qos_us * 5 / 2)
+        } else {
+            rng.gen_range(0..round.qos_us)
+        };
+        round.queued[q].arrival_us = NOW_US - waited;
+    }
+    round
 }
 
 /// A random round's inputs.
@@ -257,13 +305,69 @@ proptest! {
                 qos_us: round.qos_us,
                 qos_by_model: &[],
             };
-            let expected = reference_round(&kairos, &ctx);
+            let (expected, _) = reference_round(&kairos, &ctx);
             // A caller's earlier dispatches stay in front of the round's.
             let marker = Dispatch { query_index: usize::MAX, instance_index: usize::MAX };
             let mut out = vec![marker];
             kairos.schedule_into(&ctx, &mut out);
             prop_assert_eq!(out[0], marker);
             prop_assert_eq!(&out[1..], &expected[..]);
+        }
+    }
+
+    #[test]
+    fn penalized_instance_major_rounds_match_the_reference_round(
+        seed in 0u64..u64::MAX,
+        instances in 1usize..=32,
+        extra in 1usize..=300,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let pool: Vec<(Arc<str>, bool)> = ec2::paper_pool()
+            .iter()
+            .map(|t| (Arc::from(t.name.as_str()), t.is_base))
+            .collect();
+        let names: Vec<Arc<str>> = pool.iter().map(|(name, _)| name.clone()).collect();
+        let mut kairos = KairosScheduler::new();
+        kairos.bind_types(&names);
+        for type_index in 0..pool.len() {
+            observe_type(&mut kairos, type_index, 2, &mut rng);
+        }
+        for name in &names {
+            prop_assert!(kairos.predictors().get(name).is_some_and(|p| p.has_fit()));
+        }
+
+        // Penalized rounds with a general one between them, on one
+        // scheduler, so the two forms' buffers take turns.
+        let n2 = rng.gen_range(1..33usize);
+        let general = (rng.gen_range(0..601usize), rng.gen_range(1..33usize));
+        let rounds = [
+            (true, (instances + extra, instances)),
+            (false, general),
+            (true, (n2 + rng.gen_range(1..601usize), n2)),
+        ];
+        for (penalized, (m, n)) in rounds {
+            let round = if penalized {
+                penalized_round(&mut rng, m, n, &pool)
+            } else {
+                random_round(&mut rng, m, n, &pool)
+            };
+            let idle = idle_order(&round.views);
+            let ctx = SchedulingContext {
+                now_us: NOW_US,
+                queued: &round.queued,
+                instances: &round.views,
+                idle: &idle,
+                qos_us: round.qos_us,
+                qos_by_model: &[],
+            };
+            let (expected, infeasible_share) = reference_round(&kairos, &ctx);
+            if penalized {
+                prop_assert!(m > n);
+                prop_assert!(infeasible_share >= 0.75, "{infeasible_share}");
+            }
+            let mut out = Vec::new();
+            kairos.schedule_into(&ctx, &mut out);
+            prop_assert_eq!(&out, &expected);
         }
     }
 
