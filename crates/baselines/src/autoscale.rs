@@ -1,7 +1,7 @@
 //! Online-adaptation baselines: what operators deploy *without* Kairos.
 //!
 //! Two reference points for the controller-in-the-loop serving system
-//! (`kairos_core::ServingSystem`):
+//! (`kairos_core::InferenceService::run`):
 //!
 //! * **Static overprovisioning** ([`static_overprovision`]) — the classic
 //!   answer to load shifts: buy `factor ×` the budget of homogeneous base

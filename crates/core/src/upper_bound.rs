@@ -30,10 +30,9 @@ use kairos_models::{
     mlmodel::{spec, ModelKind, ModelSpec},
     Config, EnumerationOptions, PoolSpec,
 };
-use serde::{Deserialize, Serialize};
 
 /// Inputs of the one-base-type / one-auxiliary-type bound (Eq. 12–13).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SingleAuxInputs {
     /// Number of base instances (`u`).
     pub base_nodes: usize,
@@ -51,7 +50,7 @@ pub struct SingleAuxInputs {
 
 /// One auxiliary class in the general bound (Eq. 14–15): node count `v_i` and
 /// small-query throughput `Q_a^i`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AuxClass {
     /// Number of instances of this auxiliary type (`v_i`).
     pub nodes: usize,

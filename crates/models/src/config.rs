@@ -17,7 +17,6 @@
 
 use crate::instance::InstanceType;
 use crate::market::Market;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::Range;
 
@@ -25,7 +24,7 @@ use std::ops::Range;
 ///
 /// By convention the base type (the only one meeting QoS for all batch
 /// sizes) comes first; [`PoolSpec::new`] enforces exactly one base type.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PoolSpec {
     types: Vec<InstanceType>,
 }
@@ -78,7 +77,7 @@ impl PoolSpec {
 }
 
 /// A heterogeneous configuration: how many instances of each pool type to rent.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Config {
     counts: Vec<usize>,
 }
@@ -225,7 +224,7 @@ impl fmt::Display for Config {
 /// configuration holds at least one base instance: the pool needs one to
 /// serve the largest queries within QoS, and the paper's configurations all
 /// satisfy it.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EnumerationOptions {
     /// Hourly cost budget in dollars.
     pub budget_per_hour: f64,
@@ -506,8 +505,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "price must be positive")]
     fn walk_rejects_a_zero_price() {
-        // A deserialized pool can hold a price `InstanceType::new` rejects;
-        // its type's count would be unbounded.
+        // A pool built through the public fields can hold a price
+        // `InstanceType::new` rejects; its type's count would be unbounded.
         let mut types = ec2::paper_pool();
         types[2].price_per_hour = 0.0;
         enumerate_configs(&PoolSpec::new(types), &EnumerationOptions::with_budget(2.5));

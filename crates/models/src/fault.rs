@@ -27,7 +27,6 @@
 //! [`CapacityShortage`]: FaultEvent::CapacityShortage
 //! [`Straggler`]: FaultEvent::Straggler
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Microseconds of virtual time (mirrors `kairos_workload::TimeUs`).
@@ -39,7 +38,7 @@ pub type FaultTimeUs = u64;
 /// when a fault's domain [`covers`](FailureDomain::covers) both of their
 /// placements.  The zone `"*"` is the region-level wildcard: a fault scoped
 /// to `region/*` covers every zone of the region.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct FailureDomain {
     /// The region, e.g. `"us-east-1"`.
     pub region: String,
@@ -99,7 +98,7 @@ impl fmt::Display for FailureDomain {
 }
 
 /// One correlated fault occurrence of a run's scripted [`FaultProcess`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum FaultEvent {
     /// Every live instance whose placement the domain covers gets a
     /// preemption-style notice at `start_us` (drain, then forced kill after
@@ -194,7 +193,7 @@ impl std::error::Error for FaultError {}
 /// A process is plain data — no RNG, no clock — so materializing it twice
 /// yields identical events, and [`FaultProcess::default`] (no events) leaves
 /// an attached engine bit-identical to one that never heard of faults.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct FaultProcess {
     events: Vec<FaultEvent>,
     notice_us: Option<FaultTimeUs>,
@@ -315,7 +314,7 @@ impl FaultProcess {
 }
 
 /// Why a purchase was rejected.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RejectionCause {
     /// The target domain is inside an active zone outage.
     ZoneOutage,

@@ -7,11 +7,10 @@
 //! *auxiliary* instances that are cheaper but can only serve smaller batches
 //! within QoS.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Compute class of an instance type (EC2 instance families).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum InstanceClass {
     /// GPU-accelerated computing (e.g. `g4dn`).
     AcceleratedComputing,
@@ -36,7 +35,7 @@ impl fmt::Display for InstanceClass {
 }
 
 /// A rentable cloud instance type with its pay-as-you-go price.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct InstanceType {
     /// Cloud provider name of the type, e.g. `g4dn.xlarge`.
     pub name: String,

@@ -17,7 +17,6 @@
 
 use crate::mlmodel::ModelKind;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
 
@@ -93,7 +92,7 @@ impl fmt::Display for LatencyError {
 impl std::error::Error for LatencyError {}
 
 /// Linear latency profile of one model on one instance type.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LatencyProfile {
     /// Fixed per-query overhead in milliseconds (dispatch, data movement).
     pub intercept_ms: f64,
@@ -169,7 +168,7 @@ impl LatencyProfile {
 /// the grid — a batch below the first knot costs the first knot's latency
 /// and a batch beyond the last knot costs the last knot's, never a negative
 /// or runaway extrapolation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BatchLatencyGrid {
     points: Vec<(u32, f64)>,
 }
@@ -228,7 +227,7 @@ impl BatchLatencyGrid {
 }
 
 /// Latency-prediction noise model (Fig. 16(b) robustness experiment).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum NoiseModel {
     /// Fully deterministic latency (the paper's default assumption).
     None,
@@ -263,7 +262,7 @@ impl NoiseModel {
 ///
 /// Instance types are keyed by their cloud name (e.g. `"g4dn.xlarge"`), so a
 /// table can be shared across pools that pick subsets of the catalogue.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct LatencyTable {
     entries: HashMap<ModelKind, HashMap<String, LatencyProfile>>,
 }

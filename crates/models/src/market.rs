@@ -33,7 +33,6 @@ use crate::fault::FailureDomain;
 use crate::instance::InstanceType;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Microseconds of virtual time (mirrors `kairos_workload::TimeUs`; this
@@ -128,7 +127,7 @@ impl std::error::Error for CatalogError {}
 /// A piecewise-constant spot price over virtual time: step `i` sets the
 /// hourly price from its timestamp until the next step.  The first step must
 /// be at time zero (so the price is defined from the start of the run).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PriceTrace {
     steps: Vec<(MarketTimeUs, f64)>,
 }
@@ -190,7 +189,7 @@ impl PriceTrace {
 /// When (in virtual time) a spot offering's capacity is reclaimed.  All
 /// variants are deterministic given their parameters, so a market replays
 /// the same storm on every run with the same seed.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum PreemptionProcess {
     /// Capacity is never reclaimed.
     None,
@@ -258,7 +257,7 @@ impl PreemptionProcess {
 }
 
 /// How an offering's capacity is bought.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum PurchaseOption {
     /// Pay-as-you-go at the instance type's listed price.  Never preempted.
     OnDemand,
@@ -298,7 +297,7 @@ impl PurchaseOption {
 
 /// One purchasable line item: an instance type at a purchase option, placed
 /// in a failure domain.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Offering {
     /// The hardware being rented.  `instance_type.price_per_hour` is the
     /// on-demand *reference* price; the effective price comes from
@@ -396,7 +395,7 @@ impl Offering {
 
 /// A deterministic market occurrence, delivered to the simulator in time
 /// order through its calendar queue.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum MarketEvent {
     /// An offering's hourly price changed.
     PriceStep {
@@ -504,7 +503,7 @@ impl Market for ConstantMarket {
 /// The ordered set of offerings a deployment may buy from — the market-era
 /// pool.  Offering order is the coordinate order of every market-aware
 /// [`Config`](crate::Config).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OfferingCatalog {
     offerings: Vec<Offering>,
 }

@@ -7,7 +7,6 @@
 //! carries the metadata and the maximum batch size, while
 //! [`crate::calibration`] carries the latency behaviour.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Maximum query batch size admitted by the system (paper Sec. 5.1: "we limit
@@ -15,7 +14,7 @@ use std::fmt;
 pub const MAX_BATCH_SIZE: u32 = 1000;
 
 /// The five production models of the paper's evaluation (Table 3).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ModelKind {
     /// Neural Collaborative Filtering — movie recommendation, 5 ms QoS.
     Ncf,
@@ -81,7 +80,7 @@ impl std::str::FromStr for ModelKind {
 
 /// Full description of an inference service model: identity, QoS target and
 /// the application it serves (Table 3).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ModelSpec {
     /// Which of the five paper models this is.
     pub kind: ModelKind,

@@ -21,7 +21,6 @@
 //! is that same resolution, made for a single batch.
 
 use crate::latency::LatencyProfile;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
@@ -32,7 +31,7 @@ pub fn default_latency_ms(batch: u32) -> f64 {
 }
 
 /// Online latency predictor for a single (model, instance type) pair.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct OnlinePredictor {
     /// Sum statistics for the least-squares fit.
     n: f64,
@@ -224,7 +223,7 @@ impl ResolvedPredictor<'_> {
 
 /// A bank of online predictors, one per instance-type name, as held by the
 /// Kairos central controller.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct PredictorBank {
     predictors: HashMap<String, OnlinePredictor>,
 }

@@ -24,7 +24,6 @@
 //! data: policies carry no clock and no RNG, so a replay under the same
 //! policy is reproducible bit-for-bit.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Microseconds of virtual time (mirrors `kairos_workload::TimeUs`).
@@ -32,7 +31,7 @@ pub type ServerlessTimeUs = u64;
 
 /// Cost of materializing one cold container on an instance type: the
 /// container/runtime init plus loading the model replica into it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ColdStartCost {
     /// Container and runtime initialization, in µs of virtual time.
     pub container_init_us: ServerlessTimeUs,
@@ -59,7 +58,7 @@ impl ColdStartCost {
 /// [`ColdStartCost`] for every type, or exactly one per pool type (in pool
 /// order) — the same one-or-one-per-type shape as the sharing degradation
 /// curves.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ColdStartProfile {
     costs: Vec<ColdStartCost>,
 }
@@ -148,7 +147,7 @@ impl std::error::Error for ServerlessError {}
 /// [`KeepAlivePolicy::hybrid`]; the fields are public so policies remain
 /// plain inspectable data, but hand-built degenerate values (zero windows,
 /// percentiles outside `(0, 1]`) are rejected at construction.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum KeepAlivePolicy {
     /// Park after a constant idle window.
     Fixed {
@@ -265,7 +264,7 @@ impl KeepAlivePolicy {
 /// `min(g / bucket_width_us, num_buckets - 1)`; the percentile query answers
 /// the upper edge of the first bucket whose cumulative count covers the
 /// requested fraction.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct IdleHistogram {
     bucket_width_us: ServerlessTimeUs,
     counts: Vec<u64>,

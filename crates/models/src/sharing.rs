@@ -15,7 +15,6 @@
 //! individual query); explicit tables are validated against that invariant
 //! at construction.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Typed construction error for throughput-degradation curves.
@@ -72,7 +71,7 @@ impl std::error::Error for SharingError {}
 
 /// How an instance's aggregate throughput scales with the number of queries
 /// sharing it (see the module docs).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ThroughputDegradation {
     /// Contention-free scaling: `n` sharers deliver `n`× aggregate
     /// throughput, so each query runs at full speed regardless of company.
@@ -230,13 +229,5 @@ mod tests {
         );
         // Perfect scaling is the boundary case and is allowed.
         assert!(ThroughputDegradation::try_new_table(vec![1.0, 2.0, 3.0]).is_ok());
-    }
-
-    #[test]
-    fn serde_round_trip() {
-        let curve = ThroughputDegradation::try_new_table(vec![1.0, 1.7, 2.1]).unwrap();
-        let json = serde_json::to_string(&curve).unwrap();
-        let back: ThroughputDegradation = serde_json::from_str(&json).unwrap();
-        assert_eq!(curve, back);
     }
 }

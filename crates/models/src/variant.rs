@@ -19,7 +19,6 @@
 
 use crate::latency::{LatencyProfile, LatencyTable};
 use crate::mlmodel::{spec, ModelKind};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
 
@@ -144,7 +143,7 @@ impl std::error::Error for VariantError {}
 /// than its uniform factor suggests, say).  The reference variant must keep
 /// the base latency exactly (unit speedup, no overrides) so a
 /// reference-only catalogue reproduces the un-varianted system bit for bit.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ModelVariant {
     /// Variant name, unique within its model family (e.g. `fp32`, `int8`).
     pub name: String,
@@ -274,7 +273,7 @@ impl EffectiveModel {
 /// A validated family-of-variants catalogue: per model, exactly one
 /// full-precision reference plus any number of derived variants, each less
 /// accurate and no larger than the reference.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VariantCatalog {
     /// Variants grouped per model, reference first, then accuracy
     /// descending (name as the deterministic tie-break).

@@ -1,11 +1,9 @@
 //! Property-based tests for the domain model crate.
 
 use kairos_models::{
-    calibration::paper_calibration,
     config::{enumerate_configs, for_each_affordable, Config, EnumerationOptions, PoolSpec},
     instance::{ec2, InstanceClass, InstanceType},
     latency::LatencyProfile,
-    mlmodel::ModelKind,
     predictor::OnlinePredictor,
 };
 use proptest::prelude::*;
@@ -218,17 +216,5 @@ proptest! {
         prop_assert_eq!(ca.squared_distance(&cb), cb.squared_distance(&ca));
         prop_assert!(ca.squared_distance(&cb) >= 0.0);
         prop_assert_eq!(ca.squared_distance(&ca), 0.0);
-    }
-}
-
-#[test]
-fn calibration_serializes_round_trip() {
-    let table = paper_calibration();
-    let json = serde_json::to_string(&table).unwrap();
-    let back: kairos_models::LatencyTable = serde_json::from_str(&json).unwrap();
-    for model in ModelKind::ALL {
-        for inst in ec2::paper_pool() {
-            assert_eq!(table.get(model, &inst.name), back.get(model, &inst.name));
-        }
     }
 }

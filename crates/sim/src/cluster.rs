@@ -38,7 +38,6 @@ use kairos_models::{
 };
 use kairos_workload::{ModelId, TimeUs};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// The ML service being hosted: model identity plus ground-truth latency.
@@ -123,7 +122,7 @@ pub fn quantize_service_ms(latency_ms: f64) -> TimeUs {
 
 /// One model's slice of a multi-model cluster: the model id and the
 /// per-type instance counts dedicated to it.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ModelPool {
     /// The model every instance of this slice hosts.
     pub model: ModelId,
@@ -136,7 +135,7 @@ pub struct ModelPool {
 /// the slices in declaration order, so instance indices are grouped by model
 /// first, then by type (matching the single-model layout when the spec has
 /// one slice).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClusterSpec {
     /// Per-model sub-cluster configurations.
     pub pools: Vec<ModelPool>,

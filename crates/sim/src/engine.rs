@@ -68,7 +68,8 @@
 //!   an owned [`EngineEvent`] describing it; between steps the driver may
 //!   call [`SimEngine::add_instance`] / [`SimEngine::retire_instance`] (or
 //!   [`SimEngine::apply`] with [`ClusterAction`]s).  This is how
-//!   `kairos_core::ServingSystem` runs the Kairos controller in the loop.
+//!   `kairos_core::InferenceService::run` runs the Kairos controller in the
+//!   loop.
 //! * **Hooks** — [`SimEngine::run_with_hook`] drives the run to completion,
 //!   handing every event (plus a cluster snapshot) to an [`EngineHook`]
 //!   whose returned actions are applied before the next event.
@@ -420,15 +421,11 @@ pub struct SimEngine<'a> {
     preemption_notices: usize,
     preempted_instances: usize,
     requeued_queries: usize,
-    /// Whether a fault process is attached.  Gates every fault-path branch
-    /// so the fault-free engine stays bit-identical to the pre-fault one
-    /// (`tests/proptest_fault.rs` pins that contract).
-    faults: bool,
     /// Materialized fault occurrences; calendar `Fault` entries index into
     /// this table.
     fault_events: Vec<FaultOccurrence>,
-    /// Failure-domain placement of each pool type (empty unless faults are
-    /// attached; then one entry per type).
+    /// Failure-domain placement of each pool type (the global domain unless
+    /// a fault process names placements).
     placements: Vec<FailureDomain>,
     /// Notice→kill drain window granted to outage victims.
     fault_notice_us: TimeUs,
@@ -439,11 +436,12 @@ pub struct SimEngine<'a> {
     active_shortages: Vec<FailureDomain>,
     /// Per-instance outage attribution: `outage_victim[i]` is 1 + the index
     /// of the outage record whose notice doomed instance `i` (0 = none).
-    /// Sized with the cluster only when faults are attached.
     outage_victim: Vec<u32>,
     /// Per-instance throughput multiplier (1.0 = healthy; a straggler's
-    /// service stretches by `1 / slowdown`).  Sized with the cluster only
-    /// when faults are attached.
+    /// service stretches by `1 / slowdown`).  Without a fault process every
+    /// entry stays 1.0, and `rate * 1.0` is exact, so the fault-free engine
+    /// is bit-identical to one with no fault path (`tests/proptest_fault.rs`
+    /// pins that contract).
     slowdown: Vec<f64>,
     /// One record per zone outage gone through, in onset order.
     outage_records: Vec<OutageRecord>,
@@ -585,6 +583,8 @@ impl<'a> SimEngine<'a> {
             cluster.len()
         ];
         let billed_start_us = vec![0; cluster.len()];
+        let outage_victim = vec![0; cluster.len()];
+        let slowdown = vec![1.0; cluster.len()];
         let offered = arrivals.len();
         let rngs = (0..services.len())
             .map(|m| StdRng::seed_from_u64(model_stream_seed(options.seed, m)))
@@ -633,14 +633,13 @@ impl<'a> SimEngine<'a> {
             preemption_notices: 0,
             preempted_instances: 0,
             requeued_queries: 0,
-            faults: false,
             fault_events: Vec::new(),
-            placements: Vec::new(),
+            placements: vec![FailureDomain::global(); num_types],
             fault_notice_us: 0,
             active_outages: Vec::new(),
             active_shortages: Vec::new(),
-            outage_victim: Vec::new(),
-            slowdown: Vec::new(),
+            outage_victim,
+            slowdown,
             outage_records: Vec::new(),
             rejected_purchases: 0,
             straggler_onsets: 0,
@@ -844,15 +843,10 @@ impl<'a> SimEngine<'a> {
             placements.len(),
             self.num_types
         );
-        self.faults = true;
-        self.placements = if placements.is_empty() {
-            vec![FailureDomain::global(); self.num_types]
-        } else {
-            placements.to_vec()
-        };
+        if !placements.is_empty() {
+            self.placements = placements.to_vec();
+        }
         self.fault_notice_us = process.notice_us();
-        self.outage_victim = vec![0; self.cluster.len()];
-        self.slowdown = vec![1.0; self.cluster.len()];
         for event in process.events() {
             match event {
                 FaultEvent::ZoneOutage {
@@ -1319,9 +1313,6 @@ impl<'a> SimEngine<'a> {
     /// Books a kill against the outage whose notice doomed the instance,
     /// if any (market preemptions carry no attribution).
     fn attribute_outage_kill(&mut self, instance_index: usize, requeued: usize) {
-        if !self.faults {
-            return;
-        }
         let tag = self.outage_victim[instance_index];
         if tag == 0 {
             return;
@@ -1448,10 +1439,8 @@ impl<'a> SimEngine<'a> {
             backlog: 0,
         });
         self.billed_start_us.push(self.now);
-        if self.faults {
-            self.outage_victim.push(0);
-            self.slowdown.push(1.0);
-        }
+        self.outage_victim.push(0);
+        self.slowdown.push(1.0);
         self.flex_states.push(FlexState {
             in_idle: true,
             ..FlexState::default()
@@ -1485,24 +1474,22 @@ impl<'a> SimEngine<'a> {
         type_index: usize,
         provisioning_delay_us: TimeUs,
     ) -> Result<usize, PurchaseRejected> {
-        if self.faults {
-            let placement = &self.placements[type_index];
-            let cause = if self.active_outages.iter().any(|d| d.covers(placement)) {
-                Some(RejectionCause::ZoneOutage)
-            } else if self.active_shortages.iter().any(|d| d.covers(placement)) {
-                Some(RejectionCause::CapacityShortage)
-            } else {
-                None
-            };
-            if let Some(cause) = cause {
-                self.rejected_purchases += 1;
-                return Err(PurchaseRejected {
-                    type_index,
-                    domain: placement.clone(),
-                    at_us: self.now,
-                    cause,
-                });
-            }
+        let placement = &self.placements[type_index];
+        let cause = if self.active_outages.iter().any(|d| d.covers(placement)) {
+            Some(RejectionCause::ZoneOutage)
+        } else if self.active_shortages.iter().any(|d| d.covers(placement)) {
+            Some(RejectionCause::CapacityShortage)
+        } else {
+            None
+        };
+        if let Some(cause) = cause {
+            self.rejected_purchases += 1;
+            return Err(PurchaseRejected {
+                type_index,
+                domain: placement.clone(),
+                at_us: self.now,
+                cause,
+            });
         }
         Ok(self.add_instance_for(model, type_index, provisioning_delay_us))
     }
@@ -1958,12 +1945,7 @@ impl<'a> SimEngine<'a> {
     /// Per-invocation progress rate on instance `i` with `n` invocations
     /// active, straggler slowdown included.
     fn service_rate(&self, i: usize, n: u32) -> f64 {
-        let rate = self.flex.rate(self.cluster.instances()[i].type_index, n);
-        if self.faults {
-            rate * self.slowdown[i]
-        } else {
-            rate
-        }
+        self.flex.rate(self.cluster.instances()[i].type_index, n) * self.slowdown[i]
     }
 
     /// Accepts a dispatched query: into the forming batch when batching is

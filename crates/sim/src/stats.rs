@@ -8,10 +8,9 @@
 //! fractions, and goodput.
 
 use kairos_workload::{ModelId, TimeUs};
-use serde::{Deserialize, Serialize};
 
 /// Lifecycle record of one query that finished service.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct QueryRecord {
     /// Query identifier.
     pub id: u64,
@@ -49,7 +48,7 @@ impl QueryRecord {
 }
 
 /// A query that arrived but never completed before the simulation horizon.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct UnfinishedQuery {
     /// Query identifier.
     pub id: u64,
@@ -67,7 +66,7 @@ pub struct UnfinishedQuery {
 /// the `calendar_scheduled` count, which every engine run produces.  Every field sums across shard merges: flex and serverless
 /// state is per-instance and instances belong to exactly one model lane, so
 /// the sharded engine's per-lane counters partition the combined run's.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ServiceStats {
     /// Timed events ever pushed onto the engine's calendar.
     pub calendar_scheduled: u64,
@@ -133,7 +132,7 @@ impl ServiceStats {
 /// central queue.  The per-domain recovery delay derives from the report via
 /// [`SimReport::time_to_recover`] anchored at [`OutageRecord::start_us`]
 /// (see [`SimReport::outage_recoveries`]).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OutageRecord {
     /// Label of the failed domain (`region/zone`).
     pub domain: String,
@@ -149,7 +148,7 @@ pub struct OutageRecord {
 }
 
 /// Aggregated outcome of one simulation run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SimReport {
     /// Name of the scheduling policy that produced this run.
     pub scheduler: String,
@@ -229,7 +228,7 @@ pub struct SimReport {
 
 /// One model's slice of a [`SimReport`]: the per-model accounting that sums
 /// exactly to the aggregate report (see [`SimReport::per_model`]).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ModelReport {
     /// The model this row describes.
     pub model: ModelId,

@@ -9,10 +9,9 @@
 use crate::query::TimeUs;
 use rand::Rng;
 use rand_distr::{Distribution, Exp};
-use serde::{Deserialize, Serialize};
 
 /// A stochastic process generating query inter-arrival gaps.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ArrivalProcess {
     /// Poisson arrivals: exponential inter-arrival times with the given mean
     /// rate in queries per second.

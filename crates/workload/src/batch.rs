@@ -14,10 +14,9 @@
 use kairos_models::MAX_BATCH_SIZE;
 use rand::Rng;
 use rand_distr::{Distribution, LogNormal, Normal};
-use serde::{Deserialize, Serialize};
 
 /// A parametric (or empirical) distribution over query batch sizes.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum BatchSizeDistribution {
     /// Log-normal distribution parameterized by its *median* and the sigma of
     /// the underlying normal.  This is the default "production-like" mix:
@@ -242,13 +241,5 @@ mod tests {
         let fixed = BatchSizeDistribution::Fixed(64);
         assert_eq!(fixed.quantile(0.0, &mut rng, 100), 64);
         assert_eq!(fixed.quantile(1.0, &mut rng, 100), 64);
-    }
-
-    #[test]
-    fn serde_round_trip() {
-        let dist = BatchSizeDistribution::production_default();
-        let json = serde_json::to_string(&dist).unwrap();
-        let back: BatchSizeDistribution = serde_json::from_str(&json).unwrap();
-        assert_eq!(dist, back);
     }
 }

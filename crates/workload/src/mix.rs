@@ -21,10 +21,9 @@ use crate::query::{ModelId, Query, TimeUs};
 use crate::trace::Trace;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// One model's contribution to a query mix.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MixComponent {
     /// The model these queries target.
     pub model: ModelId,
@@ -48,25 +47,6 @@ pub struct MixSpec {
     /// searches this table, which picks exactly the component the legacy
     /// linear subtraction scan picked for the same RNG draw.
     cumulative_shares: Vec<f64>,
-}
-
-// Only the components travel over the wire; the cumulative-share table is
-// rebuilt (and the invariants re-checked) on the way back in, so the
-// serialized form is unchanged from the pre-table layout.
-impl Serialize for MixSpec {
-    fn to_value(&self) -> serde::json::Value {
-        serde::json::Value::Object(vec![("components".to_string(), self.components.to_value())])
-    }
-}
-
-impl Deserialize for MixSpec {
-    fn from_value(value: &serde::json::Value) -> Result<Self, serde::json::Error> {
-        let entries = value
-            .as_object()
-            .ok_or_else(|| serde::json::Error::new("MixSpec: expected an object"))?;
-        let components: Vec<MixComponent> = serde::de_field(entries, "components")?;
-        Ok(MixSpec::new(components))
-    }
 }
 
 impl MixSpec {
@@ -182,7 +162,7 @@ impl MixSpec {
 /// Specification of a stationary multi-model trace: one arrival process
 /// whose queries are tagged and batched according to a [`MixSpec`].  The
 /// multi-model sibling of [`TraceSpec`](crate::TraceSpec).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MixedTraceSpec {
     /// Arrival process of the combined query stream.
     pub arrival: ArrivalProcess,

@@ -16,7 +16,6 @@
 //! re-derive the mix by re-sampling the stream.
 
 use crate::query::ModelId;
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// Default window length used by the paper (10 000 most recent queries).
@@ -31,7 +30,7 @@ pub const DEFAULT_WINDOW: usize = 10_000;
 /// whole window), and the set of models with at least one entry is a sorted
 /// sparse index (so [`QueryMonitor::mix`] walks the active lanes, not every
 /// allocated slot).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct QueryMonitor {
     capacity: usize,
     window: VecDeque<(ModelId, u32)>,

@@ -18,10 +18,9 @@ use crate::query::{ModelId, Query, TimeUs};
 use crate::trace::Trace;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 /// One stationary segment of a phased workload.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Phase {
     /// Duration of the phase in virtual seconds.
     pub duration_s: f64,
@@ -57,7 +56,7 @@ impl Phase {
 }
 
 /// A non-stationary arrival process composed of consecutive [`Phase`]s.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PhasedArrival {
     /// The phases, played back-to-back in order.
     pub phases: Vec<Phase>,

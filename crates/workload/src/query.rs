@@ -16,8 +16,6 @@
 //! single-model constructor and behaves exactly as it did before models were
 //! first-class.
 
-use serde::{Deserialize, Serialize};
-
 /// Virtual time in microseconds.
 pub type TimeUs = u64;
 
@@ -30,20 +28,6 @@ pub type TimeUs = u64;
 /// list, in list order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct ModelId(pub u16);
-
-// Serialized transparently as the bare index (hand-written: the vendored
-// serde shim's derive does not support `#[serde(transparent)]`).
-impl Serialize for ModelId {
-    fn to_value(&self) -> serde::json::Value {
-        self.0.to_value()
-    }
-}
-
-impl Deserialize for ModelId {
-    fn from_value(value: &serde::json::Value) -> Result<Self, serde::json::Error> {
-        u16::from_value(value).map(ModelId)
-    }
-}
 
 impl ModelId {
     /// The model id of single-model deployments (index 0).
@@ -73,7 +57,7 @@ impl std::fmt::Display for ModelId {
 
 /// One inference query: a batch of requests for one model arriving at a
 /// point in time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Query {
     /// Unique, monotonically increasing identifier.
     pub id: u64,

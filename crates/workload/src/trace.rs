@@ -3,17 +3,17 @@
 //! A trace couples an arrival process with a batch-size distribution so that
 //! the same query sequence can be replayed against different schedulers and
 //! configurations — exactly how the paper compares schemes under identical
-//! load.  Traces can be serialized to JSON for reproducibility.
+//! load.  A generated trace is a pure function of its spec, seed included,
+//! so regenerating it reproduces it.
 
 use crate::arrival::ArrivalProcess;
 use crate::batch::BatchSizeDistribution;
 use crate::query::{Query, TimeUs};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 /// Specification from which a trace is generated.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TraceSpec {
     /// Arrival process of the queries.
     pub arrival: ArrivalProcess,
@@ -67,7 +67,7 @@ impl TraceSpec {
 }
 
 /// A concrete sequence of queries.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Trace {
     /// The specification the trace was generated from, when known.
     pub spec: Option<TraceSpec>,
@@ -159,16 +159,6 @@ impl Trace {
             })
             .collect()
     }
-
-    /// Serializes the trace to a JSON string.
-    pub fn to_json(&self) -> serde_json::Result<String> {
-        serde_json::to_string(self)
-    }
-
-    /// Deserializes a trace from a JSON string.
-    pub fn from_json(json: &str) -> serde_json::Result<Self> {
-        serde_json::from_str(json)
-    }
 }
 
 #[cfg(test)]
@@ -238,14 +228,6 @@ mod tests {
         use crate::ModelId;
         let trace = Trace::from_queries(vec![Query::for_model(0, ModelId::new(2), 1, 10)]);
         trace.split_by_model(2);
-    }
-
-    #[test]
-    fn json_round_trip() {
-        let trace = TraceSpec::production(100.0, 1.0, 3).generate();
-        let json = trace.to_json().unwrap();
-        let back = Trace::from_json(&json).unwrap();
-        assert_eq!(trace, back);
     }
 
     #[test]

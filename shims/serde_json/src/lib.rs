@@ -1,105 +1,90 @@
-//! Minimal in-workspace shim of `serde_json`: JSON text encoding and decoding
-//! over the serde shim's owned [`Value`] tree.
+//! Minimal in-workspace shim of `serde_json`: a JSON parser into an owned
+//! [`Value`] tree.
 //!
-//! Numbers round-trip exactly: integers are printed as integers, and floats
-//! use Rust's shortest-precise `Display` formatting (with a trailing `.0`
-//! added to integral floats so they parse back as floats).
+//! Only the parsing half of the real crate is provided, and only as the
+//! free function [`parse`] (the real crate's `from_str::<Value>`).  Numbers
+//! keep their integer-ness: unsigned integers parse as [`Number::U64`],
+//! negative ones as [`Number::I64`], and anything with a fraction or an
+//! exponent as [`Number::F64`].
 
-use serde::json::Number;
-pub use serde::json::{Error, Value};
-use serde::{Deserialize, Serialize};
+/// A parsed JSON number, preserving integer-ness.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Number {
+    /// Unsigned integer.
+    U64(u64),
+    /// Negative integer.
+    I64(i64),
+    /// Floating-point number.
+    F64(f64),
+}
+
+/// A JSON value.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Value {
+    /// `null`
+    Null,
+    /// `true` / `false`
+    Bool(bool),
+    /// Any number.
+    Number(Number),
+    /// A string.
+    String(String),
+    /// An array.
+    Array(Vec<Value>),
+    /// An object; insertion order is preserved.
+    Object(Vec<(String, Value)>),
+}
+
+impl Value {
+    /// Borrows the value as an object's entry list, if it is an object.
+    pub fn as_object(&self) -> Option<&[(String, Value)]> {
+        match self {
+            Value::Object(entries) => Some(entries),
+            _ => None,
+        }
+    }
+
+    /// Borrows the value as an array, if it is one.
+    pub fn as_array(&self) -> Option<&[Value]> {
+        match self {
+            Value::Array(items) => Some(items),
+            _ => None,
+        }
+    }
+
+    /// Borrows the value as a string, if it is one.
+    pub fn as_str(&self) -> Option<&str> {
+        match self {
+            Value::String(s) => Some(s),
+            _ => None,
+        }
+    }
+}
+
+/// A parse error: a human-readable message.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Error {
+    message: String,
+}
+
+impl Error {
+    fn new(message: impl Into<String>) -> Self {
+        Self {
+            message: message.into(),
+        }
+    }
+}
+
+impl std::fmt::Display for Error {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(&self.message)
+    }
+}
+
+impl std::error::Error for Error {}
 
 /// `serde_json::Result`, aliased like the real crate.
 pub type Result<T> = std::result::Result<T, Error>;
-
-/// Serializes a value to a compact JSON string.
-pub fn to_string<T: Serialize + ?Sized>(value: &T) -> Result<String> {
-    let mut out = String::new();
-    write_value(&value.to_value(), &mut out)?;
-    Ok(out)
-}
-
-/// Deserializes a value from a JSON string.
-pub fn from_str<T: Deserialize>(json: &str) -> Result<T> {
-    let value = parse(json)?;
-    T::from_value(&value)
-}
-
-// ---------------------------------------------------------------------------
-// Encoding.
-// ---------------------------------------------------------------------------
-
-fn write_value(value: &Value, out: &mut String) -> Result<()> {
-    match value {
-        Value::Null => out.push_str("null"),
-        Value::Bool(true) => out.push_str("true"),
-        Value::Bool(false) => out.push_str("false"),
-        Value::Number(n) => write_number(*n, out)?,
-        Value::String(s) => write_string(s, out),
-        Value::Array(items) => {
-            out.push('[');
-            for (i, item) in items.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                write_value(item, out)?;
-            }
-            out.push(']');
-        }
-        Value::Object(entries) => {
-            out.push('{');
-            for (i, (k, v)) in entries.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                write_string(k, out);
-                out.push(':');
-                write_value(v, out)?;
-            }
-            out.push('}');
-        }
-    }
-    Ok(())
-}
-
-fn write_number(n: Number, out: &mut String) -> Result<()> {
-    match n {
-        Number::U64(v) => out.push_str(&v.to_string()),
-        Number::I64(v) => out.push_str(&v.to_string()),
-        Number::F64(v) => {
-            if !v.is_finite() {
-                return Err(Error::new("cannot serialize non-finite float"));
-            }
-            let text = format!("{v}");
-            out.push_str(&text);
-            // Keep float-ness explicit so the value parses back as a float.
-            if !text.contains(['.', 'e', 'E']) {
-                out.push_str(".0");
-            }
-        }
-    }
-    Ok(())
-}
-
-fn write_string(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-// ---------------------------------------------------------------------------
-// Decoding.
-// ---------------------------------------------------------------------------
 
 struct Parser<'a> {
     bytes: &'a [u8],
@@ -318,66 +303,58 @@ impl<'a> Parser<'a> {
 mod tests {
     use super::*;
 
-    #[test]
-    fn primitives_round_trip() {
-        assert_eq!(to_string(&42u32).unwrap(), "42");
-        assert_eq!(from_str::<u32>("42").unwrap(), 42);
-        assert_eq!(to_string(&-7i64).unwrap(), "-7");
-        assert_eq!(from_str::<i64>("-7").unwrap(), -7);
-        assert_eq!(to_string(&1.5f64).unwrap(), "1.5");
-        assert_eq!(from_str::<f64>("1.5").unwrap(), 1.5);
-        assert_eq!(to_string(&120.0f64).unwrap(), "120.0");
-        assert_eq!(from_str::<f64>("120.0").unwrap(), 120.0);
-        assert_eq!(to_string(&true).unwrap(), "true");
-        assert_eq!(to_string(&"a\"b\n".to_string()).unwrap(), "\"a\\\"b\\n\"");
-        assert_eq!(from_str::<String>("\"a\\\"b\\n\"").unwrap(), "a\"b\n");
+    fn object(entries: Vec<(&str, Value)>) -> Value {
+        Value::Object(
+            entries
+                .into_iter()
+                .map(|(k, v)| (k.to_string(), v))
+                .collect(),
+        )
     }
 
     #[test]
-    fn containers_round_trip() {
-        let v = vec![1u32, 2, 3];
-        let json = to_string(&v).unwrap();
-        assert_eq!(json, "[1,2,3]");
-        assert_eq!(from_str::<Vec<u32>>(&json).unwrap(), v);
-
-        let opt: Option<u32> = None;
-        assert_eq!(to_string(&opt).unwrap(), "null");
-        assert_eq!(from_str::<Option<u32>>("null").unwrap(), None);
-        assert_eq!(from_str::<Option<u32>>("3").unwrap(), Some(3));
-
-        let mut map = std::collections::HashMap::new();
-        map.insert("k".to_string(), (1.25f64, 2u32));
-        let json = to_string(&map).unwrap();
-        assert_eq!(json, "{\"k\":[1.25,2]}");
-        let back: std::collections::HashMap<String, (f64, u32)> = from_str(&json).unwrap();
-        assert_eq!(back, map);
-    }
-
-    #[test]
-    fn integer_keyed_maps_round_trip() {
-        let mut map = std::collections::HashMap::new();
-        map.insert(64u32, 9.5f64);
-        let json = to_string(&map).unwrap();
-        assert_eq!(json, "{\"64\":9.5}");
-        let back: std::collections::HashMap<u32, f64> = from_str(&json).unwrap();
-        assert_eq!(back, map);
-    }
-
-    #[test]
-    fn float_precision_survives_round_trip() {
-        for &x in &[0.1, 1.0 / 3.0, 1e-12, 123456.789012345, f64::MIN_POSITIVE] {
-            let json = to_string(&x).unwrap();
-            let back: f64 = from_str(&json).unwrap();
-            assert_eq!(back, x, "{json}");
-        }
+    fn parses_every_shape_into_the_exact_tree() {
+        let text = r#" {
+            "name": "burst_wnd",
+            "nested": {"list": [1, -2, 0.5, 2.5e-3, 1E2], "empty": {}, "none": []},
+            "flags": [true, false, null],
+            "escaped": "q\"b\\s\nl\u00e9"
+        } "#;
+        let expected = object(vec![
+            ("name", Value::String("burst_wnd".to_string())),
+            (
+                "nested",
+                object(vec![
+                    (
+                        "list",
+                        Value::Array(vec![
+                            Value::Number(Number::U64(1)),
+                            Value::Number(Number::I64(-2)),
+                            Value::Number(Number::F64(0.5)),
+                            Value::Number(Number::F64(2.5e-3)),
+                            Value::Number(Number::F64(100.0)),
+                        ]),
+                    ),
+                    ("empty", object(vec![])),
+                    ("none", Value::Array(vec![])),
+                ]),
+            ),
+            (
+                "flags",
+                Value::Array(vec![Value::Bool(true), Value::Bool(false), Value::Null]),
+            ),
+            ("escaped", Value::String("q\"b\\s\nl\u{e9}".to_string())),
+        ]);
+        assert_eq!(parse(text).unwrap(), expected);
     }
 
     #[test]
     fn rejects_malformed_documents() {
-        assert!(from_str::<u32>("").is_err());
-        assert!(from_str::<u32>("12 34").is_err());
-        assert!(from_str::<Vec<u32>>("[1,2").is_err());
-        assert!(from_str::<String>("\"oops").is_err());
-        assert!(to_string(&f64::NAN).is_err());
+        assert!(parse("").is_err());
+        assert!(parse("12 34").is_err());
+        assert!(parse("[1,2").is_err());
+        assert!(parse("\"oops").is_err());
+        assert!(parse("{\"a\" 1}").is_err());
+        assert!(parse("tru").is_err());
     }
 }
