@@ -591,7 +591,11 @@ fn bench_allowable_throughput_probe(c: &mut Criterion) {
 /// cost buffer is laid out instance-major.  `deep_queue_512x14_fitted` is
 /// the same context with that type fitted too, so the round takes the
 /// background form: one penalty cost per instance plus its feasible pairs.
-/// `three_lane_fleet_mix` is the
+/// Its waits are uniform over 0–40 ms against WND's 24.5 ms bound `ξ T_qos`.
+/// `deep_queue_512x14_burst` is that fitted round with a burst's waits:
+/// uniform over 0–245 ms, so about one query in ten is still live (can
+/// meet QoS), as in `burst_wnd`'s deep rounds (a median of 25 live among
+/// 246 queued).  `three_lane_fleet_mix` is the
 /// multi-model round of the `fleet_mix` benchmark: three lanes over one
 /// fleet's views, a short mixed queue.
 fn bench_kairos_round(c: &mut Criterion) {
@@ -693,6 +697,26 @@ fn bench_kairos_round(c: &mut Criterion) {
         b.iter(|| {
             out.clear();
             fitted.schedule_into(black_box(&ctx), &mut out);
+            black_box(out.len())
+        })
+    });
+    // Its own stream, so the rounds below see the inputs they always did.
+    let mut burst_rng = StdRng::seed_from_u64(31);
+    let burst: Vec<Query> = queued
+        .iter()
+        .map(|q| {
+            let waited = burst_rng.gen_range(0..245_000u64);
+            Query::new(q.id, q.batch_size, now_us - waited)
+        })
+        .collect();
+    let burst_ctx = SchedulingContext {
+        queued: &burst,
+        ..ctx
+    };
+    group.bench_function("deep_queue_512x14_burst", |b| {
+        b.iter(|| {
+            out.clear();
+            fitted.schedule_into(black_box(&burst_ctx), &mut out);
             black_box(out.len())
         })
     });

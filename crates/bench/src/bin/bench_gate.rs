@@ -50,6 +50,27 @@ fn parse(path: &str, value_key: &str) -> Vec<(String, f64)> {
         .collect()
 }
 
+/// The scale and name of the unit that shows `ns` with at least three
+/// significant digits at two decimals.
+fn unit(ns: f64) -> (f64, &'static str) {
+    if ns < 1e3 {
+        (1.0, "ns")
+    } else if ns < 1e6 {
+        (1e3, "µs")
+    } else if ns < 1e9 {
+        (1e6, "ms")
+    } else {
+        (1e9, "s")
+    }
+}
+
+/// Shows each of `values_ns` at two decimals in the one unit that resolves
+/// the smallest of them.
+fn in_one_unit<const N: usize>(values_ns: [f64; N]) -> [String; N] {
+    let (scale, name) = unit(values_ns.iter().copied().fold(f64::INFINITY, f64::min));
+    values_ns.map(|ns| format!("{:.2} {name}", ns / scale))
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().collect();
     if args.len() != 3 {
@@ -80,11 +101,9 @@ fn main() -> ExitCode {
             Some(median_ns) => {
                 let limit = budget_ns * TOLERANCE;
                 let verdict = if median_ns > limit { "FAIL" } else { "ok  " };
+                let [median, budget, limit_text] = in_one_unit([median_ns, *budget_ns, limit]);
                 println!(
-                    "{verdict}  {bench}: median {:.2} ms vs budget {:.2} ms (limit {:.2} ms)",
-                    median_ns / 1e6,
-                    budget_ns / 1e6,
-                    limit / 1e6
+                    "{verdict}  {bench}: median {median} vs budget {budget} (limit {limit_text})"
                 );
                 failed |= median_ns > limit;
             }
@@ -92,10 +111,8 @@ fn main() -> ExitCode {
     }
     for (bench, median_ns) in &measured {
         if !budgets.iter().any(|(b, _)| b == bench) {
-            println!(
-                "info  {bench}: median {:.2} ms (no budget)",
-                median_ns / 1e6
-            );
+            let [median] = in_one_unit([*median_ns]);
+            println!("info  {bench}: median {median} (no budget)");
         }
     }
     if failed {
@@ -103,5 +120,29 @@ fn main() -> ExitCode {
         ExitCode::FAILURE
     } else {
         ExitCode::SUCCESS
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::in_one_unit;
+
+    #[test]
+    fn rows_print_in_a_unit_that_resolves_them() {
+        assert_eq!(
+            in_one_unit([2_340.0, 3_600.0, 4_500.0]),
+            ["2.34 µs", "3.60 µs", "4.50 µs"]
+        );
+        assert_eq!(
+            in_one_unit([2_880_000.0, 2_000_000.0, 2_500_000.0]),
+            ["2.88 ms", "2.00 ms", "2.50 ms"]
+        );
+        // A median far under its budget keeps its digits.
+        assert_eq!(
+            in_one_unit([1_500.0, 2_000_000.0]),
+            ["1.50 µs", "2000.00 µs"]
+        );
+        assert_eq!(in_one_unit([640.0]), ["640.00 ns"]);
+        assert_eq!(in_one_unit([9.4e9]), ["9.40 s"]);
     }
 }

@@ -34,7 +34,23 @@
 //! that penalty as a background cost plus its feasible pairs, and
 //! [`kairos_assignment::background`] returns the dense solver's matching
 //! from that form.  A matched pair's feasibility is recomputed from the
-//! prediction table, by the expression that priced it.  All buffers live in
+//! prediction table, by the expression that priced it.
+//!
+//! When queries outnumber columns, the round also lists its *live* queries:
+//! those whose wait `W_i` is not past `ξ T_qos`.  Any other query violates
+//! Eq. 3 on every fitted type whatever its predicted latency, so fitted
+//! types predict only the live queries, the background form lists cells
+//! only for them, and a matched non-live pair on a fitted column is
+//! infeasible without reading a prediction.  The rule is exact, not a
+//! heuristic: the remaining busy time is at least 0 and every prediction at
+//! least `1e-3`, so `L_ij >= 0` and, float rounding being monotone,
+//! `fl(L_ij + W_i) >= W_i > ξ T_qos`.  A fitted row keeps 0 for the other
+//! queries, and the dense instance-major fill (a round with an unfitted
+//! type) reads it in its contiguous pass: `L_ij` is then the remaining busy
+//! time, and the pair takes the same penalty.  Columns of a type without a
+//! fit still predict and price every query, since the cold-start override
+//! makes each of their pairs feasible at `C_j · L_ij`.  A round in which
+//! queries do not outnumber columns builds no list.  All buffers live in
 //! the scheduler and are reused, so a steady-state round allocates nothing;
 //! they are sized by the lane's own queue and columns, not by the fleet, and
 //! a round keeps only the buffers of its own form.  The round is
@@ -55,7 +71,7 @@ use kairos_models::{
     MAX_BATCH_SIZE,
 };
 use kairos_sim::{Dispatch, Scheduler, SchedulingContext};
-use kairos_workload::ModelId;
+use kairos_workload::{ModelId, Query};
 use std::sync::Arc;
 
 /// Default noise-safeguard factor ξ: completion times predicted within 2 % of
@@ -126,6 +142,12 @@ struct RoundScratch {
     columns: Vec<Column>,
     /// Per queued query: accumulated wait `W_i`, in ms.
     waited_ms: Vec<f64>,
+    /// The *live* queries of a round in which queries outnumber columns,
+    /// in query order: those whose wait has not passed `ξ T_qos`.  Every
+    /// pair of any other query violates QoS on a fitted type whatever its
+    /// prediction, so fitted types predict only these, and the background
+    /// form lists cells only for these.  Empty in every other round.
+    live: Vec<usize>,
     /// Solver costs: query-major (`[query][column]`) when queries do not
     /// outnumber columns, column-major (`[column][query]`) otherwise.
     cost: Vec<f64>,
@@ -152,7 +174,10 @@ impl RoundScratch {
     /// Writes the cost of every (query, column) pair: `[query][column]`
     /// when `QUERY_MAJOR`, `[column][query]` otherwise.  The layout is a
     /// const parameter so the stride of a column's cells is known when
-    /// compiling; column-major, the walk is a plain contiguous loop.
+    /// compiling; column-major, the walk is a plain contiguous loop.  A
+    /// fitted type's row holds 0 for every query that is not live, which
+    /// prices as the penalty: `L_ij` is then the remaining busy time, at
+    /// least 0, and the wait alone is past the bound.
     fn fill<const QUERY_MAJOR: bool>(&mut self, bound_ms: f64, penalty_ms: f64) {
         let (m, n) = (self.waited_ms.len(), self.columns.len());
         // Every cell is written below, so the buffer is only sized.
@@ -180,7 +205,8 @@ impl RoundScratch {
 
     /// Writes the background form of a column-major round in which every
     /// type has a latency fit: the same costs as [`Self::fill`], with each
-    /// column's penalized pairs folded into one background cost.
+    /// column's penalized pairs folded into one background cost.  Only the
+    /// live queries can have a feasible pair.
     fn fill_background(&mut self, bound_ms: f64, penalty_ms: f64) {
         let m = self.waited_ms.len();
         self.background_rows.clear();
@@ -188,11 +214,9 @@ impl RoundScratch {
         for col in &self.columns {
             let coefficient = self.coefficient[col.slot];
             let predicted = &self.predicted_ms[col.slot * m..(col.slot + 1) * m];
-            for (query, (&service_ms, &waited_ms)) in
-                predicted.iter().zip(&self.waited_ms).enumerate()
-            {
-                let l_ij = col.remaining_ms + service_ms;
-                if feasible(true, l_ij, waited_ms, bound_ms) {
+            for &query in &self.live {
+                let l_ij = col.remaining_ms + predicted[query];
+                if feasible(true, l_ij, self.waited_ms[query], bound_ms) {
                     self.cells.push((query, coefficient * l_ij));
                 }
             }
@@ -204,16 +228,17 @@ impl RoundScratch {
     }
 
     /// Whether query `i` on column `j` is feasible, as the fill decided it.
+    /// A query that is not live is infeasible on a fitted type, where a
+    /// deep round holds 0 in place of its prediction.
     fn pair_feasible(&self, i: usize, j: usize, bound_ms: f64) -> bool {
         let col = &self.columns[j];
+        let fitted = self.slots[col.slot].fitted;
+        let waited_ms = self.waited_ms[i];
+        if fitted && waited_ms > bound_ms {
+            return false;
+        }
         let service_ms = self.predicted_ms[col.slot * self.waited_ms.len() + i];
-        let l_ij = col.remaining_ms + service_ms;
-        feasible(
-            self.slots[col.slot].fitted,
-            l_ij,
-            self.waited_ms[i],
-            bound_ms,
-        )
+        feasible(fitted, col.remaining_ms + service_ms, waited_ms, bound_ms)
     }
 }
 
@@ -352,11 +377,23 @@ impl Scheduler for KairosScheduler {
                 .map(|q| q.waiting_time_us(ctx.now_us) as f64 / 1000.0),
         );
 
+        // The live queries of a round in which queries outnumber columns
+        // (see the module doc): under a burst, most of a deep queue has
+        // waited past `ξ T_qos` and needs no prediction on a fitted type.
+        let bound_ms = DEFAULT_XI * qos_ms;
+        let query_major = m <= n;
+        r.live.clear();
+        if !query_major {
+            r.live
+                .extend((0..m).filter(|&i| r.waited_ms[i] <= bound_ms));
+        }
+
         // Kairos starts with a linear model but does not rely on its accuracy
         // (Sec. 5.1): predictions are resolved per type, once per round — the
         // predictor lookup, its fit state, its linear fit (computed once per
         // slot, not once per prediction), the reference-batch latency behind
-        // `C_j`, and one prediction per queued query.
+        // `C_j`, and one prediction per queued query (per live query on a
+        // fitted type in a column-major round).
         r.coefficient.clear();
         r.predicted_ms.clear();
         for slot in &mut r.slots {
@@ -365,11 +402,18 @@ impl Scheduler for KairosScheduler {
             r.coefficient
                 .push(resolved.predict(self.reference_batch).max(1e-6));
             slot.fitted = predictor.is_some_and(|p| p.has_fit());
-            r.predicted_ms.extend(
-                ctx.queued
-                    .iter()
-                    .map(|q| resolved.predict(q.batch_size).max(1e-3)),
-            );
+            let predict = |q: &Query| resolved.predict(q.batch_size).max(1e-3);
+            if query_major || !slot.fitted {
+                r.predicted_ms.extend(ctx.queued.iter().map(predict));
+            } else {
+                // The other queries keep 0 (see `fill`).
+                let start = r.predicted_ms.len();
+                r.predicted_ms.resize(start + m, 0.0);
+                let row = &mut r.predicted_ms[start..];
+                for &i in &r.live {
+                    row[i] = predict(&ctx.queued[i]);
+                }
+            }
         }
         heterogeneity_coefficients_in_place(&mut r.coefficient, base_slot);
 
@@ -389,9 +433,7 @@ impl Scheduler for KairosScheduler {
         // instance's row is one penalty cost plus its feasible pairs, and
         // `solve_background_into` returns the dense solver's matching from
         // that form without scanning the penalized cells.
-        let bound_ms = DEFAULT_XI * qos_ms;
         let penalty_ms = QOS_PENALTY_FACTOR * qos_ms;
-        let query_major = m <= n;
         let background = !query_major && r.slots.iter().all(|s| s.fitted);
         // A round holds the buffers of its own form only.
         let matched = if background {
@@ -464,7 +506,7 @@ mod tests {
     use kairos_models::{calibration::paper_calibration, ec2, Config, PoolSpec};
     use kairos_sim::{engine::run_trace, InstanceView, SimulationOptions};
     use kairos_testkit::idle_order;
-    use kairos_workload::{Query, TraceSpec};
+    use kairos_workload::TraceSpec;
 
     fn view(
         idx: usize,

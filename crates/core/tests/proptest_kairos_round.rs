@@ -30,6 +30,12 @@
 //! must dispatch exactly as [`partitioned_round`] does over per-lane copies
 //! of the views, on rounds with the lanes' instances interleaved, some
 //! draining, and lanes with no queries or no instances.
+//!
+//! A deterministic test puts queue waits on the edges of the live-query rule
+//! (a deep round prices a query on a fitted type only while its wait is at
+//! most `ξ T_qos`): exactly at the bound, 1 µs past it, between it and
+//! `T_qos`, and at `T_qos`, over one fitted and one unfitted type, and
+//! rounds in which no query is live.
 
 #[path = "common/lmatrix.rs"]
 mod lmatrix;
@@ -259,6 +265,129 @@ fn random_round(
         queued,
         views,
     }
+}
+
+/// A query of batch `batch` that has waited `waited_us` at [`NOW_US`].
+fn waited(id: u64, batch: u32, waited_us: u64) -> Query {
+    Query::new(id, batch, NOW_US - waited_us)
+}
+
+#[test]
+fn waits_on_the_live_query_edges_match_the_matrix_oracle() {
+    let names: Vec<Arc<str>> = ec2::paper_pool()
+        .iter()
+        .map(|t| Arc::from(t.name.as_str()))
+        .collect();
+    let (fitted, unfitted) = (0, 2);
+    let latency = paper_calibration();
+    let mut kairos = KairosScheduler::new();
+    kairos.bind_types(&names);
+    for batch in [64, 256, 1000] {
+        let profile = latency.get(ModelKind::Wnd, &names[fitted]).unwrap();
+        kairos.on_completion(fitted, ModelId::DEFAULT, batch, profile.latency_ms(batch));
+    }
+    // A batch of one is served in 0.25 ms, so a query can still meet QoS
+    // with a wait just under the bound.
+    kairos.on_completion(fitted, ModelId::DEFAULT, 1, 0.25);
+    kairos.on_completion(unfitted, ModelId::DEFAULT, 128, 9.0);
+    let predictors = kairos.predictors();
+    assert!(predictors.get(&names[fitted]).unwrap().has_fit());
+    assert!(!predictors.get(&names[unfitted]).unwrap().has_fit());
+
+    // WND's 25 ms target: the bound ξ T_qos is 24.5 ms, which a wait of
+    // 24 500 µs reaches exactly.
+    let qos_us = ModelKind::Wnd.qos_us();
+    assert_eq!(qos_us, 25_000);
+    assert_eq!(24_500.0 / 1000.0, DEFAULT_XI * (qos_us as f64 / 1000.0));
+    let view = |instance_index: usize, type_index: usize, accepting: bool| InstanceView {
+        instance_index,
+        type_index,
+        type_name: names[type_index].clone(),
+        model: ModelId::DEFAULT,
+        is_base: type_index == 0,
+        accepting,
+        free_at_us: NOW_US,
+        backlog: 0,
+    };
+    // Two idle instances of the fitted type and one of the unfitted type.
+    let mixed = [
+        view(0, fitted, true),
+        view(1, fitted, true),
+        view(2, unfitted, true),
+    ];
+    // The same fleet with the unfitted instance draining, so every column
+    // is fitted and the round takes the background form.
+    let all_fitted = [
+        view(0, fitted, true),
+        view(1, fitted, true),
+        view(2, unfitted, false),
+        view(3, fitted, true),
+    ];
+    let unfitted_instance = 2;
+
+    let mut round = |queued: &[Query], views: &[InstanceView]| {
+        let idle = idle_order(views);
+        let ctx = SchedulingContext {
+            now_us: NOW_US,
+            queued,
+            instances: views,
+            idle: &idle,
+            qos_us,
+            qos_by_model: &[],
+        };
+        let (expected, _) = reference_round(&kairos, &ctx);
+        let mut out = Vec::new();
+        kairos.schedule_into(&ctx, &mut out);
+        assert_eq!(out, expected);
+        assert!(queued.len() > views.iter().filter(|v| v.accepting).count());
+        out
+    };
+    let on = |out: &[Dispatch], query: usize| {
+        out.iter()
+            .find(|d| d.query_index == query)
+            .map(|d| d.instance_index)
+    };
+
+    // A query 24.2 ms old that still fits on the fitted type, then waits
+    // exactly at the bound (live), 1 µs past it and between it and `T_qos`
+    // (both pruned), and at `T_qos`.  The unfitted column prices every query, so
+    // it takes the smallest batch: the pruned query between the bound and
+    // `T_qos`, dispatched by the cold-start override.  Neither query at or
+    // just past the bound is dispatched.
+    let queued = [
+        waited(0, 1, 24_200),
+        waited(1, 64, 24_500),
+        waited(2, 64, 24_501),
+        waited(3, 8, 24_800),
+        waited(4, 64, 25_000),
+    ];
+    let out = round(&queued, &mixed);
+    assert!(matches!(on(&out, 0), Some(0 | 1)), "{out:?}");
+    assert_eq!(on(&out, 3), Some(unfitted_instance), "{out:?}");
+    assert_eq!((on(&out, 1), on(&out, 2)), (None, None), "{out:?}");
+
+    // No query is live.  The unfitted column still takes the smallest
+    // batch; the fitted columns dispatch only a query at `T_qos`.
+    let queued = [
+        waited(0, 64, 24_501),
+        waited(1, 64, 24_800),
+        waited(2, 64, 25_000),
+        waited(3, 8, 30_000),
+    ];
+    let out = round(&queued, &mixed);
+    assert_eq!(on(&out, 3), Some(unfitted_instance), "{out:?}");
+    assert_eq!((on(&out, 0), on(&out, 1)), (None, None), "{out:?}");
+
+    // Background rounds with no query live, so no column lists a cell:
+    // queries between the bound and `T_qos` are all held back, and
+    // queries at `T_qos` go out one per instance.
+    let pruned: Vec<Query> = (0..4).map(|id| waited(id, 64, 24_800)).collect();
+    assert!(round(&pruned, &all_fitted).is_empty());
+    let doomed: Vec<Query> = (0..4).map(|id| waited(id, 64, 25_000)).collect();
+    let out = round(&doomed, &all_fitted);
+    let mut instances: Vec<usize> = out.iter().map(|d| d.instance_index).collect();
+    instances.sort_unstable();
+    assert_eq!(instances, [0, 1, 3]);
 }
 
 proptest! {

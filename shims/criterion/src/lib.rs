@@ -3,7 +3,8 @@
 //! Implements the subset the kairos benches use — [`Criterion`],
 //! [`criterion_group!`], [`criterion_main!`], benchmark groups,
 //! [`BenchmarkId`] and `Bencher::iter` — with a simple
-//! warmup-then-measure timer instead of criterion's statistical machinery.
+//! warm-up, calibrate, then measure timer instead of criterion's
+//! statistical machinery.
 //! The measured iterations are split into up to [`SAMPLES`] equal samples,
 //! so a run reports the median and 90th percentile of the per-sample mean
 //! beside the overall mean.
@@ -100,11 +101,15 @@ fn sample_budget() -> Duration {
 }
 
 impl Bencher<'_> {
-    /// Times `routine`: a short calibration pass sizes the batch, then the
-    /// routine runs for the sample budget in up to [`SAMPLES`] equal
-    /// samples, and the mean, median and 90th-percentile per-iteration
-    /// times are recorded.
+    /// Times `routine`: one warm-up call, then a short calibration pass
+    /// sizes the batch, then the routine runs for the sample budget in up
+    /// to [`SAMPLES`] equal samples, and the mean, median and
+    /// 90th-percentile per-iteration times are recorded.
     pub fn iter<O, R: FnMut() -> O>(&mut self, mut routine: R) {
+        // A cold first call (page faults, empty caches, buffers grown on
+        // first use) can be many times slower than the rest; calibrated on
+        // it, every sample would hold one iteration.
+        black_box(routine());
         // Calibration: one run to size the measurement loop.
         let start = Instant::now();
         black_box(routine());

@@ -6,6 +6,14 @@
 //! [`ProptestConfig::with_cases`].  Failing cases are reported with the
 //! case's RNG seed; there is **no shrinking** — rerun with the printed seed
 //! to reproduce.
+//!
+//! Two environment variables widen a run without a source edit.
+//! `PROPTEST_CASES` sets the case count of every configuration, the
+//! default's and [`ProptestConfig::with_cases`]'s alike (real proptest lets
+//! an explicit count win; here one variable runs a whole binary deeper).
+//! `PROPTEST_RNG_SEED` sets the base seed.  Both take a decimal or
+//! `0x`-prefixed hexadecimal number.  Unset, every run draws the same
+//! cases.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -43,20 +51,43 @@ pub struct ProptestConfig {
 
 impl Default for ProptestConfig {
     fn default() -> Self {
-        Self {
-            cases: 256,
-            seed: 0x9a1c_05f1,
-        }
+        Self::with_cases(256)
     }
 }
 
 impl ProptestConfig {
-    /// Configuration running the given number of cases.
+    /// Configuration running the given number of cases, unless
+    /// `PROPTEST_CASES` says otherwise.
     pub fn with_cases(cases: u32) -> Self {
         Self {
-            cases,
-            ..Self::default()
+            cases: env_number("PROPTEST_CASES").map_or(cases, |n| {
+                u32::try_from(n).unwrap_or_else(|_| panic!("PROPTEST_CASES={n} exceeds u32"))
+            }),
+            seed: env_number("PROPTEST_RNG_SEED").unwrap_or(0x9a1c_05f1),
         }
+    }
+}
+
+/// The number an environment variable holds, if it is set.
+///
+/// # Panics
+/// Panics when the variable is set to something that is not a number, so a
+/// mistyped sweep does not quietly run the fixed cases.
+fn env_number(name: &str) -> Option<u64> {
+    let text = std::env::var(name).ok()?;
+    Some(parse_number(&text).unwrap_or_else(|| panic!("{name}={text:?} is not a number")))
+}
+
+/// Parses a decimal or `0x`-prefixed hexadecimal `u64`; `_` separators are
+/// allowed.
+fn parse_number(text: &str) -> Option<u64> {
+    let digits = text.trim().replace('_', "");
+    match digits
+        .strip_prefix("0x")
+        .or_else(|| digits.strip_prefix("0X"))
+    {
+        Some(hex) => u64::from_str_radix(hex, 16).ok(),
+        None => digits.parse().ok(),
     }
 }
 
@@ -406,6 +437,16 @@ mod tests {
             prop_assume!(x % 2 == 0);
             prop_assert!(x % 2 == 0);
         }
+    }
+
+    #[test]
+    fn numbers_parse_in_decimal_and_hex() {
+        use crate::parse_number;
+        assert_eq!(parse_number("768"), Some(768));
+        assert_eq!(parse_number(" 0x9a1c_05f1 "), Some(0x9a1c_05f1));
+        assert_eq!(parse_number("0XFF"), Some(255));
+        assert_eq!(parse_number("12e3"), None);
+        assert_eq!(parse_number(""), None);
     }
 
     #[test]
