@@ -8,8 +8,8 @@
 //! queueing delay and no QoS violation, so the resulting rate is an upper
 //! reference for every practical distribution scheme.
 
-use kairos_models::{latency::LatencyTable, mlmodel::spec, mlmodel::ModelKind, Config, PoolSpec};
-use rayon::prelude::*;
+use kairos_models::latency::{LatencyProfile, LatencyTable};
+use kairos_models::{mlmodel::spec, mlmodel::ModelKind, Config, PoolSpec};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -46,14 +46,15 @@ pub fn oracle_throughput(
     #[derive(PartialEq, Eq, PartialOrd, Ord)]
     struct Slot(u64, usize);
     let mut heap: BinaryHeap<Reverse<Slot>> = BinaryHeap::new();
-    let mut kinds: Vec<(bool, String, Option<u32>)> = Vec::new(); // (is_base, type name, aux cutoff)
+    // Per instance: (is_base, latency profile, auxiliary QoS cutoff).
+    let mut kinds: Vec<(bool, LatencyProfile, Option<u32>)> = Vec::new();
     for (type_index, &count) in config.counts().iter().enumerate() {
         let ty = &pool.types()[type_index];
         let profile = latency.expect(model, &ty.name);
         let cutoff = profile.max_batch_within(qos_ms);
         for _ in 0..count {
             let id = kinds.len();
-            kinds.push((ty.is_base, ty.name.clone(), cutoff));
+            kinds.push((ty.is_base, profile, cutoff));
             heap.push(Reverse(Slot(0, id)));
         }
     }
@@ -82,8 +83,7 @@ pub fn oracle_throughput(
         let Some(Reverse(Slot(free_at, id))) = heap.pop() else {
             break; // every remaining instance retired
         };
-        let (is_base, ref name, cutoff) = kinds[id];
-        let profile = latency.expect(model, name);
+        let (is_base, profile, cutoff) = kinds[id];
 
         let batch = if is_base {
             // Largest remaining query.
@@ -119,11 +119,8 @@ pub fn oracle_throughput(
 }
 
 /// Oracle throughput maximized over a set of configurations (the paper uses
-/// the best configuration found by oracle search as the reference).
-///
-/// Every candidate's oracle schedule is independent, so the grid is
-/// evaluated as a rayon fan-out; the reduction keeps the original
-/// first-wins tie-breaking by scanning the ordered results.
+/// the best configuration found by oracle search as the reference).  Ties
+/// keep the first candidate.
 pub fn best_oracle_throughput(
     pool: &PoolSpec,
     configs: &[Config],
@@ -131,22 +128,14 @@ pub fn best_oracle_throughput(
     latency: &LatencyTable,
     batch_sample: &[u32],
 ) -> (Option<Config>, f64) {
-    let evaluated: Vec<f64> = configs
-        .par_iter()
-        .map(|c| oracle_throughput(pool, c, model, latency, batch_sample))
-        .collect();
-    let mut best: Option<(Config, f64)> = None;
-    for (c, qps) in configs.iter().zip(evaluated) {
-        match &best {
-            None => best = Some((c.clone(), qps)),
-            Some((_, b)) if qps > *b => best = Some((c.clone(), qps)),
-            _ => {}
+    let mut best: (Option<Config>, f64) = (None, 0.0);
+    for c in configs {
+        let qps = oracle_throughput(pool, c, model, latency, batch_sample);
+        if best.0.is_none() || qps > best.1 {
+            best = (Some(c.clone()), qps);
         }
     }
-    match best {
-        Some((c, q)) => (Some(c), q),
-        None => (None, 0.0),
-    }
+    best
 }
 
 #[cfg(test)]

@@ -321,12 +321,11 @@ fn bench_sharded_replay_wide(c: &mut Criterion) {
     group.finish();
 }
 
-fn capacity_options(early_exit: bool) -> CapacityOptions {
+fn capacity_options() -> CapacityOptions {
     CapacityOptions {
         duration_s: 1.0,
         refine_steps: 3,
         max_qps: 4_000.0,
-        early_exit,
         ..CapacityOptions::with_seed(97)
     }
 }
@@ -339,11 +338,9 @@ fn fcfs_factory() -> Box<dyn Scheduler> {
 /// replanning: seven replan rounds rank the budget's candidate set with
 /// capacity ramps — cadence replans re-rank the *same* enumerated candidates
 /// (only knowledge drifts), and one drift replan swaps two candidates in.
-/// `memoized_early_exit` is the production path: one [`CapacityProber`]
-/// shared across rounds (per-config memo keyed by interned type names) with
-/// early-exit probes.  `naive_full_replay` re-simulates every probe of every
-/// round to completion, which is what the sweep cost before this
-/// optimization pass.
+/// `memoized_early_exit` is the production path: one serial
+/// [`CapacityProber`] shared across rounds (per-config memo) with early-exit
+/// probes.
 fn bench_rank_configs_sweep(c: &mut Criterion) {
     let pool = PoolSpec::new(ec2::paper_pool());
     let service = ServiceSpec::new(ModelKind::Wnd, paper_calibration());
@@ -377,16 +374,8 @@ fn bench_rank_configs_sweep(c: &mut Criterion) {
     group.sample_size(10);
     group.bench_function("memoized_early_exit", |b| {
         b.iter(|| {
-            let prober = CapacityProber::new(&pool, &service, capacity_options(true));
+            let mut prober = CapacityProber::new(&pool, &service, capacity_options());
             for round in &rounds {
-                black_box(prober.rank_measured(round, fcfs_factory));
-            }
-        })
-    });
-    group.bench_function("naive_full_replay", |b| {
-        b.iter(|| {
-            for round in &rounds {
-                let prober = CapacityProber::new(&pool, &service, capacity_options(false));
                 black_box(prober.rank_measured(round, fcfs_factory));
             }
         })
@@ -557,8 +546,7 @@ fn bench_sparse_mix(c: &mut Criterion) {
 
 /// One allowable-throughput ramp for a single configuration: the unit of
 /// work every planner comparison and baseline grid search repeats hundreds
-/// of times.  Early exit aborts each probe replay the moment its verdict is
-/// provable; the verdicts (and hence the ramp result) are identical.
+/// of times.  Each probe replay aborts the moment its verdict is provable.
 fn bench_allowable_throughput_probe(c: &mut Criterion) {
     let pool = PoolSpec::new(ec2::paper_pool());
     let service = ServiceSpec::new(ModelKind::Wnd, paper_calibration());
@@ -566,20 +554,18 @@ fn bench_allowable_throughput_probe(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("allowable_throughput_probe");
     group.sample_size(10);
-    for (label, early_exit) in [("early_exit", true), ("full_replay", false)] {
-        let opts = capacity_options(early_exit);
-        group.bench_with_input(BenchmarkId::from_parameter(label), &opts, |b, opts| {
-            b.iter(|| {
-                black_box(allowable_throughput(
-                    &pool,
-                    &config,
-                    &service,
-                    opts,
-                    fcfs_factory,
-                ))
-            })
-        });
-    }
+    let opts = capacity_options();
+    group.bench_function("early_exit", |b| {
+        b.iter(|| {
+            black_box(allowable_throughput(
+                &pool,
+                &config,
+                &service,
+                &opts,
+                fcfs_factory,
+            ))
+        })
+    });
     group.finish();
 }
 

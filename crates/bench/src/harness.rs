@@ -12,13 +12,11 @@ use kairos_models::{
     best_homogeneous, calibration::paper_calibration, ec2, latency::LatencyTable, mlmodel::spec,
     Config, ModelKind, PoolSpec,
 };
-use kairos_sim::{
-    allowable_throughput, allowable_throughput_many, CapacityOptions, FcfsScheduler, Scheduler,
-    ServiceSpec,
-};
+use kairos_sim::{allowable_throughput, CapacityOptions, FcfsScheduler, Scheduler, ServiceSpec};
 use kairos_workload::BatchSizeDistribution;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use rayon::prelude::*;
 
 /// Whether `KAIROS_FIG_FAST=1` asks for the fast (CI smoke) figure mode.
 pub(crate) fn fast_mode() -> bool {
@@ -219,14 +217,10 @@ impl ExperimentContext {
     /// under a scheme, fanning the independent capacity ramps out over the
     /// available cores with rayon.  Results are in candidate order.
     pub fn measure_throughput_many(&self, configs: &[Config], kind: SchedulerKind) -> Vec<f64> {
-        let service = self.service();
-        let opts = self.capacity_options();
-        allowable_throughput_many(&self.pool, configs, &service, &opts, || {
-            scheduler_factory(kind, self.model, &self.latency)
-        })
-        .into_iter()
-        .map(|r| r.allowable_qps)
-        .collect()
+        configs
+            .par_iter()
+            .map(|config| self.measure_throughput(config, kind))
+            .collect()
     }
 
     /// Allowable throughput of the optimal homogeneous configuration, scaled

@@ -11,26 +11,24 @@
 //!
 //! Two optimizations make the ramp cheap without changing a single verdict:
 //!
-//! * **Early-exit probes** ([`CapacityOptions::early_exit`], on by default):
-//!   a probe replay aborts as soon as the accumulated violations provably
+//! * **Early-exit probes:** every probe runs [`SimEngine::run_qos_probe`],
+//!   which aborts the replay as soon as the accumulated violations provably
 //!   exceed the QoS budget — or provably can no longer exceed it — instead
-//!   of draining the whole backlog (see [`SimEngine::run_qos_probe`] for the
-//!   bound).
-//! * **Memoized ramps** ([`CapacityProber`]): a per-`(pool, config)` memo,
-//!   keyed by a fingerprint of the pool's interned type names plus the
-//!   instance counts, lets
-//!   repeated sweeps over overlapping candidate sets — exactly what the
-//!   serving loop's replanning produces — reuse prior probes instead of
-//!   re-simulating them.
+//!   of draining the whole backlog.
+//! * **Memoized ramps** ([`CapacityProber`]): a per-configuration memo lets
+//!   repeated sweeps over overlapping candidate sets reuse prior ramps
+//!   instead of re-simulating them.
+//!
+//! Probing is serial.  Every probe is deterministic and independent of the
+//! others, so the order of evaluation cannot change a result; callers that
+//! sweep many configurations fan out at their own level.
 
 use crate::cluster::ServiceSpec;
 use crate::engine::{SimEngine, SimulationOptions};
 use crate::scheduler::Scheduler;
 use kairos_models::{Config, PoolSpec};
 use kairos_workload::{ArrivalProcess, BatchSizeDistribution, TraceSpec};
-use rayon::prelude::*;
 use std::collections::HashMap;
-use std::sync::Mutex;
 
 /// Options of the capacity search.
 #[derive(Debug, Clone)]
@@ -52,10 +50,6 @@ pub struct CapacityOptions {
     /// Seed used for trace generation and service noise (kept constant across
     /// probes: common random numbers make the ramp monotone in practice).
     pub seed: u64,
-    /// Abort each probe replay as soon as its verdict is provable (identical
-    /// verdicts, far less simulated work).  `false` replays every probe to
-    /// completion — only useful as a benchmark baseline.
-    pub early_exit: bool,
 }
 
 impl Default for CapacityOptions {
@@ -69,7 +63,6 @@ impl Default for CapacityOptions {
             max_qps: 20_000.0,
             refine_steps: 7,
             seed: 42,
-            early_exit: true,
         }
     }
 }
@@ -95,7 +88,7 @@ pub struct CapacityResult {
 }
 
 /// Checks whether the configuration sustains the given arrival rate within QoS.
-pub fn sustains_rate<F>(
+fn sustains_rate<F>(
     pool: &PoolSpec,
     config: &Config,
     service: &ServiceSpec,
@@ -117,19 +110,15 @@ where
         return true;
     }
     let mut scheduler = make_scheduler();
-    let engine = SimEngine::new(
+    SimEngine::new(
         pool,
         config,
         service,
         &trace,
         scheduler.as_mut(),
         &SimulationOptions { seed: options.seed },
-    );
-    if options.early_exit {
-        engine.run_qos_probe(options.violation_tolerance)
-    } else {
-        engine.run().meets_qos(options.violation_tolerance)
-    }
+    )
+    .run_qos_probe(options.violation_tolerance)
 }
 
 /// Finds the allowable throughput of `(pool, config, scheduler)` for the given
@@ -214,74 +203,34 @@ where
     }
 }
 
-/// Memo key of one capacity ramp: a fingerprint of the pool's interned type
-/// names plus the configuration's instance counts.  The fingerprint pins
-/// every entry to the pool it was measured on (so keys remain meaningful if
-/// a memo ever outlives a prober) without cloning the name vector into each
-/// key — it is hashed once per prober, not once per lookup.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-struct CapacityKey {
-    pool_fingerprint: u64,
-    counts: Vec<usize>,
-}
-
 /// A capacity-search session over one `(pool, service, workload)`: runs
-/// allowable-throughput ramps with a shared per-configuration memo, so
-/// sweeping overlapping candidate sets (as the serving loop's repeated
-/// replans do) only simulates each configuration once.
-///
-/// The memo is internally synchronized; [`CapacityProber::throughput_many`]
-/// fans candidates out over rayon and all workers share it.
+/// allowable-throughput ramps with a per-configuration memo, so sweeping
+/// overlapping candidate sets only simulates each configuration once.
 pub struct CapacityProber<'a> {
     pool: &'a PoolSpec,
     service: &'a ServiceSpec,
     options: CapacityOptions,
-    pool_fingerprint: u64,
-    cache: Mutex<HashMap<CapacityKey, CapacityResult>>,
+    memo: HashMap<Config, CapacityResult>,
 }
 
 impl<'a> CapacityProber<'a> {
     /// Creates a prober for one pool/service/workload combination.
     pub fn new(pool: &'a PoolSpec, service: &'a ServiceSpec, options: CapacityOptions) -> Self {
-        use std::hash::{Hash, Hasher};
-        let mut hasher = std::collections::hash_map::DefaultHasher::new();
-        for ty in pool.types() {
-            ty.name.hash(&mut hasher);
-        }
         Self {
             pool,
             service,
             options,
-            pool_fingerprint: hasher.finish(),
-            cache: Mutex::new(HashMap::new()),
-        }
-    }
-
-    /// The capacity-search options in effect.
-    pub fn options(&self) -> &CapacityOptions {
-        &self.options
-    }
-
-    /// Number of memoized configurations.
-    pub fn cached(&self) -> usize {
-        self.cache.lock().expect("capacity memo poisoned").len()
-    }
-
-    fn key(&self, config: &Config) -> CapacityKey {
-        CapacityKey {
-            pool_fingerprint: self.pool_fingerprint,
-            counts: config.counts().to_vec(),
+            memo: HashMap::new(),
         }
     }
 
     /// Allowable throughput of one configuration, served from the memo when
     /// this prober has ramped it before.
-    pub fn throughput<F>(&self, config: &Config, make_scheduler: F) -> CapacityResult
+    pub fn throughput<F>(&mut self, config: &Config, make_scheduler: F) -> CapacityResult
     where
-        F: Fn() -> Box<dyn Scheduler>,
+        F: FnMut() -> Box<dyn Scheduler>,
     {
-        let key = self.key(config);
-        if let Some(hit) = self.cache.lock().expect("capacity memo poisoned").get(&key) {
+        if let Some(hit) = self.memo.get(config) {
             return hit.clone();
         }
         let result = allowable_throughput(
@@ -289,77 +238,33 @@ impl<'a> CapacityProber<'a> {
             config,
             self.service,
             &self.options,
-            &make_scheduler,
+            make_scheduler,
         );
-        self.cache
-            .lock()
-            .expect("capacity memo poisoned")
-            .insert(key, result.clone());
+        self.memo.insert(config.clone(), result.clone());
         result
-    }
-
-    /// Allowable throughput of every candidate (rayon fan-out, shared memo).
-    /// Results are returned in candidate order.
-    ///
-    /// Duplicate candidates are collapsed *before* the fan-out: the memo's
-    /// check-then-insert is not an in-flight reservation, so two workers
-    /// racing on the same configuration would otherwise both ramp it.
-    pub fn throughput_many<F>(&self, configs: &[Config], make_scheduler: F) -> Vec<CapacityResult>
-    where
-        F: Fn() -> Box<dyn Scheduler> + Sync,
-    {
-        let mut first_of: HashMap<&Config, usize> = HashMap::with_capacity(configs.len());
-        let mut unique: Vec<&Config> = Vec::with_capacity(configs.len());
-        let slots: Vec<usize> = configs
-            .iter()
-            .map(|config| {
-                *first_of.entry(config).or_insert_with(|| {
-                    unique.push(config);
-                    unique.len() - 1
-                })
-            })
-            .collect();
-        let results: Vec<CapacityResult> = unique
-            .par_iter()
-            .map(|config| self.throughput(config, &make_scheduler))
-            .collect();
-        slots.into_iter().map(|s| results[s].clone()).collect()
     }
 
     /// Ranks candidates by *measured* allowable throughput, highest first —
     /// the simulation-backed counterpart of the planner's closed-form
     /// `rank_configs`, sharing this prober's memo across calls.
-    pub fn rank_measured<F>(&self, configs: &[Config], make_scheduler: F) -> Vec<(Config, f64)>
+    pub fn rank_measured<F>(
+        &mut self,
+        configs: &[Config],
+        mut make_scheduler: F,
+    ) -> Vec<(Config, f64)>
     where
-        F: Fn() -> Box<dyn Scheduler> + Sync,
+        F: FnMut() -> Box<dyn Scheduler>,
     {
-        let results = self.throughput_many(configs, make_scheduler);
         let mut ranked: Vec<(Config, f64)> = configs
             .iter()
-            .cloned()
-            .zip(results.into_iter().map(|r| r.allowable_qps))
+            .map(|config| {
+                let qps = self.throughput(config, &mut make_scheduler).allowable_qps;
+                (config.clone(), qps)
+            })
             .collect();
         ranked.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("finite throughput"));
         ranked
     }
-}
-
-/// Runs [`allowable_throughput`] for every candidate configuration in
-/// parallel (rayon fan-out).  Each candidate's ramp is an independent
-/// read-only evaluation over the shared pool/service/options, so this is the
-/// sweep primitive the planner comparisons and baseline grid searches use.
-/// Results are returned in candidate order.
-pub fn allowable_throughput_many<F>(
-    pool: &PoolSpec,
-    configs: &[Config],
-    service: &ServiceSpec,
-    options: &CapacityOptions,
-    make_scheduler: F,
-) -> Vec<CapacityResult>
-where
-    F: Fn() -> Box<dyn Scheduler> + Sync,
-{
-    CapacityProber::new(pool, service, options.clone()).throughput_many(configs, make_scheduler)
 }
 
 #[cfg(test)]
@@ -417,81 +322,49 @@ mod tests {
     }
 
     #[test]
-    fn parallel_sweep_matches_sequential_ramps() {
-        let pool = PoolSpec::new(ec2::paper_pool());
-        let service = ServiceSpec::new(ModelKind::Wnd, paper_calibration());
-        let opts = quick_options();
-        let configs = vec![
-            Config::new(vec![1, 0, 0, 0]),
-            Config::new(vec![0, 0, 0, 0]),
-            Config::new(vec![2, 0, 1, 0]),
-        ];
-        let swept = allowable_throughput_many(&pool, &configs, &service, &opts, fcfs_factory);
-        assert_eq!(swept.len(), configs.len());
-        for (config, result) in configs.iter().zip(&swept) {
-            let reference = allowable_throughput(&pool, config, &service, &opts, fcfs_factory);
-            assert_eq!(
-                result.allowable_qps, reference.allowable_qps,
-                "config {config}"
-            );
-            assert_eq!(result.probes, reference.probes);
-        }
-    }
-
-    #[test]
-    fn early_exit_ramp_matches_exhaustive_ramp() {
-        let pool = PoolSpec::new(ec2::paper_pool());
-        let service = ServiceSpec::new(ModelKind::Wnd, paper_calibration());
-        let fast_opts = quick_options();
-        assert!(fast_opts.early_exit);
-        let slow_opts = CapacityOptions {
-            early_exit: false,
-            ..quick_options()
-        };
-        for config in [
-            Config::new(vec![1, 0, 0, 0]),
-            Config::new(vec![1, 0, 2, 0]),
-            Config::new(vec![2, 1, 0, 0]),
-        ] {
-            let fast = allowable_throughput(&pool, &config, &service, &fast_opts, fcfs_factory);
-            let slow = allowable_throughput(&pool, &config, &service, &slow_opts, fcfs_factory);
-            assert_eq!(
-                fast.allowable_qps, slow.allowable_qps,
-                "early exit changed the verdict for {config}"
-            );
-            assert_eq!(fast.probes, slow.probes);
-        }
-    }
-
-    #[test]
     fn prober_memoizes_repeat_configurations() {
         let pool = PoolSpec::new(ec2::paper_pool());
         let service = ServiceSpec::new(ModelKind::Wnd, paper_calibration());
-        let prober = CapacityProber::new(&pool, &service, quick_options());
-        let configs = vec![
+        let opts = quick_options();
+        let in_order = vec![
             Config::new(vec![1, 0, 0, 0]),
             Config::new(vec![1, 0, 2, 0]),
             Config::new(vec![1, 0, 0, 0]), // duplicate within one sweep
         ];
-        let first = prober.throughput_many(&configs, fcfs_factory);
-        assert_eq!(prober.cached(), 2, "duplicates share one ramp");
-        assert_eq!(first[0].allowable_qps, first[2].allowable_qps);
-        // A later overlapping sweep reuses every prior ramp.
-        let second = prober.throughput(&configs[1], fcfs_factory);
-        assert_eq!(second.allowable_qps, first[1].allowable_qps);
-        assert_eq!(prober.cached(), 2);
-        // Memoized results equal fresh computation.
-        let fresh = allowable_throughput(&pool, &configs[0], &service, &quick_options(), || {
-            Box::new(FcfsScheduler::new()) as Box<dyn Scheduler>
-        });
-        assert_eq!(first[0].allowable_qps, fresh.allowable_qps);
+        // The same candidates and two more, permuted, with duplicates.
+        let permuted = vec![
+            Config::new(vec![2, 0, 1, 0]),
+            Config::new(vec![1, 0, 2, 0]),
+            Config::new(vec![0, 0, 0, 0]),
+            Config::new(vec![2, 0, 1, 0]),
+            Config::new(vec![1, 0, 0, 0]),
+            Config::new(vec![1, 0, 2, 0]),
+        ];
+        for (configs, distinct) in [(&in_order, 2), (&permuted, 4)] {
+            let mut prober = CapacityProber::new(&pool, &service, opts.clone());
+            for config in configs {
+                // Memoized results equal a fresh ramp, whatever the order.
+                let memoized = prober.throughput(config, fcfs_factory);
+                let fresh = allowable_throughput(&pool, config, &service, &opts, fcfs_factory);
+                assert_eq!(
+                    memoized.allowable_qps.to_bits(),
+                    fresh.allowable_qps.to_bits(),
+                    "config {config}"
+                );
+                assert_eq!(memoized.probes, fresh.probes, "config {config}");
+            }
+            assert_eq!(prober.memo.len(), distinct, "duplicates share one ramp");
+            // A later overlapping sweep reuses every prior ramp.
+            prober.rank_measured(configs, fcfs_factory);
+            assert_eq!(prober.memo.len(), distinct);
+        }
     }
 
     #[test]
     fn rank_measured_sorts_descending() {
         let pool = PoolSpec::new(ec2::paper_pool());
         let service = ServiceSpec::new(ModelKind::Wnd, paper_calibration());
-        let prober = CapacityProber::new(&pool, &service, quick_options());
+        let mut prober = CapacityProber::new(&pool, &service, quick_options());
         let configs = vec![
             Config::new(vec![0, 0, 0, 0]),
             Config::new(vec![2, 0, 0, 0]),

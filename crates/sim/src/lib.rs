@@ -60,10 +60,7 @@ pub mod serverless;
 pub mod sharded;
 pub mod stats;
 
-pub use capacity::{
-    allowable_throughput, allowable_throughput_many, CapacityOptions, CapacityProber,
-    CapacityResult,
-};
+pub use capacity::{allowable_throughput, CapacityOptions, CapacityProber, CapacityResult};
 pub use cluster::{Cluster, ClusterSpec, InstanceLifecycle, ModelPool, ServiceSpec, SimInstance};
 pub use engine::{run_trace, ClusterAction, EngineEvent, EngineHook, SimEngine, SimulationOptions};
 pub use flex::{BatchingOptions, SharingMode, SharingOptions};

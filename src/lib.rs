@@ -57,10 +57,9 @@ pub mod prelude {
         TraceMarket, VariantCatalog, VariantError,
     };
     pub use kairos_sim::{
-        allowable_throughput, allowable_throughput_many, run_trace, BatchingOptions,
-        CapacityOptions, ClusterAction, ClusterSpec, EngineEvent, EngineHook, FcfsScheduler,
-        Scheduler, ServerlessConfig, ServiceSpec, ShardedEngine, SharingMode, SharingOptions,
-        SimEngine, SimulationOptions,
+        allowable_throughput, run_trace, BatchingOptions, CapacityOptions, ClusterAction,
+        ClusterSpec, EngineEvent, EngineHook, FcfsScheduler, Scheduler, ServerlessConfig,
+        ServiceSpec, ShardedEngine, SharingMode, SharingOptions, SimEngine, SimulationOptions,
     };
     pub use kairos_workload::{
         ArrivalProcess, BatchSizeDistribution, MixSpec, MixedTraceSpec, ModelId, Phase,
