@@ -122,7 +122,8 @@ impl ReactiveAutoscaler {
         trace: &Trace,
         market: Option<&dyn Market>,
     ) -> AutoscaleOutcome {
-        self.run_with_faults(pool, initial_instances, service, trace, market, None)
+        let no_faults = (&FaultProcess::default(), &[][..]);
+        self.run_with_faults(pool, initial_instances, service, trace, market, no_faults)
     }
 
     /// [`Self::run_with_market`] with a correlated-fault process attached:
@@ -130,7 +131,8 @@ impl ReactiveAutoscaler {
     /// its purchases (it retries on its cooldown cadence — the reactive
     /// baseline knows no alternative offerings), and stragglers slow it
     /// down.  `faults` pairs the process with the per-type failure-domain
-    /// table (empty table = every type in the global domain).
+    /// table (empty table = every type in the global domain); the empty
+    /// process is a fault-free run.
     pub fn run_with_faults(
         &self,
         pool: &PoolSpec,
@@ -138,7 +140,7 @@ impl ReactiveAutoscaler {
         service: &ServiceSpec,
         trace: &Trace,
         market: Option<&dyn Market>,
-        faults: Option<(&FaultProcess, &[FailureDomain])>,
+        (faults, placements): (&FaultProcess, &[FailureDomain]),
     ) -> AutoscaleOutcome {
         let opts = &self.options;
         assert!(
@@ -160,26 +162,17 @@ impl ReactiveAutoscaler {
         if let Some(market) = market {
             engine = engine.with_market(market);
         }
-        if let Some((process, placements)) = faults {
-            engine = engine.with_faults(process, placements);
-        }
-        let fault_aware = faults.is_some();
-        // Scale-out purchases that can be rejected (outage, shortage): a
+        engine = engine.with_faults(faults, placements);
+        // Scale-out purchases can be rejected (outage, shortage): a
         // rejection still burns the cooldown, so the scaler retries at its
         // own cadence rather than hammering the dead domain every event.
         let buy = |engine: &mut SimEngine<'_>,
                    actions: &mut Vec<(TimeUs, i32)>,
                    last_action_us: &mut Option<TimeUs>,
                    now: TimeUs| {
-            let bought = if fault_aware {
-                engine
-                    .try_add_instance_for(ModelId::DEFAULT, scale_type, opts.provisioning_delay_us)
-                    .is_ok()
-            } else {
-                engine.add_instance(scale_type, opts.provisioning_delay_us);
-                true
-            };
-            if bought {
+            let bought =
+                engine.add_instance(ModelId::DEFAULT, scale_type, opts.provisioning_delay_us);
+            if bought.is_ok() {
                 actions.push((now, 1));
             }
             *last_action_us = Some(now);
@@ -382,7 +375,7 @@ mod tests {
             &service,
             &workload.generate(),
             None,
-            Some((&process, &[])),
+            (&process, &[]),
         );
         assert_eq!(outcome.report.outages.len(), 1);
         assert!(outcome.report.outages[0].killed_instances >= 1);

@@ -10,9 +10,8 @@ use kairos_models::{
     ModelKind, PoolSpec,
 };
 use kairos_sim::{
-    allowable_throughput, run_trace, BatchingOptions, CapacityOptions, CapacityProber, ClusterSpec,
-    FcfsScheduler, Scheduler, ServiceSpec, ShardedEngine, SharingMode, SharingOptions,
-    SimulationOptions,
+    allowable_throughput, run_trace, BatchingOptions, CapacityOptions, ClusterSpec, FcfsScheduler,
+    Scheduler, ServiceSpec, ShardedEngine, SharingOptions, SimulationOptions,
 };
 use kairos_testkit::run_trace_naive;
 use kairos_workload::{BatchSizeDistribution, MixSpec, MixedTraceSpec, TraceSpec};
@@ -160,12 +159,10 @@ fn bench_engine_vs_naive_50k(c: &mut Criterion) {
     // deletion are all on the measured path.  Budget-gated in
     // BENCH_budget.json.
     group.bench_function("fcfs_sharing", |b| {
-        let sharing = SharingMode::Fair(
-            SharingOptions::uniform(
-                kairos_models::ThroughputDegradation::try_new_linear(0.2).unwrap(),
-            )
-            .with_max_concurrency(4),
-        );
+        let sharing = SharingOptions::uniform(
+            kairos_models::ThroughputDegradation::try_new_linear(0.2).unwrap(),
+        )
+        .with_max_concurrency(4);
         b.iter(|| {
             let mut scheduler = FcfsScheduler::new();
             black_box(
@@ -334,60 +331,10 @@ fn fcfs_factory() -> Box<dyn Scheduler> {
     Box::new(FcfsScheduler::new())
 }
 
-/// End-to-end measured configuration ranking, shaped like the serving loop's
-/// replanning: seven replan rounds rank the budget's candidate set with
-/// capacity ramps — cadence replans re-rank the *same* enumerated candidates
-/// (only knowledge drifts), and one drift replan swaps two candidates in.
-/// `memoized_early_exit` is the production path: one serial
-/// [`CapacityProber`] shared across rounds (per-config memo) with early-exit
-/// probes.
-fn bench_rank_configs_sweep(c: &mut Criterion) {
-    let pool = PoolSpec::new(ec2::paper_pool());
-    let service = ServiceSpec::new(ModelKind::Wnd, paper_calibration());
-    let candidates: Vec<Config> = vec![
-        Config::new(vec![1, 0, 0, 0]),
-        Config::new(vec![1, 0, 1, 0]),
-        Config::new(vec![1, 0, 2, 0]),
-        Config::new(vec![1, 1, 0, 0]),
-        Config::new(vec![2, 0, 0, 0]),
-        Config::new(vec![1, 0, 0, 2]),
-    ];
-    let drifted: Vec<Config> = vec![
-        Config::new(vec![1, 0, 1, 0]),
-        Config::new(vec![1, 0, 2, 0]),
-        Config::new(vec![1, 1, 0, 0]),
-        Config::new(vec![2, 0, 0, 0]),
-        Config::new(vec![1, 1, 1, 0]),
-        Config::new(vec![2, 0, 2, 0]),
-    ];
-    let rounds: Vec<&[Config]> = vec![
-        &candidates,
-        &candidates,
-        &candidates,
-        &candidates,
-        &drifted,
-        &drifted,
-        &drifted,
-    ];
-
-    let mut group = c.benchmark_group("rank_configs_sweep");
-    group.sample_size(10);
-    group.bench_function("memoized_early_exit", |b| {
-        b.iter(|| {
-            let mut prober = CapacityProber::new(&pool, &service, capacity_options());
-            for round in &rounds {
-                black_box(prober.rank_measured(round, fcfs_factory));
-            }
-        })
-    });
-    group.finish();
-}
-
 /// Variant-aware configuration ranking: the merged per-lane ranking sweep
 /// the variant planner runs at every replan (three RM2 lanes — fp32, int8,
 /// distilled — each ranking the same budget's candidate set).
-/// Budgeted at roughly twice the single-lane `rank_configs_sweep` path: the
-/// per-lane closed-form rankings dominate and the merge is linear.
+/// The per-lane closed-form rankings dominate and the merge is linear.
 fn bench_rank_configs_variants(c: &mut Criterion) {
     use kairos_core::paper_variant_planner;
     use rand::rngs::StdRng;
@@ -777,7 +724,6 @@ criterion_group!(
     bench_engine_vs_naive_50k,
     bench_sharded_replay,
     bench_sharded_replay_wide,
-    bench_rank_configs_sweep,
     bench_rank_configs_variants,
     bench_planner_cold,
     bench_sparse_mix,

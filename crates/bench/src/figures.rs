@@ -771,7 +771,7 @@ pub fn figure_outage(recorder: &Recorder) {
         &service,
         &trace,
         Some(market.as_ref()),
-        Some((&process, &placements)),
+        (&process, &placements),
     );
     let reactive_row = row_of("REACTIVE(homo)", &reactive.report);
 

@@ -85,8 +85,9 @@ pub(crate) struct Fleet {
     /// The cloud market every lane trades on, if any (one market, one
     /// cooldown book; every lane replans over the same refreshed pool).
     pub market: Option<MarketState>,
-    /// The correlated-fault process the engine materializes, if any.
-    pub faults: Option<FaultProcess>,
+    /// The correlated-fault process the engine materializes; a fault-free
+    /// fleet holds the empty process.
+    pub faults: FaultProcess,
     /// The keep-alive runtime sparse lanes park under, if any: they scale
     /// to zero in the budget split instead of holding an always-on floor.
     pub serverless: Option<ServerlessRuntime>,
@@ -167,16 +168,13 @@ impl ReplanClock {
 /// purchases there are announced-doomed, so probing them one rejection at a
 /// time would only waste replans — or, when none is left, frees them.
 fn hold_domain(
-    backoff: Option<&mut PurchaseBackoff>,
-    process: Option<&FaultProcess>,
+    backoff: &mut PurchaseBackoff,
+    process: &FaultProcess,
     placements: &[FailureDomain],
     domain: &FailureDomain,
     now: TimeUs,
     began: bool,
 ) {
-    let (Some(backoff), Some(process)) = (backoff, process) else {
-        return;
-    };
     let end = fault_window_end(process, domain, now);
     let global = FailureDomain::global();
     for i in 0..backoff.num_types() {
@@ -217,7 +215,7 @@ pub(crate) fn serve(
     let options = fleet.options;
     let pool = &fleet.pool;
     let placements = fleet.placements.as_slice();
-    let faults = fleet.faults.as_ref();
+    let faults = &fleet.faults;
     let serverless = fleet.serverless.as_ref();
     let mut market = fleet.market.as_mut();
     let n = lanes.len();
@@ -245,9 +243,7 @@ pub(crate) fn serve(
             options.batch_timeout_us,
         ));
     }
-    if let Some(process) = faults {
-        engine = engine.with_faults(process, placements);
-    }
+    engine = engine.with_faults(faults, placements);
     // Serverless lanes park between requests: the engine-side policies are
     // fixed for the run from the demands it was planned for, and mirrored
     // into each lane's controller so they join its knowledge signature.
@@ -272,14 +268,16 @@ pub(crate) fn serve(
         }
     }
 
-    // Per-run lane state: arrival windows, the replan clock, and for
-    // fault-resilient purchasing the backoff book (penalty prices apply
+    // Per-run lane state: arrival windows, the replan clock, and the
+    // backoff book every purchase goes through (penalty prices apply
     // relative to the fleet's pool and expire with the backoff).
     let mut arrivals: Vec<VecDeque<TimeUs>> = (0..n)
         .map(|_| VecDeque::with_capacity(RATE_WINDOW))
         .collect();
     let mut clock = ReplanClock::new(options.replan_interval_us, n);
-    let mut backoff = faults.map(|_| PurchaseBackoff::new(pool.num_types()));
+    let mut backoff = PurchaseBackoff::new(pool.num_types());
+    // Whether the lanes' planning pools carry backoff penalties.
+    let mut penalized = false;
     let mut demands = vec![0.0f64; n];
     let mut signals: Vec<Option<bool>> = vec![None; n];
     let mut due: Vec<(usize, ReplanTrigger)> = Vec::new();
@@ -320,16 +318,13 @@ pub(crate) fn serve(
             // so the planner routes around the domain from the first fault
             // replan instead of discovering the wall one rejection at a time.
             EngineEvent::ZoneOutage { domain, .. } => {
-                let book = backoff.as_mut();
-                hold_domain(book, faults, placements, domain, now, true);
+                hold_domain(&mut backoff, faults, placements, domain, now, true);
             }
             EngineEvent::ZoneRestored { domain } => {
-                let book = backoff.as_mut();
-                hold_domain(book, faults, placements, domain, now, false);
+                hold_domain(&mut backoff, faults, placements, domain, now, false);
             }
             EngineEvent::CapacityShortage { domain, active } => {
-                let book = backoff.as_mut();
-                hold_domain(book, faults, placements, domain, now, *active);
+                hold_domain(&mut backoff, faults, placements, domain, now, *active);
             }
             // Market events are digested by `MarketState::on_event` below;
             // stragglers only trigger a fault replan; parks are billing
@@ -401,12 +396,17 @@ pub(crate) fn serve(
         // planning pool; price changes join the knowledge signature, so the
         // plan cache invalidates exactly when they matter.  Parked offerings
         // are priced out on top, so plans route purchases around domains
-        // that just rejected them.
+        // that just rejected them; the first replan after the last hold
+        // lifts takes the penalties off again.  With nothing ever parked
+        // (a fault-free run), the pools are left alone.
         let live = market.as_deref().map(|market| market.planning_pool(now));
-        let planning = match &backoff {
-            Some(backoff) => Some(backoff.penalized_pool(live.as_ref().unwrap_or(pool), now)),
-            None => live,
+        let held = backoff.any_blocked(now);
+        let planning = if held || penalized {
+            Some(backoff.penalized_pool(live.as_ref().unwrap_or(pool), now))
+        } else {
+            live
         };
+        penalized = held;
         if let Some(planning) = planning {
             share_pool(lanes, &planning);
         }
@@ -434,8 +434,8 @@ pub(crate) fn serve(
                 });
             }
             let current = engine.cluster().active_config_for(model);
-            let blocked = backoff.as_ref().map(|b| (b, now));
-            let Some(target) = lane.select_target(spread, budget, demand, &current, blocked) else {
+            let Some(target) = lane.select_target(spread, budget, demand, &current, &backoff, now)
+            else {
                 continue;
             };
             replans += 1;
@@ -445,7 +445,7 @@ pub(crate) fn serve(
                 model,
                 &target,
                 options.provisioning_delay_us,
-                backoff.as_mut(),
+                &mut backoff,
                 trigger == ReplanTrigger::Fault,
             );
             if !added_types.is_empty() || !retired_instances.is_empty() {
@@ -471,7 +471,7 @@ pub(crate) fn serve(
     // are stamped in this run's virtual time, and the planning pools may
     // still carry their penalty prices — none of it may leak into later
     // planning calls or runs.
-    let repriced = market.is_some() || backoff.is_some();
+    let repriced = market.is_some() || penalized;
     if let Some(market) = market {
         market.reset();
     }

@@ -264,7 +264,7 @@ impl InferenceService {
                 options,
                 placements: Vec::new(),
                 market: None,
-                faults: None,
+                faults: FaultProcess::default(),
                 serverless: None,
             },
         }
@@ -327,7 +327,7 @@ impl InferenceService {
     /// lane's deployment across failure domains.
     #[must_use]
     pub fn with_fault_process(mut self, process: FaultProcess) -> Self {
-        self.fleet.faults = Some(process);
+        self.fleet.faults = process;
         self
     }
 
@@ -840,6 +840,51 @@ mod tests {
             again.report.completed() + again.report.unfinished.len(),
             trace.len()
         );
+    }
+
+    #[test]
+    fn the_first_replan_after_a_hold_lifts_restores_the_planning_pool() {
+        // A global capacity shortage parks every offering, so the shortage's
+        // fault replan prices the lanes' pools up.  With no market to
+        // reprice them, only the backoff book can take the penalty off
+        // again: the replan at the shortage's end must, or the rest of the
+        // run (and every later run) plans over penalty prices.
+        let shortage = FaultProcess::new(vec![FaultEvent::CapacityShortage {
+            domain: FailureDomain::global(),
+            start_us: 1_000_000,
+            end_us: 2_000_000,
+        }]);
+        let mut s = service(
+            ServingOptions::default()
+                .budget(6.0)
+                .replan_every(500_000)
+                .provisioning_delay(200_000),
+        )
+        .with_fault_process(shortage);
+        s.warm_monitors(&mix(), 3000, 7);
+        let spec = s.plan_initial(&[60.0, 45.0, 45.0]).unwrap();
+        let services = s.service_specs(&paper_calibration());
+        let trace = MixedTraceSpec {
+            arrival: ArrivalProcess::Poisson { rate_qps: 150.0 },
+            mix: mix(),
+            duration_s: 4.0,
+            seed: 31,
+        }
+        .generate();
+        let outcome = s.run(&spec, &services, &trace);
+        assert!(outcome
+            .reconfigs
+            .iter()
+            .any(|r| r.trigger == ReplanTrigger::Fault && r.at_us == 2_000_000));
+        let prices = |pool: &PoolSpec| -> Vec<u64> {
+            pool.types()
+                .iter()
+                .map(|t| t.price_per_hour.to_bits())
+                .collect()
+        };
+        for lane in &s.lanes {
+            assert_eq!(prices(lane.controller.pool()), prices(&s.fleet.pool));
+        }
     }
 
     #[test]

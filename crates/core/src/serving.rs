@@ -503,16 +503,16 @@ impl ModelLane {
     /// plan cache (keyed on the controller's knowledge signature *and* the
     /// budget), so a replan under unchanged knowledge and unchanged budget
     /// split skips the enumeration walk, and every question asked of the
-    /// plan is one scan.  With `blocked` (the run's backoff book at its
-    /// current time), a target that grows a parked type is not realizable
-    /// and loses to one that is.
+    /// plan is one scan.  A target that grows a type parked in the run's
+    /// `backoff` book at `now` is not realizable and loses to one that is.
     pub(crate) fn select_target(
         &mut self,
         spread: Option<(f64, &[FailureDomain])>,
         budget_per_hour: f64,
         demand_qps: f64,
         current: &Config,
-        blocked: Option<(&PurchaseBackoff, TimeUs)>,
+        backoff: &PurchaseBackoff,
+        now: TimeUs,
     ) -> Option<Config> {
         let plan = self.plan_cache.plan(&self.controller, budget_per_hour)?;
         let pool = self.controller.pool();
@@ -523,11 +523,9 @@ impl ModelLane {
         // replacements that can never land.  (The price penalty alone cannot
         // express this for the base type, which stays unpenalized so the
         // planner always has an affordable anchor.)
-        let realizable = blocked
-            .filter(|(backoff, now)| backoff.any_blocked(*now))
-            .map(|(backoff, now)| {
-                move |counts: &[usize]| purchasable(counts, current, pool, backoff, now)
-            });
+        let realizable = backoff
+            .any_blocked(now)
+            .then_some(|counts: &[usize]| purchasable(counts, current, pool, backoff, now));
         // The spread constraint filters the scored space *after* the solver
         // ran — planners stay domain-free and the per-offering domain table
         // resolves each coordinate back to its zone here.  While a fault
@@ -817,7 +815,9 @@ pub(crate) fn estimate_rate_qps(
 /// bound to the model), surplus instances of each type are gracefully
 /// retired — idle ones first, then the shallowest backlog, so draining
 /// finishes as fast as possible.  Instances bound to other models are never
-/// touched.  With `defer_retires` (fault replans), a reconcile that ordered
+/// touched.  Every purchase goes through the run's `backoff` book: parked
+/// offerings are not bought, and a rejected purchase parks its offering.
+/// With `defer_retires` (fault replans), a reconcile that ordered
 /// additions keeps its surplus serving until they come up — make before
 /// break — so a post-restore rebalance never opens a capacity gap one
 /// provisioning delay wide.
@@ -826,41 +826,29 @@ pub(crate) fn reconcile_model(
     model: ModelId,
     target: &Config,
     provisioning_delay_us: TimeUs,
-    mut backoff: Option<&mut PurchaseBackoff>,
+    backoff: &mut PurchaseBackoff,
     defer_retires: bool,
 ) -> (Vec<usize>, Vec<usize>) {
     let active = engine.cluster().active_counts_for(model);
     let mut added_types = Vec::new();
     let mut retired_instances = Vec::new();
+    let now = engine.now();
     for (type_index, &want) in target.counts().iter().enumerate() {
-        let have = active[type_index];
-        if want > have {
-            for _ in 0..want - have {
-                match backoff.as_deref_mut() {
-                    Some(backoff) => {
-                        // Parked offerings are skipped outright; a rejection
-                        // parks the offering and abandons its remaining adds
-                        // (the next replan routes around it).
-                        let now = engine.now();
-                        if backoff.blocked(type_index, now) {
-                            break;
-                        }
-                        match engine.try_add_instance_for(model, type_index, provisioning_delay_us)
-                        {
-                            Ok(_) => {
-                                backoff.note_success(type_index);
-                                added_types.push(type_index);
-                            }
-                            Err(_) => {
-                                backoff.note_rejection(type_index, now);
-                                break;
-                            }
-                        }
-                    }
-                    None => {
-                        engine.add_instance_for(model, type_index, provisioning_delay_us);
-                        added_types.push(type_index);
-                    }
+        // Parked offerings are skipped outright; a rejection parks the
+        // offering and abandons its remaining adds (the next replan routes
+        // around it).
+        for _ in active[type_index]..want {
+            if backoff.blocked(type_index, now) {
+                break;
+            }
+            match engine.add_instance(model, type_index, provisioning_delay_us) {
+                Ok(_) => {
+                    backoff.note_success(type_index);
+                    added_types.push(type_index);
+                }
+                Err(_) => {
+                    backoff.note_rejection(type_index, now);
+                    break;
                 }
             }
         }
@@ -1075,7 +1063,7 @@ mod tests {
             ModelId::DEFAULT,
             &Config::new(vec![1, 0, 0, 0]),
             ServingOptions::default().provisioning_delay_us,
-            None,
+            &mut PurchaseBackoff::new(4),
             false,
         );
         assert!(added.is_empty());

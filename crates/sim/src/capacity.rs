@@ -9,15 +9,10 @@
 //! engine with a *fresh* scheduler instance, so online-learning overhead is
 //! included in every evaluation — exactly as in the paper.
 //!
-//! Two optimizations make the ramp cheap without changing a single verdict:
-//!
-//! * **Early-exit probes:** every probe runs [`SimEngine::run_qos_probe`],
-//!   which aborts the replay as soon as the accumulated violations provably
-//!   exceed the QoS budget — or provably can no longer exceed it — instead
-//!   of draining the whole backlog.
-//! * **Memoized ramps** ([`CapacityProber`]): a per-configuration memo lets
-//!   repeated sweeps over overlapping candidate sets reuse prior ramps
-//!   instead of re-simulating them.
+//! Early-exit probes make the ramp cheap without changing a single verdict:
+//! every probe runs [`SimEngine::run_qos_probe`], which aborts the replay as
+//! soon as the accumulated violations provably exceed the QoS budget — or
+//! provably can no longer exceed it — instead of draining the whole backlog.
 //!
 //! Probing is serial.  Every probe is deterministic and independent of the
 //! others, so the order of evaluation cannot change a result; callers that
@@ -28,7 +23,6 @@ use crate::engine::{SimEngine, SimulationOptions};
 use crate::scheduler::Scheduler;
 use kairos_models::{Config, PoolSpec};
 use kairos_workload::{ArrivalProcess, BatchSizeDistribution, TraceSpec};
-use std::collections::HashMap;
 
 /// Options of the capacity search.
 #[derive(Debug, Clone)]
@@ -203,70 +197,6 @@ where
     }
 }
 
-/// A capacity-search session over one `(pool, service, workload)`: runs
-/// allowable-throughput ramps with a per-configuration memo, so sweeping
-/// overlapping candidate sets only simulates each configuration once.
-pub struct CapacityProber<'a> {
-    pool: &'a PoolSpec,
-    service: &'a ServiceSpec,
-    options: CapacityOptions,
-    memo: HashMap<Config, CapacityResult>,
-}
-
-impl<'a> CapacityProber<'a> {
-    /// Creates a prober for one pool/service/workload combination.
-    pub fn new(pool: &'a PoolSpec, service: &'a ServiceSpec, options: CapacityOptions) -> Self {
-        Self {
-            pool,
-            service,
-            options,
-            memo: HashMap::new(),
-        }
-    }
-
-    /// Allowable throughput of one configuration, served from the memo when
-    /// this prober has ramped it before.
-    pub fn throughput<F>(&mut self, config: &Config, make_scheduler: F) -> CapacityResult
-    where
-        F: FnMut() -> Box<dyn Scheduler>,
-    {
-        if let Some(hit) = self.memo.get(config) {
-            return hit.clone();
-        }
-        let result = allowable_throughput(
-            self.pool,
-            config,
-            self.service,
-            &self.options,
-            make_scheduler,
-        );
-        self.memo.insert(config.clone(), result.clone());
-        result
-    }
-
-    /// Ranks candidates by *measured* allowable throughput, highest first —
-    /// the simulation-backed counterpart of the planner's closed-form
-    /// `rank_configs`, sharing this prober's memo across calls.
-    pub fn rank_measured<F>(
-        &mut self,
-        configs: &[Config],
-        mut make_scheduler: F,
-    ) -> Vec<(Config, f64)>
-    where
-        F: FnMut() -> Box<dyn Scheduler>,
-    {
-        let mut ranked: Vec<(Config, f64)> = configs
-            .iter()
-            .map(|config| {
-                let qps = self.throughput(config, &mut make_scheduler).allowable_qps;
-                (config.clone(), qps)
-            })
-            .collect();
-        ranked.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("finite throughput"));
-        ranked
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -319,61 +249,6 @@ mod tests {
             fcfs_factory,
         );
         assert_eq!(result.allowable_qps, 0.0);
-    }
-
-    #[test]
-    fn prober_memoizes_repeat_configurations() {
-        let pool = PoolSpec::new(ec2::paper_pool());
-        let service = ServiceSpec::new(ModelKind::Wnd, paper_calibration());
-        let opts = quick_options();
-        let in_order = vec![
-            Config::new(vec![1, 0, 0, 0]),
-            Config::new(vec![1, 0, 2, 0]),
-            Config::new(vec![1, 0, 0, 0]), // duplicate within one sweep
-        ];
-        // The same candidates and two more, permuted, with duplicates.
-        let permuted = vec![
-            Config::new(vec![2, 0, 1, 0]),
-            Config::new(vec![1, 0, 2, 0]),
-            Config::new(vec![0, 0, 0, 0]),
-            Config::new(vec![2, 0, 1, 0]),
-            Config::new(vec![1, 0, 0, 0]),
-            Config::new(vec![1, 0, 2, 0]),
-        ];
-        for (configs, distinct) in [(&in_order, 2), (&permuted, 4)] {
-            let mut prober = CapacityProber::new(&pool, &service, opts.clone());
-            for config in configs {
-                // Memoized results equal a fresh ramp, whatever the order.
-                let memoized = prober.throughput(config, fcfs_factory);
-                let fresh = allowable_throughput(&pool, config, &service, &opts, fcfs_factory);
-                assert_eq!(
-                    memoized.allowable_qps.to_bits(),
-                    fresh.allowable_qps.to_bits(),
-                    "config {config}"
-                );
-                assert_eq!(memoized.probes, fresh.probes, "config {config}");
-            }
-            assert_eq!(prober.memo.len(), distinct, "duplicates share one ramp");
-            // A later overlapping sweep reuses every prior ramp.
-            prober.rank_measured(configs, fcfs_factory);
-            assert_eq!(prober.memo.len(), distinct);
-        }
-    }
-
-    #[test]
-    fn rank_measured_sorts_descending() {
-        let pool = PoolSpec::new(ec2::paper_pool());
-        let service = ServiceSpec::new(ModelKind::Wnd, paper_calibration());
-        let mut prober = CapacityProber::new(&pool, &service, quick_options());
-        let configs = vec![
-            Config::new(vec![0, 0, 0, 0]),
-            Config::new(vec![2, 0, 0, 0]),
-            Config::new(vec![1, 0, 0, 0]),
-        ];
-        let ranked = prober.rank_measured(&configs, fcfs_factory);
-        assert!(ranked.windows(2).all(|w| w[0].1 >= w[1].1));
-        assert_eq!(ranked[0].0, Config::new(vec![2, 0, 0, 0]));
-        assert_eq!(ranked[2].1, 0.0);
     }
 
     #[test]

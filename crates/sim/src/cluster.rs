@@ -23,7 +23,7 @@
 //! # Dynamic reconfiguration
 //!
 //! The cluster is no longer fixed for the lifetime of a run: instances can be
-//! [added](Cluster::add_instance) (they come online after a provisioning
+//! [added](Cluster::add_instance_for) (they come online after a provisioning
 //! delay) and [retired](Cluster::retire_instance).  Retirement is *graceful*:
 //! a draining instance finishes everything already dispatched to it, but
 //! accepts no new dispatches; once drained it transitions to
@@ -376,18 +376,9 @@ impl Cluster {
         }
     }
 
-    /// Adds an instance of the given pool type bound to
-    /// [`ModelId::DEFAULT`], available from `available_from_us`
-    /// (provisioning boundary).  Returns the new instance's index.
-    ///
-    /// # Panics
-    /// Panics if `type_index` is out of range for the pool.
-    pub fn add_instance(&mut self, type_index: usize, available_from_us: TimeUs) -> usize {
-        self.add_instance_for(ModelId::DEFAULT, type_index, available_from_us)
-    }
-
     /// Adds an instance of the given pool type hosting `model`, available
-    /// from `available_from_us`.  Returns the new instance's index.
+    /// from `available_from_us` (provisioning boundary).  Returns the new
+    /// instance's index.
     ///
     /// # Panics
     /// Panics if `type_index` is out of range for the pool.
@@ -539,7 +530,7 @@ mod tests {
     #[test]
     fn add_instance_appends_with_provisioning_boundary() {
         let mut cluster = Cluster::new(pool(), Config::new(vec![1, 0, 0, 0]));
-        let idx = cluster.add_instance(2, 500_000);
+        let idx = cluster.add_instance_for(ModelId::DEFAULT, 2, 500_000);
         assert_eq!(idx, 1);
         let inst = &cluster.instances()[idx];
         assert_eq!(&*inst.type_name, "r5n.large");

@@ -74,6 +74,12 @@
 //!   handing every event (plus a cluster snapshot) to an [`EngineHook`]
 //!   whose returned actions are applied before the next event.
 //!
+//! [`SimEngine::add_instance`] is the one way to buy an instance, and every
+//! purchase passes the fault-domain admission check: inside an active zone
+//! outage or capacity shortage it returns a typed [`PurchaseRejected`] and
+//! adds nothing.  An engine with no fault process attached runs the empty
+//! process, so no purchase is ever rejected there.
+//!
 //! Added instances come online after a provisioning delay (a dedicated
 //! `Ready` event re-consults the scheduler the instant capacity appears);
 //! retired instances drain gracefully and never receive new dispatches.  The
@@ -83,7 +89,7 @@
 
 use crate::calendar::{EventCalendar, TimedEvent, TimedKind};
 use crate::cluster::{Cluster, ClusterSpec, InstanceLifecycle, ServiceSpec};
-use crate::flex::{ActiveUnit, BatchingOptions, FlexConfig, FlexState, SharingMode, WorkUnit};
+use crate::flex::{ActiveUnit, BatchingOptions, FlexConfig, FlexState, SharingOptions, WorkUnit};
 use crate::scheduler::{Dispatch, InstanceView, Scheduler, SchedulingContext};
 use crate::serverless::{ServerlessConfig, ServerlessState};
 use crate::stats::{OutageRecord, QueryRecord, ServiceStats, SimReport, UnfinishedQuery};
@@ -657,20 +663,16 @@ impl<'a> SimEngine<'a> {
         engine
     }
 
-    /// Attaches a fair throughput-sharing service model:
-    /// [`SharingMode::Fair`] lets several invocations share each instance
-    /// under the options' degradation curves, while [`SharingMode::None`]
-    /// keeps the default dedicated-instance service (a no-op).
+    /// Attaches a fair throughput-sharing service model: several
+    /// invocations share each instance under the options' degradation
+    /// curves.  Without it, instances serve one invocation at a time.
     ///
     /// Must be called before the first step.
     ///
     /// # Panics
     /// Panics if the engine has already started, or if the options carry
     /// neither one uniform curve nor exactly one curve per pool type.
-    pub fn with_sharing(mut self, mode: SharingMode) -> Self {
-        let SharingMode::Fair(options) = mode else {
-            return self;
-        };
+    pub fn with_sharing(mut self, options: SharingOptions) -> Self {
         self.assert_unstarted("sharing");
         assert!(
             self.serverless.is_none(),
@@ -1400,31 +1402,48 @@ impl<'a> SimEngine<'a> {
         self.billed_start_us[instance_index] = TimeUs::MAX;
     }
 
-    /// Adds an instance of the given pool type bound to
-    /// [`ModelId::DEFAULT`] to the live cluster.  The instance is visible to
-    /// the scheduler immediately but cannot start serving until
-    /// `provisioning_delay_us` has elapsed; a `Ready` event re-consults the
-    /// scheduler the moment it comes online.  Returns the new instance's
-    /// index.
-    pub fn add_instance(&mut self, type_index: usize, provisioning_delay_us: TimeUs) -> usize {
-        self.add_instance_for(ModelId::DEFAULT, type_index, provisioning_delay_us)
-    }
-
-    /// [`Self::add_instance`] for a specific model binding: the new instance
-    /// hosts a replica of `model` and only accepts that model's queries.
+    /// Buys an instance of pool type `type_index` bound to `model` — the
+    /// engine's one purchase path.  The instance hosts a replica of `model`
+    /// and only accepts that model's queries; it is visible to the scheduler
+    /// immediately but cannot start serving until `provisioning_delay_us`
+    /// has elapsed, and a `Ready` event re-consults the scheduler the moment
+    /// it comes online.  Returns the new instance's index.
+    ///
+    /// Every purchase is admission-checked against the attached fault
+    /// process: when the type's placement is inside an active zone outage or
+    /// capacity shortage, no instance is added, the report's
+    /// `rejected_purchases` counter ticks, and a typed [`PurchaseRejected`]
+    /// comes back.  Without fault windows nothing is ever rejected.
     ///
     /// # Panics
     /// Panics if `model` has no entry in the engine's service table.
-    pub fn add_instance_for(
+    pub fn add_instance(
         &mut self,
         model: ModelId,
         type_index: usize,
         provisioning_delay_us: TimeUs,
-    ) -> usize {
+    ) -> Result<usize, PurchaseRejected> {
         assert!(
             model.index() < self.services.len(),
             "model {model} not served by this engine"
         );
+        let placement = &self.placements[type_index];
+        let cause = if self.active_outages.iter().any(|d| d.covers(placement)) {
+            Some(RejectionCause::ZoneOutage)
+        } else if self.active_shortages.iter().any(|d| d.covers(placement)) {
+            Some(RejectionCause::CapacityShortage)
+        } else {
+            None
+        };
+        if let Some(cause) = cause {
+            self.rejected_purchases += 1;
+            return Err(PurchaseRejected {
+                type_index,
+                domain: placement.clone(),
+                at_us: self.now,
+                cause,
+            });
+        }
         let ready_at = self.now + provisioning_delay_us;
         let instance_index = self.cluster.add_instance_for(model, type_index, ready_at);
         let inst = &self.cluster.instances()[instance_index];
@@ -1459,39 +1478,7 @@ impl<'a> SimEngine<'a> {
             gen: 0,
         });
         self.seq += 1;
-        instance_index
-    }
-
-    /// [`Self::add_instance_for`] with fault-domain admission control: when
-    /// the target type's placement is inside an active zone outage or
-    /// capacity shortage, the purchase returns a typed [`PurchaseRejected`]
-    /// instead of silently succeeding (and the report's
-    /// `rejected_purchases` counter ticks).  Without an attached fault
-    /// process this is exactly `Ok(add_instance_for(..))`.
-    pub fn try_add_instance_for(
-        &mut self,
-        model: ModelId,
-        type_index: usize,
-        provisioning_delay_us: TimeUs,
-    ) -> Result<usize, PurchaseRejected> {
-        let placement = &self.placements[type_index];
-        let cause = if self.active_outages.iter().any(|d| d.covers(placement)) {
-            Some(RejectionCause::ZoneOutage)
-        } else if self.active_shortages.iter().any(|d| d.covers(placement)) {
-            Some(RejectionCause::CapacityShortage)
-        } else {
-            None
-        };
-        if let Some(cause) = cause {
-            self.rejected_purchases += 1;
-            return Err(PurchaseRejected {
-                type_index,
-                domain: placement.clone(),
-                at_us: self.now,
-                cause,
-            });
-        }
-        Ok(self.add_instance_for(model, type_index, provisioning_delay_us))
+        Ok(instance_index)
     }
 
     /// Gracefully retires an instance: it accepts no further dispatches and
@@ -1568,19 +1555,22 @@ impl<'a> SimEngine<'a> {
         }
     }
 
-    /// Applies a [`ClusterAction`] (driver convenience).
-    pub fn apply(&mut self, action: ClusterAction) {
+    /// Applies a [`ClusterAction`] (driver convenience).  A purchase goes
+    /// through [`Self::add_instance`] for [`ModelId::DEFAULT`] and returns
+    /// its rejection, if any.
+    pub fn apply(&mut self, action: ClusterAction) -> Result<(), PurchaseRejected> {
         match action {
             ClusterAction::AddInstance {
                 type_index,
                 provisioning_delay_us,
             } => {
-                self.add_instance(type_index, provisioning_delay_us);
+                self.add_instance(ModelId::DEFAULT, type_index, provisioning_delay_us)?;
             }
             ClusterAction::RetireInstance { instance_index } => {
                 self.retire_instance(instance_index);
             }
         }
+        Ok(())
     }
 
     /// Runs the simulation to completion and returns the report.
@@ -1591,11 +1581,13 @@ impl<'a> SimEngine<'a> {
 
     /// Runs the simulation to completion with a reconfiguration hook in the
     /// loop: after every event the hook observes what happened and may return
-    /// cluster actions, which are applied before the next event.
+    /// cluster actions, which are applied before the next event.  A
+    /// rejected purchase adds nothing and is counted in the report's
+    /// `rejected_purchases`.
     pub fn run_with_hook(mut self, hook: &mut dyn EngineHook) -> SimReport {
         while let Some(event) = self.step_event() {
             for action in hook.on_event(self.now, &event, &self.cluster) {
-                self.apply(action);
+                let _ = self.apply(action);
             }
         }
         self.report()
@@ -2794,7 +2786,7 @@ mod tests {
         for _ in 0..12 {
             assert!(engine.step());
         }
-        let added = engine.add_instance(0, 50_000);
+        let added = engine.add_instance(ModelId::DEFAULT, 0, 50_000).unwrap();
         assert_eq!(added, 1);
         assert_eq!(
             engine.cluster().instances()[added].available_from_us,
@@ -3153,34 +3145,6 @@ mod tests {
         }
 
         #[test]
-        fn sharing_mode_none_is_the_legacy_engine() {
-            let (pool, service) = setup();
-            let trace = TraceSpec::production(400.0, 1.0, 21).generate();
-            let config = Config::new(vec![1, 1, 2, 0]);
-            let opts = SimulationOptions { seed: 3 };
-            let plain = run_trace(
-                &pool,
-                &config,
-                &service,
-                &trace,
-                &mut FcfsScheduler::new(),
-                &opts,
-            );
-            let mut scheduler = FcfsScheduler::new();
-            let none = SimEngine::new(&pool, &config, &service, &trace, &mut scheduler, &opts)
-                .with_sharing(SharingMode::None)
-                .run();
-            assert_eq!(plain.records, none.records);
-            assert_eq!(plain.unfinished, none.unfinished);
-            assert_eq!(plain.events_processed, none.events_processed);
-            assert_eq!(
-                plain.billed_dollars.to_bits(),
-                none.billed_dollars.to_bits()
-            );
-            assert_eq!(plain.service, none.service);
-        }
-
-        #[test]
         fn time_sliced_sharing_halves_the_pace_of_a_pair() {
             let (pool, service) = setup();
             let config = Config::new(vec![1, 0, 0, 0]);
@@ -3195,9 +3159,7 @@ mod tests {
                 &mut scheduler,
                 &SimulationOptions::default(),
             )
-            .with_sharing(SharingMode::Fair(SharingOptions::uniform(
-                ThroughputDegradation::TimeSliced,
-            )))
+            .with_sharing(SharingOptions::uniform(ThroughputDegradation::TimeSliced))
             .run();
             assert_eq!(report.completed(), 2);
             // Both queries share the instance from t = 0 at half speed, so
@@ -3227,9 +3189,7 @@ mod tests {
                 &mut scheduler,
                 &SimulationOptions::default(),
             )
-            .with_sharing(SharingMode::Fair(SharingOptions::uniform(
-                ThroughputDegradation::Ideal,
-            )))
+            .with_sharing(SharingOptions::uniform(ThroughputDegradation::Ideal))
             .run();
             assert_eq!(report.completed(), 2);
             for r in &report.records {
@@ -3252,9 +3212,9 @@ mod tests {
                 &mut scheduler,
                 &SimulationOptions::default(),
             )
-            .with_sharing(SharingMode::Fair(
+            .with_sharing(
                 SharingOptions::uniform(ThroughputDegradation::TimeSliced).with_max_concurrency(1),
-            ))
+            )
             .run();
             let mut completions: Vec<TimeUs> =
                 report.records.iter().map(|r| r.completion_us).collect();
@@ -3370,9 +3330,9 @@ mod tests {
                 &SimulationOptions::default(),
             )
             .with_market(&market)
-            .with_sharing(SharingMode::Fair(
+            .with_sharing(
                 SharingOptions::uniform(ThroughputDegradation::TimeSliced).with_max_concurrency(2),
-            ))
+            )
             .with_batching(BatchingOptions::new(1_800, 5_000))
             .run();
             assert_eq!(report.preempted_instances, 1);
@@ -3408,9 +3368,9 @@ mod tests {
                 &mut scheduler,
                 &SimulationOptions::default(),
             )
-            .with_sharing(SharingMode::Fair(
+            .with_sharing(
                 SharingOptions::uniform(ThroughputDegradation::TimeSliced).with_max_concurrency(2),
-            ));
+            );
             for _ in 0..4 {
                 assert!(engine.step());
             }
@@ -3447,13 +3407,13 @@ mod tests {
                 &mut scheduler,
                 &SimulationOptions::default(),
             )
-            .with_sharing(SharingMode::Fair(
+            .with_sharing(
                 SharingOptions::uniform(ThroughputDegradation::TimeSliced).with_max_concurrency(1),
-            ));
+            );
             for _ in 0..12 {
                 assert!(engine.step());
             }
-            let added = engine.add_instance(0, 50_000);
+            let added = engine.add_instance(ModelId::DEFAULT, 0, 50_000).unwrap();
             let report = engine.run();
             assert_eq!(report.completed(), 12);
             for r in report.records.iter().filter(|r| r.instance_index == added) {
@@ -3478,9 +3438,8 @@ mod tests {
         // queue-building scheduler.
         let trace = TraceSpec::production(600.0, 0.5, 31).generate();
         let config = Config::new(vec![1, 0, 1, 0]);
-        let sharing = SharingMode::Fair(
-            SharingOptions::uniform(ThroughputDegradation::TimeSliced).with_max_concurrency(2),
-        );
+        let sharing =
+            SharingOptions::uniform(ThroughputDegradation::TimeSliced).with_max_concurrency(2);
         let batching = BatchingOptions::new(256, 2_000);
         for knob in 0..4 {
             let mut scheduler = FcfsScheduler::new();
@@ -3585,16 +3544,14 @@ mod tests {
             match event {
                 EngineEvent::CapacityShortage { active: true, .. } => {
                     toggles += 1;
-                    let err = engine
-                        .try_add_instance_for(ModelId::DEFAULT, 1, 0)
-                        .unwrap_err();
+                    let err = engine.add_instance(ModelId::DEFAULT, 1, 0).unwrap_err();
                     assert_eq!(err.cause, RejectionCause::CapacityShortage);
                     assert_eq!(err.type_index, 1);
                     assert_eq!(err.at_us, 100_000);
                 }
                 EngineEvent::CapacityShortage { active: false, .. } => {
                     toggles += 1;
-                    assert!(engine.try_add_instance_for(ModelId::DEFAULT, 1, 0).is_ok());
+                    assert!(engine.add_instance(ModelId::DEFAULT, 1, 0).is_ok());
                 }
                 _ => {}
             }
@@ -3602,6 +3559,75 @@ mod tests {
         assert_eq!(toggles, 2);
         let report = engine.report();
         assert_eq!(report.rejected_purchases, 1);
+    }
+
+    #[test]
+    fn purchases_into_a_dead_domain_are_rejected_on_every_path() {
+        let (pool, service) = setup();
+        let trace = TraceSpec::production(100.0, 2.0, 4).generate();
+        let config = Config::new(vec![1, 0, 1, 0]);
+        let zone_a = FailureDomain::zone("us-east-1", "us-east-1a");
+        let zone_b = FailureDomain::zone("us-east-1", "us-east-1b");
+        let placements = vec![
+            zone_a.clone(),
+            zone_a.clone(),
+            zone_b.clone(),
+            zone_b.clone(),
+        ];
+        let process = FaultProcess::new(vec![
+            FaultEvent::ZoneOutage {
+                domain: zone_a,
+                start_us: 200_000,
+                duration_us: 400_000,
+            },
+            FaultEvent::CapacityShortage {
+                domain: zone_b,
+                start_us: 800_000,
+                end_us: 1_200_000,
+            },
+        ]);
+        let mut fcfs = FcfsScheduler::new();
+        let mut engine = SimEngine::new(
+            &pool,
+            &config,
+            &service,
+            &trace,
+            &mut fcfs,
+            &SimulationOptions::default(),
+        )
+        .with_faults(&process, &placements);
+        let mut windows = Vec::new();
+        while let Some(event) = engine.step_event() {
+            // (first covered type, expected cause, a type outside the window)
+            let (covered, cause, healthy) = match event {
+                EngineEvent::ZoneOutage { .. } => (0, RejectionCause::ZoneOutage, 2),
+                EngineEvent::CapacityShortage { active: true, .. } => {
+                    (2, RejectionCause::CapacityShortage, 0)
+                }
+                _ => continue,
+            };
+            windows.push(cause);
+            let before = engine.cluster().len();
+            let direct = engine
+                .add_instance(ModelId::DEFAULT, covered, 0)
+                .unwrap_err();
+            assert_eq!((direct.type_index, direct.cause), (covered, cause));
+            let applied = engine
+                .apply(ClusterAction::AddInstance {
+                    type_index: covered + 1,
+                    provisioning_delay_us: 0,
+                })
+                .unwrap_err();
+            assert_eq!((applied.type_index, applied.cause), (covered + 1, cause));
+            assert_eq!(engine.cluster().len(), before, "a rejection adds nothing");
+            // The window is scoped to its domain.
+            assert!(engine.add_instance(ModelId::DEFAULT, healthy, 0).is_ok());
+        }
+        assert_eq!(
+            windows,
+            [RejectionCause::ZoneOutage, RejectionCause::CapacityShortage]
+        );
+        assert_eq!(engine.report().rejected_purchases, 4);
     }
 
     mod serverless_lane {

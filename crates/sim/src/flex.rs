@@ -93,17 +93,6 @@ impl SharingOptions {
     }
 }
 
-/// Whether (and how) instances share their throughput between concurrent
-/// invocations.
-#[derive(Debug, Clone, PartialEq)]
-pub enum SharingMode {
-    /// The paper's dedicated-instance model: one invocation at a time (the
-    /// engine's default, so selecting it changes nothing).
-    None,
-    /// Fair sharing under the given degradation curves.
-    Fair(SharingOptions),
-}
-
 /// Dynamic-batcher configuration: queue-and-fire on size or timeout.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BatchingOptions {

@@ -60,10 +60,10 @@ pub mod serverless;
 pub mod sharded;
 pub mod stats;
 
-pub use capacity::{allowable_throughput, CapacityOptions, CapacityProber, CapacityResult};
+pub use capacity::{allowable_throughput, CapacityOptions, CapacityResult};
 pub use cluster::{Cluster, ClusterSpec, InstanceLifecycle, ModelPool, ServiceSpec, SimInstance};
 pub use engine::{run_trace, ClusterAction, EngineEvent, EngineHook, SimEngine, SimulationOptions};
-pub use flex::{BatchingOptions, SharingMode, SharingOptions};
+pub use flex::{BatchingOptions, SharingOptions};
 pub use scheduler::{Dispatch, FcfsScheduler, InstanceView, Scheduler, SchedulingContext};
 pub use serverless::ServerlessConfig;
 pub use sharded::ShardedEngine;

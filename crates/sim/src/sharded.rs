@@ -56,7 +56,7 @@
 
 use crate::cluster::{ClusterSpec, ModelPool, ServiceSpec};
 use crate::engine::{SimEngine, SimulationOptions};
-use crate::flex::{BatchingOptions, SharingMode, SharingOptions};
+use crate::flex::{BatchingOptions, SharingOptions};
 use crate::scheduler::Scheduler;
 use crate::stats::SimReport;
 use kairos_models::market::billed_dollars;
@@ -139,18 +139,13 @@ impl<'a> ShardedEngine<'a> {
     }
 
     /// Enables fair throughput sharing on every shard engine (see
-    /// [`SimEngine::with_sharing`]).  [`SharingMode::None`] is a no-op, so
-    /// the sharded path keeps its exact-replay contract in both modes.
-    /// Sharing state is strictly per-instance and lanes own disjoint
-    /// instances, so the combined-vs-sharded bit-identity argument in the
-    /// module docs carries over unchanged (pinned by
-    /// `tests/proptest_flex.rs`).
+    /// [`SimEngine::with_sharing`]).  Sharing state is strictly
+    /// per-instance and lanes own disjoint instances, so the
+    /// combined-vs-sharded bit-identity argument in the module docs carries
+    /// over unchanged (pinned by `tests/proptest_flex.rs`).
     #[must_use]
-    pub fn with_sharing(mut self, mode: SharingMode) -> Self {
-        self.sharing = match mode {
-            SharingMode::None => None,
-            SharingMode::Fair(options) => Some(options),
-        };
+    pub fn with_sharing(mut self, options: SharingOptions) -> Self {
+        self.sharing = Some(options);
         self
     }
 
@@ -227,7 +222,7 @@ impl<'a> ShardedEngine<'a> {
                     &self.options,
                 );
                 if let Some(options) = &self.sharing {
-                    engine = engine.with_sharing(SharingMode::Fair(options.clone()));
+                    engine = engine.with_sharing(options.clone());
                 }
                 if let Some(options) = self.batching {
                     engine = engine.with_batching(options);
@@ -378,13 +373,11 @@ mod tests {
         assert_eq!(combined.service, sharded.service);
     }
 
-    fn flex_knobs() -> (SharingMode, BatchingOptions) {
+    fn flex_knobs() -> (SharingOptions, BatchingOptions) {
         use kairos_models::ThroughputDegradation;
         (
-            SharingMode::Fair(
-                SharingOptions::uniform(ThroughputDegradation::try_new_linear(0.1).unwrap())
-                    .with_max_concurrency(4),
-            ),
+            SharingOptions::uniform(ThroughputDegradation::try_new_linear(0.1).unwrap())
+                .with_max_concurrency(4),
             BatchingOptions::new(256, 2_000),
         )
     }

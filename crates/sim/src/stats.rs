@@ -212,7 +212,7 @@ pub struct SimReport {
     pub requeued_queries: usize,
     /// Purchase attempts rejected by an active zone outage or capacity
     /// shortage in the target domain (see
-    /// [`SimEngine::try_add_instance_for`](crate::SimEngine::try_add_instance_for)).
+    /// [`SimEngine::add_instance`](crate::SimEngine::add_instance)).
     pub rejected_purchases: usize,
     /// Straggler onsets applied to a live instance (throughput scaled down
     /// mid-run).

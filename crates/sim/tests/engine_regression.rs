@@ -17,7 +17,7 @@ use kairos_models::{
 };
 use kairos_sim::{
     run_trace, BatchingOptions, Dispatch, FcfsScheduler, Scheduler, SchedulingContext, ServiceSpec,
-    SharingMode, SharingOptions, SimEngine, SimulationOptions,
+    SharingOptions, SimEngine, SimulationOptions,
 };
 use kairos_testkit::{idle_order, run_trace_naive};
 use kairos_workload::{Query, Trace, TraceSpec};
@@ -68,21 +68,21 @@ impl Scheduler for EarliestFreeScheduler {
 
 /// Service-path knobs every check runs under: serial service, sharing
 /// alone, batching alone, and sharing + batching.
-fn service_knobs() -> [(Option<SharingMode>, Option<BatchingOptions>); 4] {
+fn service_knobs() -> [(Option<SharingOptions>, Option<BatchingOptions>); 4] {
     [
         (None, None),
         (
-            Some(SharingMode::Fair(
+            Some(
                 SharingOptions::uniform(ThroughputDegradation::try_new_linear(0.2).unwrap())
                     .with_max_concurrency(4),
-            )),
+            ),
             None,
         ),
         (None, Some(BatchingOptions::new(256, 2_000))),
         (
-            Some(SharingMode::Fair(
+            Some(
                 SharingOptions::uniform(ThroughputDegradation::TimeSliced).with_max_concurrency(2),
-            )),
+            ),
             Some(BatchingOptions::new(128, 1_000)),
         ),
     ]
@@ -116,8 +116,8 @@ fn incremental_views_equal_recomputed_views_on_a_10k_production_trace() {
             &mut scheduler,
             &SimulationOptions::default(),
         );
-        if let Some(mode) = sharing {
-            engine = engine.with_sharing(mode);
+        if let Some(options) = sharing {
+            engine = engine.with_sharing(options);
         }
         if let Some(b) = batching {
             engine = engine.with_batching(b);
@@ -308,8 +308,8 @@ fn calendar_lazy_deletion_counters_stay_consistent() {
             let mut scheduler = FcfsScheduler::new();
             let mut engine =
                 SimEngine::new(&pool, &config, &service, &trace, &mut scheduler, &opts);
-            if let Some(mode) = sharing {
-                engine = engine.with_sharing(mode.clone());
+            if let Some(options) = sharing {
+                engine = engine.with_sharing(options.clone());
             }
             if let Some(b) = batching {
                 engine = engine.with_batching(*b);
@@ -383,8 +383,8 @@ fn calendar_counters_stay_consistent_on_fault_paths() {
             let mut engine =
                 SimEngine::new(&pool, &config, &service, &trace, &mut scheduler, &opts)
                     .with_faults(&process, &placements);
-            if let Some(mode) = sharing {
-                engine = engine.with_sharing(mode.clone());
+            if let Some(options) = sharing {
+                engine = engine.with_sharing(options.clone());
             }
             if let Some(b) = batching {
                 engine = engine.with_batching(*b);

@@ -15,7 +15,7 @@ use kairos_models::{
 };
 use kairos_sim::{
     BatchingOptions, ClusterSpec, FcfsScheduler, Scheduler, ServiceSpec, ShardedEngine,
-    SharingMode, SharingOptions, SimEngine, SimulationOptions,
+    SharingOptions, SimEngine, SimulationOptions,
 };
 use kairos_workload::{ModelId, Query, Trace};
 use proptest::prelude::*;
@@ -63,21 +63,21 @@ fn multi_spec(num_models: usize) -> impl Strategy<Value = ClusterSpec> {
 }
 
 /// Service-path knobs: 0 = serial, 1 = sharing, 2 = batching, 3 = both.
-fn flex(knob: usize) -> (Option<SharingMode>, Option<BatchingOptions>) {
+fn flex(knob: usize) -> (Option<SharingOptions>, Option<BatchingOptions>) {
     match knob {
         0 => (None, None),
         1 => (
-            Some(SharingMode::Fair(
+            Some(
                 SharingOptions::uniform(ThroughputDegradation::try_new_linear(0.2).unwrap())
                     .with_max_concurrency(4),
-            )),
+            ),
             None,
         ),
         2 => (None, Some(BatchingOptions::new(256, 2_000))),
         _ => (
-            Some(SharingMode::Fair(
+            Some(
                 SharingOptions::uniform(ThroughputDegradation::TimeSliced).with_max_concurrency(2),
-            )),
+            ),
             Some(BatchingOptions::new(128, 1_000)),
         ),
     }
@@ -120,8 +120,8 @@ proptest! {
                 // events.
                 engine = engine.with_faults(&FaultProcess::default(), &[]);
             }
-            if let Some(mode) = &sharing {
-                engine = engine.with_sharing(mode.clone());
+            if let Some(options) = &sharing {
+                engine = engine.with_sharing(options.clone());
             }
             if let Some(b) = &batching {
                 engine = engine.with_batching(*b);
@@ -159,8 +159,8 @@ proptest! {
         // Shard transparency survives the (no-op) fault layer: the sharded
         // engine at every thread count still reproduces the same report.
         let mut sharded = ShardedEngine::new(&pool, &spec, &svc_refs, &opts);
-        if let Some(mode) = &sharing {
-            sharded = sharded.with_sharing(mode.clone());
+        if let Some(options) = &sharing {
+            sharded = sharded.with_sharing(options.clone());
         }
         if let Some(b) = &batching {
             sharded = sharded.with_batching(*b);

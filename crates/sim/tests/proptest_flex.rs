@@ -1,24 +1,18 @@
 //! Property-based tests of the engine's service path under its sharing and
 //! batching settings.
 //!
-//! 1. **None-mode bit-identity** — [`SharingMode::None`] with the batcher
-//!    disabled is the default serial service, bit for bit, on random
-//!    multi-model traces against random multi-model cluster shapes:
-//!    records, unfinished queries, events processed, billing (compared by
-//!    f64 bit pattern) and the service counters all match
-//!    [`SimEngine::new_multi`] without the builder call.
-//! 2. **Sharing capped at one is serial service** — every degradation curve
-//!    runs a lone invocation at rate 1, so `Fair(curve)` with a concurrency
+//! 1. **Sharing capped at one is serial service** — every degradation curve
+//!    runs a lone invocation at rate 1, so sharing under it with a concurrency
 //!    cap of 1 reproduces the serial report bit for bit, under FCFS and
 //!    under Kairos, whose matching reads busy instances' projected free
 //!    times (`free_at_us`) and so sees any view the sharing setting fails
 //!    to keep exact.
-//! 3. **Shard transparency under flex** — with random sharing curves,
+//! 2. **Shard transparency under flex** — with random sharing curves,
 //!    concurrency caps and batcher knobs enabled, the [`ShardedEngine`]
 //!    reproduces the combined engine's report bit-for-bit under rayon
 //!    pools of 1, 2, 4 and 8 threads: per-instance sharing state never
 //!    couples model lanes.
-//! 4. **Conservation & counter sanity** — on every random flex case each
+//! 3. **Conservation & counter sanity** — on every random flex case each
 //!    offered query lands in `records` or `unfinished` exactly once, fused
 //!    members share their invocation's bounds, and the calendar's lazy
 //!    deletion never skips an entry it did not first cancel
@@ -30,7 +24,7 @@ use kairos_models::{
 };
 use kairos_sim::{
     BatchingOptions, ClusterSpec, FcfsScheduler, Scheduler, ServiceSpec, ShardedEngine,
-    SharingMode, SharingOptions, SimEngine, SimReport, SimulationOptions,
+    SharingOptions, SimEngine, SimReport, SimulationOptions,
 };
 use kairos_workload::{ModelId, Query, Trace, TraceSpec};
 use proptest::prelude::*;
@@ -113,11 +107,11 @@ fn curve() -> impl Strategy<Value = ThroughputDegradation> {
 
 /// Random flex knobs: a sharing curve with a small concurrency cap, and a
 /// batcher sized so both the size cap and the timeout fire across cases.
-fn flex_knobs() -> impl Strategy<Value = (SharingMode, Option<BatchingOptions>)> {
+fn flex_knobs() -> impl Strategy<Value = (SharingOptions, Option<BatchingOptions>)> {
     (curve(), 0u32..5, 0usize..2, 64u32..1024, 0u64..30_000).prop_map(
         |(c, cap, batch_on, size, timeout)| {
             (
-                SharingMode::Fair(SharingOptions::uniform(c).with_max_concurrency(cap)),
+                SharingOptions::uniform(c).with_max_concurrency(cap),
                 (batch_on == 1).then(|| BatchingOptions::new(size, timeout)),
             )
         },
@@ -147,7 +141,7 @@ fn assert_reports_identical(a: &SimReport, b: &SimReport) {
 }
 
 /// Replays a single-model WND trace on `counts` under serial service and
-/// under `Fair(curve)` capped at one invocation, with FCFS or Kairos, and
+/// under sharing with `curve` capped at one invocation, with FCFS or Kairos, and
 /// asserts the two reports are identical.
 fn assert_capped_sharing_is_serial(
     counts: Vec<usize>,
@@ -186,9 +180,7 @@ fn assert_capped_sharing_is_serial(
         capped_sched.as_mut(),
         &opts,
     )
-    .with_sharing(SharingMode::Fair(
-        SharingOptions::uniform(curve).with_max_concurrency(1),
-    ))
+    .with_sharing(SharingOptions::uniform(curve).with_max_concurrency(1))
     .run();
     assert_reports_identical(&serial, &capped);
 }
@@ -206,29 +198,6 @@ fn kairos_sees_busy_capped_sharing_instances_as_busy() {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// SharingMode::None with no batcher is the default serial service bit
-    /// for bit: opting the builder in without opting a behavior in costs
-    /// nothing.
-    #[test]
-    fn sharing_mode_none_without_batching_is_bit_identical_to_the_legacy_engine(
-        case in multi_case(),
-    ) {
-        let (n, trace, spec, seed) = case;
-        let pool = PoolSpec::new(ec2::paper_pool());
-        let svc = services(n);
-        let svc_refs: Vec<&ServiceSpec> = svc.iter().collect();
-        let opts = SimulationOptions { seed };
-        let mut plain_sched = FcfsScheduler::new();
-        let plain =
-            SimEngine::new_multi(&pool, &spec, &svc_refs, &trace, &mut plain_sched, &opts).run();
-        let mut none_sched = FcfsScheduler::new();
-        let none =
-            SimEngine::new_multi(&pool, &spec, &svc_refs, &trace, &mut none_sched, &opts)
-                .with_sharing(SharingMode::None)
-                .run();
-        assert_reports_identical(&plain, &none);
-    }
 
     /// Sharing capped at one invocation is serial service, bit for bit,
     /// under FCFS and Kairos on random traces and clusters.

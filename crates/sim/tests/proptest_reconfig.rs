@@ -28,10 +28,10 @@ use kairos_models::{
 };
 use kairos_sim::{
     run_trace, BatchingOptions, Dispatch, EngineEvent, Scheduler, SchedulingContext, ServiceSpec,
-    SharingMode, SharingOptions, SimEngine, SimulationOptions,
+    SharingOptions, SimEngine, SimulationOptions,
 };
 use kairos_testkit::{idle_order, run_trace_naive};
-use kairos_workload::TraceSpec;
+use kairos_workload::{ModelId, TraceSpec};
 use proptest::prelude::*;
 use std::collections::{HashMap, HashSet};
 
@@ -153,10 +153,8 @@ impl Scheduler for ThresholdScheduler {
 /// Applies service-path knob `knob`: 0 serial, 1 sharing, 2 batching,
 /// 3 sharing + batching.
 fn with_knob(engine: SimEngine<'_>, knob: usize) -> SimEngine<'_> {
-    let sharing = SharingMode::Fair(
-        SharingOptions::uniform(ThroughputDegradation::try_new_linear(0.2).unwrap())
-            .with_max_concurrency(3),
-    );
+    let sharing = SharingOptions::uniform(ThroughputDegradation::try_new_linear(0.2).unwrap())
+        .with_max_concurrency(3);
     let batching = BatchingOptions::new(256, 2_000);
     match knob {
         0 => engine,
@@ -218,7 +216,9 @@ proptest! {
             while next_action < plan.len() && plan[next_action].0 <= event_ordinal {
                 match plan[next_action].1 {
                     Action::Add { type_index, delay_us } => {
-                        engine.add_instance(type_index, delay_us);
+                        engine
+                            .add_instance(ModelId::DEFAULT, type_index, delay_us)
+                            .expect("no fault process");
                     }
                     Action::Retire { victim_seed } => {
                         let candidates: Vec<usize> = engine
@@ -400,7 +400,9 @@ proptest! {
                         // Spread the 0..4 strategy range over the six
                         // offerings so spot capacity is also added mid-run
                         // (possibly after its offering's storm).
-                        engine.add_instance((type_index * 2) % 6, delay_us);
+                        engine
+                            .add_instance(ModelId::DEFAULT, (type_index * 2) % 6, delay_us)
+                            .expect("no fault process");
                     }
                     Action::Retire { victim_seed } => {
                         let candidates: Vec<usize> = engine

@@ -23,7 +23,7 @@ fn replay(
     service: &ServiceSpec,
     trace: &Trace,
     batching: Option<BatchingOptions>,
-    sharing: Option<SharingMode>,
+    sharing: Option<SharingOptions>,
 ) -> kairos::sim::SimReport {
     let mut scheduler = FcfsScheduler::new();
     let options = SimulationOptions { seed: 7 };
@@ -31,8 +31,8 @@ fn replay(
     if let Some(b) = batching {
         engine = engine.with_batching(b);
     }
-    if let Some(mode) = sharing {
-        engine = engine.with_sharing(mode);
+    if let Some(options) = sharing {
+        engine = engine.with_sharing(options);
     }
     engine.run()
 }
@@ -65,10 +65,9 @@ fn main() {
     );
 
     let batcher = BatchingOptions::new(fuse_cap, 500);
-    let sharing = SharingMode::Fair(
+    let sharing =
         SharingOptions::uniform(ThroughputDegradation::try_new_linear(0.15).expect("valid curve"))
-            .with_max_concurrency(2),
-    );
+            .with_max_concurrency(2);
     let runs = [
         ("unbatched", None, None),
         ("batched (0.5 ms)", Some(batcher), None),

@@ -59,7 +59,7 @@ pub mod prelude {
     pub use kairos_sim::{
         allowable_throughput, run_trace, BatchingOptions, CapacityOptions, ClusterAction,
         ClusterSpec, EngineEvent, EngineHook, FcfsScheduler, Scheduler, ServerlessConfig,
-        ServiceSpec, ShardedEngine, SharingMode, SharingOptions, SimEngine, SimulationOptions,
+        ServiceSpec, ShardedEngine, SharingOptions, SimEngine, SimulationOptions,
     };
     pub use kairos_workload::{
         ArrivalProcess, BatchSizeDistribution, MixSpec, MixedTraceSpec, ModelId, Phase,
